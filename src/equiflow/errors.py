@@ -38,7 +38,8 @@ class NoConvergence(EquiflowError):
 
 
 class TrackingAmbiguous(EquiflowError):
-    """Eigenbranch matching could not be certified at the depth cap."""
+    """Eigenbranch matching or det-phase unwrapping could not be certified at
+    the depth cap, or a block crossing count is not an integer."""
 
 
 class PartitionFailure(EquiflowError):
@@ -75,10 +76,6 @@ class RootFindingFailure(EquiflowError):
 
 class ConfigInvalid(EquiflowError):
     """Malformed harness configuration (exit code 2)."""
-
-
-class ComputationFailed(EquiflowError):
-    """Scenario computation failed (exit code 1)."""
 
 
 class UnknownSuite(EquiflowError):

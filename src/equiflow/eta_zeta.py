@@ -25,8 +25,6 @@ from .winding import path_derivative
 
 __all__ = [
     "SpectralOperator",
-    "EtaZetaReport",
-    "spectral_report",
     "eta",
     "reduced_eta",
     "truncated_eta",
@@ -105,34 +103,6 @@ def _spec(D, h, policy) -> SpectralOperator:
     if isinstance(D, SpectralOperator):
         return D
     return SpectralOperator(D, h, policy)
-
-
-@dataclass
-class EtaZetaReport:
-    """Bundle of the spectral invariants of one operator/symmetry pair."""
-
-    operator: SpectralOperator
-    eta: complex
-    reduced_eta: complex
-
-    def zeta_at(self, s):
-        return zeta(self.operator, s=s, policy=self.operator.policy)
-
-    def zeta_prime0(self):
-        return zeta_prime0(self.operator, policy=self.operator.policy)
-
-    def zeta_det(self):
-        return zeta_determinant(self.operator, policy=self.operator.policy)
-
-    def truncated_eta(self, eps):
-        return truncated_eta(self.operator, eps=eps, policy=self.operator.policy)
-
-
-def spectral_report(D, h=None, policy: TolerancePolicy = DEFAULT) -> EtaZetaReport:
-    op = _spec(D, h, policy)
-    e = eta(op, policy=policy)
-    return EtaZetaReport(operator=op, eta=e,
-                         reduced_eta=complex((e + op.kernel_trace()) / 2.0))
 
 
 def eta(D, h=None, s: complex = 0.0, policy: TolerancePolicy = DEFAULT) -> complex:

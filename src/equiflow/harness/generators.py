@@ -17,7 +17,6 @@ __all__ = [
     "zn_action",
     "commuting_hermitian_path",
     "commuting_unitary_path",
-    "commuting_unitary_loop",
     "commuting_static_unitary",
     "lagrangian_loop_pair",
 ]
@@ -114,10 +113,6 @@ def commuting_unitary_path(dim, order, rng, windings=1, amp=1.0, loop=False):
         return R @ inner @ R.conj().T
 
     return UnitaryPath(dim, sampler, name=f"rand_unit_{dim}"), a
-
-
-def commuting_unitary_loop(dim, order, rng, windings=1, amp=1.0):
-    return commuting_unitary_path(dim, order, rng, windings, amp, loop=True)
 
 
 def commuting_static_unitary(dim, order, rng, amp=1.0):

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotLagrangian, TrackingAmbiguous
+from .errors import NotCommuting, NotLagrangian, TrackingAmbiguous
+from .spectra import check_commuting
 from .specflow import UnitaryPath
-from .symplectic import LagrangianProjection, as_projection, make_projection_from_unitary, pair_report
+from .symplectic import as_projection
 from .tolerances import DEFAULT, TolerancePolicy
-from .winding import double_index, winding_number
+from .winding import double_index, isotypic_split, winding_number
 
 __all__ = [
     "LagrangianPath",
@@ -34,17 +35,6 @@ class LagrangianPath:
     unitary: callable
     name: str = "lagrangian_path"
 
-    @classmethod
-    def from_projections(cls, sampler, n, name="lagrangian_path"):
-        def unit(t):
-            P = sampler(t)
-            return P.T if isinstance(P, LagrangianProjection) else \
-                as_projection(P).T
-        return cls(n=n, unitary=unit, name=name)
-
-    def projection(self, t) -> LagrangianProjection:
-        return make_projection_from_unitary(self.unitary(t))
-
     def __call__(self, t):
         return self.unitary(t)
 
@@ -62,10 +52,11 @@ def maslov_index(L1: LagrangianPath, L2: LagrangianPath, a=None, mode: str = "wi
     """Equivariant Maslov index of a path of Lagrangian pairs.
 
     mode "winding": equivariant winding number of T*(t)S(t).
-    mode "grid":    scan the invertibility locus of the pair in the
-                    2n-dimensional picture, weight each intersection event by
-                    the actor trace on ker P & im Q, and sign it by the
-                    derivative of the crossing eigenphase through pi.
+    mode "grid":    scan the invertibility locus of the pair per isotypic
+                    block of the actor, weight each intersection event by
+                    chi * dim ker(I + T*S) in its chi-block (the actor trace
+                    on ker P & im Q there), and sign it by the derivative of
+                    the crossing eigenphase through pi.
     Both modes agree within numerical tolerance.
     """
     if mode == "winding":
@@ -82,45 +73,57 @@ def _phase_near_pi(M):
     return float(rel[np.argmin(np.abs(rel))])
 
 
+def _svals_plus_identity(M):
+    """Singular values of I + M, descending, for a matrix or a stack."""
+    return np.linalg.svd(np.eye(M.shape[-1]) + M, compute_uv=False)
+
+
 def _maslov_grid(L1, L2, a, policy, grid):
+    """Scan sigma_min(I + block of T*S) per isotypic block of the actor; each
+    intersection event in the chi-block counts chi * dim ker, signed by the
+    direction of the block eigenphase through pi."""
     eps_t = 10 * policy.zero_tol  # endpoint evaluation rule: step inside by eps
     pair = _pair_path(L1, L2)
-
-    def sigma_min(t):
-        n = L1.n
-        M = np.eye(n) + np.asarray(pair(t), dtype=complex)
-        return float(np.linalg.svd(M, compute_uv=False)[-1])
-
+    V, blocks, chars = isotypic_split(a, L1.n, policy)
     ts = np.linspace(eps_t, 1.0 - eps_t, grid)
-    sig = np.array([sigma_min(t) for t in ts])
-    # candidate intersection windows: local minima below a loose threshold
-    thresh = 0.2
-    events = []
-    k = 0
-    while k < len(ts):
-        if sig[k] < thresh and (k == 0 or sig[k] <= sig[k - 1]) and \
-                (k == len(ts) - 1 or sig[k] <= sig[k + 1]):
-            lo = ts[max(k - 1, 0)]
-            hi = ts[min(k + 1, len(ts) - 1)]
-            t_star, s_star = _ternary_min(sigma_min, lo, hi)
-            if s_star < 1e-6 and eps_t < t_star < 1.0 - eps_t:
-                if not any(abs(t_star - e) <= 1e-8 for e in events):
-                    events.append(t_star)
-        k += 1
+    mats = np.stack([np.asarray(pair(t), dtype=complex) for t in ts])
+    if a is not None:
+        check_commuting(a, mats, ts, NotCommuting, policy)
+    mats = V.conj().T @ mats @ V
     total = 0.0 + 0.0j
-    for t_star in sorted(events):
-        P = L1.projection(t_star)
-        Q = L2.projection(t_star)
-        rep = pair_report(P, Q, a, policy, rank_tol=1e-6)
-        if rep.intersection_dim == 0:
-            continue
-        delta = min(1e-5, t_star, 1.0 - t_star)
-        before = _phase_near_pi(np.asarray(pair(t_star - delta), dtype=complex))
-        after = _phase_near_pi(np.asarray(pair(t_star + delta), dtype=complex))
-        if after == before:
-            raise TrackingAmbiguous(f"cannot orient the intersection at t={t_star:.6g}")
-        direction = 1 if after > before else -1
-        total += direction * rep.intersection_trace
+    for idx, chi in zip(blocks, chars):
+        Q = V[:, idx]
+
+        def block(t, Q=Q):
+            return Q.conj().T @ np.asarray(pair(t), dtype=complex) @ Q
+
+        def sigma_min(t, block=block):
+            return float(_svals_plus_identity(block(t))[-1])
+
+        sig = _svals_plus_identity(mats[:, idx[:, None], idx])[:, -1]
+        # candidate intersection windows: local minima below a loose threshold
+        thresh = 0.2
+        events = []
+        for k in range(len(ts)):
+            if sig[k] < thresh and (k == 0 or sig[k] <= sig[k - 1]) and \
+                    (k == len(ts) - 1 or sig[k] <= sig[k + 1]):
+                lo = ts[max(k - 1, 0)]
+                hi = ts[min(k + 1, len(ts) - 1)]
+                t_star, s_star = _ternary_min(sigma_min, lo, hi)
+                if s_star < 1e-6 and eps_t < t_star < 1.0 - eps_t:
+                    if not any(abs(t_star - e) <= 1e-8 for e in events):
+                        events.append(t_star)
+        for t_star in sorted(events):
+            kdim = int(np.sum(_svals_plus_identity(block(t_star)) <= 1e-6))
+            if kdim == 0:
+                continue
+            delta = min(1e-5, t_star, 1.0 - t_star)
+            before = _phase_near_pi(block(t_star - delta))
+            after = _phase_near_pi(block(t_star + delta))
+            if after == before:
+                raise TrackingAmbiguous(f"cannot orient the intersection at t={t_star:.6g}")
+            direction = 1 if after > before else -1
+            total += direction * chi * kdim
     return complex(total)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotEquivariant, PartitionFailure
 from .spectra import (
     branch_value_at,
+    commuting_sampler,
     eig_hermitian,
     opnorm,
     track_branches,
@@ -130,16 +131,6 @@ class FlowResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_equivariant(path, h, ts, policy):
-    if h is None:
-        return
-    h = np.asarray(h, dtype=complex)
-    for t in ts:
-        B = np.asarray(path(t), dtype=complex)
-        if opnorm(h @ B - B @ h) > max(policy.commute_tol, 1e-9) * max(opnorm(B), 1.0) * 10:
-            raise NotEquivariant(f"[h, B({t})] exceeds the commutator tolerance")
-
-
 def _level_candidates(pool):
     """Candidate levels (midpoints of positive spectral gaps), best first.
 
@@ -238,11 +229,13 @@ def spectral_flow(path, h=None, partition: GridPartition = None,
     Sum over intervals of Tr(h|E_j(t_j)) - Tr(h|E_j(t_{j-1})) with
     E_j(t) the span of eigenvectors with eigenvalue in [0, a_j].  The value
     is invariant under partition refinement; with h = I it is the classical
-    integer spectral flow.
+    integer spectral flow.  Every sample taken at the partition nodes is
+    checked to commute with h (NotEquivariant otherwise).
     """
     if partition is None:
         partition = good_partition(path, policy)
-    _check_equivariant(path, h, [iv.t0 for iv in partition.intervals] + [1.0], policy)
+    if h is not None:
+        path = commuting_sampler(path, h, NotEquivariant, policy)
     contributions = []
     total = 0.0 + 0.0j
     for iv in partition.intervals:
@@ -275,8 +268,10 @@ def _bisect_zero(path, t_lo, t_hi, v_ref, val_lo, policy, iters=40):
 
 def crossing_oracle(path, h=None, K: int = 33, policy: TolerancePolicy = DEFAULT) -> FlowResult:
     """Independent spectral-flow oracle: track branches, bisect zero crossings,
-    sum direction-signed character weights of the crossing clusters."""
-    _check_equivariant(path, h, (0.0, 0.5, 1.0), policy)
+    sum direction-signed character weights of the crossing clusters.  Every
+    sample is checked to commute with h (NotEquivariant otherwise)."""
+    if h is not None:
+        path = commuting_sampler(path, h, NotEquivariant, policy)
     bs = track_branches(path, "hermitian", K=K, policy=policy)
     times, values = bs.times, bs.values
     band = policy.zero_tol

@@ -35,12 +35,46 @@ __all__ = [
     "track_branches",
     "cluster_indices",
     "opnorm",
+    "check_commuting",
+    "commuting_sampler",
 ]
 
 
 def opnorm(M):
     """Spectral norm (largest singular value)."""
     return float(np.linalg.norm(np.asarray(M), 2))
+
+
+def check_commuting(h, M, ts, error, policy: TolerancePolicy = DEFAULT):
+    """Raise `error` unless a sample M, or every sample of a (K, n, n) stack
+    taken at times ts, commutes with h:
+
+        ||[h, M]||_F <= 10 max(commute_tol, 1e-9) max(||M||_F / sqrt(n), 1).
+
+    Since ||X||_2 <= ||X||_F and ||M||_F / sqrt(n) <= ||M||_2, this is never
+    looser than the same test in spectral norms with scale max(||M||_2, 1).
+    """
+    h = np.asarray(h, dtype=complex)
+    M = np.asarray(M, dtype=complex)
+    M = M.reshape((-1,) + M.shape[-2:])
+    excess = np.linalg.norm(h @ M - M @ h, axis=(1, 2))
+    scale = np.maximum(np.linalg.norm(M, axis=(1, 2)) / np.sqrt(M.shape[-1]), 1.0)
+    bad = excess > 10 * max(policy.commute_tol, 1e-9) * scale
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise error(f"commutator with the actor is {excess[k]:.2e} "
+                    f"at t={float(np.atleast_1d(ts)[k]):.6g}")
+
+
+def commuting_sampler(path, h, error, policy: TolerancePolicy = DEFAULT):
+    """Sampler of `path` that checks every sample against h with check_commuting."""
+
+    def sampler(t):
+        M = np.asarray(path(t), dtype=complex)
+        check_commuting(h, M, t, error, policy)
+        return M
+
+    return sampler
 
 
 def _as_matrix(M):

@@ -99,10 +99,6 @@ class LagrangianProjection:
         n = self.n
         return np.vstack([np.eye(n), -self.T]) / np.sqrt(2.0)
 
-    def complement(self):
-        """The complementary Lagrangian projection I - P (unitary -T)."""
-        return make_projection_from_unitary(-self.T)
-
 
 def make_projection_from_unitary(T, policy: TolerancePolicy = DEFAULT) -> LagrangianProjection:
     """Build the Lagrangian projection associated to an n x n unitary T."""

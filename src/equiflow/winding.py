@@ -1,10 +1,14 @@
 """Equivariant winding numbers of unitary paths, the equivariant Fredholm
 determinant, canonical contraction paths, and double indices.
 
-The winding number counts net eigenphase crossings through the wall at
-angle pi (shifted by a deterministic offset when an endpoint has spectrum
-at -1), each crossing weighted by the trace of the actor on the crossing
-cluster.
+A path commuting with a unitary actor a preserves each eigenspace of a, and
+a acts on the chi-eigenspace as chi * I.  The winding number is therefore
+sum_chi chi * n_chi, with n_chi the integer count of eigenphase crossings
+through the wall at angle pi (shifted by a deterministic offset when an
+endpoint has spectrum at -1) of the path's chi-block.  The primary route
+reads n_chi off the unwrapped det phase of each block; `winding_events`
+(branch tracking and wall bisection) and `winding_from_logs` (trace-log
+quadrature) are independent cross-checks.
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +19,13 @@ from .errors import (
     DimensionMismatch,
     IncompatibleSplitting,
     NotCommuting,
+    NotUnitary,
     OffsetExhausted,
+    TrackingAmbiguous,
 )
 from .spectra import (
+    check_commuting,
+    commuting_sampler,
     eig_unitary,
     integrate,
     opnorm,
@@ -38,9 +46,12 @@ __all__ = [
     "relative_double_index",
     "path_derivative",
     "pick_offset",
+    "isotypic_split",
 ]
 
 _OFFSET_CEILING = 1e-3
+_STEP_MAX = 0.75  # rad: largest det-phase step between samples (the tracker's bound)
+_LATTICE_TOL = 1e-9  # largest distance of a block count n_chi from an integer
 
 
 def _as_path(f, dim=None):
@@ -50,17 +61,87 @@ def _as_path(f, dim=None):
     return UnitaryPath(dim=probe.shape[0], sampler=f)
 
 
-def _check_actor(path, a, policy, ts=(0.0, 0.5, 1.0)):
+def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
+    """Eigenspaces of a unitary actor on C^dim: (V, blocks, chars).
+
+    The columns of V are eigenvectors of a; blocks[i] indexes the columns of
+    one eigenvalue cluster and chars[i] = Tr(Q* a Q) / dim Q, Q = V[:, blocks[i]],
+    is the character of a on it.  With a = None there is one block, chi = 1.
+    """
     if a is None:
-        return np.eye(path.dim, dtype=complex)
+        return np.eye(dim, dtype=complex), [np.arange(dim)], np.ones(1, dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (dim, dim):
+        raise DimensionMismatch("actor dimension does not match the path")
+    es = eig_unitary(a, policy)
+    blocks = es.cluster_slices()
+    chars = np.array([np.trace(es.vectors[:, idx].conj().T @ a @ es.vectors[:, idx]) / len(idx)
+                      for idx in blocks])
+    return es.vectors, blocks, chars
+
+
+def _checked_path(f, a, policy):
+    """f as a UnitaryPath whose every sample must commute with a; a as a matrix."""
+    path = _as_path(f)
+    if a is None:
+        return path, np.eye(path.dim, dtype=complex)
     a = np.asarray(a, dtype=complex)
     if a.shape != (path.dim, path.dim):
         raise DimensionMismatch("actor dimension does not match the path")
-    for t in ts:
-        U = np.asarray(path(t), dtype=complex)
-        if opnorm(a @ U - U @ a) > max(policy.commute_tol, 1e-9) * 10:
-            raise NotCommuting(f"[a, f({t})] exceeds the commutator tolerance")
-    return a
+    return UnitaryPath(path.dim, commuting_sampler(path, a, NotCommuting, policy)), a
+
+
+def _det_phases(f, a, policy, K=33, max_samples=6000, min_dt=1e-11):
+    """One isotypic det-phase pass over a unitary path on [0, 1].
+
+    Samples f on a uniform K-point grid, checks every sample for unitarity
+    and commutation with a (Frobenius norms), and takes the determinant of
+    each diagonal block of V* f V.  Intervals where some block's det phase
+    steps by more than _STEP_MAX are bisected; TrackingAmbiguous is raised at
+    the sample or step caps.  Returns (blocks, chars, deltas, ends): deltas
+    are the unwrapped det-phase changes per block, ends the V* f V samples at
+    t = 0 and t = 1.
+    """
+    if K < 2:
+        raise ValueError("K must be >= 2")
+
+    def sample(ts):
+        return np.stack([np.asarray(f(t), dtype=complex) for t in ts])
+
+    ts = np.linspace(0.0, 1.0, K)
+    F = sample(ts)
+    n = F.shape[-1]
+    V, blocks, chars = isotypic_split(a, n, policy)
+
+    def block_dets(ts, F):
+        gram = np.swapaxes(F.conj(), -1, -2) @ F - np.eye(n)
+        off = np.linalg.norm(gram, axis=(-2, -1)) > max(policy.eig_tol, 1e-10)
+        if np.any(off):
+            raise NotUnitary(f"f({ts[np.argmax(off)]:.6g}) is not unitary within tolerance")
+        if a is not None:
+            check_commuting(a, F, ts, NotCommuting, policy)
+        M = V.conj().T @ F @ V
+        return M, np.stack([np.linalg.det(M[:, idx[:, None], idx]) for idx in blocks], axis=1)
+
+    M, dets = block_dets(ts, F)
+    ends = (M[0], M[-1])
+    while True:
+        steps = np.angle(dets[1:] * dets[:-1].conj())
+        big = np.max(np.abs(steps), axis=1) > _STEP_MAX
+        if not np.any(big):
+            break
+        lo = np.nonzero(big)[0]
+        if len(ts) + lo.size > max_samples or np.min(ts[lo + 1] - ts[lo]) <= min_dt:
+            k = lo[0]
+            b = int(np.argmax(np.abs(steps[k])))
+            raise TrackingAmbiguous(
+                f"det phase of block {b} steps by {steps[k, b]:.3g} rad on "
+                f"[{ts[k]:.6g}, {ts[k + 1]:.6g}] at the depth cap")
+        mids = (ts[lo] + ts[lo + 1]) / 2.0
+        _, mid_dets = block_dets(mids, sample(mids))
+        ts = np.insert(ts, lo + 1, mids)
+        dets = np.insert(dets, lo + 1, mid_dets, axis=0)
+    return blocks, chars, steps.sum(axis=0), ends
 
 
 def pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT,
@@ -165,21 +246,40 @@ def _wall_events(bs, a, policy, path=None):
 
 def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33):
     """Branch-track a unitary path and list its wall-crossing events."""
-    path = _as_path(f)
-    a = _check_actor(path, a, policy)
+    path, a = _checked_path(f, a, policy)
     bs = track_branches(path, "unitary", K=K, policy=policy)
     theta, events = _wall_events(bs, a, policy, path=path)
     return theta, events, bs
 
 
 def winding_number(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33) -> complex:
-    """Equivariant winding number of a unitary path.
+    """Equivariant winding number sum_chi chi * n_chi of a unitary path.
 
-    Character-weighted signed count of eigenphase crossings through
-    pi + theta; with trivial actor the value is an integer.
+    n_chi counts the eigenphase crossings of the chi-block through pi + theta
+    (theta from `pick_offset`).  With r_j(t) = (phi_j(t) - pi - theta) mod 2 pi
+    for the block's endpoint eigenphases phi_j and Delta_chi its unwrapped
+    det-phase change,
+
+        n_chi = (Delta_chi + sum_j r_j(0) - sum_j r_j(1)) / 2 pi.
+
+    Raises TrackingAmbiguous when some n_chi is more than 1e-9 off an integer.
+    With trivial actor the value is an integer.
     """
-    _, events, _ = winding_events(f, a, policy, K)
-    return complex(sum(d * w for _, d, w in events))
+    blocks, chars, deltas, (M0, M1) = _det_phases(f, a, policy, K)
+    ends = [(np.angle(np.linalg.eigvals(M0[np.ix_(idx, idx)])),
+             np.angle(np.linalg.eigvals(M1[np.ix_(idx, idx)]))) for idx in blocks]
+    wall = np.pi + pick_offset(np.concatenate([p for pair in ends for p in pair]), policy)
+    total = 0.0 + 0.0j
+    for b, (chi, delta, (p0, p1)) in enumerate(zip(chars, deltas, ends)):
+        r0 = np.sum(np.mod(p0 - wall, 2 * np.pi))
+        r1 = np.sum(np.mod(p1 - wall, 2 * np.pi))
+        n_chi = (delta + r0 - r1) / (2 * np.pi)
+        if abs(n_chi - round(n_chi)) > _LATTICE_TOL:
+            raise TrackingAmbiguous(
+                f"crossing count {n_chi:.12g} of block {b} (character {complex(chi):.6g}) "
+                "is not an integer")
+        total += chi * round(n_chi)
+    return complex(total)
 
 
 def path_derivative(f, t, h=1e-4):
@@ -218,16 +318,14 @@ def _fd_weights(i):
 
 
 def fredholm_det_path(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
-    """Equivariant Fredholm determinant exp(int_0^1 Tr(a f^{-1} f') dt)."""
-    path = _as_path(f)
-    a = _check_actor(path, a, policy)
+    """Equivariant Fredholm determinant exp(int_0^1 Tr(a f^{-1} f') dt).
 
-    def integrand(t):
-        U = np.asarray(path(t), dtype=complex)
-        dU = path_derivative(path, t)
-        return complex(np.trace(a @ U.conj().T @ dU))
-
-    return complex(np.exp(integrate(integrand, 0.0, 1.0, policy)))
+    On the chi-block Tr(f^{-1} f') = i d/dt arg det f_chi, so the value is
+    exp(i sum_chi chi * Delta_chi) with Delta_chi the unwrapped det-phase
+    change of the block.
+    """
+    _, chars, deltas, _ = _det_phases(f, a, policy)
+    return complex(np.exp(1j * np.dot(chars, deltas)))
 
 
 def winding_from_logs(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
@@ -239,8 +337,7 @@ def winding_from_logs(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     with principal matrix logarithms; valid when neither endpoint has
     spectrum at -1.
     """
-    path = _as_path(f)
-    a = _check_actor(path, a, policy)
+    path, a = _checked_path(f, a, policy)
 
     def integrand(t):
         U = np.asarray(path(t), dtype=complex)

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import erfinv
 
 from equiflow.dirac_models import (
@@ -16,6 +17,7 @@ from equiflow.errors import (
     BranchCut,
     IncompatibleSplitting,
     KernelPresent,
+    NotCommuting,
     NotEquivariant,
     PartitionFailure,
     RootFindingFailure,
@@ -25,9 +27,21 @@ from equiflow.eta_zeta import eta_log_defect
 from equiflow.harness import generators as gen
 from equiflow.harness.suites import run_suite
 from equiflow.maslov import triple_index_static
-from equiflow.specflow import HermitianPath, good_partition, spectral_flow
+from equiflow.specflow import (
+    HermitianPath,
+    UnitaryPath,
+    crossing_oracle,
+    good_partition,
+    spectral_flow,
+)
 from equiflow.spectra import track_branches
 from equiflow.symplectic import make_isometry, make_projection_from_unitary, pair_report
+from equiflow.winding import (
+    fredholm_det_path,
+    winding_events,
+    winding_from_logs,
+    winding_number,
+)
 
 
 def test_tracking_ambiguous_on_discontinuity():
@@ -61,6 +75,25 @@ def test_spectral_flow_not_equivariant():
     h = np.diag([1.0, -1.0])
     with pytest.raises(NotEquivariant):
         spectral_flow(path, h)
+
+
+def test_equivariant_only_at_probe_points():
+    # B(t) commutes with h at t in {0, 1/2, 1} only: every route must refuse it
+    h = np.diag([np.exp(2j * np.pi / 3), 1.0, 1.0])
+    X = np.zeros((3, 3), dtype=complex)
+    X[0, 1] = X[1, 0] = 1.0  # mixes the omega- and 1-eigenspaces of h
+
+    def B(t):
+        return np.diag([2 * t - 1, 0.5, -0.3]).astype(complex) + 0.4 * np.sin(4 * np.pi * t) * X
+
+    herm = HermitianPath(3, B)
+    unit = UnitaryPath(3, lambda t: scipy.linalg.expm(1j * np.pi * B(t)))
+    routes = [lambda: spectral_flow(herm, h), lambda: crossing_oracle(herm, h),
+              lambda: winding_number(unit, h), lambda: winding_events(unit, h),
+              lambda: winding_from_logs(unit, h), lambda: fredholm_det_path(unit, h)]
+    for route in routes:
+        with pytest.raises((NotEquivariant, NotCommuting)):
+            route()
 
 
 def test_pair_report_not_equivariant():

@@ -53,6 +53,16 @@ class TestMaslovIndex:
                               mode="grid", grid=256)
             assert abs(mw - mg) < 1e-8
 
+    def test_grid_resolves_crossings_in_one_cell(self):
+        # two eigenphases of T*S cross -1 inside one grid cell, in different
+        # isotypic blocks: each block's scan must find its own crossing
+        T, S, a = gen.lagrangian_loop_pair(2, 4, gen.rng_for(5_000_044), windings=1)
+        L1, L2 = LagrangianPath(2, T), LagrangianPath(2, S)
+        mw = maslov_index(L1, L2, a, mode="winding")
+        mg = maslov_index(L1, L2, a, mode="grid", grid=256)
+        assert abs(mw - (2 + 2j)) < 1e-9
+        assert abs(mg - mw) < 1e-8
+
     def test_trivial_action_integer(self):
         rng = gen.rng_for(62)
         T, S, _ = gen.lagrangian_loop_pair(2, 2, rng)

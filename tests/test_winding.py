@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from equiflow.errors import IncompatibleSplitting, NotCommuting
+from equiflow import spectra, winding
+from equiflow.errors import IncompatibleSplitting, NotCommuting, TrackingAmbiguous
 from equiflow.harness import generators as gen
 from equiflow.specflow import UnitaryPath, concatenate, reverse
 from equiflow.winding import (
@@ -11,6 +12,7 @@ from equiflow.winding import (
     fredholm_det_path,
     pick_offset,
     relative_double_index,
+    winding_events,
     winding_from_logs,
     winding_number,
 )
@@ -68,6 +70,48 @@ class TestWindingNumber:
             return np.asarray(f(t)) @ scipy.linalg.expm(1j * np.sin(np.pi * t) ** 2 * B)
 
         assert abs(winding_number(f, a) - winding_number(UnitaryPath(3, deformed), a)) <= 1e-8
+
+
+class TestCrossRoutes:
+    """The det-phase route against the branch-tracking route."""
+
+    @staticmethod
+    def seeded_paths():
+        for i in range(24):
+            dim = 1 + i % 4
+            order = 2 + i % 5
+            yield gen.commuting_unitary_path(dim, order, gen.rng_for(4000 + i),
+                                             windings=1 + i % 2, loop=i % 2 == 1)
+
+    def test_matches_tracked_events(self):
+        for f, a in self.seeded_paths():
+            _, events, _ = winding_events(f, a)
+            tracked = sum(d * w for _, d, w in events)
+            assert abs(winding_number(f, a) - tracked) <= 1e-9
+
+    def test_fredholm_on_loops(self):
+        for f, a in list(self.seeded_paths())[1::2]:
+            expect = np.exp(2j * np.pi * winding_number(f, a))
+            assert abs(fredholm_det_path(f, a) - expect) <= 1e-12 * max(abs(expect), 1.0)
+
+    def test_det_phase_jump_is_ambiguous(self):
+        f = scalar_path(lambda t: np.exp(1j * (0.3 * t + (3.0 if t >= 0.5 else 0.0))))
+        with pytest.raises(TrackingAmbiguous):
+            winding_number(f)
+        with pytest.raises(TrackingAmbiguous):
+            fredholm_det_path(f)
+
+    def test_no_tracking_or_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the det-phase route must not call this")
+
+        monkeypatch.setattr(winding, "track_branches", forbidden)
+        monkeypatch.setattr(winding, "integrate", forbidden)
+        monkeypatch.setattr(winding, "path_derivative", forbidden)
+        monkeypatch.setattr(spectra, "branch_value_at", forbidden)
+        f, a = gen.commuting_unitary_path(3, 3, gen.rng_for(4100), windings=1)
+        winding_number(f, a)
+        fredholm_det_path(f, a)
 
 
 class TestPickOffset:
