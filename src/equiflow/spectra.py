@@ -47,7 +47,8 @@ def opnorm(M):
 
 def check_commuting(h, M, ts, error, policy: TolerancePolicy = DEFAULT):
     """Raise `error` unless a sample M, or every sample of a (K, n, n) stack
-    taken at times ts, commutes with h:
+    taken at times ts (None for matrices that are not path samples), commutes
+    with h:
 
         ||[h, M]||_F <= 10 max(commute_tol, 1e-9) max(||M||_F / sqrt(n), 1).
 
@@ -62,8 +63,8 @@ def check_commuting(h, M, ts, error, policy: TolerancePolicy = DEFAULT):
     bad = excess > 10 * max(policy.commute_tol, 1e-9) * scale
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise error(f"commutator with the actor is {excess[k]:.2e} "
-                    f"at t={float(np.atleast_1d(ts)[k]):.6g}")
+        where = "" if ts is None else f" at t={float(np.atleast_1d(ts)[k]):.6g}"
+        raise error(f"commutator with the actor is {excess[k]:.2e}{where}")
 
 
 def commuting_sampler(path, h, error, policy: TolerancePolicy = DEFAULT):

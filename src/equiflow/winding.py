@@ -46,12 +46,13 @@ __all__ = [
     "relative_double_index",
     "path_derivative",
     "pick_offset",
-    "isotypic_split",
 ]
 
 _OFFSET_CEILING = 1e-3
 _STEP_MAX = 0.75  # rad: largest det-phase step between samples (the tracker's bound)
-_LATTICE_TOL = 1e-9  # largest distance of a block count n_chi from an integer
+_MAX_SAMPLES = 6000  # samples per det-phase pass (the tracker's cap)
+_MIN_DT = 1e-11  # shortest interval the det-phase pass bisects (the tracker's cap)
+_ROUNDING_TOL = 1e-9  # largest rounding error allowed in a block count n_chi
 
 
 def _as_path(f, dim=None):
@@ -91,14 +92,15 @@ def _checked_path(f, a, policy):
     return UnitaryPath(path.dim, commuting_sampler(path, a, NotCommuting, policy)), a
 
 
-def _det_phases(f, a, policy, K=33, max_samples=6000, min_dt=1e-11):
+def _det_phases(f, a, policy, K=33):
     """One isotypic det-phase pass over a unitary path on [0, 1].
 
     Samples f on a uniform K-point grid, checks every sample for unitarity
     and commutation with a (Frobenius norms), and takes the determinant of
     each diagonal block of V* f V.  Intervals where some block's det phase
     steps by more than _STEP_MAX are bisected; TrackingAmbiguous is raised at
-    the sample or step caps.  Returns (blocks, chars, deltas, ends): deltas
+    _MAX_SAMPLES samples or when an interval to bisect is at most _MIN_DT long.
+    This step bound is what certifies the unwrapping.  Returns (blocks, chars, deltas, ends): deltas
     are the unwrapped det-phase changes per block, ends the V* f V samples at
     t = 0 and t = 1.
     """
@@ -131,7 +133,7 @@ def _det_phases(f, a, policy, K=33, max_samples=6000, min_dt=1e-11):
         if not np.any(big):
             break
         lo = np.nonzero(big)[0]
-        if len(ts) + lo.size > max_samples or np.min(ts[lo + 1] - ts[lo]) <= min_dt:
+        if len(ts) + lo.size > _MAX_SAMPLES or np.min(ts[lo + 1] - ts[lo]) <= _MIN_DT:
             k = lo[0]
             b = int(np.argmax(np.abs(steps[k])))
             raise TrackingAmbiguous(
@@ -262,8 +264,11 @@ def winding_number(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33) ->
 
         n_chi = (Delta_chi + sum_j r_j(0) - sum_j r_j(1)) / 2 pi.
 
-    Raises TrackingAmbiguous when some n_chi is more than 1e-9 off an integer.
-    With trivial actor the value is an integer.
+    The numerator is a multiple of 2 pi by construction (Delta_chi and the
+    endpoint sums come from the same block samples), so n_chi is an integer up
+    to rounding; TrackingAmbiguous when the rounding exceeds 1e-9 is a sanity
+    check only.  Mis-tracking is caught by the det-phase step bound in the
+    sampling pass.  With trivial actor the value is an integer.
     """
     blocks, chars, deltas, (M0, M1) = _det_phases(f, a, policy, K)
     ends = [(np.angle(np.linalg.eigvals(M0[np.ix_(idx, idx)])),
@@ -274,7 +279,7 @@ def winding_number(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33) ->
         r0 = np.sum(np.mod(p0 - wall, 2 * np.pi))
         r1 = np.sum(np.mod(p1 - wall, 2 * np.pi))
         n_chi = (delta + r0 - r1) / (2 * np.pi)
-        if abs(n_chi - round(n_chi)) > _LATTICE_TOL:
+        if abs(n_chi - round(n_chi)) > _ROUNDING_TOL:
             raise TrackingAmbiguous(
                 f"crossing count {n_chi:.12g} of block {b} (character {complex(chi):.6g}) "
                 "is not an integer")
@@ -388,8 +393,7 @@ def canonical_path(U, a=None, policy: TolerancePolicy = DEFAULT) -> CanonicalCon
     U = np.asarray(U, dtype=complex)
     n = U.shape[0]
     a = np.eye(n, dtype=complex) if a is None else np.asarray(a, dtype=complex)
-    if opnorm(a @ U - U @ a) > max(policy.commute_tol, 1e-9) * 10:
-        raise NotCommuting("[a, U] exceeds the commutator tolerance")
+    check_commuting(a, U, None, NotCommuting, policy)
     B0, B1 = _split_at_minus_one(U, policy)
     k0 = B0.shape[1]
     if k0:
@@ -433,9 +437,8 @@ def double_index(U, V, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     if V.shape != U.shape:
         raise DimensionMismatch("U and V must have the same shape")
     a = np.eye(n, dtype=complex) if a is None else np.asarray(a, dtype=complex)
-    for X, name in ((U, "U"), (V, "V")):
-        if opnorm(a @ X - X @ a) > max(policy.commute_tol, 1e-9) * 10:
-            raise NotCommuting(f"[a, {name}] exceeds the commutator tolerance")
+    for X in (U, V):
+        check_commuting(a, X, None, NotCommuting, policy)
     B0, B1 = _split_at_minus_one(U, policy)
     k0 = B0.shape[1]
     tol = max(policy.zero_tol, 1e-9) * 100
