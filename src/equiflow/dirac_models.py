@@ -25,7 +25,7 @@ from .errors import (
     NotEquivariant,
     RootFindingFailure,
 )
-from .spectra import eig_hermitian, eig_unitary, opnorm, weighted_trace
+from .spectra import check_commuting, eig_hermitian, eig_unitary, weighted_trace
 from .symplectic import (
     LagrangianProjection,
     as_projection,
@@ -66,8 +66,7 @@ def _channel_data(V, u, policy):
         es = eig_hermitian(V, policy)
         return es.values.copy(), np.ones(m, dtype=complex), es.vectors
     u = np.asarray(u, dtype=complex)
-    if opnorm(u @ V - V @ u) > max(policy.commute_tol, 1e-9) * max(opnorm(V), 1.0) * 10:
-        raise NotEquivariant("[u, V] exceeds the commutator tolerance")
+    check_commuting(u, V, None, NotEquivariant, policy)
     es = eig_hermitian(V, policy)
     vals = np.empty(m)
     chars = np.empty(m, dtype=complex)
@@ -176,9 +175,7 @@ def secular_branches(model: IntervalDiracModel, P, element_power: int = 0):
     if T.shape[0] != model.m:
         raise ValueError("projection dimension does not match the model")
     if model.u is not None:
-        u = np.asarray(model.u, dtype=complex)
-        if opnorm(u @ T - T @ u) > max(model.policy.commute_tol, 1e-9) * 10:
-            raise NotEquivariant("boundary projection does not commute with the symmetry")
+        check_commuting(model.u, T, None, NotEquivariant, model.policy)
     G = T.conj().T @ interval_transfer(model, 0.0)
     a = model.actor(element_power)
     es = eig_unitary(G, model.policy)

@@ -14,9 +14,9 @@ from scipy.special import erfc, gamma as gamma_fn
 
 from .errors import BranchCut, KernelPresent, NotEquivariant, NotPositive
 from .spectra import (
+    check_commuting,
     eig_hermitian,
     integrate,
-    opnorm,
     principal_log_unitary,
     weighted_trace,
 )
@@ -63,8 +63,7 @@ class SpectralOperator:
         if self.h is not None:
             h = np.asarray(self.h, dtype=complex)
             self.h = h
-            if opnorm(h @ D - D @ h) > max(self.policy.commute_tol, 1e-9) * max(opnorm(D), 1.0) * 10:
-                raise NotEquivariant("[h, D] exceeds the commutator tolerance")
+            check_commuting(h, D, None, NotEquivariant, self.policy)
         es = eig_hermitian(D, self.policy)
         self.eigensystem = es
         vals, wts, dims = [], [], []

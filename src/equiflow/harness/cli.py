@@ -146,7 +146,7 @@ def _param_matrix(params, key, default=None, what=None):
 
 
 def _run_sf(cfg, policy):
-    from ..specflow import HermitianPath, bott_loop, crossing_oracle, spectral_flow
+    from ..specflow import Path, bott_loop, crossing_oracle, spectral_flow
 
     name, params = _generator_of(cfg, {"diag_crossing", "random", "bott",
                                        "avoided_crossing", "constant"})
@@ -155,7 +155,7 @@ def _run_sf(cfg, policy):
         order = int(params.get("order", 3))
         power = int(params.get("power", 1))
         w = np.exp(2j * pi * power / order)
-        path = HermitianPath(2, lambda t: np.diag([2 * t - 1, 1.0]).astype(complex))
+        path = Path(2, lambda t: np.diag([2 * t - 1, 1.0]).astype(complex))
         h = np.diag([w, 1.0])
         r1 = spectral_flow(path, h, policy=policy)
         r2 = crossing_oracle(path, h, policy=policy)
@@ -184,18 +184,18 @@ def _run_sf(cfg, policy):
         results["expected"] = bl.expected
     elif name == "avoided_crossing":
         delta = float(params.get("delta", 1e-3))
-        path = HermitianPath(2, lambda t: np.array([[t - 0.5, delta],
-                                                    [delta, 0.5 - t]], dtype=complex))
+        path = Path(2, lambda t: np.array([[t - 0.5, delta],
+                                           [delta, 0.5 - t]], dtype=complex))
         results["sf"] = spectral_flow(path, policy=policy).value
     else:  # constant
         entries = params.get("entries", [1.0, -2.0])
-        path = HermitianPath(len(entries), lambda t: np.diag(entries).astype(complex))
+        path = Path(len(entries), lambda t: np.diag(entries).astype(complex))
         results["sf"] = spectral_flow(path, policy=policy).value
     return results, diag
 
 
 def _run_winding(cfg, policy):
-    from ..specflow import UnitaryPath
+    from ..specflow import Path
     from ..winding import fredholm_det_path, winding_number
 
     name, params = _generator_of(cfg, {"scalar_loop", "random", "constant"})
@@ -205,7 +205,7 @@ def _run_winding(cfg, policy):
         power = int(params.get("power", 1))
         w = np.exp(2j * pi * power / order)
         a = np.array([[w]])
-        f = UnitaryPath(1, lambda t: np.array([[np.exp(2j * pi * t)]]))
+        f = Path(1, lambda t: np.array([[np.exp(2j * pi * t)]]))
         results["winding"] = winding_number(f, a, policy)
         results["fredholm_det"] = fredholm_det_path(f, a, policy)
     elif name == "random":
@@ -217,13 +217,13 @@ def _run_winding(cfg, policy):
         results["winding"] = winding_number(f, a, policy)
     else:
         entries = params.get("entries", [1.0])
-        f = UnitaryPath(len(entries), lambda t: np.diag(np.exp(1j * np.asarray(entries))))
+        f = Path(len(entries), lambda t: np.diag(np.exp(1j * np.asarray(entries))))
         results["winding"] = winding_number(f, policy=policy)
     return results, diag
 
 
 def _run_maslov(cfg, policy):
-    from ..maslov import LagrangianPath, maslov_index
+    from ..maslov import maslov_index
 
     name, params = _generator_of(cfg, {"random_pair"})
     seed = _need_seed(cfg)
@@ -233,8 +233,7 @@ def _run_maslov(cfg, policy):
                                        windings=int(params.get("windings", 1)))
     res = {}
     for mode in ("winding", "grid"):
-        res[f"maslov_{mode}"] = maslov_index(LagrangianPath(n, T), LagrangianPath(n, S),
-                                             a, mode=mode, policy=policy, grid=256)
+        res[f"maslov_{mode}"] = maslov_index(T, S, a, mode=mode, policy=policy, grid=256)
     return res, {}
 
 
@@ -272,7 +271,7 @@ def _run_triple_index(cfg, policy):
     order = int(params.get("order", 3))
     rng = gen.rng_for(seed)
     T, S, a = gen.lagrangian_loop_pair(n, order, rng)
-    R, _, _ = gen.lagrangian_loop_pair(n, order, gen.rng_for(seed + 977))
+    R = gen.commutant_loop(a, rng)
     return {"triple_index": triple_index_path(T, S, R, a, policy)}, {}
 
 

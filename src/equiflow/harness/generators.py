@@ -7,8 +7,10 @@ seeds reproduce identical objects bit for bit.
 from math import pi
 
 import numpy as np
+import scipy.linalg as sl
 
-from ..specflow import HermitianPath, UnitaryPath
+from ..spectra import eig_unitary
+from ..specflow import Path
 
 __all__ = [
     "rng_for",
@@ -18,6 +20,7 @@ __all__ = [
     "commuting_hermitian_path",
     "commuting_unitary_path",
     "commuting_static_unitary",
+    "commutant_loop",
     "lagrangian_loop_pair",
 ]
 
@@ -63,7 +66,7 @@ def commuting_hermitian_path(dim, order, rng, scale=1.5):
 
     Built blockwise in the action's eigenbasis:
     B(t) = R [C0 + t C1 + sin(pi t) C2 + cos(2 pi t) C3] R^*.
-    Returns (HermitianPath, h).
+    Returns (Path, h).
     """
     h, _, blocks, R = zn_action(dim, order, rng)
     coeffs = []
@@ -80,17 +83,16 @@ def commuting_hermitian_path(dim, order, rng, scale=1.5):
         inner = _block_embed(blocks, dim, pieces)
         return R @ inner @ R.conj().T
 
-    return HermitianPath(dim, sampler, name=f"rand_herm_{dim}"), h
+    return Path(dim, sampler), h
 
 
 def commuting_unitary_path(dim, order, rng, windings=1, amp=1.0, loop=False):
     """Smooth unitary path commuting with a random Z_order action.
 
     With loop=True the path closes (f(1) = f(0)) while still winding
-    `windings` times on random eigendirections.  Returns (UnitaryPath, a).
+    `windings` times on random eigendirections.  Returns (Path, a).
     """
     a, _, blocks, R = zn_action(dim, order, rng)
-    import scipy.linalg as sl
     pieces = []
     for idx in blocks:
         b = len(idx)
@@ -112,15 +114,39 @@ def commuting_unitary_path(dim, order, rng, windings=1, amp=1.0, loop=False):
         inner = _block_embed(blocks, dim, [p(t) for p in pieces])
         return R @ inner @ R.conj().T
 
-    return UnitaryPath(dim, sampler, name=f"rand_unit_{dim}"), a
+    return Path(dim, sampler), a
 
 
 def commuting_static_unitary(dim, order, rng, amp=1.0):
     """A unitary matrix commuting with a random Z_order action: (U, a)."""
     a, _, blocks, R = zn_action(dim, order, rng)
-    import scipy.linalg as sl
     pieces = [sl.expm(1j * rand_hermitian(len(idx), rng, amp)) for idx in blocks]
     return R @ _block_embed(blocks, dim, pieces) @ R.conj().T, a
+
+
+def commutant_loop(a, rng, windings=1):
+    """A unitary loop commuting with the actor a, built blockwise in a's
+    eigenbasis: E0 exp(2 pi i t K) exp(i sin(pi t) H2) per eigenvalue cluster,
+    drawing H0 (E0 = exp(i H0)), H2 and the integer diagonal K in that order."""
+    n = a.shape[0]
+    es = eig_unitary(a)
+    blocks = es.cluster_slices()
+    pieces = []
+    for idx in blocks:
+        b = len(idx)
+        H0 = rand_hermitian(b, rng, 0.9)
+        H2 = rand_hermitian(b, rng, 0.5)
+        K = np.diag(rng.integers(-windings, windings + 1, size=b).astype(float))
+        E0 = sl.expm(1j * H0)
+        def piece(t, E0=E0, K=K, H2=H2):
+            return E0 @ sl.expm(2j * pi * t * K) @ sl.expm(1j * np.sin(pi * t) * H2)
+        pieces.append(piece)
+
+    def loop(t):
+        inner = _block_embed(blocks, n, [p(t) for p in pieces])
+        return es.vectors @ inner @ es.vectors.conj().T
+
+    return loop
 
 
 def lagrangian_loop_pair(n, order, rng, windings=1):
@@ -131,27 +157,4 @@ def lagrangian_loop_pair(n, order, rng, windings=1):
     relies on.
     """
     pT, a = commuting_unitary_path(n, order, rng, windings, amp=0.9, loop=True)
-    # rebuild S with the same action: draw blocks against a's eigenstructure
-    from ..spectra import eig_unitary
-    es = eig_unitary(a)
-    import scipy.linalg as sl
-    idx_groups = [np.arange(al, b) % n for al, b in es.clusters]
-    Rb = es.vectors
-    pieces = []
-    for idx in idx_groups:
-        b = len(idx)
-        H0 = rand_hermitian(b, rng, 0.9)
-        H2 = rand_hermitian(b, rng, 0.5)
-        K = np.diag(rng.integers(-windings, windings + 1, size=b).astype(float))
-        E0 = sl.expm(1j * H0)
-        def piece(t, E0=E0, K=K, H2=H2):
-            return E0 @ sl.expm(2j * pi * t * K) @ sl.expm(1j * np.sin(pi * t) * H2)
-        pieces.append(piece)
-
-    def S(t):
-        inner = np.zeros((n, n), dtype=complex)
-        for idx, p in zip(idx_groups, pieces):
-            inner[np.ix_(idx, idx)] = p(t)
-        return Rb @ inner @ Rb.conj().T
-
-    return pT.sampler, S, a
+    return pT.sampler, commutant_loop(a, rng, windings), a

@@ -2,18 +2,17 @@
 the Maslov triple index, and the Maslov cycle predicate.
 
 A path of Lagrangian pairs is carried by the unitaries (T(t), S(t)) of its
-two projection paths.  The index counts intersections ker P(t) & im Q(t),
+two projection paths, each a `Path` (`LagrangianPath` is the same class) or
+any callable t -> unitary.  The index counts intersections ker P(t) & im Q(t),
 equivalently crossings of spec(T*(t)S(t)) through -1, weighted by the trace
 of the actor on the crossing cluster and signed by the crossing direction.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotCommuting, NotLagrangian, TrackingAmbiguous
 from .spectra import check_commuting
-from .specflow import UnitaryPath
+from .specflow import Path, adjoint, product
 from .symplectic import as_projection
 from .tolerances import DEFAULT, TolerancePolicy
 from .winding import double_index, isotypic_split, winding_number
@@ -27,27 +26,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class LagrangianPath:
-    """Path t -> Lagrangian projection, carried by its unitary sampler T(t)."""
-
-    n: int
-    unitary: callable
-    name: str = "lagrangian_path"
-
-    def __call__(self, t):
-        return self.unitary(t)
+LagrangianPath = Path  # t -> the unitary T(t) of a Lagrangian projection
 
 
-def _pair_path(L1, L2):
-    def sampler(t):
-        T = np.asarray(L1.unitary(t), dtype=complex)
-        S = np.asarray(L2.unitary(t), dtype=complex)
-        return T.conj().T @ S
-    return UnitaryPath(L1.n, sampler, name=f"{L1.name}^* {L2.name}")
-
-
-def maslov_index(L1: LagrangianPath, L2: LagrangianPath, a=None, mode: str = "winding",
+def maslov_index(L1, L2, a=None, mode: str = "winding",
                  policy: TolerancePolicy = DEFAULT, grid: int = 64) -> complex:
     """Equivariant Maslov index of a path of Lagrangian pairs.
 
@@ -59,11 +41,12 @@ def maslov_index(L1: LagrangianPath, L2: LagrangianPath, a=None, mode: str = "wi
                     the crossing eigenphase through pi.
     Both modes agree within numerical tolerance.
     """
-    if mode == "winding":
-        return winding_number(_pair_path(L1, L2), a, policy)
-    if mode != "grid":
+    if mode not in ("winding", "grid"):
         raise ValueError("mode must be 'winding' or 'grid'")
-    return _maslov_grid(L1, L2, a, policy, grid)
+    pair = product(adjoint(L1), L2)
+    if mode == "winding":
+        return winding_number(pair, a, policy)
+    return _maslov_grid(pair, a, policy, grid)
 
 
 def _phase_near_pi(M):
@@ -78,17 +61,16 @@ def _svals_plus_identity(M):
     return np.linalg.svd(np.eye(M.shape[-1]) + M, compute_uv=False)
 
 
-def _maslov_grid(L1, L2, a, policy, grid):
+def _maslov_grid(pair, a, policy, grid):
     """Scan sigma_min(I + block of T*S) per isotypic block of the actor; each
     intersection event in the chi-block counts chi * dim ker, signed by the
     direction of the block eigenphase through pi."""
     eps_t = 10 * policy.zero_tol  # endpoint evaluation rule: step inside by eps
-    pair = _pair_path(L1, L2)
-    V, blocks, chars = isotypic_split(a, L1.n, policy)
     ts = np.linspace(eps_t, 1.0 - eps_t, grid)
-    mats = np.stack([np.asarray(pair(t), dtype=complex) for t in ts])
+    mats = np.stack([pair(t) for t in ts])
     if a is not None:
         check_commuting(a, mats, ts, NotCommuting, policy)
+    V, blocks, chars = isotypic_split(a, mats.shape[-1], policy)
     mats = V.conj().T @ mats @ V
     total = 0.0 + 0.0j
     for idx, chi in zip(blocks, chars):
@@ -148,14 +130,9 @@ def triple_index_path(T, S, R, a=None, policy: TolerancePolicy = DEFAULT) -> com
 
     equal to the alternating sum of the three pairwise Maslov indices.
     """
-    def prod(X, Y):
-        def sampler(t):
-            return np.asarray(X(t), dtype=complex).conj().T @ np.asarray(Y(t), dtype=complex)
-        return sampler
-
-    w1 = winding_number(prod(T, S), a, policy)
-    w2 = winding_number(prod(S, R), a, policy)
-    w3 = winding_number(prod(T, R), a, policy)
+    w1 = winding_number(product(adjoint(T), S), a, policy)
+    w2 = winding_number(product(adjoint(S), R), a, policy)
+    w3 = winding_number(product(adjoint(T), R), a, policy)
     return complex(w1 + w2 - w3)
 
 

@@ -1,10 +1,17 @@
-"""Equivariant spectral flow of Hermitian paths.
+"""Matrix paths, and the equivariant spectral flow of Hermitian paths.
 
-Two independent pipelines: a grid-partition computation (spectral-window
-traces over a certified partition) and a crossing oracle (branch tracking
-plus bisection of zero crossings).  The spectral window is closed at 0; an
-eigenvalue within zero_tol of 0 at an endpoint of [0, 1] counts as
-nonnegative.
+A path is a reentrant sampler t in [0, 1] -> square matrix.  Every routine
+of the library takes any such callable; `Path(dim, sampler)` attaches the
+dimension for `concatenate` and `reverse`, and `HermitianPath`,
+`UnitaryPath` and `maslov.LagrangianPath` are names of the same class.
+`product(f, g)` (t -> f(t) g(t)) and `adjoint(f)` (t -> f(t)*) build the
+pointwise products that the Maslov, triple and double indices wind.
+
+Spectral flow has two independent pipelines: a grid-partition computation
+(spectral-window traces over a certified partition) and a crossing oracle
+(branch tracking plus bisection of zero crossings).  The spectral window is
+closed at 0; an eigenvalue within zero_tol of 0 at an endpoint of [0, 1]
+counts as nonnegative.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +30,7 @@ from .spectra import (
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
+    "Path",
     "HermitianPath",
     "UnitaryPath",
     "GridPartition",
@@ -35,53 +43,63 @@ __all__ = [
     "BottLoop",
     "concatenate",
     "reverse",
+    "adjoint",
+    "product",
 ]
 
 
-@dataclass
-class HermitianPath:
-    """Reentrant sampler t in [0, 1] -> Hermitian matrix.
+@dataclass(frozen=True)
+class Path:
+    """Reentrant sampler t in [0, 1] -> square matrix of size dim.
 
-    `symmetry`, when set, is the commuting group element the path is meant
-    to be evaluated against (kept with the path for bookkeeping only).
+    Every routine also accepts a bare callable t -> matrix and reads the
+    dimension from the samples it takes; `dim` serves the combinators that
+    build a new Path from old ones.
     """
 
     dim: int
     sampler: callable
-    name: str = "hermitian_path"
-    symmetry: object = None
 
     def __call__(self, t):
         return self.sampler(t)
 
 
-@dataclass
-class UnitaryPath:
-    """Reentrant sampler t in [0, 1] -> unitary matrix."""
-
-    dim: int
-    sampler: callable
-    name: str = "unitary_path"
-    symmetry: object = None
-
-    def __call__(self, t):
-        return self.sampler(t)
+HermitianPath = UnitaryPath = Path
 
 
-def concatenate(p1, p2, cls=None):
+def concatenate(p1, p2):
     """Concatenation (p1 * p2)(t): p1 on [0, 1/2], p2 on [1/2, 1]."""
     if p1.dim != p2.dim:
         raise DimensionMismatch("concatenated paths must share the dimension")
-    cls = cls or type(p1)
 
     def sampler(t):
         return p1.sampler(2 * t) if t <= 0.5 else p2.sampler(2 * t - 1)
 
-    return cls(dim=p1.dim, sampler=sampler, name=f"{p1.name}*{p2.name}")
+    return Path(p1.dim, sampler)
 
 
 def reverse(p):
-    return type(p)(dim=p.dim, sampler=lambda t: p.sampler(1.0 - t), name=f"rev({p.name})")
+    return Path(p.dim, lambda t: p.sampler(1.0 - t))
+
+
+def adjoint(f):
+    """Sampler t -> f(t)*."""
+    return lambda t: np.asarray(f(t), dtype=complex).conj().T
+
+
+def product(f, g):
+    """Pointwise product sampler t -> f(t) g(t); DimensionMismatch unless the
+    samples have the same shape."""
+
+    def sampler(t):
+        F = np.asarray(f(t), dtype=complex)
+        G = np.asarray(g(t), dtype=complex)
+        if F.shape != G.shape:
+            raise DimensionMismatch(f"path samples of shapes {F.shape} and {G.shape} "
+                                    "cannot be multiplied")
+        return F @ G
+
+    return sampler
 
 
 @dataclass
@@ -346,8 +364,8 @@ class BottLoop:
     """Loop B_k(t) = P+ - P- + 2t P_k and its unitary image -exp(i pi B_k(t))."""
 
     h: np.ndarray
-    hermitian_path: HermitianPath
-    unitary_path: UnitaryPath
+    hermitian_path: Path
+    unitary_path: Path
     expected: complex
 
 
@@ -380,6 +398,6 @@ def bott_loop(rank_k_weights, ambient, policy: TolerancePolicy = DEFAULT) -> Bot
         return np.diag(-np.exp(1j * np.pi * (base + t * bump)))
 
     return BottLoop(h=h,
-                    hermitian_path=HermitianPath(dim, herm, name="bott_B"),
-                    unitary_path=UnitaryPath(dim, unit, name="bott_W"),
+                    hermitian_path=Path(dim, herm),
+                    unitary_path=Path(dim, unit),
                     expected=complex(np.sum(np.asarray(rank_k_weights, dtype=complex))))

@@ -15,6 +15,7 @@ from scipy.special import erf
 
 from .errors import (
     BranchCut,
+    DimensionMismatch,
     NoConvergence,
     NotHermitian,
     NotInvariant,
@@ -54,9 +55,14 @@ def check_commuting(h, M, ts, error, policy: TolerancePolicy = DEFAULT):
 
     Since ||X||_2 <= ||X||_F and ||M||_F / sqrt(n) <= ||M||_2, this is never
     looser than the same test in spectral norms with scale max(||M||_2, 1).
+    DimensionMismatch when h and the samples are not square of one size.
     """
     h = np.asarray(h, dtype=complex)
     M = np.asarray(M, dtype=complex)
+    n = M.shape[-1] if M.ndim >= 2 else -1
+    if h.shape != (n, n) or M.shape[-2] != n:
+        raise DimensionMismatch(f"actor of shape {h.shape} does not match a sample of "
+                                f"shape {M.shape[-2:]}")
     M = M.reshape((-1,) + M.shape[-2:])
     excess = np.linalg.norm(h @ M - M @ h, axis=(1, 2))
     scale = np.maximum(np.linalg.norm(M, axis=(1, 2)) / np.sqrt(M.shape[-1]), 1.0)

@@ -19,7 +19,7 @@ from .errors import (
     NotLagrangian,
     NotUnitary,
 )
-from .spectra import eig_hermitian, opnorm
+from .spectra import check_commuting, eig_hermitian, opnorm
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "aps_projection",
     "canonical_determinant",
     "flip_orientation",
-    "commutator_norm",
     "check_unitary",
 ]
 
@@ -48,10 +47,6 @@ def check_unitary(U, tol=1e-10, what="matrix"):
     if opnorm(U.conj().T @ U - np.eye(n)) > tol:
         raise NotUnitary(f"{what} is not unitary within {tol}")
     return U
-
-
-def commutator_norm(A, B):
-    return opnorm(A @ B - B @ A)
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,7 @@ class EquivariantIsometry:
 
     def commutes_with(self, M, policy: TolerancePolicy = DEFAULT):
         M = np.asarray(M, dtype=complex)
-        return commutator_norm(self.h, M) <= policy.commute_tol * max(opnorm(M), 1.0)
+        return opnorm(self.h @ M - M @ self.h) <= policy.commute_tol * max(opnorm(M), 1.0)
 
 
 def make_isometry(a, W, policy: TolerancePolicy = DEFAULT) -> EquivariantIsometry:
@@ -209,9 +204,7 @@ def pair_report(P, Q, h=None, policy: TolerancePolicy = DEFAULT,
     a = _actor_block(h, n)
     if h is not None:
         hfull = h.h if isinstance(h, EquivariantIsometry) else _embed_actor(h, n)
-        for X in (P.P, Q.P):
-            if commutator_norm(hfull, X) > max(policy.commute_tol, 1e-9) * 10:
-                raise NotEquivariant("h does not commute with the projection pair")
+        check_commuting(hfull, np.stack([P.P, Q.P]), None, NotEquivariant, policy)
     T, S = P.T, Q.T
     M = np.eye(n) + T.conj().T @ S
     svals = np.linalg.svd(M, compute_uv=False)
@@ -323,9 +316,7 @@ def canonical_determinant(P, P_M, h=None, policy: TolerancePolicy = DEFAULT) -> 
     a = _actor_block(h, n)
     if h is not None:
         hfull = h.h if isinstance(h, EquivariantIsometry) else _embed_actor(h, n)
-        for X in (P.P, P_M.P):
-            if commutator_norm(hfull, X) > max(policy.commute_tol, 1e-9) * 10:
-                raise NotEquivariant("h does not commute with the projections")
+        check_commuting(hfull, np.stack([P.P, P_M.P]), None, NotEquivariant, policy)
     T, K = P.T, P_M.T
     return complex(np.linalg.det(a @ (np.eye(n) + T.conj().T @ K) / 2.0))
 

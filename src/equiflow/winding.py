@@ -7,13 +7,16 @@ sum_chi chi * n_chi, with n_chi the integer count of eigenphase crossings
 through the wall at angle pi (shifted by a deterministic offset when an
 endpoint has spectrum at -1) of the path's chi-block.  The primary route
 reads n_chi off the unwrapped det phase of each block; `winding_events`
-(branch tracking and wall bisection) and `winding_from_logs` (trace-log
-quadrature) are independent cross-checks.
+(branch tracking, crossings located between samples) and `winding_from_logs`
+(trace-log quadrature) are independent cross-checks.  Paths are any
+callables t -> unitary (see `specflow`).
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -32,7 +35,7 @@ from .spectra import (
     principal_log_unitary,
     track_branches,
 )
-from .specflow import UnitaryPath
+from .specflow import Path, product
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -55,13 +58,6 @@ _MIN_DT = 1e-11  # shortest interval the det-phase pass bisects (the tracker's c
 _ROUNDING_TOL = 1e-9  # largest rounding error allowed in a block count n_chi
 
 
-def _as_path(f, dim=None):
-    if isinstance(f, UnitaryPath):
-        return f
-    probe = np.asarray(f(0.0), dtype=complex)
-    return UnitaryPath(dim=probe.shape[0], sampler=f)
-
-
 def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
     """Eigenspaces of a unitary actor on C^dim: (V, blocks, chars).
 
@@ -82,14 +78,12 @@ def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
 
 
 def _checked_path(f, a, policy):
-    """f as a UnitaryPath whose every sample must commute with a; a as a matrix."""
-    path = _as_path(f)
+    """(f with every sample checked to commute with a, a as a matrix); both
+    unchanged without an actor."""
     if a is None:
-        return path, np.eye(path.dim, dtype=complex)
+        return f, None
     a = np.asarray(a, dtype=complex)
-    if a.shape != (path.dim, path.dim):
-        raise DimensionMismatch("actor dimension does not match the path")
-    return UnitaryPath(path.dim, commuting_sampler(path, a, NotCommuting, policy)), a
+    return commuting_sampler(f, a, NotCommuting, policy), a
 
 
 def _det_phases(f, a, policy, K=33):
@@ -177,32 +171,13 @@ def pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT,
     raise OffsetExhausted("no admissible endpoint phase offset below the ceiling")
 
 
-def _bisect_wall(path, t0, t1, p0, p1, v_ref, target, policy, iters=30):
-    """Bisect a lifted-phase wall crossing inside [t0, t1]; returns (t*, vector)."""
-    from .spectra import branch_value_at
-
-    lo, hi, plo, phi_hi = t0, t1, p0, p1
-    vec = v_ref
-    below = p0 < target
-    for _ in range(iters):
-        mid = (lo + hi) / 2.0
-        raw, vmid, _ = branch_value_at(path, "unitary", mid, vec, policy)
-        pred = plo + (phi_hi - plo) * (mid - lo) / max(hi - lo, 1e-300)
-        lifted = raw + 2 * np.pi * np.round((pred - raw) / (2 * np.pi))
-        if (lifted < target) == below:
-            lo, plo, vec = mid, lifted, vmid
-        else:
-            hi, phi_hi = mid, lifted
-        if hi - lo < 1e-9:
-            break
-    return (lo + hi) / 2.0, vec
-
-
-def _wall_events(bs, a, policy, path=None):
+def _wall_events(bs, a, policy):
     """Wall crossings of lifted branch phases; returns (offset, events list).
 
-    Each event is (time, direction, weight) with weight = <v, a v> summed over
-    branches crossing together.
+    Each event is (time, direction, weight): the time is interpolated
+    linearly between the samples around the crossing, and the weight is
+    <v, a v> (<v, v> without an actor) for the branch vector v at the sample
+    before it, summed over branches crossing together.
     """
     endpoint_phases = np.concatenate([bs.values[0], bs.values[-1]])
     theta = pick_offset(endpoint_phases, policy)
@@ -219,13 +194,9 @@ def _wall_events(bs, a, policy, path=None):
             target = wall + 2 * np.pi * (floors[k] if direction > 0 else floors[k - 1])
             t0, t1 = times[k - 1], times[k]
             p0, p1 = phi[k - 1], phi[k]
-            if path is not None and abs(p1 - p0) > 1e-12:
-                t_star, v = _bisect_wall(path, t0, t1, p0, p1,
-                                         bs.vectors[k - 1][:, b], target, policy)
-            else:
-                t_star = t0 + (target - p0) / (p1 - p0) * (t1 - t0) if p1 != p0 else t0
-                v = bs.vectors[k - 1][:, b]
-            w = complex(np.vdot(v, a @ v))
+            t_star = t0 + (target - p0) / (p1 - p0) * (t1 - t0) if p1 != p0 else t0
+            v = bs.vectors[k - 1][:, b]
+            w = complex(np.vdot(v, v if a is None else a @ v))
             raw.append((float(t_star), direction, w))
     raw.sort(key=lambda e: (e[0], e[1]))
     events = []
@@ -250,7 +221,7 @@ def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33):
     """Branch-track a unitary path and list its wall-crossing events."""
     path, a = _checked_path(f, a, policy)
     bs = track_branches(path, "unitary", K=K, policy=policy)
-    theta, events = _wall_events(bs, a, policy, path=path)
+    theta, events = _wall_events(bs, a, policy)
     return theta, events, bs
 
 
@@ -344,16 +315,19 @@ def winding_from_logs(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     """
     path, a = _checked_path(f, a, policy)
 
+    def weighted(X):
+        return X if a is None else a @ X
+
     def integrand(t):
         U = np.asarray(path(t), dtype=complex)
         dU = path_derivative(path, t)
-        return complex(np.trace(a @ U.conj().T @ dU))
+        return complex(np.trace(weighted(U.conj().T) @ dU))
 
     total = integrate(integrand, 0.0, 1.0, policy)
     L1 = principal_log_unitary(np.asarray(path(1.0), dtype=complex), 0.0, policy)
     L0 = principal_log_unitary(np.asarray(path(0.0), dtype=complex), 0.0, policy)
-    total -= complex(np.trace(a @ L1))
-    total += complex(np.trace(a @ L0))
+    total -= complex(np.trace(weighted(L1)))
+    total += complex(np.trace(weighted(L0)))
     return complex(total / (2j * np.pi))
 
 
@@ -369,7 +343,7 @@ class CanonicalContraction:
     a: np.ndarray
     h0_basis: np.ndarray
     comp_basis: np.ndarray
-    path: UnitaryPath
+    path: Path
     diagnostics: dict = field(default_factory=dict)
 
     def __call__(self, t):
@@ -378,6 +352,23 @@ class CanonicalContraction:
     @property
     def dim(self):
         return self.U.shape[0]
+
+
+def _frozen_flow(B0, a0, B1, flows):
+    """Sampler t -> B0 (-a0) B0* + B1 exp(t L_1) ... exp(t L_k) B1*: the span
+    of B0 (ker(U + I)) frozen at -a0 while its complement B1 flows."""
+    n = B0.shape[0]
+
+    def sampler(t):
+        out = np.zeros((n, n), dtype=complex)
+        if B0.shape[1]:
+            out += B0 @ (-a0) @ B0.conj().T
+        if B1.shape[1]:
+            flow = reduce(np.matmul, [scipy.linalg.expm(t * L) for L in flows])
+            out += B1 @ flow @ B1.conj().T
+        return out
+
+    return sampler
 
 
 def _split_at_minus_one(U, policy):
@@ -405,19 +396,8 @@ def canonical_path(U, a=None, policy: TolerancePolicy = DEFAULT) -> CanonicalCon
     U1 = B1.conj().T @ U @ B1
     La = principal_log_unitary(a1, 0.0, policy) if B1.shape[1] else a1
     LU = principal_log_unitary(U1, 0.0, policy) if B1.shape[1] else U1
-    import scipy.linalg
-
-    def sampler(t):
-        out = np.zeros((n, n), dtype=complex)
-        if k0:
-            out += B0 @ (-a0) @ B0.conj().T
-        if B1.shape[1]:
-            comp = scipy.linalg.expm(t * La) @ scipy.linalg.expm(t * LU)
-            out += B1 @ comp @ B1.conj().T
-        return out
-
     return CanonicalContraction(U=U, a=a, h0_basis=B0, comp_basis=B1,
-                                path=UnitaryPath(n, sampler, name="canonical"),
+                                path=Path(n, _frozen_flow(B0, a0, B1, [La, LU])),
                                 diagnostics={"h0_dim": k0})
 
 
@@ -429,8 +409,6 @@ def double_index(U, V, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     V must restrict to -I on H0 and have no further spectrum at -1
     (IncompatibleSplitting otherwise).
     """
-    import scipy.linalg
-
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
     n = U.shape[0]
@@ -460,37 +438,15 @@ def double_index(U, V, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     # The actor enters through the crossing weights only; twisting the flows
     # by a would shift which phase lines cross the wall and break the triple
     # index algebra.  The frozen H0 block never crosses and contributes 0.
-    def make(flows):
-        def sampler(t):
-            out = np.zeros((n, n), dtype=complex)
-            if k0:
-                out += B0 @ (-a0) @ B0.conj().T
-            if B1.shape[1]:
-                comp = np.eye(B1.shape[1], dtype=complex)
-                for L in flows:
-                    comp = comp @ scipy.linalg.expm(t * L)
-                out += B1 @ comp @ B1.conj().T
-            return out
-        return UnitaryPath(n, sampler)
-
-    wf = winding_number(make([LU]), a, policy)
-    wg = winding_number(make([LV]), a, policy)
-    wq = winding_number(make([LU, LV]), a, policy)
+    wf = winding_number(_frozen_flow(B0, a0, B1, [LU]), a, policy)
+    wg = winding_number(_frozen_flow(B0, a0, B1, [LV]), a, policy)
+    wq = winding_number(_frozen_flow(B0, a0, B1, [LU, LV]), a, policy)
     return complex(wf + wg - wq)
 
 
 def relative_double_index(f, g, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     """Relative double index of two unitary paths: w(f) + w(g) - w(fg)."""
-    pf = _as_path(f)
-    pg = _as_path(g)
-    if pf.dim != pg.dim:
-        raise DimensionMismatch("paths must share the dimension")
-
-    def prod(t):
-        return np.asarray(pf(t), dtype=complex) @ np.asarray(pg(t), dtype=complex)
-
-    pq = UnitaryPath(pf.dim, prod, name="fg")
-    wf = winding_number(pf, a, policy)
-    wg = winding_number(pg, a, policy)
-    wq = winding_number(pq, a, policy)
+    wf = winding_number(f, a, policy)
+    wg = winding_number(g, a, policy)
+    wq = winding_number(product(f, g), a, policy)
     return complex(wf + wg - wq)

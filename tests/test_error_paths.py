@@ -1,7 +1,5 @@
 """Failure-mode contracts: each declared error class fires on its trigger."""
 
-import os
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,6 +13,7 @@ from equiflow.dirac_models import (
 )
 from equiflow.errors import (
     BranchCut,
+    DimensionMismatch,
     IncompatibleSplitting,
     KernelPresent,
     NotCommuting,
@@ -25,8 +24,12 @@ from equiflow.errors import (
 )
 from equiflow.eta_zeta import eta_log_defect
 from equiflow.harness import generators as gen
-from equiflow.harness.suites import run_suite
-from equiflow.maslov import triple_index_static
+from equiflow.maslov import (
+    LagrangianPath,
+    maslov_index,
+    triple_index_path,
+    triple_index_static,
+)
 from equiflow.specflow import (
     HermitianPath,
     UnitaryPath,
@@ -38,6 +41,7 @@ from equiflow.spectra import track_branches
 from equiflow.symplectic import make_isometry, make_projection_from_unitary, pair_report
 from equiflow.winding import (
     fredholm_det_path,
+    relative_double_index,
     winding_events,
     winding_from_logs,
     winding_number,
@@ -145,16 +149,22 @@ def test_nonreality_degenerate_polynomial():
         nonreality_check(mod, basis)
 
 
-def test_threaded_suite_matches_sequential():
-    r1 = run_suite("bott_loops")
-    old = os.environ.get("EQUIFLOW_THREADS")
-    os.environ["EQUIFLOW_THREADS"] = "3"
-    try:
-        r2 = run_suite("bott_loops")
-    finally:
-        if old is None:
-            os.environ.pop("EQUIFLOW_THREADS", None)
-        else:
-            os.environ["EQUIFLOW_THREADS"] = old
-    assert r1.passed and r2.passed
-    assert r1.max_err == r2.max_err and r1.total == r2.total
+
+def test_dimension_mismatch_is_typed():
+    # a 2x2 actor against 3x3 paths, and paths of unequal sizes in one product
+    a2 = np.diag([np.exp(2j * np.pi / 3), 1.0])
+    herm, _ = gen.commuting_hermitian_path(3, 3, gen.rng_for(5))
+    unit, _ = gen.commuting_unitary_path(3, 3, gen.rng_for(6))
+    T2, S2, _ = gen.lagrangian_loop_pair(2, 3, gen.rng_for(7))
+    T3, S3, _ = gen.lagrangian_loop_pair(3, 3, gen.rng_for(8))
+    L2, L3, M3 = LagrangianPath(2, T2), LagrangianPath(3, T3), LagrangianPath(3, S3)
+    routes = [lambda: spectral_flow(herm, a2), lambda: crossing_oracle(herm, a2),
+              lambda: maslov_index(L2, M3), lambda: maslov_index(L2, M3, mode="grid"),
+              lambda: maslov_index(L3, M3, a2), lambda: maslov_index(L3, M3, a2, mode="grid"),
+              lambda: triple_index_path(T2, S2, T3),
+              lambda: winding_number(unit, a2), lambda: winding_events(unit, a2),
+              lambda: winding_from_logs(unit, a2), lambda: fredholm_det_path(unit, a2),
+              lambda: relative_double_index(unit, T2)]
+    for route in routes:
+        with pytest.raises(DimensionMismatch):
+            route()

@@ -153,3 +153,18 @@ class TestSuitesRegistry:
         names = suite_names()
         for expected in ("sf_oracle", "split", "structural", "all"):
             assert expected in names
+
+
+class TestTripleIndexScenario:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lattice_value_for_every_seed(self, n):
+        # R is drawn in the actor's commutant, so every seed gives a value in Z + Z omega
+        omega = np.exp(2j * np.pi / 3)
+        for seed in range(1, 9):
+            cfg = {"kind": "triple_index", "seed": seed,
+                   "generator": {"name": "random", "params": {"n": n}}}
+            body, _ = run_config(cfg)
+            z = body["results"]["triple_index"]
+            k = z.imag / omega.imag
+            m = z.real - k * omega.real
+            assert abs(k - round(k)) < 1e-8 and abs(m - round(m)) < 1e-8, (seed, z)

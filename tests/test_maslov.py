@@ -76,7 +76,7 @@ class TestMaslovIndex:
         a = np.array([[ALPHA]])
 
         def cat(t):
-            return L1a.unitary(2 * t) if t <= 0.5 else L1b.unitary(2 * t - 1)
+            return L1a(2 * t) if t <= 0.5 else L1b(2 * t - 1)
 
         v = maslov_index(LagrangianPath(1, cat), L2, a)
         v1 = maslov_index(L1a, L2, a)

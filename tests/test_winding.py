@@ -269,3 +269,26 @@ class TestRelativeDoubleIndex:
         v = relative_double_index(f, g, a)
         vr = relative_double_index(reverse(f), reverse(g), a)
         assert abs(v + vr) <= 1e-8
+
+
+class TestBareCallables:
+    """A bare sampler costs the same sampler calls as the same sampler in a Path."""
+
+    @pytest.mark.parametrize("route", [
+        lambda f, a: winding_events(f, a),
+        lambda f, a: winding_from_logs(f, a),
+        lambda f, a: relative_double_index(f, f, a),
+    ], ids=["winding_events", "winding_from_logs", "relative_double_index"])
+    def test_same_sampler_calls(self, route):
+        path, a = gen.commuting_unitary_path(3, 3, gen.rng_for(4))
+        counts = []
+        for wrap in (lambda s: s, lambda s: UnitaryPath(3, s)):
+            calls = []
+
+            def sampler(t):
+                calls.append(t)
+                return path(t)
+
+            route(wrap(sampler), a)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
