@@ -174,8 +174,7 @@ def secular_branches(model: IntervalDiracModel, P, element_power: int = 0):
     T = P.T
     if T.shape[0] != model.m:
         raise ValueError("projection dimension does not match the model")
-    if model.u is not None:
-        check_commuting(model.u, T, None, NotEquivariant, model.policy)
+    check_commuting(model.u, T, None, NotEquivariant, model.policy)
     G = T.conj().T @ interval_transfer(model, 0.0)
     a = model.actor(element_power)
     es = eig_unitary(G, model.policy)

@@ -29,6 +29,7 @@ from dataclasses import asdict
 from math import pi
 
 import numpy as np
+import scipy.linalg
 
 from ..errors import ConfigInvalid, EquiflowError
 from ..tolerances import DEFAULT, TolerancePolicy
@@ -238,6 +239,7 @@ def _run_maslov(cfg, policy):
 
 
 def _run_double_index(cfg, policy):
+    from ..spectra import isotypic_split
     from ..winding import double_index
 
     name, params = _generator_of(cfg, {"random", "example"})
@@ -250,15 +252,12 @@ def _run_double_index(cfg, policy):
     order = int(params.get("order", 3))
     rng = gen.rng_for(seed)
     U, a = gen.commuting_static_unitary(n, order, rng)
-    V, _ = gen.commuting_static_unitary(n, order, rng)
-    # align V with a's commutant: rebuild from a's eigenbasis
-    from ..spectra import eig_unitary
-    es = eig_unitary(a, policy)
-    import scipy.linalg as sl
+    # V in a's commutant: one random unitary per isotypic block of a
+    Q, blocks, _ = isotypic_split(a, n, policy)
     inner = np.zeros((n, n), dtype=complex)
-    for idx in es.cluster_slices():
-        inner[np.ix_(idx, idx)] = sl.expm(1j * gen.rand_hermitian(len(idx), rng, 1.0))
-    V = es.vectors @ inner @ es.vectors.conj().T
+    for idx in blocks:
+        inner[np.ix_(idx, idx)] = scipy.linalg.expm(1j * gen.rand_hermitian(len(idx), rng, 1.0))
+    V = Q @ inner @ Q.conj().T
     return {"tau": double_index(U, V, a, policy)}, {}
 
 

@@ -9,7 +9,7 @@ from math import pi
 import numpy as np
 import scipy.linalg as sl
 
-from ..spectra import eig_unitary
+from ..spectra import isotypic_split
 from ..specflow import Path
 
 __all__ = [
@@ -129,8 +129,7 @@ def commutant_loop(a, rng, windings=1):
     eigenbasis: E0 exp(2 pi i t K) exp(i sin(pi t) H2) per eigenvalue cluster,
     drawing H0 (E0 = exp(i H0)), H2 and the integer diagonal K in that order."""
     n = a.shape[0]
-    es = eig_unitary(a)
-    blocks = es.cluster_slices()
+    V, blocks, _ = isotypic_split(a, n)
     pieces = []
     for idx in blocks:
         b = len(idx)
@@ -144,7 +143,7 @@ def commutant_loop(a, rng, windings=1):
 
     def loop(t):
         inner = _block_embed(blocks, n, [p(t) for p in pieces])
-        return es.vectors @ inner @ es.vectors.conj().T
+        return V @ inner @ V.conj().T
 
     return loop
 

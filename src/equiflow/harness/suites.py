@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from math import pi
 
 import numpy as np
+import scipy.linalg as sl
 
 from .. import dirac_models as dm
 from ..errors import BranchCut, KernelPresent, UnknownSuite
@@ -26,7 +27,7 @@ from ..eta_zeta import (
     zeta_determinant_product_route,
 )
 from ..maslov import maslov_index, triple_index_path, triple_index_static
-from ..spectra import opnorm
+from ..spectra import isotypic_split, opnorm
 from ..specflow import (
     Path,
     bott_loop,
@@ -209,11 +210,9 @@ def det_multiplicativity(seed=ACCEPTANCE_SEED, count=50):
         order = 2 + i % 5
         f, a = gen.commuting_unitary_path(dim, order, rng, windings=0, amp=0.8)
         # draw g blockwise against the same actor a
-        from ..spectra import eig_unitary
-        es = eig_unitary(a)
-        import scipy.linalg as sl
+        V, blocks, _ = isotypic_split(a, dim)
         pieces = []
-        for idx in es.cluster_slices():
+        for idx in blocks:
             b = len(idx)
             H1 = gen.rand_hermitian(b, rng, 0.8)
             H2 = gen.rand_hermitian(b, rng, 0.5)
@@ -221,9 +220,9 @@ def det_multiplicativity(seed=ACCEPTANCE_SEED, count=50):
 
         def g(t):
             inner = np.zeros((dim, dim), dtype=complex)
-            for idx, (H1, H2) in zip(es.cluster_slices(), pieces):
+            for idx, (H1, H2) in zip(blocks, pieces):
                 inner[np.ix_(idx, idx)] = sl.expm(1j * (t * H1 + np.sin(pi * t) * H2))
-            return es.vectors @ inner @ es.vectors.conj().T
+            return V @ inner @ V.conj().T
 
         d1 = fredholm_det_path(product(f, g), a)
         d2 = fredholm_det_path(f, a) * fredholm_det_path(g, a)
@@ -273,10 +272,7 @@ def triple_symmetry(seed=ACCEPTANCE_SEED, count=50):
         T, S, a = gen.lagrangian_loop_pair(n, order, rng, windings=1)
         # R in a's commutant; drawn H0, K, H2 per block, an order that differs
         # from gen.commutant_loop's (H0, H2, K), so this suite's cases stay as pinned
-        from ..spectra import eig_unitary
-        es = eig_unitary(a)
-        import scipy.linalg as sl
-        blocks = es.cluster_slices()
+        V, blocks, _ = isotypic_split(a, n)
         pieces = []
         for idx in blocks:
             b = len(idx)
@@ -290,7 +286,7 @@ def triple_symmetry(seed=ACCEPTANCE_SEED, count=50):
             for idx, (E0, K, H2) in zip(blocks, pieces):
                 inner[np.ix_(idx, idx)] = E0 @ sl.expm(2j * pi * t * K) @ \
                     sl.expm(1j * np.sin(pi * t) * H2)
-            return es.vectors @ inner @ es.vectors.conj().T
+            return V @ inner @ V.conj().T
 
         out = {}
         t_pqn = triple_index_path(T, S, Rp, a)

@@ -11,11 +11,11 @@ of the actor on the crossing cluster and signed by the crossing direction.
 import numpy as np
 
 from .errors import NotCommuting, NotLagrangian, TrackingAmbiguous
-from .spectra import check_commuting
+from .spectra import check_commuting, isotypic_split
 from .specflow import Path, adjoint, product
 from .symplectic import as_projection
 from .tolerances import DEFAULT, TolerancePolicy
-from .winding import double_index, isotypic_split, winding_number
+from .winding import double_index, winding_number
 
 __all__ = [
     "LagrangianPath",
@@ -68,8 +68,7 @@ def _maslov_grid(pair, a, policy, grid):
     eps_t = 10 * policy.zero_tol  # endpoint evaluation rule: step inside by eps
     ts = np.linspace(eps_t, 1.0 - eps_t, grid)
     mats = np.stack([pair(t) for t in ts])
-    if a is not None:
-        check_commuting(a, mats, ts, NotCommuting, policy)
+    check_commuting(a, mats, ts, NotCommuting, policy)
     V, blocks, chars = isotypic_split(a, mats.shape[-1], policy)
     mats = V.conj().T @ mats @ V
     total = 0.0 + 0.0j

@@ -8,10 +8,14 @@ dimension for `concatenate` and `reverse`, and `HermitianPath`,
 pointwise products that the Maslov, triple and double indices wind.
 
 Spectral flow has two independent pipelines: a grid-partition computation
-(spectral-window traces over a certified partition) and a crossing oracle
-(branch tracking plus bisection of zero crossings).  The spectral window is
-closed at 0; an eigenvalue within zero_tol of 0 at an endpoint of [0, 1]
-counts as nonnegative.
+(spectral-window counts over a certified partition) and a crossing oracle
+(branch tracking plus bisection of zero crossings).  Both work on the
+isotypic blocks of the actor (`spectra.isotypic_split`): a path commuting
+with h never mixes them, so every window count and every crossing weighs
+chi * (number of the chi-block's eigenvalues counted), and the flow is
+sum_chi chi * n_chi with integers n_chi.  The spectral window is closed at 0;
+an eigenvalue within zero_tol of 0 at an endpoint of [0, 1] counts as
+nonnegative.
 """
 
 from dataclasses import dataclass, field
@@ -21,11 +25,11 @@ import numpy as np
 from .errors import DimensionMismatch, NotEquivariant, PartitionFailure
 from .spectra import (
     branch_value_at,
-    commuting_sampler,
     eig_hermitian,
+    group_events,
+    isotypic_sampler,
     opnorm,
-    track_branches,
-    weighted_trace,
+    track_blocks,
 )
 from .tolerances import DEFAULT, TolerancePolicy
 
@@ -218,47 +222,48 @@ def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int =
     return GridPartition(intervals)
 
 
-def _window_trace(path, t, level, h, policy, t_lo=0.0, t_hi=1.0):
-    """Tr(h | eigenvalues of B(t) in [0, level]), dodging interior kernels."""
-    B = np.asarray(path(t), dtype=complex)
-    es = eig_hermitian(B, policy)
+def _window_count(sampler, t, level, policy, t_lo=0.0, t_hi=1.0):
+    """sum_chi chi * #(eigenvalues of the chi-block of B(t) in [0, level]),
+    dodging interior kernels."""
+
+    def block_values(t):
+        chars, mats = sampler(t)
+        vals = [eig_hermitian(X, policy).values for X in mats]
+        return chars, vals, min(np.min(np.abs(v)) for v in vals)
+
+    chars, vals, gap = block_values(t)
     shift = 10 * policy.zero_tol
-    if t_lo < t < t_hi and np.min(np.abs(es.values)) <= policy.zero_tol:
+    if t_lo < t < t_hi and gap <= policy.zero_tol:
         # interior node sits on a kernel: nudge it
         for tt in (t + shift, t - shift, t + 10 * shift, t - 10 * shift):
             if t_lo < tt < t_hi:
-                es2 = eig_hermitian(np.asarray(path(tt), dtype=complex), policy)
-                if np.min(np.abs(es2.values)) > policy.zero_tol:
-                    es = es2
+                _, vals2, gap2 = block_values(tt)
+                if gap2 > policy.zero_tol:
+                    vals = vals2
                     break
-    mask = (es.values >= -policy.zero_tol) & (es.values <= level)
-    if not np.any(mask):
-        return 0.0 + 0.0j
-    basis = es.vectors[:, mask]
-    if h is None:
-        return complex(basis.shape[1])
-    return weighted_trace(h, basis, policy, check_invariant=False)
+    return complex(sum(chi * np.count_nonzero((v >= -policy.zero_tol) & (v <= level))
+                       for chi, v in zip(chars, vals)))
 
 
 def spectral_flow(path, h=None, partition: GridPartition = None,
                   policy: TolerancePolicy = DEFAULT) -> FlowResult:
     """Equivariant spectral flow over a certified grid partition.
 
-    Sum over intervals of Tr(h|E_j(t_j)) - Tr(h|E_j(t_{j-1})) with
-    E_j(t) the span of eigenvectors with eigenvalue in [0, a_j].  The value
-    is invariant under partition refinement; with h = I it is the classical
-    integer spectral flow.  Every sample taken at the partition nodes is
-    checked to commute with h (NotEquivariant otherwise).
+    Sum over intervals of N_j(t_j) - N_j(t_{j-1}), where N_j(t) is
+    sum_chi chi * #(eigenvalues of the chi-block of B(t) in [0, a_j]).  The
+    value is invariant under partition refinement; with h = None (one block,
+    chi = 1) it is the classical integer spectral flow.  Every sample taken
+    at the partition nodes is checked to commute with h (NotEquivariant
+    otherwise).
     """
     if partition is None:
         partition = good_partition(path, policy)
-    if h is not None:
-        path = commuting_sampler(path, h, NotEquivariant, policy)
+    sampler = isotypic_sampler(path, h, NotEquivariant, policy)
     contributions = []
     total = 0.0 + 0.0j
     for iv in partition.intervals:
-        hi = _window_trace(path, iv.t1, iv.level, h, policy)
-        lo = _window_trace(path, iv.t0, iv.level, h, policy)
+        hi = _window_count(sampler, iv.t1, iv.level, policy)
+        lo = _window_count(sampler, iv.t0, iv.level, policy)
         c = hi - lo
         contributions.append(c)
         total += c
@@ -285,78 +290,48 @@ def _bisect_zero(path, t_lo, t_hi, v_ref, val_lo, policy, iters=40):
 
 
 def crossing_oracle(path, h=None, K: int = 33, policy: TolerancePolicy = DEFAULT) -> FlowResult:
-    """Independent spectral-flow oracle: track branches, bisect zero crossings,
-    sum direction-signed character weights of the crossing clusters.  Every
-    sample is checked to commute with h (NotEquivariant otherwise)."""
-    if h is not None:
-        path = commuting_sampler(path, h, NotEquivariant, policy)
-    bs = track_branches(path, "hermitian", K=K, policy=policy)
-    times, values = bs.times, bs.values
+    """Independent spectral-flow oracle: track the branches of each isotypic
+    block of h, bisect their zero crossings, and group crossings of one
+    direction within 1e-8 in time.  A group weighs chi * (number of the
+    chi-block's branches in it), summed over blocks, signed by its direction.
+    Every sample is checked to commute with h (NotEquivariant otherwise)."""
+    sampler = isotypic_sampler(path, h, NotEquivariant, policy)
+    chars, sets = track_blocks(sampler, "hermitian", K, policy)
     band = policy.zero_tol
-    events = []  # (time, direction, branch index)
-    for b in range(bs.n_branches):
-        vals = values[:, b]
-        # state at t=0: zero counts as nonnegative
-        prev_sign = 1 if vals[0] >= -band else -1
-        prev_idx = 0
-        for k in range(1, len(times)):
-            v = vals[k]
-            here = 0 if abs(v) <= band else (1 if v > 0 else -1)
-            if here == 0:
-                if k == len(times) - 1 and prev_sign < 0:
-                    events.append((times[k], +1, b))  # reaches 0 at t=1 from below
-                continue
-            if here != prev_sign:
-                if abs(vals[prev_idx]) <= band:
-                    t_star = times[prev_idx]
-                else:
-                    t_star = _bisect_zero(path, times[prev_idx], times[k],
-                                          bs.vectors[prev_idx][:, b], vals[prev_idx], policy)
-                events.append((t_star, here, b))
-            prev_sign = here
-            prev_idx = k
-    # group events by (time, direction) so degenerate crossings form one cluster
-    events.sort(key=lambda e: (e[0], e[1]))
-    groups = []
-    used = [False] * len(events)
-    for i, e in enumerate(events):
-        if used[i]:
-            continue
-        used[i] = True
-        grp = [e]
-        for j in range(i + 1, len(events)):
-            if not used[j] and abs(events[j][0] - e[0]) <= 1e-8 and events[j][1] == e[1]:
-                used[j] = True
-                grp.append(events[j])
-        groups.append(grp)
+    events = []  # (time, direction, character) per crossing branch
+    for blk, (chi, bs) in enumerate(zip(chars, sets)):
+        times, values = bs.times, bs.values
+        for b in range(bs.n_branches):
+            vals = values[:, b]
+            # state at t=0: zero counts as nonnegative
+            prev_sign = 1 if vals[0] >= -band else -1
+            prev_idx = 0
+            for k in range(1, len(times)):
+                v = vals[k]
+                here = 0 if abs(v) <= band else (1 if v > 0 else -1)
+                if here == 0:
+                    if k == len(times) - 1 and prev_sign < 0:
+                        events.append((times[k], +1, chi))  # reaches 0 at t=1 from below
+                    continue
+                if here != prev_sign:
+                    if abs(vals[prev_idx]) <= band:
+                        t_star = times[prev_idx]
+                    else:
+                        t_star = _bisect_zero(lambda s: sampler(s)[1][blk], times[prev_idx],
+                                              times[k], bs.vectors[prev_idx][:, b],
+                                              vals[prev_idx], policy)
+                    events.append((t_star, here, chi))
+                prev_sign = here
+                prev_idx = k
     crossings = []
     total = 0.0 + 0.0j
-    for group in groups:
-        t_star, direction, _ = group[0]
-        es = eig_hermitian(np.asarray(path(t_star), dtype=complex), policy)
-        scale = max(np.max(np.abs(es.values)), 1.0)
-        near = np.abs(es.values) <= max(100 * band, 1e-7 * scale)
-        if not np.any(near):
-            near = np.abs(es.values) == np.min(np.abs(es.values))
-        basis = es.vectors[:, near]
-        k_exp = len(group)
-        if basis.shape[1] > k_exp:
-            # opposite-direction partner shares the cluster: weight only this
-            # direction's share via the branch vectors
-            w = 0.0 + 0.0j
-            for (_, _, b) in group:
-                idx = int(np.argmin(np.abs(times - t_star)))
-                v = bs.vectors[idx][:, b]
-                w += complex(np.vdot(v, (h @ v) if h is not None else v))
-        else:
-            w = (weighted_trace(h, basis, policy, check_invariant=False)
-                 if h is not None else complex(basis.shape[1]))
+    for t_star, direction, dim, w in group_events(events, 1e-8):
+        w = complex(w)
         total += direction * w
         crossings.append(Crossing(time=float(t_star), direction=int(direction),
-                                  dim=int(k_exp), weight=w))
-    crossings.sort(key=lambda c: c.time)
+                                  dim=int(dim), weight=w))
     return FlowResult(value=total, crossings=crossings,
-                      diagnostics={"n_samples": len(times)})
+                      diagnostics={"n_samples": len(sets[0].times)})
 
 
 @dataclass

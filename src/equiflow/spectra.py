@@ -1,11 +1,12 @@
-"""Numerical kernel: eigendecompositions, clustering, branch tracking,
-matrix functions and deterministic adaptive quadrature.
+"""Numerical kernel: eigendecompositions, the isotypic split of an actor,
+clustering, branch tracking, matrix functions and deterministic adaptive
+quadrature.
 
 All operations are pure functions of their inputs; sums and quadrature
 reductions run in a fixed sequential order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,14 +31,17 @@ __all__ = [
     "eig_hermitian",
     "eig_unitary",
     "weighted_trace",
+    "isotypic_split",
+    "isotypic_sampler",
     "principal_log_unitary",
     "matrix_erf",
     "integrate",
     "track_branches",
+    "track_blocks",
+    "group_events",
     "cluster_indices",
     "opnorm",
     "check_commuting",
-    "commuting_sampler",
 ]
 
 
@@ -56,7 +60,10 @@ def check_commuting(h, M, ts, error, policy: TolerancePolicy = DEFAULT):
     Since ||X||_2 <= ||X||_F and ||M||_F / sqrt(n) <= ||M||_2, this is never
     looser than the same test in spectral norms with scale max(||M||_2, 1).
     DimensionMismatch when h and the samples are not square of one size.
+    Without an actor (h = None) there is nothing to check.
     """
+    if h is None:
+        return
     h = np.asarray(h, dtype=complex)
     M = np.asarray(M, dtype=complex)
     n = M.shape[-1] if M.ndim >= 2 else -1
@@ -71,17 +78,6 @@ def check_commuting(h, M, ts, error, policy: TolerancePolicy = DEFAULT):
         k = int(np.argmax(bad))
         where = "" if ts is None else f" at t={float(np.atleast_1d(ts)[k]):.6g}"
         raise error(f"commutator with the actor is {excess[k]:.2e}{where}")
-
-
-def commuting_sampler(path, h, error, policy: TolerancePolicy = DEFAULT):
-    """Sampler of `path` that checks every sample against h with check_commuting."""
-
-    def sampler(t):
-        M = np.asarray(path(t), dtype=complex)
-        check_commuting(h, M, t, error, policy)
-        return M
-
-    return sampler
 
 
 def _as_matrix(M):
@@ -155,10 +151,15 @@ class EigenSystem:
 
 
 def eig_hermitian(M, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with phase-fixed vectors."""
+    """Eigendecomposition of a Hermitian matrix with phase-fixed vectors.
+
+    NotHermitian when ||M - M*||_F > eig_tol * max(||M||_F / sqrt(n), 1):
+    never looser than the same test in spectral norms with scale
+    max(||M||_2, 1), since ||X||_2 <= ||X||_F and ||M||_F / sqrt(n) <= ||M||_2.
+    """
     M = _as_matrix(M)
-    nrm = opnorm(M)
-    if opnorm(M - M.conj().T) > policy.eig_tol * max(nrm, 1.0):
+    scale = max(np.linalg.norm(M) / np.sqrt(M.shape[0]), 1.0)
+    if np.linalg.norm(M - M.conj().T) > policy.eig_tol * scale:
         raise NotHermitian(f"matrix deviates from Hermitian by more than {policy.eig_tol} * ||M||")
     H = (M + M.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(H)
@@ -171,10 +172,12 @@ def eig_unitary(U, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
     """Eigendecomposition of a unitary matrix, phases ascending in (-pi, pi].
 
     A phase equals pi only when the eigenvalue is within zero_tol of -1.
+    The unitarity and eigen-residual tests use Frobenius norms, as in
+    `eig_hermitian`.
     """
     U = _as_matrix(U)
     n = U.shape[0]
-    if opnorm(U.conj().T @ U - np.eye(n)) > max(policy.eig_tol, 1e-10):
+    if np.linalg.norm(U.conj().T @ U - np.eye(n)) > max(policy.eig_tol, 1e-10):
         raise NotUnitary("matrix is not unitary within tolerance")
     T, Q = scipy.linalg.schur(U, output="complex")
     lam = np.diag(T)
@@ -186,8 +189,8 @@ def eig_unitary(U, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vecs = _fix_phases(Q[:, order])
-    resid = opnorm(U @ vecs - vecs @ np.diag(np.exp(1j * phases)))
-    if resid > 1e3 * policy.eig_tol * max(1.0, opnorm(U)) * n:
+    resid = np.linalg.norm(U @ vecs - vecs * np.exp(1j * phases))
+    if resid > 1e3 * policy.eig_tol * max(np.linalg.norm(U) / np.sqrt(n), 1.0) * n:
         raise NotUnitary(f"eigen-residual {resid:.2e} too large; matrix not normal enough")
     clusters = cluster_indices(phases, policy.cluster_tol, circular=True)
     return EigenSystem(values=phases, vectors=vecs, clusters=clusters, kind="unitary")
@@ -214,6 +217,49 @@ def weighted_trace(h, basis, policy: TolerancePolicy = DEFAULT, check_invariant=
         if leak > max(policy.commute_tol, 1e-10) * max(opnorm(h), 1.0) * 10:
             raise NotInvariant(f"subspace leaks under h by {leak:.2e}")
     return complex(np.trace(B.conj().T @ h @ B))
+
+
+def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
+    """Eigenspaces of a unitary actor on C^dim: (V, blocks, chars).
+
+    The columns of V are eigenvectors of a; blocks[i] indexes the columns of
+    one eigenvalue cluster and chars[i] = Tr(Q* a Q) / dim Q, Q = V[:, blocks[i]],
+    is the character of a on it.  With a = None there is one block, chi = 1,
+    and V = I.  A path commuting with a never mixes the blocks, so each
+    counting invariant is sum_chi chi * (integer count on the chi-block).
+    """
+    if a is None:
+        return np.eye(dim, dtype=complex), [np.arange(dim)], np.ones(1, dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (dim, dim):
+        raise DimensionMismatch("actor dimension does not match the path")
+    es = eig_unitary(a, policy)
+    blocks = es.cluster_slices()
+    chars = np.array([np.trace(es.vectors[:, idx].conj().T @ a @ es.vectors[:, idx]) / len(idx)
+                      for idx in blocks])
+    return es.vectors, blocks, chars
+
+
+def isotypic_sampler(path, a, error, policy: TolerancePolicy = DEFAULT):
+    """Sampler t -> (chars, [diagonal blocks of V* path(t) V]) for the
+    isotypic split (V, blocks, chars) of the actor a.
+
+    Every sample is checked to commute with a (check_commuting, raising
+    `error`).  The split is made at the first sample, whose size gives the
+    dimension, so the sampler takes no sample of its own.
+    """
+    split = []
+
+    def sampler(t):
+        M = np.asarray(path(t), dtype=complex)
+        check_commuting(a, M, t, error, policy)
+        if not split:
+            split.extend(isotypic_split(a, M.shape[-1], policy))
+        V, blocks, chars = split
+        X = V.conj().T @ M @ V
+        return chars, [X[np.ix_(idx, idx)] for idx in blocks]
+
+    return sampler
 
 
 def principal_log_unitary(U, offset: float = 0.0, policy: TolerancePolicy = DEFAULT):
@@ -296,7 +342,6 @@ class BranchSet:
     values: np.ndarray
     vectors: list
     kind: str
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def n_branches(self):
@@ -340,11 +385,22 @@ def _match(es1, vals1, es2, policy, kind):
 
 def track_branches(path, kind: str, K: int = 17, policy: TolerancePolicy = DEFAULT,
                    max_samples: int = 6000, min_dt: float = 1e-11) -> BranchSet:
-    """Track eigenvalue/eigenphase branches of a reentrant matrix sampler on [0, 1].
+    """Track eigenvalue/eigenphase branches of a reentrant matrix sampler on
+    [0, 1]: `track_blocks` with the whole matrix as its one block."""
+    sampler = isotypic_sampler(path, None, None, policy)
+    _, (bs,) = track_blocks(sampler, kind, K, policy, max_samples, min_dt)
+    return bs
 
-    Consecutive samples are matched by maximal-overlap assignment; intervals are
-    bisected until every link certifies (cluster-blocked overlap >= 1/sqrt(2),
-    and phase steps below 0.75 rad for unitary paths).
+
+def track_blocks(sampler, kind: str, K: int = 17, policy: TolerancePolicy = DEFAULT,
+                 max_samples: int = 6000, min_dt: float = 1e-11):
+    """Track the branches of every block of an `isotypic_sampler` on [0, 1].
+
+    Returns (chars, [BranchSet per block]).  Each time is sampled once and
+    shared by all blocks.  Consecutive samples are matched per block by
+    maximal-overlap assignment; intervals are bisected until the link
+    certifies in every block (cluster-blocked overlap >= 1/sqrt(2), and phase
+    steps below 0.75 rad for unitary paths).
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -352,47 +408,67 @@ def track_branches(path, kind: str, K: int = 17, policy: TolerancePolicy = DEFAU
         raise ValueError("kind must be 'hermitian' or 'unitary'")
     eig = eig_hermitian if kind == "hermitian" else eig_unitary
 
+    def systems_at(t):
+        chars, mats = sampler(t)
+        return chars, [eig(X, policy) for X in mats]
+
+    def certified(left, right):
+        return all(_match(es1.vectors, es1.values, es2, policy, kind)[2]
+                   for es1, es2 in zip(left, right))
+
     times = list(np.linspace(0.0, 1.0, K))
-    systems = [eig(path(t), policy) for t in times]
+    chars, first = systems_at(times[0])
+    systems = [first] + [systems_at(t)[1] for t in times[1:]]
 
-    # iterative refinement of uncertified links
-    while True:
-        inserted = False
-        i = 0
-        while i < len(times) - 1:
-            vals1 = systems[i].values
-            _, _, ok = _match(systems[i].vectors, vals1, systems[i + 1], policy, kind)
-            if not ok:
-                if len(times) >= max_samples or times[i + 1] - times[i] <= min_dt:
-                    raise TrackingAmbiguous(
-                        f"branch matching uncertified near t={times[i]:.6g} at depth cap")
-                tm = (times[i] + times[i + 1]) / 2.0
-                times.insert(i + 1, tm)
-                systems.insert(i + 1, eig(path(tm), policy))
-                inserted = True
-            else:
-                i += 1
-        if not inserted:
-            break
+    # bisect each uncertified link until both halves certify; links left of i are certified
+    i = 0
+    while i < len(times) - 1:
+        if certified(systems[i], systems[i + 1]):
+            i += 1
+            continue
+        if len(times) >= max_samples or times[i + 1] - times[i] <= min_dt:
+            raise TrackingAmbiguous(
+                f"branch matching uncertified near t={times[i]:.6g} at depth cap")
+        tm = (times[i] + times[i + 1]) / 2.0
+        times.insert(i + 1, tm)
+        systems.insert(i + 1, systems_at(tm)[1])
 
-    # stitch branches through the certified chain
-    d = systems[0].dim
-    nb = d
-    values = np.empty((len(times), nb))
-    vectors = []
-    values[0] = systems[0].values
-    vectors.append(systems[0].vectors)
-    cur_vals = values[0].copy()
-    cur_vecs = vectors[0]
-    for k in range(1, len(times)):
-        perm, vals2, ok = _match(cur_vecs, cur_vals, systems[k], policy, kind)
-        values[k] = vals2
-        cur_vals = vals2
-        cur_vecs = systems[k].vectors[:, perm]
-        vectors.append(cur_vecs)
+    # stitch each block's branches through the certified chain
+    sets = []
+    for b in range(len(chars)):
+        chain = [s[b] for s in systems]
+        values = np.empty((len(times), chain[0].dim))
+        values[0] = chain[0].values
+        vectors = [chain[0].vectors]
+        for k in range(1, len(times)):
+            perm, values[k], _ = _match(vectors[-1], values[k - 1], chain[k], policy, kind)
+            vectors.append(chain[k].vectors[:, perm])
+        sets.append(BranchSet(times=np.asarray(times), values=values, vectors=vectors, kind=kind))
+    return chars, sets
 
-    return BranchSet(times=np.asarray(times), values=values, vectors=vectors, kind=kind,
-                     diagnostics={"n_samples": len(times)})
+
+def group_events(events, gap):
+    """Group crossing events (time, direction, weight) of one direction.
+
+    In order of (time, direction), each event not yet grouped opens a group
+    that takes every later event of its direction within `gap` of its time.
+    Returns (time, direction, count, summed weight) per group, by time.
+    """
+    events = sorted(events, key=lambda e: (e[0], e[1]))
+    used = [False] * len(events)
+    groups = []
+    for i, (t, direction, weight) in enumerate(events):
+        if used[i]:
+            continue
+        count = 1
+        for j in range(i + 1, len(events)):
+            tj, dj, wj = events[j]
+            if not used[j] and abs(tj - t) <= gap and dj == direction:
+                used[j] = True
+                count += 1
+                weight += wj
+        groups.append((t, direction, count, weight))
+    return groups
 
 
 def branch_value_at(path, kind, t, v_ref, policy: TolerancePolicy = DEFAULT):

@@ -5,11 +5,13 @@ A path commuting with a unitary actor a preserves each eigenspace of a, and
 a acts on the chi-eigenspace as chi * I.  The winding number is therefore
 sum_chi chi * n_chi, with n_chi the integer count of eigenphase crossings
 through the wall at angle pi (shifted by a deterministic offset when an
-endpoint has spectrum at -1) of the path's chi-block.  The primary route
-reads n_chi off the unwrapped det phase of each block; `winding_events`
-(branch tracking, crossings located between samples) and `winding_from_logs`
-(trace-log quadrature) are independent cross-checks.  Paths are any
-callables t -> unitary (see `specflow`).
+endpoint has spectrum at -1) of the path's chi-block; the blocks come from
+`spectra.isotypic_split`.  The primary route reads n_chi off the unwrapped
+det phase of each block; `winding_events` (branch tracking per block,
+crossings located between samples, each weighing chi times the number of the
+chi-block's branches crossing together) and `winding_from_logs` (trace-log
+quadrature) are independent cross-checks.  Paths are any callables
+t -> unitary (see `specflow`).
 """
 
 from dataclasses import dataclass, field
@@ -28,12 +30,14 @@ from .errors import (
 )
 from .spectra import (
     check_commuting,
-    commuting_sampler,
     eig_unitary,
+    group_events,
     integrate,
+    isotypic_sampler,
+    isotypic_split,
     opnorm,
     principal_log_unitary,
-    track_branches,
+    track_blocks,
 )
 from .specflow import Path, product
 from .tolerances import DEFAULT, TolerancePolicy
@@ -56,34 +60,6 @@ _STEP_MAX = 0.75  # rad: largest det-phase step between samples (the tracker's b
 _MAX_SAMPLES = 6000  # samples per det-phase pass (the tracker's cap)
 _MIN_DT = 1e-11  # shortest interval the det-phase pass bisects (the tracker's cap)
 _ROUNDING_TOL = 1e-9  # largest rounding error allowed in a block count n_chi
-
-
-def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
-    """Eigenspaces of a unitary actor on C^dim: (V, blocks, chars).
-
-    The columns of V are eigenvectors of a; blocks[i] indexes the columns of
-    one eigenvalue cluster and chars[i] = Tr(Q* a Q) / dim Q, Q = V[:, blocks[i]],
-    is the character of a on it.  With a = None there is one block, chi = 1.
-    """
-    if a is None:
-        return np.eye(dim, dtype=complex), [np.arange(dim)], np.ones(1, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (dim, dim):
-        raise DimensionMismatch("actor dimension does not match the path")
-    es = eig_unitary(a, policy)
-    blocks = es.cluster_slices()
-    chars = np.array([np.trace(es.vectors[:, idx].conj().T @ a @ es.vectors[:, idx]) / len(idx)
-                      for idx in blocks])
-    return es.vectors, blocks, chars
-
-
-def _checked_path(f, a, policy):
-    """(f with every sample checked to commute with a, a as a matrix); both
-    unchanged without an actor."""
-    if a is None:
-        return f, None
-    a = np.asarray(a, dtype=complex)
-    return commuting_sampler(f, a, NotCommuting, policy), a
 
 
 def _det_phases(f, a, policy, K=33):
@@ -114,8 +90,7 @@ def _det_phases(f, a, policy, K=33):
         off = np.linalg.norm(gram, axis=(-2, -1)) > max(policy.eig_tol, 1e-10)
         if np.any(off):
             raise NotUnitary(f"f({ts[np.argmax(off)]:.6g}) is not unitary within tolerance")
-        if a is not None:
-            check_commuting(a, F, ts, NotCommuting, policy)
+        check_commuting(a, F, ts, NotCommuting, policy)
         M = V.conj().T @ F @ V
         return M, np.stack([np.linalg.det(M[:, idx[:, None], idx]) for idx in blocks], axis=1)
 
@@ -171,58 +146,33 @@ def pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT,
     raise OffsetExhausted("no admissible endpoint phase offset below the ceiling")
 
 
-def _wall_events(bs, a, policy):
-    """Wall crossings of lifted branch phases; returns (offset, events list).
+def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33):
+    """Branch-track each isotypic block of a unitary path and list its
+    wall-crossing events: (offset, events, [BranchSet per block]).
 
     Each event is (time, direction, weight): the time is interpolated
-    linearly between the samples around the crossing, and the weight is
-    <v, a v> (<v, v> without an actor) for the branch vector v at the sample
-    before it, summed over branches crossing together.
+    linearly between the samples around the crossing, and the weight is chi
+    times the number of the chi-block's branches crossing together (within
+    1e-7 in time), summed over blocks.
     """
-    endpoint_phases = np.concatenate([bs.values[0], bs.values[-1]])
-    theta = pick_offset(endpoint_phases, policy)
+    chars, sets = track_blocks(isotypic_sampler(f, a, NotCommuting, policy), "unitary", K, policy)
+    theta = pick_offset(np.concatenate([bs.values[[0, -1]].ravel() for bs in sets]), policy)
     wall = np.pi + theta
-    times, values = bs.times, bs.values
-    raw = []
-    for b in range(bs.n_branches):
-        phi = values[:, b]
-        floors = np.floor((phi - wall) / (2 * np.pi))
-        for k in range(1, len(times)):
-            if floors[k] == floors[k - 1]:
-                continue
-            direction = 1 if floors[k] > floors[k - 1] else -1
-            target = wall + 2 * np.pi * (floors[k] if direction > 0 else floors[k - 1])
-            t0, t1 = times[k - 1], times[k]
-            p0, p1 = phi[k - 1], phi[k]
-            t_star = t0 + (target - p0) / (p1 - p0) * (t1 - t0) if p1 != p0 else t0
-            v = bs.vectors[k - 1][:, b]
-            w = complex(np.vdot(v, v if a is None else a @ v))
-            raw.append((float(t_star), direction, w))
-    raw.sort(key=lambda e: (e[0], e[1]))
-    events = []
-    used = [False] * len(raw)
-    for i, (t_star, direction, w) in enumerate(raw):
-        if used[i]:
-            continue
-        used[i] = True
-        weight = w
-        for j in range(i + 1, len(raw)):
-            if used[j]:
-                continue
-            tj, dj, wj = raw[j]
-            if abs(tj - t_star) <= 1e-7 and dj == direction:
-                used[j] = True
-                weight += wj
-        events.append((t_star, direction, weight))
-    return theta, events
-
-
-def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33):
-    """Branch-track a unitary path and list its wall-crossing events."""
-    path, a = _checked_path(f, a, policy)
-    bs = track_branches(path, "unitary", K=K, policy=policy)
-    theta, events = _wall_events(bs, a, policy)
-    return theta, events, bs
+    raw = []  # (time, direction, character) per crossing branch
+    for chi, bs in zip(chars, sets):
+        times = bs.times
+        for phi in bs.values.T:
+            floors = np.floor((phi - wall) / (2 * np.pi))
+            for k in range(1, len(times)):
+                if floors[k] == floors[k - 1]:
+                    continue
+                direction = 1 if floors[k] > floors[k - 1] else -1
+                target = wall + 2 * np.pi * (floors[k] if direction > 0 else floors[k - 1])
+                t0, t1 = times[k - 1], times[k]
+                p0, p1 = phi[k - 1], phi[k]
+                t_star = t0 + (target - p0) / (p1 - p0) * (t1 - t0) if p1 != p0 else t0
+                raw.append((float(t_star), direction, chi))
+    return theta, [(t, d, w) for t, d, _, w in group_events(raw, 1e-7)], sets
 
 
 def winding_number(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33) -> complex:
@@ -313,7 +263,12 @@ def winding_from_logs(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     with principal matrix logarithms; valid when neither endpoint has
     spectrum at -1.
     """
-    path, a = _checked_path(f, a, policy)
+    a = None if a is None else np.asarray(a, dtype=complex)
+
+    def path(t):
+        U = np.asarray(f(t), dtype=complex)
+        check_commuting(a, U, t, NotCommuting, policy)
+        return U
 
     def weighted(X):
         return X if a is None else a @ X

@@ -168,3 +168,16 @@ class TestTripleIndexScenario:
             k = z.imag / omega.imag
             m = z.real - k * omega.real
             assert abs(k - round(k)) < 1e-8 and abs(m - round(m)) < 1e-8, (seed, z)
+
+
+class TestDoubleIndexScenario:
+    def test_lattice_value_for_every_seed(self):
+        # V is drawn in the actor's commutant, so every seed gives a value in Z + Z omega
+        omega = np.exp(2j * np.pi / 3)
+        for seed in range(1, 9):
+            body, _ = run_config({"kind": "double_index", "seed": seed,
+                                  "generator": {"name": "random"}})
+            z = body["results"]["tau"]
+            k = z.imag / omega.imag
+            m = z.real - k * omega.real
+            assert abs(k - round(k)) < 1e-8 and abs(m - round(m)) < 1e-8, (seed, z)

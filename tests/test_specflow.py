@@ -123,6 +123,14 @@ class TestCrossingOracle:
         res = crossing_oracle(path, np.diag([chi1, chi2]))
         assert abs(res.value - (chi1 + chi2)) < 1e-12
 
+    def test_opposite_crossings_in_two_blocks(self):
+        # the omega- and 1-blocks cross 0 in opposite directions at t = 0.5, a grid point
+        R = gen.rand_unitary(2, gen.rng_for(3))
+        h = R @ np.diag([W3, 1.0]) @ R.conj().T
+        path = HermitianPath(2, lambda t: R @ np.diag([2 * t - 1, 1 - 2 * t]) @ R.conj().T)
+        for value in (spectral_flow(path, h).value, crossing_oracle(path, h).value):
+            assert abs(value - (W3 - 1)) <= 1e-12
+
     def test_agrees_with_partition_flow(self):
         for i in range(25):
             path, h = gen.commuting_hermitian_path(2 + i % 5, 2 + i % 4, gen.rng_for(100 + i))

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 from equiflow.errors import BranchCut, NoConvergence, NotHermitian, NotInvariant, NotUnitary
+from equiflow.harness.generators import rng_for, zn_action
 from equiflow.spectra import (
     eig_hermitian,
     eig_unitary,
     integrate,
+    isotypic_split,
     matrix_erf,
     opnorm,
     principal_log_unitary,
@@ -86,6 +88,23 @@ class TestEigUnitary:
     def test_not_unitary(self):
         with pytest.raises(NotUnitary):
             eig_unitary(np.diag([2.0, 1.0]))
+
+
+class TestIsotypicSplit:
+    def test_characters_match_weighted_trace(self):
+        for order in range(2, 7):
+            for dim in range(1, 9):
+                a, _, _, _ = zn_action(dim, order, rng_for(100 * order + dim))
+                V, blocks, chars = isotypic_split(a, dim)
+                assert sorted(np.concatenate(blocks)) == list(range(dim))
+                for idx, chi in zip(blocks, chars):
+                    assert abs(chi * len(idx) - weighted_trace(a, V[:, idx])) <= 1e-12
+
+    def test_trivial_actor_is_one_block(self):
+        V, blocks, chars = isotypic_split(None, 4)
+        assert np.array_equal(V, np.eye(4))
+        assert len(blocks) == 1 and list(blocks[0]) == [0, 1, 2, 3]
+        assert list(chars) == [1.0]
 
 
 class TestWeightedTrace:

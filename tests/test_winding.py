@@ -89,6 +89,16 @@ class TestCrossRoutes:
             tracked = sum(d * w for _, d, w in events)
             assert abs(winding_number(f, a) - tracked) <= 1e-9
 
+    def test_opposite_crossings_in_two_blocks(self):
+        # the omega- and 1-blocks cross the wall in opposite directions at t = 0.5
+        R = gen.rand_unitary(2, gen.rng_for(3))
+        a = R @ np.diag([W3, 1.0]) @ R.conj().T
+        f = UnitaryPath(2, lambda t: R @ np.diag([np.exp(2j * np.pi * t),
+                                                  np.exp(-2j * np.pi * t)]) @ R.conj().T)
+        _, events, _ = winding_events(f, a)
+        for value in (winding_number(f, a), sum(d * w for _, d, w in events)):
+            assert abs(value - (W3 - 1)) <= 1e-12
+
     def test_fredholm_on_loops(self):
         for f, a in list(self.seeded_paths())[1::2]:
             expect = np.exp(2j * np.pi * winding_number(f, a))
@@ -105,7 +115,7 @@ class TestCrossRoutes:
         def forbidden(*args, **kwargs):
             raise AssertionError("the det-phase route must not call this")
 
-        monkeypatch.setattr(winding, "track_branches", forbidden)
+        monkeypatch.setattr(spectra, "track_branches", forbidden)
         monkeypatch.setattr(winding, "integrate", forbidden)
         monkeypatch.setattr(winding, "path_derivative", forbidden)
         monkeypatch.setattr(spectra, "branch_value_at", forbidden)
