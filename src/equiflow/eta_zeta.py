@@ -55,7 +55,6 @@ class SpectralOperator:
     policy: TolerancePolicy = DEFAULT
     values: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
-    dims: np.ndarray = field(init=False)
 
     def __post_init__(self):
         D = np.asarray(self.D, dtype=complex)
@@ -66,7 +65,7 @@ class SpectralOperator:
             check_commuting(h, D, None, NotEquivariant, self.policy)
         es = eig_hermitian(D, self.policy)
         self.eigensystem = es
-        vals, wts, dims = [], [], []
+        vals, wts = [], []
         for idx in es.cluster_slices():
             vals.append(float(np.mean(es.values[idx])))
             basis = es.vectors[:, idx]
@@ -74,10 +73,8 @@ class SpectralOperator:
                 wts.append(complex(len(idx)))
             else:
                 wts.append(weighted_trace(self.h, basis, self.policy, check_invariant=False))
-            dims.append(len(idx))
         self.values = np.array(vals)
         self.weights = np.array(wts, dtype=complex)
-        self.dims = np.array(dims)
 
     @property
     def zero_scale(self):
@@ -88,14 +85,6 @@ class SpectralOperator:
 
     def kernel_trace(self):
         return complex(np.sum(self.weights[self.kernel_mask()]))
-
-    def kernel_basis(self):
-        es = self.eigensystem
-        cols = []
-        for idx, small in zip(es.cluster_slices(), self.kernel_mask()):
-            if small:
-                cols.append(es.vectors[:, idx])
-        return np.hstack(cols) if cols else np.zeros((self.D.shape[0], 0), dtype=complex)
 
 
 def _spec(D, h, policy) -> SpectralOperator:

@@ -269,7 +269,10 @@ def _run_triple_index(cfg, policy):
     n = int(params.get("n", 2))
     order = int(params.get("order", 3))
     rng = gen.rng_for(seed)
-    T, S, a = gen.lagrangian_loop_pair(n, order, rng)
+    # T is an open path: on three loops the block windings are additive and
+    # the triple index vanishes identically
+    T, a = gen.commuting_unitary_path(n, order, rng)
+    S = gen.commutant_loop(a, rng)
     R = gen.commutant_loop(a, rng)
     return {"triple_index": triple_index_path(T, S, R, a, policy)}, {}
 

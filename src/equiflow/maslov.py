@@ -4,8 +4,9 @@ the Maslov triple index, and the Maslov cycle predicate.
 A path of Lagrangian pairs is carried by the unitaries (T(t), S(t)) of its
 two projection paths, each a `Path` (`LagrangianPath` is the same class) or
 any callable t -> unitary.  The index counts intersections ker P(t) & im Q(t),
-equivalently crossings of spec(T*(t)S(t)) through -1, weighted by the trace
-of the actor on the crossing cluster and signed by the crossing direction.
+equivalently crossings of spec(T*(t)S(t)) through -1, signed by the crossing
+direction.  Both modes count per isotypic block of the actor: a crossing of
+m branches of the chi-block weighs chi * m.
 """
 
 import numpy as np

@@ -9,7 +9,7 @@ pointwise products that the Maslov, triple and double indices wind.
 
 Spectral flow has two independent pipelines: a grid-partition computation
 (spectral-window counts over a certified partition) and a crossing oracle
-(branch tracking plus bisection of zero crossings).  Both work on the
+(branch tracking and a count of the branches' sign changes).  Both work on the
 isotypic blocks of the actor (`spectra.isotypic_split`): a path commuting
 with h never mixes them, so every window count and every crossing weighs
 chi * (number of the chi-block's eigenvalues counted), and the flow is
@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotEquivariant, PartitionFailure
-from .spectra import (
-    branch_value_at,
-    eig_hermitian,
-    group_events,
-    isotypic_sampler,
-    opnorm,
-    track_blocks,
-)
+from .spectra import eig_hermitian, group_events, isotypic_sampler, opnorm, track_blocks
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -271,38 +264,25 @@ def spectral_flow(path, h=None, partition: GridPartition = None,
                       diagnostics={"n_intervals": len(partition.intervals)})
 
 
-def _bisect_zero(path, t_lo, t_hi, v_ref, val_lo, policy, iters=40):
-    """Locate a sign change of a tracked branch value inside [t_lo, t_hi]."""
-    lo, hi = t_lo, t_hi
-    s_lo = np.sign(val_lo)
-    vec = v_ref
-    for _ in range(iters):
-        mid = (lo + hi) / 2.0
-        val, vec_mid, _ = branch_value_at(path, "hermitian", mid, vec, policy)
-        if np.sign(val) == s_lo or val == 0.0:
-            lo = mid
-            vec = vec_mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    return (lo + hi) / 2.0
-
-
 def crossing_oracle(path, h=None, K: int = 33, policy: TolerancePolicy = DEFAULT) -> FlowResult:
     """Independent spectral-flow oracle: track the branches of each isotypic
-    block of h, bisect their zero crossings, and group crossings of one
-    direction within 1e-8 in time.  A group weighs chi * (number of the
-    chi-block's branches in it), summed over blocks, signed by its direction.
-    Every sample is checked to commute with h (NotEquivariant otherwise)."""
-    sampler = isotypic_sampler(path, h, NotEquivariant, policy)
-    chars, sets = track_blocks(sampler, "hermitian", K, policy)
+    block of h and count their sign changes through the zero band.
+
+    A crossing weighs chi * (number of the chi-block's branches crossing
+    together, within 1e-8 in time), summed over blocks and signed by its
+    direction, so the value depends on the sign changes only, never on the
+    crossing times.  A crossing is placed by linear interpolation between
+    the samples around the sign change, or at the earlier sample when that
+    sample lies in the zero band; the path is sampled only at the tracked
+    times.  Every sample is checked to commute with h (NotEquivariant
+    otherwise)."""
+    chars, sets = track_blocks(isotypic_sampler(path, h, NotEquivariant, policy),
+                               "hermitian", K, policy)
     band = policy.zero_tol
     events = []  # (time, direction, character) per crossing branch
-    for blk, (chi, bs) in enumerate(zip(chars, sets)):
-        times, values = bs.times, bs.values
-        for b in range(bs.n_branches):
-            vals = values[:, b]
+    for chi, bs in zip(chars, sets):
+        times = bs.times
+        for vals in bs.values.T:
             # state at t=0: zero counts as nonnegative
             prev_sign = 1 if vals[0] >= -band else -1
             prev_idx = 0
@@ -314,12 +294,8 @@ def crossing_oracle(path, h=None, K: int = 33, policy: TolerancePolicy = DEFAULT
                         events.append((times[k], +1, chi))  # reaches 0 at t=1 from below
                     continue
                 if here != prev_sign:
-                    if abs(vals[prev_idx]) <= band:
-                        t_star = times[prev_idx]
-                    else:
-                        t_star = _bisect_zero(lambda s: sampler(s)[1][blk], times[prev_idx],
-                                              times[k], bs.vectors[prev_idx][:, b],
-                                              vals[prev_idx], policy)
+                    t0, v0 = times[prev_idx], vals[prev_idx]
+                    t_star = t0 if abs(v0) <= band else t0 - v0 / (v - v0) * (times[k] - t0)
                     events.append((t_star, here, chi))
                 prev_sign = here
                 prev_idx = k

@@ -334,57 +334,50 @@ class BranchSet:
 
     times    sample times (ascending, refined)
     values   (K, d) array; column j is branch j (lifted phases for unitary paths)
-    vectors  list of (d, d) arrays; vectors[k][:, j] is branch j's vector at times[k]
     kind     "hermitian" or "unitary"
     """
 
     times: np.ndarray
     values: np.ndarray
-    vectors: list
     kind: str
-
-    @property
-    def n_branches(self):
-        return self.values.shape[1]
 
 
 _OVERLAP_MIN = 1.0 / np.sqrt(2.0) - 1e-9
+STEP_MAX = 0.75  # rad: largest eigenphase step of a certified link (and det-phase step)
+MAX_SAMPLES = 6000  # samples per tracking pass
+MIN_DT = 1e-11  # shortest interval a tracking pass bisects
 
 
-def _match(es1, vals1, es2, policy, kind):
-    """Match branches of consecutive eigensystems.
+def _lift(raw, ref):
+    """The phases raw shifted by multiples of 2 pi to lie nearest ref."""
+    return raw + 2 * np.pi * np.round((ref - raw) / (2 * np.pi))
 
-    Returns (perm, vals2_matched, ok).  vals1 are the already-lifted branch
-    values at the left sample (branch order); es2 raw at the right.
+
+def _match(es1, es2, policy, kind):
+    """Match the eigenpairs of consecutive eigensystems by maximal overlap.
+
+    Returns perm (the i-th eigenpair of es1 continues as the perm[i]-th of
+    es2), or None when the link does not certify: an eigenphase step above
+    STEP_MAX (unitary), or a cluster of es1 whose overlap block has smallest
+    singular value below 1/sqrt(2).
     """
-    V1 = es1  # (d, nb) branch-ordered vectors at left sample
-    O = V1.conj().T @ es2.vectors
+    O = es1.vectors.conj().T @ es2.vectors
     row, col = linear_sum_assignment(-np.abs(O))
     perm = np.empty_like(col)
     perm[row] = col
-    raw2 = es2.values[perm]
     if kind == "unitary":
-        lifted2 = raw2 + 2 * np.pi * np.round((vals1 - raw2) / (2 * np.pi))
-        if np.max(np.abs(lifted2 - vals1)) > 0.75:
-            return perm, lifted2, False
-        vals2 = lifted2
-    else:
-        vals2 = raw2
-    # cluster-blocked overlap certificate
-    order = np.argsort(vals1, kind="stable")
-    ok = True
-    for a, b in cluster_indices(vals1[order], policy.cluster_tol * 10 + 1e-12):
-        idx = order[a:b]
-        block = O[np.ix_(idx, perm[idx])]
-        smin = np.linalg.svd(block, compute_uv=False)[-1]
-        if smin < _OVERLAP_MIN:
-            ok = False
-            break
-    return perm, vals2, ok
+        raw2 = es2.values[perm]
+        if np.max(np.abs(_lift(raw2, es1.values) - es1.values)) > STEP_MAX:
+            return None
+    # cluster-blocked overlap certificate (es1.values ascend)
+    for a, b in cluster_indices(es1.values, policy.cluster_tol * 10 + 1e-12):
+        if np.linalg.svd(O[a:b, perm[a:b]], compute_uv=False)[-1] < _OVERLAP_MIN:
+            return None
+    return perm
 
 
 def track_branches(path, kind: str, K: int = 17, policy: TolerancePolicy = DEFAULT,
-                   max_samples: int = 6000, min_dt: float = 1e-11) -> BranchSet:
+                   max_samples: int = MAX_SAMPLES, min_dt: float = MIN_DT) -> BranchSet:
     """Track eigenvalue/eigenphase branches of a reentrant matrix sampler on
     [0, 1]: `track_blocks` with the whole matrix as its one block."""
     sampler = isotypic_sampler(path, None, None, policy)
@@ -393,14 +386,16 @@ def track_branches(path, kind: str, K: int = 17, policy: TolerancePolicy = DEFAU
 
 
 def track_blocks(sampler, kind: str, K: int = 17, policy: TolerancePolicy = DEFAULT,
-                 max_samples: int = 6000, min_dt: float = 1e-11):
+                 max_samples: int = MAX_SAMPLES, min_dt: float = MIN_DT):
     """Track the branches of every block of an `isotypic_sampler` on [0, 1].
 
     Returns (chars, [BranchSet per block]).  Each time is sampled once and
     shared by all blocks.  Consecutive samples are matched per block by
-    maximal-overlap assignment; intervals are bisected until the link
-    certifies in every block (cluster-blocked overlap >= 1/sqrt(2), and phase
-    steps below 0.75 rad for unitary paths).
+    maximal-overlap assignment (`_match`, once per block and link); intervals
+    are bisected until the link certifies in every block (cluster-blocked
+    overlap >= 1/sqrt(2), and phase steps below STEP_MAX for unitary paths).
+    The branches follow the certified permutations, and unitary phases are
+    lifted against the branch values at the previous sample.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -412,19 +407,28 @@ def track_blocks(sampler, kind: str, K: int = 17, policy: TolerancePolicy = DEFA
         chars, mats = sampler(t)
         return chars, [eig(X, policy) for X in mats]
 
-    def certified(left, right):
-        return all(_match(es1.vectors, es1.values, es2, policy, kind)[2]
-                   for es1, es2 in zip(left, right))
+    def certify(left, right):
+        """Per-block permutations of a link; None at its first uncertified block."""
+        perms = []
+        for es1, es2 in zip(left, right):
+            perm = _match(es1, es2, policy, kind)
+            if perm is None:
+                return None
+            perms.append(perm)
+        return perms
 
     times = list(np.linspace(0.0, 1.0, K))
     chars, first = systems_at(times[0])
     systems = [first] + [systems_at(t)[1] for t in times[1:]]
 
-    # bisect each uncertified link until both halves certify; links left of i are certified
-    i = 0
-    while i < len(times) - 1:
-        if certified(systems[i], systems[i + 1]):
-            i += 1
+    # bisect each uncertified link until both halves certify; links[i] certifies
+    # (times[i], times[i + 1]), and every link left of the current one is certified
+    links = []
+    while len(links) < len(times) - 1:
+        i = len(links)
+        perms = certify(systems[i], systems[i + 1])
+        if perms is not None:
+            links.append(perms)
             continue
         if len(times) >= max_samples or times[i + 1] - times[i] <= min_dt:
             raise TrackingAmbiguous(
@@ -433,17 +437,16 @@ def track_blocks(sampler, kind: str, K: int = 17, policy: TolerancePolicy = DEFA
         times.insert(i + 1, tm)
         systems.insert(i + 1, systems_at(tm)[1])
 
-    # stitch each block's branches through the certified chain
     sets = []
     for b in range(len(chars)):
-        chain = [s[b] for s in systems]
-        values = np.empty((len(times), chain[0].dim))
-        values[0] = chain[0].values
-        vectors = [chain[0].vectors]
+        values = np.empty((len(times), systems[0][b].dim))
+        values[0] = systems[0][b].values
+        where = np.arange(values.shape[1])  # each branch's eigenpair index at the sample
         for k in range(1, len(times)):
-            perm, values[k], _ = _match(vectors[-1], values[k - 1], chain[k], policy, kind)
-            vectors.append(chain[k].vectors[:, perm])
-        sets.append(BranchSet(times=np.asarray(times), values=values, vectors=vectors, kind=kind))
+            where = links[k - 1][b][where]
+            raw = systems[k][b].values[where]
+            values[k] = raw if kind == "hermitian" else _lift(raw, values[k - 1])
+        sets.append(BranchSet(times=np.asarray(times), values=values, kind=kind))
     return chars, sets
 
 
@@ -469,12 +472,3 @@ def group_events(events, gap):
                 weight += wj
         groups.append((t, direction, count, weight))
     return groups
-
-
-def branch_value_at(path, kind, t, v_ref, policy: TolerancePolicy = DEFAULT):
-    """Value and vector of the branch closest (by overlap with v_ref) at time t."""
-    eig = eig_hermitian if kind == "hermitian" else eig_unitary
-    es = eig(path(t), policy)
-    ov = np.abs(v_ref.conj() @ es.vectors)
-    j = int(np.argmax(ov))
-    return es.values[j], es.vectors[:, j], es

@@ -29,6 +29,9 @@ from .errors import (
     TrackingAmbiguous,
 )
 from .spectra import (
+    MAX_SAMPLES,
+    MIN_DT,
+    STEP_MAX,
     check_commuting,
     eig_unitary,
     group_events,
@@ -56,9 +59,6 @@ __all__ = [
 ]
 
 _OFFSET_CEILING = 1e-3
-_STEP_MAX = 0.75  # rad: largest det-phase step between samples (the tracker's bound)
-_MAX_SAMPLES = 6000  # samples per det-phase pass (the tracker's cap)
-_MIN_DT = 1e-11  # shortest interval the det-phase pass bisects (the tracker's cap)
 _ROUNDING_TOL = 1e-9  # largest rounding error allowed in a block count n_chi
 
 
@@ -68,8 +68,8 @@ def _det_phases(f, a, policy, K=33):
     Samples f on a uniform K-point grid, checks every sample for unitarity
     and commutation with a (Frobenius norms), and takes the determinant of
     each diagonal block of V* f V.  Intervals where some block's det phase
-    steps by more than _STEP_MAX are bisected; TrackingAmbiguous is raised at
-    _MAX_SAMPLES samples or when an interval to bisect is at most _MIN_DT long.
+    steps by more than STEP_MAX are bisected; TrackingAmbiguous is raised at
+    MAX_SAMPLES samples or when an interval to bisect is at most MIN_DT long.
     This step bound is what certifies the unwrapping.  Returns (blocks, chars, deltas, ends): deltas
     are the unwrapped det-phase changes per block, ends the V* f V samples at
     t = 0 and t = 1.
@@ -98,11 +98,11 @@ def _det_phases(f, a, policy, K=33):
     ends = (M[0], M[-1])
     while True:
         steps = np.angle(dets[1:] * dets[:-1].conj())
-        big = np.max(np.abs(steps), axis=1) > _STEP_MAX
+        big = np.max(np.abs(steps), axis=1) > STEP_MAX
         if not np.any(big):
             break
         lo = np.nonzero(big)[0]
-        if len(ts) + lo.size > _MAX_SAMPLES or np.min(ts[lo + 1] - ts[lo]) <= _MIN_DT:
+        if len(ts) + lo.size > MAX_SAMPLES or np.min(ts[lo + 1] - ts[lo]) <= MIN_DT:
             k = lo[0]
             b = int(np.argmax(np.abs(steps[k])))
             raise TrackingAmbiguous(

@@ -158,8 +158,10 @@ class TestSuitesRegistry:
 class TestTripleIndexScenario:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lattice_value_for_every_seed(self, n):
-        # R is drawn in the actor's commutant, so every seed gives a value in Z + Z omega
+        # S and R are drawn in the actor's commutant, so every seed gives a value in
+        # Z + Z omega; T is an open path, so the values are not all 0
         omega = np.exp(2j * np.pi / 3)
+        values = []
         for seed in range(1, 9):
             cfg = {"kind": "triple_index", "seed": seed,
                    "generator": {"name": "random", "params": {"n": n}}}
@@ -168,6 +170,8 @@ class TestTripleIndexScenario:
             k = z.imag / omega.imag
             m = z.real - k * omega.real
             assert abs(k - round(k)) < 1e-8 and abs(m - round(m)) < 1e-8, (seed, z)
+            values.append(abs(z))
+        assert max(values) > 0.5
 
 
 class TestDoubleIndexScenario:

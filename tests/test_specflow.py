@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equiflow.errors import DimensionMismatch
+from equiflow.errors import DimensionMismatch, NotEquivariant
 from equiflow.harness import generators as gen
 from equiflow.specflow import (
     HermitianPath,
@@ -12,6 +12,7 @@ from equiflow.specflow import (
     reverse,
     spectral_flow,
 )
+from equiflow.spectra import isotypic_sampler, track_blocks
 from equiflow.winding import winding_number
 
 W3 = np.exp(2j * np.pi / 3)
@@ -130,6 +131,25 @@ class TestCrossingOracle:
         path = HermitianPath(2, lambda t: R @ np.diag([2 * t - 1, 1 - 2 * t]) @ R.conj().T)
         for value in (spectral_flow(path, h).value, crossing_oracle(path, h).value):
             assert abs(value - (W3 - 1)) <= 1e-12
+
+    def test_off_grid_crossing_interpolated(self):
+        # 0.15 lies between the samples 4/32 and 5/32; the branch is linear there
+        path = diag_path(lambda t: 2 * t - 0.3, lambda t: 1.0)
+        (c,) = crossing_oracle(path, np.diag([W3, 1.0])).crossings
+        assert abs(c.time - 0.15) <= 1e-12 and c.direction == 1
+
+    def test_samples_only_tracked_times(self):
+        path, h = gen.commuting_hermitian_path(4, 3, gen.rng_for(113))
+        _, (bs, *_) = track_blocks(isotypic_sampler(path, h, NotEquivariant), "hermitian", 33)
+        seen = []
+
+        def recording(t):
+            seen.append(t)
+            return path(t)
+
+        res = crossing_oracle(recording, h)
+        assert res.crossings and res.diagnostics["n_samples"] == len(bs.times)
+        assert sorted(seen) == sorted(bs.times)
 
     def test_agrees_with_partition_flow(self):
         for i in range(25):

@@ -4,16 +4,27 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from equiflow.errors import BranchCut, NoConvergence, NotHermitian, NotInvariant, NotUnitary
+from equiflow import spectra
+from equiflow.errors import (
+    BranchCut,
+    NoConvergence,
+    NotEquivariant,
+    NotHermitian,
+    NotInvariant,
+    NotUnitary,
+)
 from equiflow.harness.generators import rng_for, zn_action
 from equiflow.spectra import (
+    _match as match,
     eig_hermitian,
     eig_unitary,
     integrate,
+    isotypic_sampler,
     isotypic_split,
     matrix_erf,
     opnorm,
     principal_log_unitary,
+    track_blocks,
     track_branches,
     weighted_trace,
 )
@@ -242,6 +253,21 @@ class TestTrackBranches:
         expect_hi = np.sqrt((bs.times - 0.5) ** 2 + delta ** 2)
         assert np.allclose(hi, expect_hi, atol=1e-10)
         assert np.min(hi - lo) >= 2 * delta - 1e-12
+
+    def test_one_match_per_block_and_link(self, monkeypatch):
+        # a diagonal path certifies every link of the K-grid without bisection
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return match(*args)
+
+        monkeypatch.setattr(spectra, "_match", counted)
+        path = lambda t: np.diag([2 * t - 1, 2.0, -t]).astype(complex)
+        sampler = isotypic_sampler(path, np.diag([1j, 1j, -1.0]), NotEquivariant)
+        chars, sets = track_blocks(sampler, "hermitian", K=9)
+        assert len(chars) == 2 and all(len(bs.times) == 9 for bs in sets)
+        assert len(calls) == 2 * 8
 
     def test_simple_spectrum_reproduction(self):
         rng = np.random.default_rng(9)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from equiflow import spectra, winding
+from equiflow import winding
 from equiflow.errors import IncompatibleSplitting, NotCommuting, TrackingAmbiguous
 from equiflow.harness import generators as gen
 from equiflow.specflow import UnitaryPath, concatenate, reverse
@@ -115,10 +115,9 @@ class TestCrossRoutes:
         def forbidden(*args, **kwargs):
             raise AssertionError("the det-phase route must not call this")
 
-        monkeypatch.setattr(spectra, "track_branches", forbidden)
+        monkeypatch.setattr(winding, "track_blocks", forbidden)
         monkeypatch.setattr(winding, "integrate", forbidden)
         monkeypatch.setattr(winding, "path_derivative", forbidden)
-        monkeypatch.setattr(spectra, "branch_value_at", forbidden)
         f, a = gen.commuting_unitary_path(3, 3, gen.rng_for(4100), windings=1)
         winding_number(f, a)
         fredholm_det_path(f, a)
