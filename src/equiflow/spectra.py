@@ -36,6 +36,7 @@ __all__ = [
     "principal_log_unitary",
     "matrix_erf",
     "integrate",
+    "path_panel",
     "track_branches",
     "track_blocks",
     "group_events",
@@ -289,30 +290,50 @@ def matrix_erf(D, policy: TolerancePolicy = DEFAULT):
 
 @lru_cache(maxsize=None)
 def _gl_nodes(order=15):
+    """Gauss-Legendre nodes x, weights w and barycentric differentiation matrix
+    Dm on [-1, 1] (row i: derivative at x[i] of the interpolant at the nodes)."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    gaps = x[:, None] - x + np.eye(order)
+    c = 1.0 / np.prod(gaps, axis=1)  # barycentric weights
+    Dm = (1.0 - np.eye(order)) * c / c[:, None] / gaps
+    return x, w, Dm - np.diag(Dm.sum(axis=1))
+
+
+def path_panel(path, ts):
+    """Samples F (K, n, n) of a matrix path at the nodes ts = mid + half * x of
+    one Gauss-Legendre panel, and its derivative dF there: the path is sampled
+    once per node, and dF is the derivative of the samples' degree-14
+    interpolant (applied to F - F[middle node], so a constant path gives 0).
+    """
+    x, _, Dm = _gl_nodes()
+    F = np.stack([np.asarray(path(t), dtype=complex) for t in ts])
+    half = (ts[-1] - ts[0]) / (x[-1] - x[0])
+    return F, np.tensordot(Dm, F - F[x.size // 2], axes=1) / half
 
 
 def integrate(f, a: float, b: float, policy: TolerancePolicy = DEFAULT, max_depth: int = 20):
-    """Adaptive composite Gauss-Legendre quadrature of a complex-valued sampler.
+    """Adaptive composite Gauss-Legendre quadrature of a complex integrand.
 
-    Deterministic node order; panels are accepted when the bisection error
-    estimate fits inside the panel's share of quad_rel_tol.  Raises
-    NoConvergence past `max_depth` levels of refinement.
+    f takes the 15 nodes of one panel as an array ts and returns its values
+    there, shape (15,) (a scalar is broadcast).  Panels are accepted when the
+    bisection error estimate fits inside the panel's share of quad_rel_tol.
+    A path derivative from `path_panel` is exact for degree-14 polynomials on
+    each panel, and child panels differentiate again, so the estimate covers
+    its error too.  Raises NoConvergence past `max_depth` levels of refinement.
     """
-    x, w = _gl_nodes()
+    x, w, _ = _gl_nodes()
 
     def panel(lo, hi):
         half = (hi - lo) / 2.0
         mid = (hi + lo) / 2.0
-        vals = np.array([f(mid + half * xi) for xi in x], dtype=complex)
+        vals = np.broadcast_to(np.asarray(f(mid + half * x), dtype=complex), x.shape)
         return half * np.dot(w, vals), half * float(np.dot(w, np.abs(vals)))
 
-    whole, aest = panel(a, b)
-    scale = max(aest, 1e-300)
     span = b - a
     if span == 0:
         return 0.0 + 0.0j
+    whole, aest = panel(a, b)
+    scale = max(aest, 1e-300)
 
     def rec(lo, hi, approx, depth):
         mid = (lo + hi) / 2.0
@@ -334,12 +355,10 @@ class BranchSet:
 
     times    sample times (ascending, refined)
     values   (K, d) array; column j is branch j (lifted phases for unitary paths)
-    kind     "hermitian" or "unitary"
     """
 
     times: np.ndarray
     values: np.ndarray
-    kind: str
 
 
 _OVERLAP_MIN = 1.0 / np.sqrt(2.0) - 1e-9
@@ -446,7 +465,7 @@ def track_blocks(sampler, kind: str, K: int = 17, policy: TolerancePolicy = DEFA
             where = links[k - 1][b][where]
             raw = systems[k][b].values[where]
             values[k] = raw if kind == "hermitian" else _lift(raw, values[k - 1])
-        sets.append(BranchSet(times=np.asarray(times), values=values, kind=kind))
+        sets.append(BranchSet(times=np.asarray(times), values=values))
     return chars, sets
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import erf, erfc
 
-from equiflow.errors import KernelPresent, NotEquivariant, NotPositive
+from equiflow.errors import KernelPresent, NotEquivariant, NotHermitian, NotPositive
+from equiflow import eta_zeta
 from equiflow.eta_zeta import (
     eta,
     eta_form,
@@ -22,7 +23,7 @@ from equiflow.eta_zeta import (
 )
 from equiflow.harness import generators as gen
 from equiflow.specflow import HermitianPath, spectral_flow
-from equiflow.winding import path_derivative
+from equiflow.spectra import path_panel
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -117,8 +118,29 @@ class TestEtaForm:
         t, eps, step = 0.4, 0.8, 1e-5
         fd = (truncated_eta(np.asarray(path(t + step)), h, eps)
               - truncated_eta(np.asarray(path(t - step)), h, eps)) / (2 * step)
-        target = -2.0 * eta_form(np.asarray(path(t)), path_derivative(path, t), h, eps)
+        # dD/dt from a panel centred at t: its middle node sits at x = 0
+        D, dD = path_panel(path, t + 0.05 * np.polynomial.legendre.leggauss(15)[0])
+        target = -2.0 * eta_form(D[7], dD[7], h, eps)
         assert abs(fd - target) <= 1e-5 * max(abs(target), 1e-3)
+
+    def test_stack_matches_matrices(self):
+        path, h = gen.commuting_hermitian_path(5, 3, gen.rng_for(48))
+        D, dD = path_panel(path, np.linspace(0.1, 0.9, 15))
+        stacked = eta_form(D, dD, h, 0.7)
+        assert stacked.shape == (15,)
+        for k in range(15):
+            assert abs(stacked[k] - eta_form(D[k], dD[k], h, 0.7)) <= 1e-13
+
+    def test_checks_every_sample(self):
+        h = np.diag([1.0, -1.0])
+        D = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]).astype(complex)
+        bent, skew = D.copy(), D.copy()
+        bent[1, 0, 1] = bent[1, 1, 0] = 0.5  # mixes the blocks of h
+        skew[1, 0, 0] = 3.0 + 1e-3j
+        with pytest.raises(NotEquivariant):
+            eta_form(bent, D, h)
+        with pytest.raises(NotHermitian):
+            eta_form(skew, D, h)
 
 
 class TestHeatTrace:
@@ -217,6 +239,41 @@ class TestGetzler:
         path = HermitianPath(2, lambda t: np.diag([2 * t - 1, 1.0]).astype(complex))
         h = np.diag([W3, 1.0])
         assert abs(getzler_spectral_flow(path, h) - W3) < 1e-8
+
+    def test_kernel_at_endpoint(self):
+        # diag(t, -1): the reduced eta jumps at the kernel at t = 0
+        path = HermitianPath(2, lambda t: np.diag([t, -1.0]).astype(complex))
+        with pytest.raises(KernelPresent):
+            getzler_spectral_flow(path, np.diag([W3, 1.0]))
+
+    def test_fast_oscillation(self):
+        path = HermitianPath(2, lambda t: np.diag(
+            [np.sin(80 * np.pi * t) + 0.3 * t - 0.01, 1.0]).astype(complex))
+        assert abs(getzler_spectral_flow(path) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("g", [1e-3, 1e-6, 1e-9])
+    def test_avoided_crossing(self, g):
+        path = HermitianPath(2, lambda t: np.array([[t - 0.5, g], [g, 0.5 - t]], dtype=complex))
+        assert abs(getzler_spectral_flow(path)) <= 1e-10
+
+    def test_samples_only_endpoints_and_panel_nodes(self, monkeypatch):
+        path, h = gen.commuting_hermitian_path(3, 3, gen.rng_for(471))
+        sampled, nodes = set(), set()
+        integrate = eta_zeta.integrate
+
+        def recording(t):
+            sampled.add(float(t))
+            return path(t)
+
+        def recording_integrate(f, a, b, policy):
+            def g(ts):
+                nodes.update(float(t) for t in ts)
+                return f(ts)
+            return integrate(g, a, b, policy)
+
+        monkeypatch.setattr(eta_zeta, "integrate", recording_integrate)
+        getzler_spectral_flow(recording, h)
+        assert nodes and sampled == nodes | {0.0, 1.0}
 
     def test_matches_spectral_flow_random(self):
         for i in range(8):

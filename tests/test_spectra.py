@@ -23,6 +23,7 @@ from equiflow.spectra import (
     isotypic_split,
     matrix_erf,
     opnorm,
+    path_panel,
     principal_log_unitary,
     track_blocks,
     track_branches,
@@ -228,6 +229,32 @@ class TestIntegrate:
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
             integrate(lambda t: np.sign(np.sin(1.0 / (t + 1e-9))), 0.0, 1.0, max_depth=3)
+
+    def test_one_call_per_panel(self):
+        calls = []
+
+        def f(ts):
+            calls.append(ts.shape)
+            return np.cos(ts)
+
+        assert abs(integrate(f, 0.0, 1.0) - np.sin(1.0)) < 1e-14
+        assert calls == [(15,)] * 3  # the whole interval and its two halves
+
+
+class TestPathPanel:
+    ts = 0.3 + 0.2 * np.polynomial.legendre.leggauss(15)[0]
+
+    def test_constant_path_exact_zero(self):
+        M = rand_hermitian(3, np.random.default_rng(9), 2.0)
+        F, dF = path_panel(lambda t: M, self.ts)
+        assert F.shape == dF.shape == (15, 3, 3)
+        assert np.all(dF == 0.0)
+
+    def test_exact_for_degree_14(self):
+        A = rand_hermitian(2, np.random.default_rng(10), 1.0)
+        F, dF = path_panel(lambda t: (t - 0.2) ** 14 * A + t * np.eye(2), self.ts)
+        expect = 14 * (self.ts - 0.2)[:, None, None] ** 13 * A + np.eye(2)
+        assert np.max(np.abs(dF - expect)) <= 1e-12
 
 
 class TestTrackBranches:

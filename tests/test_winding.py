@@ -117,7 +117,7 @@ class TestCrossRoutes:
 
         monkeypatch.setattr(winding, "track_blocks", forbidden)
         monkeypatch.setattr(winding, "integrate", forbidden)
-        monkeypatch.setattr(winding, "path_derivative", forbidden)
+        monkeypatch.setattr(winding, "path_panel", forbidden)
         f, a = gen.commuting_unitary_path(3, 3, gen.rng_for(4100), windings=1)
         winding_number(f, a)
         fredholm_det_path(f, a)
