@@ -25,7 +25,7 @@ from .errors import (
     NotEquivariant,
     RootFindingFailure,
 )
-from .spectra import check_commuting, eig_hermitian, eig_unitary, weighted_trace
+from .spectra import check_commuting, cluster_indices, eig_hermitian, eig_unitary, isotypic_split
 from .symplectic import (
     LagrangianProjection,
     as_projection,
@@ -57,31 +57,24 @@ __all__ = [
 def _channel_data(V, u, policy):
     """Joint eigen-data of a commuting pair (V Hermitian, u unitary).
 
-    Returns (values, chars, basis): per channel the V-eigenvalue and the
-    u-character, with a common orthonormal basis.
+    Returns (values, chars, basis, split): per channel, ascending in value,
+    the V-eigenvalue and the u-character, with a common orthonormal basis, and
+    the split `isotypic_split(u)` (one block with chi = 1 when u is None) on
+    whose chi-block u acts as chi * I and V is diagonalized.
     """
     V = np.asarray(V, dtype=complex)
-    m = V.shape[0]
-    if u is None:
-        es = eig_hermitian(V, policy)
-        return es.values.copy(), np.ones(m, dtype=complex), es.vectors
-    u = np.asarray(u, dtype=complex)
     check_commuting(u, V, None, NotEquivariant, policy)
-    es = eig_hermitian(V, policy)
-    vals = np.empty(m)
-    chars = np.empty(m, dtype=complex)
-    basis = np.empty((m, m), dtype=complex)
-    col = 0
-    for idx in es.cluster_slices():
-        B = es.vectors[:, idx]
-        ub = B.conj().T @ u @ B
-        ues = eig_unitary(ub, policy)
-        for j in range(len(idx)):
-            vals[col] = float(np.mean(es.values[idx]))
-            chars[col] = np.exp(1j * ues.values[j])
-            basis[:, col] = B @ ues.vectors[:, j]
-            col += 1
-    return vals, chars, basis
+    split = W, blocks, chars = isotypic_split(u, V.shape[0], policy)
+    vals, chis, cols = [], [], []
+    for chi, idx in zip(chars, blocks):
+        Q = W[:, idx]
+        es = eig_hermitian(Q.conj().T @ V @ Q, policy)
+        vals.append(es.values)
+        chis.append(np.full(len(idx), chi))
+        cols.append(Q @ es.vectors)
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], np.concatenate(chis)[order], np.hstack(cols)[:, order], split
 
 
 @dataclass
@@ -96,15 +89,14 @@ class CircleDiracModel:
     def __post_init__(self):
         self.V = np.atleast_2d(np.asarray(self.V, dtype=complex))
         self.m = self.V.shape[0]
-        vals, chars, basis = _channel_data(self.V, self.u, self.policy)
-        self.channel_values = vals
-        self.channel_chars = chars
-        self.channel_basis = basis
+        self.channel_values, self.channel_chars, self.channel_basis, _ = _channel_data(
+            self.V, self.u, self.policy)
 
 
 @dataclass
 class IntervalDiracModel:
-    """-i d/dx + V on [0, L], boundary data (psi(0), psi(L)) in C^{2m}."""
+    """-i d/dx + V on [0, L], boundary data (psi(0), psi(L)) in C^{2m}; split
+    is the isotypic split of u that its channels and branches are taken on."""
 
     L: float
     V: np.ndarray
@@ -116,10 +108,8 @@ class IntervalDiracModel:
             raise ValueError("interval length must be positive")
         self.V = np.atleast_2d(np.asarray(self.V, dtype=complex))
         self.m = self.V.shape[0]
-        vals, chars, basis = _channel_data(self.V, self.u, self.policy)
-        self.channel_values = vals
-        self.channel_chars = chars
-        self.channel_basis = basis
+        self.channel_values, self.channel_chars, self.channel_basis, self.split = \
+            _channel_data(self.V, self.u, self.policy)
 
     def actor(self, power: int = 1):
         """u^power as an m x m matrix (identity when no symmetry is present)."""
@@ -167,8 +157,10 @@ def secular_branches(model: IntervalDiracModel, P, element_power: int = 0):
     lambda = (beta_j + 2 pi k)/L.
 
     Returns (betas in (-pi, pi], weights, dims) with one entry per branch
-    cluster; weights are Tr(u^p | branch eigenspace) and dims are the cluster
-    multiplicities.
+    cluster.  G = T* M(0) commutes with u, so its eigenphases are taken per
+    isotypic block of u (`model.split`), where u acts as chi * I, and
+    pooled into clusters: a cluster's weight is the sum of chi^p over its
+    phases, Tr(u^p | branch eigenspace), and its dim the number of them.
     """
     P = as_projection(P, model.policy)
     T = P.T
@@ -176,18 +168,20 @@ def secular_branches(model: IntervalDiracModel, P, element_power: int = 0):
         raise ValueError("projection dimension does not match the model")
     check_commuting(model.u, T, None, NotEquivariant, model.policy)
     G = T.conj().T @ interval_transfer(model, 0.0)
-    a = model.actor(element_power)
-    es = eig_unitary(G, model.policy)
+    W, blocks, chars = model.split
+    phases = np.concatenate([eig_unitary(W[:, idx].conj().T @ G @ W[:, idx], model.policy).values
+                             for idx in blocks])
+    powers = np.concatenate([np.full(len(idx), chi ** element_power)
+                             for chi, idx in zip(chars, blocks)])
+    order = np.argsort(phases, kind="stable")
+    phases, powers = phases[order], powers[order]
     betas, weights, dims = [], [], []
-    for idx in es.cluster_slices():
-        g_phase = float(np.angle(np.mean(np.exp(1j * es.values[idx]))))
+    for a, b in cluster_indices(phases, model.policy.cluster_tol, circular=True):
+        idx = np.arange(a, b) % model.m
+        g_phase = float(np.angle(np.mean(np.exp(1j * phases[idx]))))
         # z = -1/g  =>  beta = pi - phase(g)  (mod 2 pi, mapped to (-pi, pi])
-        beta = np.mod(pi - g_phase + pi, 2 * pi) - pi
-        basis = es.vectors[:, idx]
-        w = weighted_trace(a, basis, model.policy, check_invariant=False) \
-            if model.u is not None else complex(len(idx))
-        betas.append(float(beta))
-        weights.append(complex(w))
+        betas.append(float(np.mod(pi - g_phase + pi, 2 * pi) - pi))
+        weights.append(complex(np.sum(powers[idx])))
         dims.append(len(idx))
     return np.array(betas), np.array(weights, dtype=complex), np.array(dims, dtype=int)
 

@@ -13,10 +13,6 @@ class NotUnitary(EquiflowError):
     pass
 
 
-class NotInvariant(EquiflowError):
-    """Subspace is not invariant under the supplied symmetry."""
-
-
 class NotLagrangian(EquiflowError):
     pass
 

@@ -1,9 +1,10 @@
 """Equivariant eta and zeta invariants of finite Hermitian operators.
 
-Spectral sums run over eigenvalue clusters; each cluster carries the trace
-of the symmetry on its eigenspace as weight.  The s-dependent quantities are
-finite sums with principal powers; Mellin-transform quadratures are provided
-as verification-only cross-checks.
+Spectral sums run over the eigenvalues of the isotypic blocks of the
+symmetry h (`spectra.isotypic_split`); h acts as chi * I on its chi-block,
+so each eigenvalue of that block carries the weight chi.  The s-dependent
+quantities are finite sums with principal powers; Mellin-transform
+quadratures are provided as verification-only cross-checks.
 """
 
 from dataclasses import dataclass, field
@@ -12,15 +13,15 @@ from math import pi, sqrt
 import numpy as np
 from scipy.special import erf, erfc, gamma as gamma_fn
 
-from .errors import KernelPresent, NotEquivariant, NotHermitian, NotPositive
+from .errors import KernelPresent, NotEquivariant, NotPositive
 from .spectra import (
     check_commuting,
     eig_hermitian,
+    hermitian_part,
     integrate,
     isotypic_split,
     path_panel,
     principal_log_unitary,
-    weighted_trace,
 )
 from .tolerances import DEFAULT, TolerancePolicy
 
@@ -44,11 +45,34 @@ __all__ = [
 ]
 
 
+def _block_eigh(D, h, split, policy):
+    """(chi, Q, lam, U) per isotypic block of h for a Hermitian D or a (K, n, n)
+    stack: Q = V[:, block], lam (K, k) and U (K, k, k) the eigh of Q* D Q, for
+    split = (V, blocks, chars) = `isotypic_split(h, n)`, made here when None.
+    Every sample is checked to commute with h (NotEquivariant) and to be
+    Hermitian (`hermitian_part`, NotHermitian) before h is split.
+    """
+    D = np.asarray(D, dtype=complex)
+    check_commuting(h, D, None, NotEquivariant, policy)
+    H = hermitian_part(D, policy).reshape((-1,) + D.shape[-2:])
+    V, blocks, chars = split or isotypic_split(h, D.shape[-1], policy)
+    out = []
+    for chi, idx in zip(chars, blocks):
+        Q = V[:, idx]
+        lam, U = np.linalg.eigh(Q.conj().T @ H @ Q)
+        out.append((chi, Q, lam, U))
+    return out
+
+
 @dataclass
 class SpectralOperator:
-    """Hermitian D with a commuting symmetry h; caches eigen/cluster data.
+    """Hermitian D with a commuting unitary symmetry h (None: trivial).
 
-    weights[c] = Tr(h | cluster c eigenspace); values[c] = cluster eigenvalue.
+    values holds every eigenvalue of the blocks V_chi* D V_chi of the
+    isotypic split of h, ascending; weights[i] is the character chi of the
+    block of values[i], on which h acts as chi * I.  NotEquivariant when D
+    does not commute with h, NotHermitian for a non-Hermitian D, NotUnitary
+    for a non-unitary h.
     """
 
     D: np.ndarray
@@ -57,24 +81,23 @@ class SpectralOperator:
     values: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        D = np.asarray(self.D, dtype=complex)
-        self.D = D
+    def __post_init__(self, split=None):
+        self.D = np.asarray(self.D, dtype=complex)
         if self.h is not None:
-            h = np.asarray(self.h, dtype=complex)
-            self.h = h
-            check_commuting(h, D, None, NotEquivariant, self.policy)
-        es = eig_hermitian(D, self.policy)
-        vals, wts = [], []
-        for idx in es.cluster_slices():
-            vals.append(float(np.mean(es.values[idx])))
-            basis = es.vectors[:, idx]
-            if self.h is None:
-                wts.append(complex(len(idx)))
-            else:
-                wts.append(weighted_trace(self.h, basis, self.policy, check_invariant=False))
-        self.values = np.array(vals)
-        self.weights = np.array(wts, dtype=complex)
+            self.h = np.asarray(self.h, dtype=complex)
+        blocks = _block_eigh(self.D, self.h, split, self.policy)
+        values = np.concatenate([lam[0] for _, _, lam, _ in blocks])
+        weights = np.concatenate([np.full(lam.shape[1], chi) for chi, _, lam, _ in blocks])
+        order = np.argsort(values, kind="stable")
+        self.values, self.weights = values[order], weights[order]
+
+    @classmethod
+    def _on_split(cls, D, h, split, policy):
+        """The operator of D on a given isotypic split of h: no new split."""
+        op = cls.__new__(cls)
+        op.D, op.h, op.policy = D, h, policy
+        op.__post_init__(split)
+        return op
 
     @property
     def zero_scale(self):
@@ -84,7 +107,7 @@ class SpectralOperator:
         return np.abs(self.values) <= self.policy.zero_tol * self.zero_scale
 
     def nonzero(self):
-        """(values, weights) of the clusters off the kernel."""
+        """(values, weights) of the eigenvalues off the kernel."""
         m = ~self.kernel_mask()
         return self.values[m], self.weights[m]
 
@@ -142,26 +165,21 @@ def eta_form(D, X, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT):
     stacks.  h acts as chi * I on its chi-block (`spectra.isotypic_split`), so
     this is sum_chi chi Tr(X_chi e^{-eps D_chi^2}), one stacked eigh per block.
     Every sample of D is checked to commute with h (NotEquivariant) and by
-    the Frobenius test of `eig_hermitian` (NotHermitian).
+    the Frobenius test of `hermitian_part` (NotHermitian).
     """
+    return _eta_form(D, X, h, None, eps, policy)
+
+
+def _eta_form(D, X, h, split, eps, policy):
+    """`eta_form` on the isotypic split of h (made when split is None)."""
     D = np.asarray(D, dtype=complex)
-    single = D.ndim == 2
-    D = D.reshape((-1,) + D.shape[-2:])
-    X = np.asarray(X, dtype=complex).reshape(D.shape)
-    check_commuting(h, D, None, NotEquivariant, policy)
-    Dh = np.swapaxes(D.conj(), 1, 2)
-    scale = np.maximum(np.linalg.norm(D, axis=(1, 2)) / np.sqrt(D.shape[-1]), 1.0)
-    if np.any(np.linalg.norm(D - Dh, axis=(1, 2)) > policy.eig_tol * scale):
-        raise NotHermitian(f"matrix deviates from Hermitian by more than {policy.eig_tol} * ||M||")
-    V, blocks, chars = isotypic_split(h, D.shape[-1], policy)
+    X = np.asarray(X, dtype=complex).reshape((-1,) + D.shape[-2:])
     total = 0.0
-    for chi, idx in zip(chars, blocks):
-        Q = V[:, idx]
-        lam, U = np.linalg.eigh(Q.conj().T @ ((D + Dh) / 2.0) @ Q)
+    for chi, Q, lam, U in _block_eigh(D, h, split, policy):
         Xd = np.sum(U.conj() * (Q.conj().T @ X @ Q @ U), axis=1)  # diagonal of U* X_chi U
         total += chi * np.sum(Xd * np.exp(-eps * lam ** 2), axis=1)
     out = sqrt(eps / pi) * total
-    return complex(out[0]) if single else out
+    return complex(out[0]) if D.ndim == 2 else out
 
 
 def heat_trace(D, h=None, t: float = 1.0, positive_only: bool = False,
@@ -273,17 +291,20 @@ def getzler_spectral_flow(path, h=None, eps: float = 1.0,
     (d/dt) eta_eps = -2 sqrt(eps/pi) Tr(h dD/dt e^{-eps D^2}) (`eta_form`),
     integrated on whole panels with dD/dt from `path_panel`: exact for
     degree-14 polynomials on each panel, and covered by the bisection error
-    estimate.  D is sampled only at 0, 1 and the panel nodes.  KernelPresent
-    when D(0) or D(1) has spectrum at 0, where the reduced eta jumps.  Equals
-    the grid-partition spectral flow within quadrature tolerance.
+    estimate.  D is sampled only at 0, 1 and the panel nodes, and h is split
+    (`isotypic_split`) once for all of them.  KernelPresent when D(0) or D(1)
+    has spectrum at 0, where the reduced eta jumps.  Equals the grid-partition
+    spectral flow within quadrature tolerance.
     """
-    ops = [SpectralOperator(np.asarray(path(t), dtype=complex), h, policy) for t in (1.0, 0.0)]
+    D1 = np.asarray(path(1.0), dtype=complex)
+    split = isotypic_split(h, D1.shape[-1], policy)
+    ops = [SpectralOperator._on_split(D, h, split, policy) for D in (D1, path(0.0))]
     if any(np.any(op.kernel_mask()) for op in ops):
         raise KernelPresent("D(0) or D(1) has spectrum at 0")
     e1, e0 = (truncated_eta(op, eps=eps, policy=policy) for op in ops)
 
     def integrand(ts):
-        return -2.0 * eta_form(*path_panel(path, ts), h, eps, policy)
+        return -2.0 * _eta_form(*path_panel(path, ts), h, split, eps, policy)
 
     var = integrate(integrand, 0.0, 1.0, policy)
     return complex(0.5 * (e1 - e0 - var))

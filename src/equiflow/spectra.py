@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NotHermitian,
-    NotInvariant,
     NotUnitary,
     TrackingAmbiguous,
 )
@@ -30,7 +29,7 @@ __all__ = [
     "BranchSet",
     "eig_hermitian",
     "eig_unitary",
-    "weighted_trace",
+    "hermitian_part",
     "isotypic_split",
     "isotypic_sampler",
     "principal_log_unitary",
@@ -151,19 +150,28 @@ class EigenSystem:
         return [np.arange(a, b) % n for a, b in self.clusters]
 
 
-def eig_hermitian(M, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with phase-fixed vectors.
+def hermitian_part(M, policy: TolerancePolicy = DEFAULT):
+    """(M + M*) / 2 of a square matrix, or of every sample of a (K, n, n) stack.
 
-    NotHermitian when ||M - M*||_F > eig_tol * max(||M||_F / sqrt(n), 1):
+    NotHermitian when a sample has ||M - M*||_F > eig_tol * max(||M||_F / sqrt(n), 1):
     never looser than the same test in spectral norms with scale
     max(||M||_2, 1), since ||X||_2 <= ||X||_F and ||M||_F / sqrt(n) <= ||M||_2.
     """
-    M = _as_matrix(M)
-    scale = max(np.linalg.norm(M) / np.sqrt(M.shape[0]), 1.0)
-    if np.linalg.norm(M - M.conj().T) > policy.eig_tol * scale:
+    M = np.asarray(M, dtype=complex)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    Mh = np.swapaxes(M.conj(), -1, -2)
+    axes = (-2, -1) if M.ndim > 2 else None  # per sample; a matrix takes the faster whole norm
+    scale = np.maximum(np.linalg.norm(M, axis=axes) / np.sqrt(M.shape[-1]), 1.0)
+    if (np.linalg.norm(M - Mh, axis=axes) > policy.eig_tol * scale).any():
         raise NotHermitian(f"matrix deviates from Hermitian by more than {policy.eig_tol} * ||M||")
-    H = (M + M.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(H)
+    return (M + Mh) / 2.0
+
+
+def eig_hermitian(M, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
+    """Eigendecomposition of a Hermitian matrix with phase-fixed vectors
+    (NotHermitian by the test of `hermitian_part`)."""
+    vals, vecs = np.linalg.eigh(hermitian_part(_as_matrix(M), policy))
     vecs = _fix_phases(vecs)
     clusters = cluster_indices(vals, policy.cluster_tol)
     return EigenSystem(values=vals, vectors=vecs, clusters=clusters, kind="hermitian")
@@ -174,7 +182,7 @@ def eig_unitary(U, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
 
     A phase equals pi only when the eigenvalue is within zero_tol of -1.
     The unitarity and eigen-residual tests use Frobenius norms, as in
-    `eig_hermitian`.
+    `hermitian_part`.
     """
     U = _as_matrix(U)
     n = U.shape[0]
@@ -197,37 +205,16 @@ def eig_unitary(U, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
     return EigenSystem(values=phases, vectors=vecs, clusters=clusters, kind="unitary")
 
 
-def weighted_trace(h, basis, policy: TolerancePolicy = DEFAULT, check_invariant=True):
-    """Trace of h restricted to the subspace spanned by orthonormal `basis` columns.
-
-    Raises NotInvariant when the subspace is not h-invariant within commute_tol.
-    The value is independent of the orthonormal basis chosen for the subspace.
-    """
-    h = _as_matrix(h)
-    B = np.asarray(basis, dtype=complex)
-    if B.ndim == 1:
-        B = B[:, None]
-    k = B.shape[1]
-    if k == 0:
-        return 0.0 + 0.0j
-    if opnorm(B.conj().T @ B - np.eye(k)) > max(policy.eig_tol * 10, 1e-10):
-        raise ValueError("basis columns are not orthonormal")
-    if check_invariant:
-        proj = B @ B.conj().T
-        leak = opnorm((np.eye(h.shape[0]) - proj) @ h @ proj)
-        if leak > max(policy.commute_tol, 1e-10) * max(opnorm(h), 1.0) * 10:
-            raise NotInvariant(f"subspace leaks under h by {leak:.2e}")
-    return complex(np.trace(B.conj().T @ h @ B))
-
-
 def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
     """Eigenspaces of a unitary actor on C^dim: (V, blocks, chars).
 
     The columns of V are eigenvectors of a; blocks[i] indexes the columns of
     one eigenvalue cluster and chars[i] = Tr(Q* a Q) / dim Q, Q = V[:, blocks[i]],
     is the character of a on it.  With a = None there is one block, chi = 1,
-    and V = I.  A path commuting with a never mixes the blocks, so each
-    counting invariant is sum_chi chi * (integer count on the chi-block).
+    and V = I.  An operator or path commuting with a never mixes the blocks,
+    and a acts as chi * I on the chi-block, so each counting invariant is
+    sum_chi chi * (integer count on the chi-block), and each spectral sum
+    weighs an eigenvalue of the chi-block by chi.
     """
     if a is None:
         return np.eye(dim, dtype=complex), [np.arange(dim)], np.ones(1, dtype=complex)

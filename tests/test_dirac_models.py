@@ -2,6 +2,7 @@ from math import pi
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from equiflow.dirac_models import (
     CircleDiracModel,
@@ -161,6 +162,54 @@ class TestIntervalModel:
         betas, weights, dims = secular_branches(mod, theta_projection([1.0, 2.0]), 1)
         assert sorted(np.round(np.abs(weights), 6)) == [1.0, 1.0]
         assert set(dims.tolist()) == {1}
+
+
+    def test_channels_diagonalize_the_pair(self):
+        for i in range(12):
+            rng = gen.rng_for(620 + i)
+            m = 1 + i % 4
+            u, _, blocks, R = gen.zn_action(m, 2 + i % 3, rng)
+            Vd = np.zeros((m, m), dtype=complex)
+            for idx in blocks:
+                Vd[np.ix_(idx, idx)] = gen.rand_hermitian(len(idx), rng, 0.5)
+            V = R @ Vd @ R.conj().T
+            for mod in (IntervalDiracModel(1.0, V, u), CircleDiracModel(V, u)):
+                C = mod.channel_basis
+                assert np.linalg.norm(C.conj().T @ C - np.eye(m)) <= 1e-12
+                assert np.linalg.norm(V @ C - C * mod.channel_values) <= 1e-12
+                assert np.linalg.norm(u @ C - C * mod.channel_chars) <= 1e-12
+                assert np.all(np.diff(mod.channel_values) >= 0)
+
+    def test_branch_weights_oracle(self):
+        # weights against Tr(u^p | eigenspace of G), G = T* M(0), on the whole
+        # space; even cases make G scalar, one eigenspace across all blocks of u
+        for i in range(24):
+            rng = gen.rng_for(640 + i)
+            m = 1 + i % 4
+            u, _, blocks, R = gen.zn_action(m, 3, rng)
+            Vd = np.zeros((m, m), dtype=complex)
+            Td = np.zeros((m, m), dtype=complex)
+            for idx in blocks:
+                k, block = len(idx), np.ix_(idx, idx)
+                if i % 2 == 0:
+                    Vd[block], Td[block] = 0.3 * np.eye(k), np.exp(0.7j) * np.eye(k)
+                else:
+                    Vd[block] = gen.rand_hermitian(k, rng, 0.5)
+                    Td[block] = gen.rand_unitary(k, rng)
+            mod = IntervalDiracModel(1.0, R @ Vd @ R.conj().T, u)
+            T = R @ Td @ R.conj().T
+            G = T.conj().T @ interval_transfer(mod, 0.0)
+            Ts, Z = scipy.linalg.schur(G, output="complex")
+            g = np.diag(Ts)
+            for p in range(4):
+                up = np.linalg.matrix_power(u, p)
+                betas, weights, dims = secular_branches(mod, make_projection_from_unitary(T), p)
+                for beta, w, d in zip(betas, weights, dims):
+                    space = np.abs(g + np.exp(-1j * beta)) < 1e-8  # g = -e^{-i beta}
+                    assert space.sum() == d
+                    B = Z[:, space]
+                    assert abs(w - np.trace(B.conj().T @ up @ B)) <= 1e-12
+                assert dims.sum() == m
 
 
 class TestSWIdentity:

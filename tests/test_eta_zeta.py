@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from scipy.special import erf, erfc
 
-from equiflow.errors import KernelPresent, NotEquivariant, NotHermitian, NotPositive
+from equiflow.errors import (
+    KernelPresent,
+    NotEquivariant,
+    NotHermitian,
+    NotPositive,
+    NotUnitary,
+)
 from equiflow import eta_zeta
 from equiflow.eta_zeta import (
+    SpectralOperator,
     eta,
     eta_form,
     eta_log_defect,
@@ -102,6 +109,82 @@ class TestTruncatedEta:
             q = truncated_eta_quadrature(D, eps=eps)
             c = truncated_eta(D, eps=eps)
             assert abs(q - c) <= 1e-8 * max(abs(c), 1.0)
+
+
+def commuting_pair(seed):
+    """A Hermitian D commuting with a random Z_3 actor h.  Odd seeds give D
+    the eigenvalues -2, 1, 3 in every block, so eigenspaces of D span
+    several blocks of h."""
+    rng = gen.rng_for(seed)
+    dim = 2 + seed % 5
+    h, _, blocks, R = gen.zn_action(dim, 3, rng)
+    Dd = np.zeros((dim, dim), dtype=complex)
+    for idx in blocks:
+        if seed % 2:
+            U = gen.rand_unitary(len(idx), rng)
+            Dd[np.ix_(idx, idx)] = U @ np.diag(rng.choice([-2.0, 1.0, 3.0], len(idx))) @ U.conj().T
+        else:
+            Dd[np.ix_(idx, idx)] = gen.rand_hermitian(len(idx), rng, 2.0)
+    return R @ Dd @ R.conj().T, h
+
+
+def eigenspace_oracle(D, h):
+    """(lambda, Tr(h P_lambda)) per eigenspace of the whole matrix D."""
+    lam, U = np.linalg.eigh(D)
+    out, start = [], 0
+    for i in range(1, lam.size + 1):
+        if i == lam.size or lam[i] - lam[start] > 1e-8:
+            B = U[:, start:i]
+            out.append((float(np.mean(lam[start:i])), complex(np.trace(B.conj().T @ h @ B))))
+            start = i
+    return out
+
+
+PAIRS = [commuting_pair(seed) for seed in range(40)]
+
+
+class TestBlockWeights:
+    """Sums over the isotypic blocks of h against the whole-matrix oracle."""
+
+    def test_pairs_are_invertible(self):
+        assert min(np.min(np.abs(np.linalg.eigvalsh(D))) for D, _ in PAIRS) > 1e-2
+
+    def test_eta_and_truncated_eta(self):
+        for D, h in PAIRS:
+            spec = eigenspace_oracle(D, h)
+            assert abs(eta(D, h) - sum(w * np.sign(lam) for lam, w in spec)) <= 1e-12
+            expect = sum(w * np.sign(lam) * erfc(np.sqrt(0.6) * abs(lam)) for lam, w in spec)
+            assert abs(truncated_eta(D, h, 0.6) - expect) <= 1e-12
+
+    def test_heat_trace(self):
+        for D, h in PAIRS:
+            expect = sum(w * np.exp(-0.7 * lam) for lam, w in eigenspace_oracle(D, h))
+            assert abs(heat_trace(D, h, 0.7) - expect) <= 1e-12 * abs(expect)
+
+    def test_zeta(self):
+        for D, h in PAIRS:
+            expect = sum(w * lam ** -0.5 for lam, w in eigenspace_oracle(D, h) if lam > 0)
+            assert abs(zeta(D, h, 0.5) - expect) <= 1e-12
+
+    def test_zeta_determinants(self):
+        for D, h in PAIRS:
+            expect = np.exp(sum(w * (np.log(abs(lam)) + 1j * np.pi * (lam < 0))
+                                for lam, w in eigenspace_oracle(D, h)))
+            for route in (zeta_determinant, zeta_determinant_product_route):
+                assert abs(route(D, h) - expect) <= 1e-12 * abs(expect)
+
+    def test_weights_are_characters(self):
+        D, h = PAIRS[1]
+        op = SpectralOperator(D, h)
+        assert op.values.size == D.shape[0] and np.all(np.diff(op.values) >= 0)
+        assert np.allclose(op.weights ** 3, 1.0, atol=1e-12)
+
+    def test_non_unitary_actor(self):
+        D = np.diag([1.0, -2.0]).astype(complex)
+        with pytest.raises(NotUnitary):
+            SpectralOperator(D, 2.0 * np.eye(2))
+        with pytest.raises(NotUnitary):
+            eta(D, np.diag([1.0, 0.5]))
 
 
 class TestEtaForm:
@@ -274,6 +357,32 @@ class TestGetzler:
         monkeypatch.setattr(eta_zeta, "integrate", recording_integrate)
         getzler_spectral_flow(recording, h)
         assert nodes and sampled == nodes | {0.0, 1.0}
+
+    def test_splits_actor_once(self, monkeypatch):
+        split, panel = eta_zeta.isotypic_split, eta_zeta.path_panel
+        splits, panels = [], []
+
+        def counting_split(*args):
+            splits.append(1)
+            return split(*args)
+
+        def counting_panel(*args):
+            panels.append(1)
+            return panel(*args)
+
+        monkeypatch.setattr(eta_zeta, "isotypic_split", counting_split)
+        monkeypatch.setattr(eta_zeta, "path_panel", counting_panel)
+        h = np.diag([W3, 1.0])
+        counts = []
+        for path in (HermitianPath(2, lambda t: np.diag([2 * t - 1, 1.0]).astype(complex)),
+                     HermitianPath(2, lambda t: np.diag(
+                         [np.sin(20 * np.pi * t) + 0.3 * t - 0.01, 1.0]).astype(complex))):
+            splits.clear()
+            panels.clear()
+            getzler_spectral_flow(path, h)
+            counts.append((len(panels), len(splits)))
+        assert counts[0][0] < counts[1][0]
+        assert [n for _, n in counts] == [1, 1]
 
     def test_matches_spectral_flow_random(self):
         for i in range(8):

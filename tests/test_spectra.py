@@ -10,7 +10,6 @@ from equiflow.errors import (
     NoConvergence,
     NotEquivariant,
     NotHermitian,
-    NotInvariant,
     NotUnitary,
 )
 from equiflow.harness.generators import rng_for, zn_action
@@ -18,6 +17,7 @@ from equiflow.spectra import (
     _match as match,
     eig_hermitian,
     eig_unitary,
+    hermitian_part,
     integrate,
     isotypic_sampler,
     isotypic_split,
@@ -27,14 +27,7 @@ from equiflow.spectra import (
     principal_log_unitary,
     track_blocks,
     track_branches,
-    weighted_trace,
 )
-
-
-def rand_unitary(n, rng):
-    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(A)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def rand_hermitian(n, rng, scale=1.0):
@@ -103,14 +96,15 @@ class TestEigUnitary:
 
 
 class TestIsotypicSplit:
-    def test_characters_match_weighted_trace(self):
+    def test_actor_is_scalar_on_each_block(self):
         for order in range(2, 7):
             for dim in range(1, 9):
                 a, _, _, _ = zn_action(dim, order, rng_for(100 * order + dim))
                 V, blocks, chars = isotypic_split(a, dim)
                 assert sorted(np.concatenate(blocks)) == list(range(dim))
                 for idx, chi in zip(blocks, chars):
-                    assert abs(chi * len(idx) - weighted_trace(a, V[:, idx])) <= 1e-12
+                    Q = V[:, idx]
+                    assert np.linalg.norm(a @ Q - chi * Q) <= 1e-12
 
     def test_trivial_actor_is_one_block(self):
         V, blocks, chars = isotypic_split(None, 4)
@@ -119,42 +113,29 @@ class TestIsotypicSplit:
         assert list(chars) == [1.0]
 
 
-class TestWeightedTrace:
-    def test_single_character(self):
-        w = np.exp(2j * np.pi / 3)
-        h = np.diag([w, 1.0])
-        assert np.isclose(weighted_trace(h, np.array([[1.0], [0.0]])), w)
+class TestHermitianPart:
+    def test_part_of_a_matrix(self):
+        M = np.array([[1.0, 2.0 + 1e-14j], [2.0, 3.0]])
+        assert np.allclose(hermitian_part(M), (M + M.conj().T) / 2, atol=0)
 
-    def test_whole_space(self):
-        rng = np.random.default_rng(2)
-        h = rand_unitary(4, rng)
-        assert np.isclose(weighted_trace(h, np.eye(4)), np.trace(h))
+    def test_checks_every_sample(self):
+        M = np.stack([np.eye(2), np.diag([1.0, 2.0])]).astype(complex)
+        assert hermitian_part(M).shape == (2, 2, 2)
+        M[1, 0, 1] = 1e-3
+        with pytest.raises(NotHermitian):
+            hermitian_part(M)
 
-    def test_invariant_subspace_oracle(self):
-        # random h-invariant 2-dim subspace inside a 4-dim representation
-        rng = np.random.default_rng(3)
-        R = rand_unitary(4, rng)
-        chars = np.exp(2j * np.pi * np.array([1, 1, 2, 0]) / 5)
-        h = R @ np.diag(chars) @ R.conj().T
-        basis = R[:, :2]  # spans the chi_1 isotype
-        proj = basis @ basis.conj().T
-        oracle = np.trace(proj @ h @ proj)
-        assert np.isclose(weighted_trace(h, basis), oracle)
-        assert np.isclose(weighted_trace(h, basis), chars[0] * 2)
+    def test_bound_scales_with_the_sample(self):
+        # eig_tol * max(||M||_F / sqrt(n), 1): the same skew part passes on a
+        # large sample and fails on a small one
+        skew = np.array([[0.0, 5e-11], [-5e-11, 0.0]])
+        hermitian_part(1e3 * np.eye(2) + skew)
+        with pytest.raises(NotHermitian):
+            hermitian_part(np.eye(2) + skew)
 
-    def test_basis_independence(self):
-        rng = np.random.default_rng(4)
-        R = rand_unitary(5, rng)
-        h = R @ np.diag(np.exp(2j * np.pi * np.array([1, 1, 1, 0, 2]) / 4)) @ R.conj().T
-        B1 = R[:, :3]
-        B2 = B1 @ rand_unitary(3, rng)
-        assert abs(weighted_trace(h, B1) - weighted_trace(h, B2)) < 1e-10
-
-    def test_not_invariant(self):
-        h = np.diag([1.0, -1.0])
-        bad = np.array([[1.0], [1.0]]) / np.sqrt(2)
-        with pytest.raises(NotInvariant):
-            weighted_trace(h, bad)
+    def test_not_square(self):
+        with pytest.raises(ValueError):
+            hermitian_part(np.zeros((2, 3)))
 
 
 class TestPrincipalLog:

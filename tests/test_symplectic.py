@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equiflow.errors import KernelLagrangianInvalid, NotLagrangian, NotUnitary
-from equiflow.spectra import opnorm, weighted_trace
+from equiflow.spectra import opnorm
 from equiflow.symplectic import (
     SymplecticSpace,
     aps_projection,
@@ -140,8 +140,10 @@ class TestPairReport:
             h = make_isometry(np.diag([chi, 1.0]), np.eye(2))
             rep = pair_report(P, Q, h)
             if rep.intersection_dim:
-                tr = weighted_trace(h.h, rep.witness_basis)
-                assert abs(tr - rep.intersection_trace) < 1e-9
+                B = rep.witness_basis
+                hB = h.h @ B
+                assert opnorm(hB - B @ (B.conj().T @ hB)) < 1e-9  # span(B) is h-invariant
+                assert abs(np.trace(B.conj().T @ hB) - rep.intersection_trace) < 1e-9
 
 
 class TestAPS:
