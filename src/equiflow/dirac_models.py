@@ -11,12 +11,16 @@ A Lagrangian boundary projection P (domain condition P(psi(0), psi(L)) = 0)
 yields the secular equation det(I + T* M(lambda)) = 0, whose solutions are
 m exact arithmetic progressions.
 
+The eta invariants are regularized signed sums over these progressions,
+each summed in closed form as finite geometric series; the sum over an
+enumerated eigenvalue list (`regularized_signed_sum`) is the reference.
 All sign and orientation conventions are pinned in docs/conventions.md and
 asserted by tests.
 """
 
+import cmath
 from dataclasses import dataclass
-from math import pi
+from math import ceil, pi
 
 import numpy as np
 
@@ -96,7 +100,8 @@ class CircleDiracModel:
 @dataclass
 class IntervalDiracModel:
     """-i d/dx + V on [0, L], boundary data (psi(0), psi(L)) in C^{2m}; split
-    is the isotypic split of u that its channels and branches are taken on."""
+    is the isotypic split of u that its channels and branches are taken on,
+    and the branch clusters of each boundary unitary are kept once computed."""
 
     L: float
     V: np.ndarray
@@ -110,6 +115,7 @@ class IntervalDiracModel:
         self.m = self.V.shape[0]
         self.channel_values, self.channel_chars, self.channel_basis, self.split = \
             _channel_data(self.V, self.u, self.policy)
+        self._cluster_cache = {}
 
     def actor(self, power: int = 1):
         """u^power as an m x m matrix (identity when no symmetry is present)."""
@@ -141,11 +147,44 @@ def interval_transfer(model: IntervalDiracModel, lam) -> np.ndarray:
 def secular_value(model: IntervalDiracModel, P, lam) -> complex:
     """det(B* J(lambda)) with B an orthonormal basis of ran(P) and
     J(lambda) v = (v, M(lambda) v); eigenvalues of D_P are its real roots."""
-    P = as_projection(P, model.policy)
-    B = P.image_basis()
+    return _secular_det(model, as_projection(P, model.policy).image_basis(), lam)
+
+
+def _secular_det(model, B, lam) -> complex:
     M = interval_transfer(model, lam)
     J = np.vstack([np.eye(model.m), M])
     return complex(np.linalg.det(B.conj().T @ J))
+
+
+def _branch_clusters(model: IntervalDiracModel, P):
+    """(order, betas, members) of the eigenphases of G = T* M(0) for the
+    boundary unitary T of P: `order` sorts the phases pooled over the blocks
+    of `model.split`, and each branch cluster has its beta and the positions
+    of its phases in that order.  None of it depends on the power of u, so
+    it is computed once per model and T and kept on the model.
+    """
+    P = as_projection(P, model.policy)
+    key = P.T.tobytes()
+    if key not in model._cluster_cache:
+        T = P.T
+        if T.shape[0] != model.m:
+            raise ValueError("projection dimension does not match the model")
+        check_commuting(model.u, T, None, NotEquivariant, model.policy)
+        G = T.conj().T @ interval_transfer(model, 0.0)
+        W, blocks, _ = model.split
+        phases = np.concatenate([eig_unitary(W[:, idx].conj().T @ G @ W[:, idx],
+                                             model.policy).values for idx in blocks])
+        order = np.argsort(phases, kind="stable")
+        phases = phases[order]
+        betas, members = [], []
+        for a, b in cluster_indices(phases, model.policy.cluster_tol, circular=True):
+            idx = np.arange(a, b) % model.m
+            g_phase = float(np.angle(np.mean(np.exp(1j * phases[idx]))))
+            # z = -1/g  =>  beta = pi - phase(g)  (mod 2 pi, mapped to (-pi, pi])
+            betas.append(float(np.mod(pi - g_phase + pi, 2 * pi) - pi))
+            members.append(idx)
+        model._cluster_cache[key] = order, betas, members
+    return model._cluster_cache[key]
 
 
 def secular_branches(model: IntervalDiracModel, P, element_power: int = 0):
@@ -161,29 +200,16 @@ def secular_branches(model: IntervalDiracModel, P, element_power: int = 0):
     isotypic block of u (`model.split`), where u acts as chi * I, and
     pooled into clusters: a cluster's weight is the sum of chi^p over its
     phases, Tr(u^p | branch eigenspace), and its dim the number of them.
+    The phases and clusters are computed once per model and T; only the
+    weights depend on the power.
     """
-    P = as_projection(P, model.policy)
-    T = P.T
-    if T.shape[0] != model.m:
-        raise ValueError("projection dimension does not match the model")
-    check_commuting(model.u, T, None, NotEquivariant, model.policy)
-    G = T.conj().T @ interval_transfer(model, 0.0)
-    W, blocks, chars = model.split
-    phases = np.concatenate([eig_unitary(W[:, idx].conj().T @ G @ W[:, idx], model.policy).values
-                             for idx in blocks])
+    order, betas, members = _branch_clusters(model, P)
+    _, blocks, chars = model.split
     powers = np.concatenate([np.full(len(idx), chi ** element_power)
-                             for chi, idx in zip(chars, blocks)])
-    order = np.argsort(phases, kind="stable")
-    phases, powers = phases[order], powers[order]
-    betas, weights, dims = [], [], []
-    for a, b in cluster_indices(phases, model.policy.cluster_tol, circular=True):
-        idx = np.arange(a, b) % model.m
-        g_phase = float(np.angle(np.mean(np.exp(1j * phases[idx]))))
-        # z = -1/g  =>  beta = pi - phase(g)  (mod 2 pi, mapped to (-pi, pi])
-        betas.append(float(np.mod(pi - g_phase + pi, 2 * pi) - pi))
-        weights.append(complex(np.sum(powers[idx])))
-        dims.append(len(idx))
-    return np.array(betas), np.array(weights, dtype=complex), np.array(dims, dtype=int)
+                             for chi, idx in zip(chars, blocks)])[order]
+    weights = [complex(np.sum(powers[idx])) for idx in members]
+    return (np.array(betas), np.array(weights, dtype=complex),
+            np.array([len(idx) for idx in members], dtype=int))
 
 
 def nonreality_check(model: IntervalDiracModel, basis) -> np.ndarray:
@@ -208,12 +234,14 @@ def nonreality_check(model: IntervalDiracModel, basis) -> np.ndarray:
     return np.roots(poly)
 
 
-def _newton_polish(model, P, lam0, policy, iters=4):
+def _newton_polish(model, B, lam0, iters=4):
+    """Newton iteration on the secular value for the boundary basis B."""
     delta = 1e-7 * max(1.0, abs(lam0))
     lam = complex(lam0)
     for _ in range(iters):
-        s = secular_value(model, P, lam)
-        ds = (secular_value(model, P, lam + delta) - secular_value(model, P, lam - delta)) / (2 * delta)
+        s = _secular_det(model, B, lam)
+        ds = (_secular_det(model, B, lam + delta)
+              - _secular_det(model, B, lam - delta)) / (2 * delta)
         if abs(ds) < 1e-14:
             break
         step = s / ds
@@ -235,6 +263,7 @@ def interval_spectrum(model: IntervalDiracModel, P, window, element_power: int =
     """
     lo, hi = window
     betas, weights, dims = secular_branches(model, P, element_power)
+    B = as_projection(P, model.policy).image_basis() if polish else None
     sp = 2 * pi / model.L
     out = []
     for beta, w, d in zip(betas, weights, dims):
@@ -244,7 +273,7 @@ def interval_spectrum(model: IntervalDiracModel, P, window, element_power: int =
         for k in range(k_lo, k_hi + 1):
             lam = base + sp * k
             if polish:
-                lam = _newton_polish(model, P, lam, model.policy)
+                lam = _newton_polish(model, B, lam)
             out.append((lam, w, int(d)))
     out.sort(key=lambda r: r[0])
     return out
@@ -266,31 +295,19 @@ def _taper(x, lam_cut, width):
     return out
 
 
-def regularized_signed_sum(values, weights, cutoff, accel: str = "average"):
-    """Regularized sum of weight * sgn(value) over an eigenvalue list.
+def _extrapolate(at, cutoff, accel):
+    """(value, error_estimate) from the regularized sum `at(lc)` at cutoff lc.
 
-    "average": smooth cutoff taper of width = cutoff (Cesaro-style averaging
-    of symmetric partial sums); returns (value at cutoff, |change under
-    cutoff halving|).
-    "abel": Abel factors x^{|lambda|} with x = exp(-1/cutoff), Richardson
-    extrapolated between cutoff and 2*cutoff.
-
-    The supplied list must cover |value| up to the enumeration bound
-    reported by `enumeration_bound(cutoff, accel)`.
+    "average": the value at cutoff, and its change under cutoff halving.
+    "abel": Richardson extrapolation 2 at(2 cutoff) - at(cutoff), and its
+    distance from at(2 cutoff).  ValueError unless cutoff > 0.
     """
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=complex)
-    s = np.sign(v)
-    av = np.abs(v)
+    if not cutoff > 0:
+        raise ValueError("cutoff must be positive")
     if accel == "average":
-        def at(lc):
-            return complex(np.sum(w * s * _taper(av, lc, lc)))
         val = at(cutoff)
-        err = abs(val - at(cutoff / 2))
-        return val, err
+        return val, abs(val - at(cutoff / 2))
     if accel == "abel":
-        def at(lc):
-            return complex(np.sum(w * s * np.exp(-av / lc)))
         v1 = at(cutoff)
         v2 = at(2 * cutoff)
         val = 2 * v2 - v1
@@ -298,8 +315,122 @@ def regularized_signed_sum(values, weights, cutoff, accel: str = "average"):
     raise ValueError("accel must be 'average' or 'abel'")
 
 
+def regularized_signed_sum(values, weights, cutoff, accel: str = "average"):
+    """Regularized sum of weight * sgn(value) over an explicit eigenvalue list.
+
+    "average": smooth cutoff taper of width = cutoff (Cesaro-style averaging
+    of symmetric partial sums), 1 on |value| <= cutoff and
+    cos^2(pi (|value| - cutoff) / (2 cutoff)) below 2 cutoff; returns (value
+    at cutoff, |change under cutoff halving|).
+    "abel": Abel factors x^{|lambda|} with x = exp(-1/cutoff), Richardson
+    extrapolated between cutoff and 2*cutoff.
+
+    The supplied list must cover |value| up to the enumeration bound
+    reported by `enumeration_bound(cutoff, accel)`.  `circle_eta` and
+    `interval_eta` sum the same terms in closed form, one progression at a
+    time; this enumerated route is their reference.
+    """
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=complex)
+    s = np.sign(v)
+    av = np.abs(v)
+    if accel == "average":
+        return _extrapolate(lambda lc: complex(np.sum(w * s * _taper(av, lc, lc))), cutoff, accel)
+    return _extrapolate(lambda lc: complex(np.sum(w * s * np.exp(-av / lc))), cutoff, accel)
+
+
 def enumeration_bound(cutoff, accel):
+    """|lambda| up to which a regularized sum at `cutoff` keeps its terms."""
     return 2.0 * cutoff + 2.0 if accel == "average" else 90.0 * cutoff
+
+
+def _geometric(n, z):
+    """sum_{j < n} e^{z j} = expm1(n z) / expm1(z), stable as e^z -> 1
+    (Im z is taken into [-pi, pi) first)."""
+    if n <= 0:
+        return 0j
+    z = complex(z.real, (z.imag + pi) % (2 * pi) - pi)
+    if z == 0 or n == 1:
+        return complex(n)
+    return complex(np.expm1(n * z) / np.expm1(z))
+
+
+class _Ray:
+    """The part lam_k > tol of the progression lam_k = b + s k (s > 0),
+    k in [k_lo, k_hi], weighted e^{2 pi i r k / N} (N = 0: weight 1); it
+    starts at k = kp.  The part lam_k < -tol is the ray of (-b, s, -r, N)
+    over [-k_hi, -k_lo], whose float values are exactly -lam_{-k}.
+
+    Every end is decided by the float test the enumerated route applies to
+    the float lam_k (`regularized_signed_sum`, `_taper`); between the ends
+    each part of the regularized sum is a geometric series in k.
+    """
+
+    def __init__(self, b, s, r, N, k_lo, k_hi, tol):
+        self.b, self.s, self.r, self.N, self.k_lo, self.k_hi = float(b), float(s), r, N, k_lo, k_hi
+        self.phi = 2 * pi * (r % N) / N if N else 0.0
+        self.kp = self._first(lambda x: x > tol, tol)
+
+    def _first(self, test, t):
+        """Smallest k in [k_lo, k_hi + 1] with test(lam_k), for a test that
+        holds from some k on; real arithmetic puts it next to (t - b) / s."""
+        lo, hi = self.k_lo, self.k_hi
+        k = min(max(ceil((t - self.b) / self.s), lo), hi + 1)
+        while k > lo and test(self.b + self.s * (k - 1)):
+            k -= 1
+        while k <= hi and not test(self.b + self.s * k):
+            k += 1
+        return k
+
+    def run(self, ka, kb, alpha, x_ref=0.0):
+        """sum over k in [ka, kb] of e^{2 pi i r k / N} e^{alpha (lam_k - x_ref)}."""
+        if kb < ka:
+            return 0j
+        phase = cmath.exp(2j * pi * ((ka * self.r) % self.N) / self.N) if self.N else 1.0
+        return (phase * cmath.exp(alpha * (self.b + self.s * ka - x_ref))
+                * _geometric(kb - ka + 1, alpha * self.s + 1j * self.phi))
+
+    def at(self, lc, accel):
+        """Regularized sum of the weights over the ray at cutoff lc."""
+        if accel == "abel":
+            return self.run(self.kp, self.k_hi, -1.0 / lc)
+        # taper 1 on lam <= lc, cos^2 = 1/2 + e^{i th (lam - lc)}/4 + e^{-i th (lam - lc)}/4
+        # (th = pi / lc) on lc < lam < 2 lc, 0 beyond
+        kf = self._first(lambda x: x > lc, lc)
+        mid = max(self.kp, kf), self._first(lambda x: x >= 2 * lc, 2 * lc) - 1
+        th = pi / lc
+        return (self.run(self.kp, kf - 1, 0.0) + 0.5 * self.run(*mid, 0.0)
+                + 0.25 * self.run(*mid, 1j * th, lc) + 0.25 * self.run(*mid, -1j * th, lc))
+
+
+def _progression_eta(progressions, rot, tol, cutoff, accel, reduced, where):
+    """(value, error_estimate) of the regularized signed sum over the
+    progressions (b, s, c): eigenvalues b + s k weighted c e^{2 pi i r k / N}
+    for rot = (r, N) (N = 0: weight c), with k over the range that
+    `enumeration_bound` gives, each summed in closed form.  With reduced,
+    (value + kernel trace) / 2; else KernelPresent when a zero band
+    |lambda| <= tol is occupied."""
+    bound = enumeration_bound(cutoff, accel)
+    r, N = rot
+    rays = []
+    ker_trace = 0.0 + 0.0j
+    for b, s, c in progressions:
+        k_lo, k_hi = int(np.ceil((-bound - b) / s)), int(np.floor((bound - b) / s))
+        pos, neg = _Ray(b, s, r, N, k_lo, k_hi, tol), _Ray(-b, s, -r, N, -k_hi, -k_lo, tol)
+        if pos.kp + neg.kp > 1:  # the zero band is k in [1 - neg.kp, pos.kp - 1]
+            if not reduced:
+                raise KernelPresent(f"{where} model has spectrum at 0")
+            ker_trace += c * pos.run(1 - neg.kp, pos.kp - 1, 0.0)
+        rays.append((c, pos, neg))
+
+    def at(lc):
+        return complex(sum(c * (pos.at(lc, accel) - neg.at(lc, accel)) for c, pos, neg in rays))
+
+    value, err = _extrapolate(at, cutoff, accel)
+    if reduced:
+        value = (value + ker_trace) / 2.0
+        err = err / 2.0
+    return value, err
 
 
 def circle_spectrum(model: CircleDiracModel, window, u_power: int = 0,
@@ -326,32 +457,16 @@ def circle_eta(model: CircleDiracModel, u_power: int = 0, rotation_power: int = 
     For m = 1, V = (beta), trivial action: eta = 1 - 2 beta for beta in (0, 1).
     For a rotation of order N with character w = e^{2 pi i r / N}: eta = 2/(1 - w),
     independently of beta.
-    Returns (value, error_estimate).
+    Each channel is the progression k + v_j, k in the range that
+    `enumeration_bound` gives, and its regularized sum (`regularized_signed_sum`,
+    the enumerated reference) is taken in closed form as finite geometric sums.
+    The zero band |lambda| <= zero_tol raises KernelPresent, or with reduced
+    enters as its weight trace.  Returns (value, error_estimate).
     """
-    bound = enumeration_bound(cutoff, accel)
-    policy = model.policy
-    vals_all, wts_all = [], []
-    ker_trace = 0.0 + 0.0j
-    for v, chi in zip(model.channel_values, model.channel_chars):
-        k = np.arange(int(np.ceil(-bound - v)), int(np.floor(bound - v)) + 1)
-        lam = k + v
-        w = np.full(lam.shape, chi ** u_power, dtype=complex)
-        if rotation_power and model.rotation_order:
-            w = w * np.exp(2j * pi * k * rotation_power / model.rotation_order)
-        zero = np.abs(lam) <= policy.zero_tol
-        if np.any(zero):
-            if not reduced:
-                raise KernelPresent("circle model has spectrum at 0")
-            ker_trace += complex(np.sum(w[zero]))
-        vals_all.append(lam[~zero])
-        wts_all.append(w[~zero])
-    vals = np.concatenate(vals_all)
-    wts = np.concatenate(wts_all)
-    value, err = regularized_signed_sum(vals, wts, cutoff, accel)
-    if reduced:
-        value = (value + ker_trace) / 2.0
-        err = err / 2.0
-    return value, err
+    rot = (rotation_power, model.rotation_order) if rotation_power and model.rotation_order \
+        else (0, 0)
+    progs = [(v, 1.0, chi ** u_power) for v, chi in zip(model.channel_values, model.channel_chars)]
+    return _progression_eta(progs, rot, model.policy.zero_tol, cutoff, accel, reduced, "circle")
 
 
 def interval_eta(model: IntervalDiracModel, P, u_power: int = 0,
@@ -359,32 +474,17 @@ def interval_eta(model: IntervalDiracModel, P, u_power: int = 0,
     """Regularized equivariant eta invariant of D_P on the interval.
 
     For the m = 1 theta-model: eta = 1 - theta/pi for theta in (0, 2 pi).
-    Returns (value, error_estimate).
+    Each branch cluster of `secular_branches` is the progression
+    (beta + 2 pi k)/L, k in the range that `enumeration_bound` gives, and its
+    regularized sum (`regularized_signed_sum`, the enumerated reference) is
+    taken in closed form as finite geometric sums.  The zero band
+    |lambda| <= 10 zero_tol raises KernelPresent, or with reduced enters as
+    its weight trace.  Returns (value, error_estimate).
     """
-    bound = enumeration_bound(cutoff, accel)
     betas, weights, _ = secular_branches(model, P, u_power)
-    sp = 2 * pi / model.L
-    policy = model.policy
-    vals_all, wts_all = [], []
-    ker_trace = 0.0 + 0.0j
-    for beta, w in zip(betas, weights):
-        base = beta / model.L
-        k = np.arange(int(np.ceil((-bound - base) / sp)), int(np.floor((bound - base) / sp)) + 1)
-        lam = base + sp * k
-        zero = np.abs(lam) <= policy.zero_tol * 10
-        if np.any(zero):
-            if not reduced:
-                raise KernelPresent("interval model has spectrum at 0")
-            ker_trace += complex(w * np.count_nonzero(zero))
-        vals_all.append(lam[~zero])
-        wts_all.append(np.full(int(np.count_nonzero(~zero)), w, dtype=complex))
-    vals = np.concatenate(vals_all)
-    wts = np.concatenate(wts_all)
-    value, err = regularized_signed_sum(vals, wts, cutoff, accel)
-    if reduced:
-        value = (value + ker_trace) / 2.0
-        err = err / 2.0
-    return value, err
+    progs = [(beta / model.L, 2 * pi / model.L, w) for beta, w in zip(betas, weights)]
+    return _progression_eta(progs, (0, 0), model.policy.zero_tol * 10, cutoff, accel, reduced,
+                            "interval")
 
 
 def sw_identity_check(model: IntervalDiracModel, P, Q, u_power: int = 0,

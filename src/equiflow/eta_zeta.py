@@ -327,10 +327,13 @@ def eta_log_defect(D0, D1, h=None, policy: TolerancePolicy = DEFAULT):
 
     For saturated spectra (|lambda| >> 1) the defect is an integer combination
     of character values of h (the crossing count of the connecting path).
+    h is split (`isotypic_split`) once for both operators.
     Raises KernelPresent for singular input, BranchCut when spec(T*K) touches -1.
     """
-    op0 = _spec(D0, h, policy)
-    op1 = _spec(D1, h, policy)
+    h = None if h is None else np.asarray(h, dtype=complex)
+    D0, D1 = (np.asarray(D, dtype=complex) for D in (D0, D1))
+    split = isotypic_split(h, D0.shape[-1], policy)
+    op0, op1 = (SpectralOperator._on_split(D, h, split, policy) for D in (D0, D1))
     if np.any(op0.kernel_mask()) or np.any(op1.kernel_mask()):
         raise KernelPresent("eta_log_defect requires invertible operators")
     lhs = reduced_eta(op1, policy=policy) - reduced_eta(op0, policy=policy)

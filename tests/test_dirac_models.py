@@ -10,11 +10,13 @@ from equiflow.dirac_models import (
     SplitScenario,
     circle_eta,
     circle_spectrum,
+    enumeration_bound,
     interval_calderon,
     interval_eta,
     interval_spectrum,
     interval_transfer,
     nonreality_check,
+    regularized_signed_sum,
     secular_branches,
     secular_value,
     splitting_experiment,
@@ -210,6 +212,114 @@ class TestIntervalModel:
                     B = Z[:, space]
                     assert abs(w - np.trace(B.conj().T @ up @ B)) <= 1e-12
                 assert dims.sum() == m
+
+
+def enumerated_eta(progressions, cutoff, accel, tol):
+    """(value, error_estimate, kernel_trace, has_kernel) from
+    `regularized_signed_sum` over every eigenvalue b + s k of the
+    progressions (b, s, weight(k)) up to `enumeration_bound`, outside the
+    zero band |lambda| <= tol."""
+    bound = enumeration_bound(cutoff, accel)
+    vals, wts, ker, has_kernel = [], [], 0j, False
+    for b, s, weight in progressions:
+        k = np.arange(int(np.ceil((-bound - b) / s)), int(np.floor((bound - b) / s)) + 1)
+        lam = b + s * k
+        w = weight(k)
+        zero = np.abs(lam) <= tol
+        has_kernel |= bool(np.any(zero))
+        ker += complex(np.sum(w[zero]))
+        vals.append(lam[~zero])
+        wts.append(w[~zero])
+    value, err = regularized_signed_sum(np.concatenate(vals), np.concatenate(wts), cutoff, accel)
+    return value, err, ker, has_kernel
+
+
+def check_against_enumeration(eta_fn, progressions, cutoff, accel, tol):
+    value, err, ker, has_kernel = enumerated_eta(progressions, cutoff, accel, tol)
+    if has_kernel:
+        with pytest.raises(KernelPresent):
+            eta_fn(False)
+        value, err = (value + ker) / 2.0, err / 2.0
+    got, got_err = eta_fn(has_kernel)
+    assert abs(got - value) <= 1e-9
+    assert abs(got_err - err) <= 1e-9
+    return has_kernel
+
+
+class TestClosedFormSums:
+    """circle_eta and interval_eta sum each progression in closed form; the
+    enumerated eigenvalue list through regularized_signed_sum is the reference."""
+
+    def test_circle_matches_enumeration(self):
+        kernels = set()
+        for i in range(120):
+            rng = gen.rng_for(7100 + i)
+            m, N = 1 + i % 2, 2 + i % 5
+            accel = ("average", "abel")[(i // 2) % 2]
+            cutoff = float(10 ** rng.uniform(2, 4))
+            v = rng.uniform(-2.5, 2.5, size=m)
+            if i % 5 == 0:
+                v[0] = float(rng.integers(-2, 3))  # a zero mode at k = -v
+            chars = np.exp(2j * pi * rng.integers(0, N, size=m) / N)
+            mod = CircleDiracModel(np.diag(v).astype(complex), np.diag(chars), rotation_order=N)
+            p, r = int(rng.integers(0, 2)), int(rng.integers(0, N))
+            progs = [(float(b), 1.0,
+                      lambda k, c=chi ** p, r=r, N=N: c * np.exp(2j * pi * k * r / N))
+                     for b, chi in zip(mod.channel_values, mod.channel_chars)]
+            kernels.add(check_against_enumeration(
+                lambda reduced: circle_eta(mod, p, r, cutoff, accel, reduced),
+                progs, cutoff, accel, mod.policy.zero_tol))
+        assert kernels == {False, True}
+
+    def test_interval_matches_enumeration(self):
+        kernels = set()
+        for i in range(120):
+            rng = gen.rng_for(7300 + i)
+            m, N = 1 + i % 2, 2 + i % 5
+            accel = ("average", "abel")[(i // 2) % 2]
+            cutoff = float(10 ** rng.uniform(2, 4))
+            L = float(rng.uniform(0.5, 2.0))
+            u, _, blocks, R = gen.zn_action(m, N, rng)
+            Vd = np.zeros((m, m), dtype=complex)
+            Td = np.zeros((m, m), dtype=complex)
+            for idx in blocks:
+                Vd[np.ix_(idx, idx)] = gen.rand_hermitian(len(idx), rng, 1.5)
+                Td[np.ix_(idx, idx)] = gen.rand_unitary(len(idx), rng)
+            mod = IntervalDiracModel(L, R @ Vd @ R.conj().T, u)
+            # T = -M(0) puts every branch at beta = 0: a zero mode
+            T = -interval_transfer(mod, 0.0) if i % 5 == 0 else R @ Td @ R.conj().T
+            P = make_projection_from_unitary(T)
+            p = int(rng.integers(0, 3))
+            betas, weights, _ = secular_branches(mod, P, p)
+            progs = [(beta / L, 2 * pi / L, lambda k, c=w: np.full(k.shape, c, dtype=complex))
+                     for beta, w in zip(betas, weights)]
+            kernels.add(check_against_enumeration(
+                lambda reduced: interval_eta(mod, P, p, cutoff, accel, reduced),
+                progs, cutoff, accel, mod.policy.zero_tol * 10))
+        assert kernels == {False, True}
+
+    def test_cutoff_must_be_positive(self):
+        mod = CircleDiracModel(np.array([[0.25]]))
+        for accel in ("average", "abel"):
+            for cutoff in (0.0, -10.0):
+                with pytest.raises(ValueError):
+                    circle_eta(mod, cutoff=cutoff, accel=accel)
+                with pytest.raises(ValueError):
+                    regularized_signed_sum([0.25, -0.75], [1.0, 1.0], cutoff, accel)
+
+    def test_large_cutoff(self):
+        # the enumerated route would need arrays of about 1e9 eigenvalues here
+        for beta in (0.25, 0.61):
+            for N, r in ((2, 1), (3, 1), (4, 3), (6, 1)):
+                w = np.exp(2j * pi * r / N)
+                mod = CircleDiracModel(np.array([[beta]]), rotation_order=N)
+                v, _ = circle_eta(mod, rotation_power=r, cutoff=1e8, accel="abel")
+                assert abs(v - 2.0 / (1.0 - w)) < 1e-6
+            v, _ = circle_eta(CircleDiracModel(np.array([[beta]])), cutoff=1e8)
+            assert abs(v - (1.0 - 2.0 * beta)) < 1e-6
+        mod = IntervalDiracModel(1.0, np.array([[0.0]]))
+        v, _ = interval_eta(mod, theta_projection(1.1), cutoff=1e8)
+        assert abs(v - (1.0 - 1.1 / pi)) < 1e-6
 
 
 class TestSWIdentity:

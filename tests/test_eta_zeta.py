@@ -439,3 +439,20 @@ class TestEtaLogDefect:
         with pytest.raises(KernelPresent):
             eta_log_defect(np.diag([0.0, 1.0]).astype(complex),
                            np.diag([1.0, 1.0]).astype(complex))
+
+    def test_splits_actor_once(self, monkeypatch):
+        split = eta_zeta.isotypic_split
+        calls = []
+
+        def counting_split(*args):
+            calls.append(1)
+            return split(*args)
+
+        monkeypatch.setattr(eta_zeta, "isotypic_split", counting_split)
+        h = np.diag([W3, 1.0])
+        D0 = np.diag([-5.0, 7.0]).astype(complex)
+        D1 = np.diag([5.0, 7.0]).astype(complex)
+        for actor in (h, None):
+            calls.clear()
+            eta_log_defect(D0, D1, actor)
+            assert len(calls) == 1
