@@ -532,27 +532,26 @@ def splitting_experiment(sc: SplitScenario) -> dict:
         reduced_eta(circle) = reduced_eta(M+, P) + reduced_eta(M-, flip(P))
                               + triple_index(flip(Calderon(M-)), P, Calderon(M+)).
 
-    Returns a report dict with every term, the triple index, the residual and
+    The halves M+ and M- are the same model (length pi, the circle's V and u),
+    built once, so Calderon(M-) = Calderon(M+) is taken once.  Returns a
+    report dict with every term, the triple index, the residual and
     accumulated regularization error estimates.
     """
     policy = sc.policy
     circle = CircleDiracModel(sc.V, sc.u, policy=policy)
-    half_plus = IntervalDiracModel(pi, sc.V, sc.u, policy=policy)
-    half_minus = IntervalDiracModel(pi, sc.V, sc.u, policy=policy)
+    half = IntervalDiracModel(pi, sc.V, sc.u, policy=policy)
     P = as_projection(sc.P, policy)
 
     eta_m, err_m = circle_eta(circle, sc.u_power, 0, sc.circle_cutoff, sc.accel, reduced=True)
-    eta_p, err_p = interval_eta(half_plus, P, sc.u_power, sc.interval_cutoff, sc.accel,
-                                reduced=True)
+    eta_p, err_p = interval_eta(half, P, sc.u_power, sc.interval_cutoff, sc.accel, reduced=True)
     P_minus_solver = flip_orientation(P, policy)
-    eta_n, err_n = interval_eta(half_minus, P_minus_solver, sc.u_power, sc.interval_cutoff,
+    eta_n, err_n = interval_eta(half, P_minus_solver, sc.u_power, sc.interval_cutoff,
                                 sc.accel, reduced=True)
 
-    P_cal_plus, _ = interval_calderon(half_plus)
-    P_cal_minus, _ = interval_calderon(half_minus)
-    first = flip_orientation(P_cal_minus, policy)
-    a = half_plus.actor(sc.u_power)
-    tau = triple_index_static(first, P, P_cal_plus, a, policy)
+    P_cal, _ = interval_calderon(half)
+    first = flip_orientation(P_cal, policy)
+    a = half.actor(sc.u_power)
+    tau = triple_index_static(first, P, P_cal, a, policy)
 
     residual = eta_m - eta_p - eta_n - tau
     return {

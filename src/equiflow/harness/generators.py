@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg as sl
 
 from ..spectra import isotypic_split
-from ..specflow import Path
+from ..specflow import Path, from_stack
 
 __all__ = [
     "rng_for",
@@ -21,6 +21,7 @@ __all__ = [
     "commuting_unitary_path",
     "commuting_static_unitary",
     "commutant_loop",
+    "blockwise_unitary_path",
     "lagrangian_loop_pair",
 ]
 
@@ -61,60 +62,83 @@ def _block_embed(blocks, dim, pieces):
     return M
 
 
+def _exp_i(X):
+    """exp(i X) of a stack of Hermitian matrices, from one batched eigh."""
+    lam, W = np.linalg.eigh(X)
+    return (W * np.exp(1j * lam)[..., None, :]) @ np.swapaxes(W.conj(), -1, -2)
+
+
+def _flow(H2, H1):
+    """Batched ts -> exp(i (t H1 + sin(pi t) H2)); for a loop (H1 None) from
+    one eigendecomposition of H2, taken here."""
+    if H1 is not None:
+        return lambda ts: _exp_i(ts[:, None, None] * H1 + np.sin(pi * ts)[:, None, None] * H2)
+    lam, W = np.linalg.eigh(H2)
+    return lambda ts: (W * np.exp(1j * np.outer(np.sin(pi * ts), lam))[:, None, :]) @ W.conj().T
+
+
+def blockwise_unitary_path(Q, blocks, factors):
+    """Unitary sampler t -> sum_b Q_b U_b(t) Q_b* with Q_b = Q[:, blocks[b]] and
+
+        U_b(t) = E0 exp(2 pi i t diag(k)) exp(i (t H1 + sin(pi t) H2))
+
+    for factors[b] = (E0, k, H2, H1); H1 = None makes the block a loop.  The
+    stack is closed-form: exp(2 pi i t diag(k)) from its diagonal, the loop
+    factor from one eigendecomposition of H2 and the open one from a batched
+    eigh.  The pointwise call is stack([t])[0]."""
+    pieces = [(Q[:, idx], E0, k, _flow(H2, H1)) for idx, (E0, k, H2, H1) in zip(blocks, factors)]
+
+    def stack(ts):
+        return sum(Qb @ ((E0 * np.exp(2j * pi * np.outer(ts, k))[:, None, :]) @ flow(ts))
+                   @ Qb.conj().T for Qb, E0, k, flow in pieces)
+
+    return from_stack(stack)
+
+
 def commuting_hermitian_path(dim, order, rng, scale=1.5):
     """Smooth Hermitian path commuting with a random Z_order action.
 
     Built blockwise in the action's eigenbasis:
-    B(t) = R [C0 + t C1 + sin(pi t) C2 + cos(2 pi t) C3] R^*.
-    Returns (Path, h).
+    B(t) = R [C0 + t C1 + sin(pi t) C2 + cos(2 pi t) C3] R^*, batched as one
+    contraction of the four embedded coefficients.  Returns (Path, h).
     """
     h, _, blocks, R = zn_action(dim, order, rng)
-    coeffs = []
+    C = np.zeros((4, dim, dim), dtype=complex)
     for idx in blocks:
         b = len(idx)
-        coeffs.append([rand_hermitian(b, rng, scale),
-                       rand_hermitian(b, rng, scale),
-                       rand_hermitian(b, rng, 0.7 * scale),
-                       rand_hermitian(b, rng, 0.4 * scale)])
+        C[:, idx[:, None], idx] = [rand_hermitian(b, rng, scale),
+                                   rand_hermitian(b, rng, scale),
+                                   rand_hermitian(b, rng, 0.7 * scale),
+                                   rand_hermitian(b, rng, 0.4 * scale)]
+    C = R @ C @ R.conj().T
 
-    def sampler(t):
-        pieces = [c[0] + t * c[1] + np.sin(pi * t) * c[2] + np.cos(2 * pi * t) * c[3]
-                  for c in coeffs]
-        inner = _block_embed(blocks, dim, pieces)
-        return R @ inner @ R.conj().T
+    def stack(ts):
+        basis = np.stack([np.ones_like(ts), ts, np.sin(pi * ts), np.cos(2 * pi * ts)], axis=1)
+        return np.tensordot(basis, C, axes=1)
 
-    return Path(dim, sampler), h
+    return Path(dim, from_stack(stack)), h
 
 
 def commuting_unitary_path(dim, order, rng, windings=1, amp=1.0, loop=False):
-    """Smooth unitary path commuting with a random Z_order action.
+    """Smooth unitary path commuting with a random Z_order action:
+    R_b E0 exp(2 pi i t K) exp(i (t H1 + sin(pi t) H2)) R_b* per block b of
+    the action's eigenbasis R, drawing H0 (E0 = exp(i H0)), H2, the integer
+    diagonal K and then H1 per block.
 
-    With loop=True the path closes (f(1) = f(0)) while still winding
-    `windings` times on random eigendirections.  Returns (Path, a).
+    With loop=True, H1 = 0 (not drawn): the path closes (f(1) = f(0)) while
+    still winding `windings` times on random eigendirections.  Returns
+    (Path, a).
     """
     a, _, blocks, R = zn_action(dim, order, rng)
-    pieces = []
+    factors = []
     for idx in blocks:
         b = len(idx)
         H0 = rand_hermitian(b, rng, amp)
         H2 = rand_hermitian(b, rng, 0.6 * amp)
-        K = np.diag(rng.integers(-windings, windings + 1, size=b).astype(float))
-        E0 = sl.expm(1j * H0)
-        if loop:
-            def piece(t, E0=E0, K=K, H2=H2):
-                return E0 @ sl.expm(2j * pi * t * K) @ sl.expm(1j * np.sin(pi * t) * H2)
-        else:
-            H1 = rand_hermitian(b, rng, amp)
-            def piece(t, E0=E0, K=K, H1=H1, H2=H2):
-                return E0 @ sl.expm(2j * pi * t * K) @ \
-                    sl.expm(1j * (t * H1 + np.sin(pi * t) * H2))
-        pieces.append(piece)
-
-    def sampler(t):
-        inner = _block_embed(blocks, dim, [p(t) for p in pieces])
-        return R @ inner @ R.conj().T
-
-    return Path(dim, sampler), a
+        k = rng.integers(-windings, windings + 1, size=b).astype(float)
+        H1 = None if loop else rand_hermitian(b, rng, amp)
+        factors.append((sl.expm(1j * H0), k, H2, H1))
+    return Path(dim, blockwise_unitary_path(R, blocks, factors)), a
 
 
 def commuting_static_unitary(dim, order, rng, amp=1.0):
@@ -130,22 +154,14 @@ def commutant_loop(a, rng, windings=1):
     drawing H0 (E0 = exp(i H0)), H2 and the integer diagonal K in that order."""
     n = a.shape[0]
     V, blocks, _ = isotypic_split(a, n)
-    pieces = []
+    factors = []
     for idx in blocks:
         b = len(idx)
         H0 = rand_hermitian(b, rng, 0.9)
         H2 = rand_hermitian(b, rng, 0.5)
-        K = np.diag(rng.integers(-windings, windings + 1, size=b).astype(float))
-        E0 = sl.expm(1j * H0)
-        def piece(t, E0=E0, K=K, H2=H2):
-            return E0 @ sl.expm(2j * pi * t * K) @ sl.expm(1j * np.sin(pi * t) * H2)
-        pieces.append(piece)
-
-    def loop(t):
-        inner = _block_embed(blocks, n, [p(t) for p in pieces])
-        return V @ inner @ V.conj().T
-
-    return loop
+        k = rng.integers(-windings, windings + 1, size=b).astype(float)
+        factors.append((sl.expm(1j * H0), k, H2, None))
+    return blockwise_unitary_path(V, blocks, factors)
 
 
 def lagrangian_loop_pair(n, order, rng, windings=1):

@@ -209,20 +209,15 @@ def det_multiplicativity(seed=ACCEPTANCE_SEED, count=50):
         dim = 2 + i % 3
         order = 2 + i % 5
         f, a = gen.commuting_unitary_path(dim, order, rng, windings=0, amp=0.8)
-        # draw g blockwise against the same actor a
+        # draw g blockwise against the same actor a: exp(i (t H1 + sin(pi t) H2))
         V, blocks, _ = isotypic_split(a, dim)
-        pieces = []
+        factors = []
         for idx in blocks:
             b = len(idx)
             H1 = gen.rand_hermitian(b, rng, 0.8)
             H2 = gen.rand_hermitian(b, rng, 0.5)
-            pieces.append((H1, H2))
-
-        def g(t):
-            inner = np.zeros((dim, dim), dtype=complex)
-            for idx, (H1, H2) in zip(blocks, pieces):
-                inner[np.ix_(idx, idx)] = sl.expm(1j * (t * H1 + np.sin(pi * t) * H2))
-            return V @ inner @ V.conj().T
+            factors.append((np.eye(b), np.zeros(b), H2, H1))
+        g = gen.blockwise_unitary_path(V, blocks, factors)
 
         d1 = fredholm_det_path(product(f, g), a)
         d2 = fredholm_det_path(f, a) * fredholm_det_path(g, a)
@@ -273,20 +268,14 @@ def triple_symmetry(seed=ACCEPTANCE_SEED, count=50):
         # R in a's commutant; drawn H0, K, H2 per block, an order that differs
         # from gen.commutant_loop's (H0, H2, K), so this suite's cases stay as pinned
         V, blocks, _ = isotypic_split(a, n)
-        pieces = []
+        factors = []
         for idx in blocks:
             b = len(idx)
             H0 = gen.rand_hermitian(b, rng, 0.9)
-            K = np.diag(rng.integers(-1, 2, size=b).astype(float))
+            k = rng.integers(-1, 2, size=b).astype(float)
             H2 = gen.rand_hermitian(b, rng, 0.5)
-            pieces.append((sl.expm(1j * H0), K, H2))
-
-        def Rp(t):
-            inner = np.zeros((n, n), dtype=complex)
-            for idx, (E0, K, H2) in zip(blocks, pieces):
-                inner[np.ix_(idx, idx)] = E0 @ sl.expm(2j * pi * t * K) @ \
-                    sl.expm(1j * np.sin(pi * t) * H2)
-            return V @ inner @ V.conj().T
+            factors.append((sl.expm(1j * H0), k, H2, None))
+        Rp = gen.blockwise_unitary_path(V, blocks, factors)
 
         out = {}
         t_pqn = triple_index_path(T, S, Rp, a)

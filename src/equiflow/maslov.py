@@ -12,7 +12,7 @@ m branches of the chi-block weighs chi * m.
 import numpy as np
 
 from .errors import NotCommuting, NotLagrangian, TrackingAmbiguous
-from .spectra import check_commuting, isotypic_split
+from .spectra import check_commuting, isotypic_split, sample_stack
 from .specflow import Path, adjoint, product
 from .symplectic import as_projection
 from .tolerances import DEFAULT, TolerancePolicy
@@ -62,65 +62,88 @@ def _svals_plus_identity(M):
     return np.linalg.svd(np.eye(M.shape[-1]) + M, compute_uv=False)
 
 
+def _sigma_min(M, idx):
+    """sigma_min(I + block idx of M) for every matrix of a stack."""
+    return _svals_plus_identity(M[..., idx[:, None], idx])[..., -1]
+
+
 def _maslov_grid(pair, a, policy, grid):
     """Scan sigma_min(I + block of T*S) per isotypic block of the actor; each
     intersection event in the chi-block counts chi * dim ker, signed by the
-    direction of the block eigenphase through pi."""
+    direction of the block eigenphase through pi.  The scan, each step of the
+    minimum search (`_bracket_min`, all candidate windows at once) and the
+    events' kernel and orientation samples are one stack each."""
     eps_t = 10 * policy.zero_tol  # endpoint evaluation rule: step inside by eps
     ts = np.linspace(eps_t, 1.0 - eps_t, grid)
-    mats = np.stack([pair(t) for t in ts])
+    mats = sample_stack(pair, ts)
     check_commuting(a, mats, ts, NotCommuting, policy)
     V, blocks, chars = isotypic_split(a, mats.shape[-1], policy)
+
+    def blocked(ts):
+        return V.conj().T @ sample_stack(pair, ts) @ V
+
     mats = V.conj().T @ mats @ V
+    # candidate intersection windows: local minima below a loose threshold
+    windows = []  # (block, lo, hi)
+    for b, idx in enumerate(blocks):
+        sig = _sigma_min(mats, idx)
+        for k in range(grid):
+            if sig[k] < 0.2 and (k == 0 or sig[k] <= sig[k - 1]) and \
+                    (k == grid - 1 or sig[k] <= sig[k + 1]):
+                windows.append((b, ts[max(k - 1, 0)], ts[min(k + 1, grid - 1)]))
+    if not windows:
+        return 0.0 + 0.0j
+    events = [[] for _ in blocks]
+    for (b, _, _), t_star, s_star in zip(windows, *_bracket_min(blocked, blocks, windows)):
+        if s_star < 1e-6 and eps_t < t_star < 1.0 - eps_t:
+            if not any(abs(t_star - e) <= 1e-8 for e in events[b]):
+                events[b].append(t_star)
+    found = [(b, t) for b in range(len(blocks)) for t in sorted(events[b])]
+    if not found:
+        return 0.0 + 0.0j
+    t_ev = np.array([t for _, t in found])
+    delta = np.minimum(1e-5, np.minimum(t_ev, 1.0 - t_ev))
+    at, before, after = np.split(blocked(np.concatenate([t_ev, t_ev - delta, t_ev + delta])), 3)
     total = 0.0 + 0.0j
-    for idx, chi in zip(blocks, chars):
-        Q = V[:, idx]
-
-        def block(t, Q=Q):
-            return Q.conj().T @ np.asarray(pair(t), dtype=complex) @ Q
-
-        def sigma_min(t, block=block):
-            return float(_svals_plus_identity(block(t))[-1])
-
-        sig = _svals_plus_identity(mats[:, idx[:, None], idx])[:, -1]
-        # candidate intersection windows: local minima below a loose threshold
-        thresh = 0.2
-        events = []
-        for k in range(len(ts)):
-            if sig[k] < thresh and (k == 0 or sig[k] <= sig[k - 1]) and \
-                    (k == len(ts) - 1 or sig[k] <= sig[k + 1]):
-                lo = ts[max(k - 1, 0)]
-                hi = ts[min(k + 1, len(ts) - 1)]
-                t_star, s_star = _ternary_min(sigma_min, lo, hi)
-                if s_star < 1e-6 and eps_t < t_star < 1.0 - eps_t:
-                    if not any(abs(t_star - e) <= 1e-8 for e in events):
-                        events.append(t_star)
-        for t_star in sorted(events):
-            kdim = int(np.sum(_svals_plus_identity(block(t_star)) <= 1e-6))
-            if kdim == 0:
-                continue
-            delta = min(1e-5, t_star, 1.0 - t_star)
-            before = _phase_near_pi(block(t_star - delta))
-            after = _phase_near_pi(block(t_star + delta))
-            if after == before:
-                raise TrackingAmbiguous(f"cannot orient the intersection at t={t_star:.6g}")
-            direction = 1 if after > before else -1
-            total += direction * chi * kdim
+    for e, (b, t_star) in enumerate(found):
+        idx = blocks[b]
+        kdim = int(np.sum(_svals_plus_identity(at[e][np.ix_(idx, idx)]) <= 1e-6))
+        if kdim == 0:
+            continue
+        phase_before = _phase_near_pi(before[e][np.ix_(idx, idx)])
+        phase_after = _phase_near_pi(after[e][np.ix_(idx, idx)])
+        if phase_after == phase_before:
+            raise TrackingAmbiguous(f"cannot orient the intersection at t={t_star:.6g}")
+        direction = 1 if phase_after > phase_before else -1
+        total += direction * chars[b] * kdim
     return complex(total)
 
 
-def _ternary_min(f, lo, hi, iters=80):
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo < 1e-10:
-            break
-    mid = (lo + hi) / 2.0
-    return mid, f(mid)
+def _bracket_min(blocked, blocks, windows):
+    """Minimize sigma_min(I + block) on each window (block, lo, hi), all
+    windows together: each step samples 17 evenly spaced times per window in
+    one stack of `blocked` (t -> V* pair(t) V) and keeps the two cells around
+    the smallest value, until every window is narrower than 1e-10.  Returns
+    the times and values of the smallest samples of the last step."""
+    which = np.array([b for b, _, _ in windows])
+    lo = np.array([w[1] for w in windows])
+    hi = np.array([w[2] for w in windows])
+    rows = np.arange(len(windows))
+    frac = np.linspace(0.0, 1.0, 17)
+    while True:
+        grid = lo[:, None] + (hi - lo)[:, None] * frac
+        M = blocked(grid.ravel())
+        M = M.reshape(grid.shape + M.shape[-2:])
+        sig = np.empty(grid.shape)
+        for b, idx in enumerate(blocks):
+            sel = which == b
+            if sel.any():
+                sig[sel] = _sigma_min(M[sel], idx)
+        j = np.argmin(sig, axis=1)
+        lo = grid[rows, np.maximum(j - 1, 0)]
+        hi = grid[rows, np.minimum(j + 1, frac.size - 1)]
+        if np.max(hi - lo) < 1e-10:
+            return grid[rows, j], sig[rows, j]
 
 
 def triple_index_path(T, S, R, a=None, policy: TolerancePolicy = DEFAULT) -> complex:

@@ -7,6 +7,15 @@ dimension for `concatenate` and `reverse`, and `HermitianPath`,
 `product(f, g)` (t -> f(t) g(t)) and `adjoint(f)` (t -> f(t)*) build the
 pointwise products that the Maslov, triple and double indices wind.
 
+A sampler may carry a batched form: a function attribute `stack(ts)`
+returning the (K, n, n) samples at the times ts, equal to the pointwise
+samples.  `spectra.sample_stack` is its one reader and falls back to one
+call per time without it.  It is a function attribute rather than a method
+so that `functools.wraps` wrappers, which copy `__dict__`, keep it.
+`Path.stack` forwards it, `product`, `adjoint`, `reverse` and `concatenate`
+keep it, and `from_stack(stack)` builds the sampler t -> stack([t])[0] of a
+closed-form stack.
+
 Spectral flow has two independent pipelines: a grid-partition computation
 (spectral-window counts over a certified partition) and a crossing oracle
 (branch tracking and a count of the branches' sign changes).  Both work on the
@@ -23,7 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotEquivariant, PartitionFailure
-from .spectra import eig_hermitian, group_events, isotypic_sampler, opnorm, track_blocks
+from .spectra import (
+    eig_hermitian,
+    group_events,
+    isotypic_sampler,
+    sample_stack,
+    track_blocks,
+)
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -42,6 +57,7 @@ __all__ = [
     "reverse",
     "adjoint",
     "product",
+    "from_stack",
 ]
 
 
@@ -51,7 +67,8 @@ class Path:
 
     Every routine also accepts a bare callable t -> matrix and reads the
     dimension from the samples it takes; `dim` serves the combinators that
-    build a new Path from old ones.
+    build a new Path from old ones.  `stack` forwards the sampler's batched
+    form (None when it has none).
     """
 
     dim: int
@@ -60,8 +77,24 @@ class Path:
     def __call__(self, t):
         return self.sampler(t)
 
+    @property
+    def stack(self):
+        return getattr(self.sampler, "stack", None)
+
 
 HermitianPath = UnitaryPath = Path
+
+
+def _with_stack(sampler, stack):
+    """The pointwise sampler with its batched form attached as `sampler.stack`."""
+    sampler.stack = stack
+    return sampler
+
+
+def from_stack(stack):
+    """Sampler t -> stack([t])[0] carrying the batched form `stack`: a path
+    given by one closed-form formula for a whole stack of times."""
+    return _with_stack(lambda t: stack(np.array([t], dtype=float))[0], stack)
 
 
 def concatenate(p1, p2):
@@ -72,31 +105,42 @@ def concatenate(p1, p2):
     def sampler(t):
         return p1.sampler(2 * t) if t <= 0.5 else p2.sampler(2 * t - 1)
 
-    return Path(p1.dim, sampler)
+    def stack(ts):
+        first = ts <= 0.5
+        out = np.empty((len(ts), p1.dim, p1.dim), dtype=complex)
+        if first.any():
+            out[first] = sample_stack(p1, 2 * ts[first])
+        if not first.all():
+            out[~first] = sample_stack(p2, 2 * ts[~first] - 1)
+        return out
+
+    return Path(p1.dim, _with_stack(sampler, stack))
 
 
 def reverse(p):
-    return Path(p.dim, lambda t: p.sampler(1.0 - t))
+    return Path(p.dim, _with_stack(lambda t: p.sampler(1.0 - t),
+                                  lambda ts: sample_stack(p, 1.0 - ts)))
 
 
 def adjoint(f):
     """Sampler t -> f(t)*."""
-    return lambda t: np.asarray(f(t), dtype=complex).conj().T
+    return _with_stack(lambda t: np.asarray(f(t), dtype=complex).conj().T,
+                      lambda ts: np.swapaxes(sample_stack(f, ts).conj(), -1, -2))
 
 
 def product(f, g):
     """Pointwise product sampler t -> f(t) g(t); DimensionMismatch unless the
     samples have the same shape."""
 
-    def sampler(t):
-        F = np.asarray(f(t), dtype=complex)
-        G = np.asarray(g(t), dtype=complex)
+    def times(F, G):
         if F.shape != G.shape:
-            raise DimensionMismatch(f"path samples of shapes {F.shape} and {G.shape} "
-                                    "cannot be multiplied")
+            raise DimensionMismatch(f"path samples of shapes {F.shape[-2:]} and "
+                                    f"{G.shape[-2:]} cannot be multiplied")
         return F @ G
 
-    return sampler
+    return _with_stack(
+        lambda t: times(np.asarray(f(t), dtype=complex), np.asarray(g(t), dtype=complex)),
+        lambda ts: times(sample_stack(f, ts), sample_stack(g, ts)))
 
 
 @dataclass
@@ -181,17 +225,14 @@ def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int =
 
     def try_certify(t0, t1, depth):
         ts = np.linspace(t0, t1, n_probe)
-        mats = [np.asarray(path(t), dtype=complex) for t in ts]
-        spectra = [np.linalg.eigvalsh((M + M.conj().T) / 2) for M in mats]
-        lip = 0.0
-        for k in range(len(ts) - 1):
-            dt = ts[k + 1] - ts[k]
-            lip = max(lip, opnorm(mats[k + 1] - mats[k]) / max(dt, 1e-300))
+        mats = sample_stack(path, ts)
+        spectra = np.linalg.eigvalsh((mats + np.swapaxes(mats.conj(), 1, 2)) / 2)
+        steps = np.linalg.norm(np.diff(mats, axis=0), 2, axis=(1, 2))
+        lip = float(np.max(steps / np.maximum(np.diff(ts), 1e-300)))
         lip *= 1.5  # safety factor on the sampled Lipschitz estimate
-        pool = np.concatenate(spectra)
         travel = lip * (t1 - t0) / (n_probe - 1) / 2.0
-        for a, _halfwidth in _level_candidates(pool)[:4]:
-            dmin = min(float(np.min(np.abs(s - a))) for s in spectra)
+        for a, _halfwidth in _level_candidates(spectra.ravel())[:4]:
+            dmin = float(np.min(np.abs(spectra - a)))
             if dmin > travel * 1.2 + policy.zero_tol:
                 return Interval(t0, t1, a, dmin, lip)
         return None
@@ -342,13 +383,13 @@ def bott_loop(rank_k_weights, ambient, policy: TolerancePolicy = DEFAULT) -> Bot
     bump = np.zeros(dim)
     bump[n_plus:n_plus + k] = 2.0
 
-    def herm(t):
-        return np.diag(base + t * bump).astype(complex)
+    def herm(ts):
+        return (base + ts[:, None] * bump)[:, :, None] * np.eye(dim, dtype=complex)
 
-    def unit(t):
-        return np.diag(-np.exp(1j * np.pi * (base + t * bump)))
+    def unit(ts):
+        return -np.exp(1j * np.pi * (base + ts[:, None] * bump))[:, :, None] * np.eye(dim)
 
     return BottLoop(h=h,
-                    hermitian_path=Path(dim, herm),
-                    unitary_path=Path(dim, unit),
+                    hermitian_path=Path(dim, from_stack(herm)),
+                    unitary_path=Path(dim, from_stack(unit)),
                     expected=complex(np.sum(np.asarray(rank_k_weights, dtype=complex))))

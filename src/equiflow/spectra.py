@@ -36,6 +36,7 @@ __all__ = [
     "matrix_erf",
     "integrate",
     "path_panel",
+    "sample_stack",
     "track_branches",
     "track_blocks",
     "group_events",
@@ -286,14 +287,29 @@ def _gl_nodes(order=15):
     return x, w, Dm - np.diag(Dm.sum(axis=1))
 
 
+def sample_stack(path, ts):
+    """Samples (K, n, n) of a matrix path at the times ts.
+
+    A path may carry a batched form, a function attribute `stack(ts)` equal to
+    its pointwise samples; it is called once.  Without one the path is called
+    once per time, so any callable t -> matrix works.
+    """
+    ts = np.asarray(ts, dtype=float)
+    stack = getattr(path, "stack", None)
+    if stack is not None:
+        return np.asarray(stack(ts), dtype=complex)
+    return np.stack([np.asarray(path(t), dtype=complex) for t in ts])
+
+
 def path_panel(path, ts):
     """Samples F (K, n, n) of a matrix path at the nodes ts = mid + half * x of
     one Gauss-Legendre panel, and its derivative dF there: the path is sampled
-    once per node, and dF is the derivative of the samples' degree-14
-    interpolant (applied to F - F[middle node], so a constant path gives 0).
+    once per panel (`sample_stack`), and dF is the derivative of the samples'
+    degree-14 interpolant (applied to F - F[middle node], so a constant path
+    gives 0).
     """
     x, _, Dm = _gl_nodes()
-    F = np.stack([np.asarray(path(t), dtype=complex) for t in ts])
+    F = sample_stack(path, ts)
     half = (ts[-1] - ts[0]) / (x[-1] - x[0])
     return F, np.tensordot(Dm, F - F[x.size // 2], axes=1) / half
 

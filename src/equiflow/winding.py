@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -41,9 +40,10 @@ from .spectra import (
     opnorm,
     path_panel,
     principal_log_unitary,
+    sample_stack,
     track_blocks,
 )
-from .specflow import Path, product
+from .specflow import Path, from_stack, product
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -70,18 +70,16 @@ def _det_phases(f, a, policy, K=33):
     each diagonal block of V* f V.  Intervals where some block's det phase
     steps by more than STEP_MAX are bisected; TrackingAmbiguous is raised at
     MAX_SAMPLES samples or when an interval to bisect is at most MIN_DT long.
-    This step bound is what certifies the unwrapping.  Returns (blocks, chars, deltas, ends): deltas
-    are the unwrapped det-phase changes per block, ends the V* f V samples at
-    t = 0 and t = 1.
+    The grid and each bisection level are one stack (`sample_stack`).  This
+    step bound is what certifies the unwrapping.  Returns (blocks, chars,
+    deltas, ends): deltas are the unwrapped det-phase changes per block, ends
+    the V* f V samples at t = 0 and t = 1.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
 
-    def sample(ts):
-        return np.stack([np.asarray(f(t), dtype=complex) for t in ts])
-
     ts = np.linspace(0.0, 1.0, K)
-    F = sample(ts)
+    F = sample_stack(f, ts)
     n = F.shape[-1]
     V, blocks, chars = isotypic_split(a, n, policy)
 
@@ -109,7 +107,7 @@ def _det_phases(f, a, policy, K=33):
                 f"det phase of block {b} steps by {steps[k, b]:.3g} rad on "
                 f"[{ts[k]:.6g}, {ts[k + 1]:.6g}] at the depth cap")
         mids = (ts[lo] + ts[lo + 1]) / 2.0
-        _, mid_dets = block_dets(mids, sample(mids))
+        _, mid_dets = block_dets(mids, sample_stack(f, mids))
         ts = np.insert(ts, lo + 1, mids)
         dets = np.insert(dets, lo + 1, mid_dets, axis=0)
     return blocks, chars, steps.sum(axis=0), ends
@@ -268,25 +266,29 @@ class CanonicalContraction:
         return self.path(t)
 
     @property
+    def stack(self):
+        return self.path.stack
+
+    @property
     def dim(self):
         return self.U.shape[0]
 
 
 def _frozen_flow(B0, a0, B1, flows):
     """Sampler t -> B0 (-a0) B0* + B1 exp(t L_1) ... exp(t L_k) B1*: the span
-    of B0 (ker(U + I)) frozen at -a0 while its complement B1 flows."""
-    n = B0.shape[0]
+    of B0 (ker(U + I)) frozen at -a0 while its complement B1 flows.  Each
+    flow generator is skew-Hermitian, L = W diag(i mu) W*, so
+    exp(t L) = W e^{i t mu} W* from one eigendecomposition per generator;
+    the pointwise call is stack([t])[0]."""
+    frozen = B0 @ (-a0) @ B0.conj().T
+    eigs = [np.linalg.eigh(-1j * L) for L in flows]
 
-    def sampler(t):
-        out = np.zeros((n, n), dtype=complex)
-        if B0.shape[1]:
-            out += B0 @ (-a0) @ B0.conj().T
-        if B1.shape[1]:
-            flow = reduce(np.matmul, [scipy.linalg.expm(t * L) for L in flows])
-            out += B1 @ flow @ B1.conj().T
-        return out
+    def stack(ts):
+        flow = reduce(np.matmul, [(W * np.exp(1j * np.outer(ts, mu))[:, None, :]) @ W.conj().T
+                                  for mu, W in eigs])
+        return frozen + B1 @ flow @ B1.conj().T
 
-    return sampler
+    return from_stack(stack)
 
 
 def _split_at_minus_one(U, policy):

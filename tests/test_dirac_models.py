@@ -383,6 +383,28 @@ class TestSplitting:
         assert abs(rep["residual"]) < 5e-3
         assert abs(rep["triple_index"] - (W3 - 1.0)) < 1e-8
 
+    def test_one_interval_model_per_experiment(self, monkeypatch):
+        # the two halves are the same model: one circle and one interval model
+        # per u-power, plus the run kind's model for the boundary projection
+        from equiflow import dirac_models
+        from equiflow.harness import cli, serialize
+
+        builds = []
+        channel_data = dirac_models._channel_data
+
+        def counted(*args):
+            builds.append(1)
+            return channel_data(*args)
+
+        monkeypatch.setattr(dirac_models, "_channel_data", counted)
+        cfg = {"kind": "split", "group": {"u_powers": [0, 1]},
+               "generator": {"name": "model", "params": {
+                   "v": [0.3, 0.6], "u": serialize.matrix_to_wire(np.diag([W3, 1.0])),
+                   "boundary": {"theta": [1.0, 2.0]}}}}
+        body, _ = cli.run_config(cfg)
+        assert len(builds) == 5
+        assert all(rep["passed"] for rep in body["results"].values())
+
 
 class TestDiracChain:
     def test_sf_mas_w_agree(self):
