@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg as sl
 
 from ..spectra import isotypic_split
-from ..specflow import Path, from_stack
+from ..specflow import Path, _from_stack
 
 __all__ = [
     "rng_for",
@@ -92,7 +92,7 @@ def blockwise_unitary_path(Q, blocks, factors):
         return sum(Qb @ ((E0 * np.exp(2j * pi * np.outer(ts, k))[:, None, :]) @ flow(ts))
                    @ Qb.conj().T for Qb, E0, k, flow in pieces)
 
-    return from_stack(stack)
+    return _from_stack(stack)
 
 
 def commuting_hermitian_path(dim, order, rng, scale=1.5):
@@ -116,7 +116,7 @@ def commuting_hermitian_path(dim, order, rng, scale=1.5):
         basis = np.stack([np.ones_like(ts), ts, np.sin(pi * ts), np.cos(2 * pi * ts)], axis=1)
         return np.tensordot(basis, C, axes=1)
 
-    return Path(dim, from_stack(stack)), h
+    return Path(dim, _from_stack(stack)), h
 
 
 def commuting_unitary_path(dim, order, rng, windings=1, amp=1.0, loop=False):

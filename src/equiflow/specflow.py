@@ -12,9 +12,9 @@ returning the (K, n, n) samples at the times ts, equal to the pointwise
 samples.  `spectra.sample_stack` is its one reader and falls back to one
 call per time without it.  It is a function attribute rather than a method
 so that `functools.wraps` wrappers, which copy `__dict__`, keep it.
-`Path.stack` forwards it, `product`, `adjoint`, `reverse` and `concatenate`
-keep it, and `from_stack(stack)` builds the sampler t -> stack([t])[0] of a
-closed-form stack.
+`Path.stack` forwards it.  The combinators `product`, `adjoint`, `reverse`
+and `concatenate`, the seeded generators and the contraction flows are each
+one batched formula: their pointwise call is stack([t])[0].
 
 Spectral flow has two independent pipelines: a grid-partition computation
 (spectral-window counts over a certified partition) and a crossing oracle
@@ -57,7 +57,6 @@ __all__ = [
     "reverse",
     "adjoint",
     "product",
-    "from_stack",
 ]
 
 
@@ -85,25 +84,21 @@ class Path:
 HermitianPath = UnitaryPath = Path
 
 
-def _with_stack(sampler, stack):
-    """The pointwise sampler with its batched form attached as `sampler.stack`."""
+def _from_stack(stack):
+    """Sampler t -> stack([t])[0] carrying its batched form as the function
+    attribute `stack`: a path given by one formula for a whole stack of times."""
+
+    def sampler(t):
+        return stack(np.array([t], dtype=float))[0]
+
     sampler.stack = stack
     return sampler
-
-
-def from_stack(stack):
-    """Sampler t -> stack([t])[0] carrying the batched form `stack`: a path
-    given by one closed-form formula for a whole stack of times."""
-    return _with_stack(lambda t: stack(np.array([t], dtype=float))[0], stack)
 
 
 def concatenate(p1, p2):
     """Concatenation (p1 * p2)(t): p1 on [0, 1/2], p2 on [1/2, 1]."""
     if p1.dim != p2.dim:
         raise DimensionMismatch("concatenated paths must share the dimension")
-
-    def sampler(t):
-        return p1.sampler(2 * t) if t <= 0.5 else p2.sampler(2 * t - 1)
 
     def stack(ts):
         first = ts <= 0.5
@@ -114,33 +109,30 @@ def concatenate(p1, p2):
             out[~first] = sample_stack(p2, 2 * ts[~first] - 1)
         return out
 
-    return Path(p1.dim, _with_stack(sampler, stack))
+    return Path(p1.dim, _from_stack(stack))
 
 
 def reverse(p):
-    return Path(p.dim, _with_stack(lambda t: p.sampler(1.0 - t),
-                                  lambda ts: sample_stack(p, 1.0 - ts)))
+    return Path(p.dim, _from_stack(lambda ts: sample_stack(p, 1.0 - ts)))
 
 
 def adjoint(f):
     """Sampler t -> f(t)*."""
-    return _with_stack(lambda t: np.asarray(f(t), dtype=complex).conj().T,
-                      lambda ts: np.swapaxes(sample_stack(f, ts).conj(), -1, -2))
+    return _from_stack(lambda ts: np.swapaxes(sample_stack(f, ts).conj(), -1, -2))
 
 
 def product(f, g):
     """Pointwise product sampler t -> f(t) g(t); DimensionMismatch unless the
     samples have the same shape."""
 
-    def times(F, G):
+    def stack(ts):
+        F, G = sample_stack(f, ts), sample_stack(g, ts)
         if F.shape != G.shape:
-            raise DimensionMismatch(f"path samples of shapes {F.shape[-2:]} and "
-                                    f"{G.shape[-2:]} cannot be multiplied")
+            raise DimensionMismatch(f"path samples of shapes {F.shape[1:]} and "
+                                    f"{G.shape[1:]} cannot be multiplied")
         return F @ G
 
-    return _with_stack(
-        lambda t: times(np.asarray(f(t), dtype=complex), np.asarray(g(t), dtype=complex)),
-        lambda ts: times(sample_stack(f, ts), sample_stack(g, ts)))
+    return _from_stack(stack)
 
 
 @dataclass
@@ -390,6 +382,6 @@ def bott_loop(rank_k_weights, ambient, policy: TolerancePolicy = DEFAULT) -> Bot
         return -np.exp(1j * np.pi * (base + ts[:, None] * bump))[:, :, None] * np.eye(dim)
 
     return BottLoop(h=h,
-                    hermitian_path=Path(dim, from_stack(herm)),
-                    unitary_path=Path(dim, from_stack(unit)),
+                    hermitian_path=Path(dim, _from_stack(herm)),
+                    unitary_path=Path(dim, _from_stack(unit)),
                     expected=complex(np.sum(np.asarray(rank_k_weights, dtype=complex))))

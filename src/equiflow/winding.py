@@ -43,7 +43,7 @@ from .spectra import (
     sample_stack,
     track_blocks,
 )
-from .specflow import Path, from_stack, product
+from .specflow import Path, _from_stack, product
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -266,10 +266,6 @@ class CanonicalContraction:
         return self.path(t)
 
     @property
-    def stack(self):
-        return self.path.stack
-
-    @property
     def dim(self):
         return self.U.shape[0]
 
@@ -288,7 +284,7 @@ def _frozen_flow(B0, a0, B1, flows):
                                   for mu, W in eigs])
         return frozen + B1 @ flow @ B1.conj().T
 
-    return from_stack(stack)
+    return _from_stack(stack)
 
 
 def _split_at_minus_one(U, policy):
