@@ -1,10 +1,12 @@
 """Equivariant eta and zeta invariants of finite Hermitian operators.
 
 Spectral sums run over the eigenvalues of the isotypic blocks of the
-symmetry h (`spectra.isotypic_split`); h acts as chi * I on its chi-block,
-so each eigenvalue of that block carries the weight chi.  The s-dependent
-quantities are finite sums with principal powers; Mellin-transform
-quadratures are provided as verification-only cross-checks.
+symmetry h, cut by the kernel of `spectra.isotypic_blocks` and
+eigendecomposed by `spectra._block_eigh`; h acts as chi * I on its
+chi-block, so each eigenvalue of that block carries the weight chi.  The
+s-dependent quantities are finite sums with principal powers;
+Mellin-transform quadratures are provided as verification-only
+cross-checks.
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +17,8 @@ from scipy.special import erf, erfc, gamma as gamma_fn
 
 from .errors import KernelPresent, NotEquivariant, NotPositive
 from .spectra import (
-    check_commuting,
-    eig_hermitian,
-    hermitian_part,
+    _block_eigh,
+    _isotypic_cut,
     integrate,
     isotypic_split,
     path_panel,
@@ -45,25 +46,6 @@ __all__ = [
 ]
 
 
-def _block_eigh(D, h, split, policy):
-    """(chi, Q, lam, U) per isotypic block of h for a Hermitian D or a (K, n, n)
-    stack: Q = V[:, block], lam (K, k) and U (K, k, k) the eigh of Q* D Q, for
-    split = (V, blocks, chars) = `isotypic_split(h, n)`, made here when None.
-    Every sample is checked to commute with h (NotEquivariant) and to be
-    Hermitian (`hermitian_part`, NotHermitian) before h is split.
-    """
-    D = np.asarray(D, dtype=complex)
-    check_commuting(h, D, None, NotEquivariant, policy)
-    H = hermitian_part(D, policy).reshape((-1,) + D.shape[-2:])
-    V, blocks, chars = split or isotypic_split(h, D.shape[-1], policy)
-    out = []
-    for chi, idx in zip(chars, blocks):
-        Q = V[:, idx]
-        lam, U = np.linalg.eigh(Q.conj().T @ H @ Q)
-        out.append((chi, Q, lam, U))
-    return out
-
-
 @dataclass
 class SpectralOperator:
     """Hermitian D with a commuting unitary symmetry h (None: trivial).
@@ -85,9 +67,11 @@ class SpectralOperator:
         self.D = np.asarray(self.D, dtype=complex)
         if self.h is not None:
             self.h = np.asarray(self.h, dtype=complex)
-        blocks = _block_eigh(self.D, self.h, split, self.policy)
-        values = np.concatenate([lam[0] for _, _, lam, _ in blocks])
-        weights = np.concatenate([np.full(lam.shape[1], chi) for chi, _, lam, _ in blocks])
+        split, blocks = _isotypic_cut(self.D, self.h, None, NotEquivariant, self.policy, split)
+        self._eigh = _block_eigh(blocks, self.policy)  # (lam, U) per block
+        values = np.concatenate([lam for lam, _ in self._eigh])
+        weights = np.concatenate([np.full(lam.size, chi) for chi, (lam, _) in
+                                  zip(split[2], self._eigh)])
         order = np.argsort(values, kind="stable")
         self.values, self.weights = values[order], weights[order]
 
@@ -164,22 +148,27 @@ def eta_form(D, X, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT):
     with the actor h: a complex for matrices D, X, a (K,) array for (K, n, n)
     stacks.  h acts as chi * I on its chi-block (`spectra.isotypic_split`), so
     this is sum_chi chi Tr(X_chi e^{-eps D_chi^2}), one stacked eigh per block.
-    Every sample of D is checked to commute with h (NotEquivariant) and by
-    the Frobenius test of `hermitian_part` (NotHermitian).
+    Every sample of D is checked to commute with h (NotEquivariant), and
+    each of its blocks by the Frobenius test of `hermitian_part`
+    (NotHermitian).
     """
     return _eta_form(D, X, h, None, eps, policy)
 
 
 def _eta_form(D, X, h, split, eps, policy):
     """`eta_form` on the isotypic split of h (made when split is None)."""
-    D = np.asarray(D, dtype=complex)
-    X = np.asarray(X, dtype=complex).reshape((-1,) + D.shape[-2:])
+    F = np.asarray(D, dtype=complex)
+    D = F.reshape((-1,) + F.shape[-2:])
+    split, blocks = _isotypic_cut(D, h, None, NotEquivariant, policy, split)
+    # X need not commute with h: only its diagonal blocks enter the trace
+    _, X_blocks = _isotypic_cut(np.asarray(X, dtype=complex).reshape(D.shape), None, None,
+                                None, policy, split)
     total = 0.0
-    for chi, Q, lam, U in _block_eigh(D, h, split, policy):
-        Xd = np.sum(U.conj() * (Q.conj().T @ X @ Q @ U), axis=1)  # diagonal of U* X_chi U
+    for chi, (lam, U), Xc in zip(split[2], _block_eigh(blocks, policy), X_blocks):
+        Xd = np.sum(U.conj() * (Xc @ U), axis=1)  # diagonal of U* X_chi U
         total += chi * np.sum(Xd * np.exp(-eps * lam ** 2), axis=1)
     out = sqrt(eps / pi) * total
-    return complex(out[0]) if D.ndim == 2 else out
+    return complex(out[0]) if F.ndim == 2 else out
 
 
 def heat_trace(D, h=None, t: float = 1.0, positive_only: bool = False,
@@ -310,12 +299,6 @@ def getzler_spectral_flow(path, h=None, eps: float = 1.0,
     return complex(0.5 * (e1 - e0 - var))
 
 
-def _erf_unitary(D, policy):
-    """exp(i pi erf(D)) through the eigenbasis of D."""
-    es = eig_hermitian(np.asarray(D, dtype=complex), policy)
-    return es.vectors @ np.diag(np.exp(1j * pi * erf(es.values))) @ es.vectors.conj().T
-
-
 def eta_log_defect(D0, D1, h=None, policy: TolerancePolicy = DEFAULT):
     """Compare the reduced-eta difference with the principal trace-log form.
 
@@ -327,7 +310,9 @@ def eta_log_defect(D0, D1, h=None, policy: TolerancePolicy = DEFAULT):
 
     For saturated spectra (|lambda| >> 1) the defect is an integer combination
     of character values of h (the crossing count of the connecting path).
-    h is split (`isotypic_split`) once for both operators.
+    h is split (`isotypic_split`) once for both operators, and T and K are
+    built per isotypic block from the block eigendata of the two operators,
+    so the trace is sum_chi chi Tr(Log(T_chi* K_chi)).
     Raises KernelPresent for singular input, BranchCut when spec(T*K) touches -1.
     """
     h = None if h is None else np.asarray(h, dtype=complex)
@@ -337,11 +322,12 @@ def eta_log_defect(D0, D1, h=None, policy: TolerancePolicy = DEFAULT):
     if np.any(op0.kernel_mask()) or np.any(op1.kernel_mask()):
         raise KernelPresent("eta_log_defect requires invertible operators")
     lhs = reduced_eta(op1, policy=policy) - reduced_eta(op0, policy=policy)
-    T = _erf_unitary(op1.D, policy)
-    K = _erf_unitary(op0.D, policy)
-    L = principal_log_unitary(T.conj().T @ K, 0.0, policy)
-    hh = op0.h if op0.h is not None else np.eye(op0.D.shape[0], dtype=complex)
-    rhs = complex(np.trace(hh @ L) / (2j * pi))
+    rhs = 0.0
+    for chi, (lam0, U0), (lam1, U1) in zip(split[2], op0._eigh, op1._eigh):
+        T = (U1 * np.exp(1j * pi * erf(lam1))) @ U1.conj().T
+        K = (U0 * np.exp(1j * pi * erf(lam0))) @ U0.conj().T
+        rhs += chi * np.trace(principal_log_unitary(T.conj().T @ K, 0.0, policy))
+    rhs = complex(rhs / (2j * pi))
     return lhs, rhs, complex(lhs - rhs)
 
 

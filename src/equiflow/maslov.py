@@ -6,13 +6,15 @@ two projection paths, each a `Path` (`LagrangianPath` is the same class) or
 any callable t -> unitary.  The index counts intersections ker P(t) & im Q(t),
 equivalently crossings of spec(T*(t)S(t)) through -1, signed by the crossing
 direction.  Both modes count per isotypic block of the actor: a crossing of
-m branches of the chi-block weighs chi * m.
+m branches of the chi-block weighs chi * m.  Both read their block samples
+from `spectra.isotypic_blocks`, so every sample either mode takes is checked
+to commute with the actor (NotCommuting).
 """
 
 import numpy as np
 
 from .errors import NotCommuting, NotLagrangian, TrackingAmbiguous
-from .spectra import check_commuting, isotypic_split, sample_stack
+from .spectra import isotypic_blocks
 from .specflow import Path, adjoint, product
 from .symplectic import as_projection
 from .tolerances import DEFAULT, TolerancePolicy
@@ -57,14 +59,9 @@ def _phase_near_pi(M):
     return float(rel[np.argmin(np.abs(rel))])
 
 
-def _svals_plus_identity(M):
-    """Singular values of I + M, descending, for a matrix or a stack."""
-    return np.linalg.svd(np.eye(M.shape[-1]) + M, compute_uv=False)
-
-
-def _sigma_min(M, idx):
-    """sigma_min(I + block idx of M) for every matrix of a stack."""
-    return _svals_plus_identity(M[..., idx[:, None], idx])[..., -1]
+def _sigma_min(M):
+    """sigma_min(I + M) for a matrix or every matrix of a stack."""
+    return np.linalg.svd(np.eye(M.shape[-1]) + M, compute_uv=False)[..., -1]
 
 
 def _maslov_grid(pair, a, policy, grid):
@@ -72,46 +69,43 @@ def _maslov_grid(pair, a, policy, grid):
     intersection event in the chi-block counts chi * dim ker, signed by the
     direction of the block eigenphase through pi.  The scan, each step of the
     minimum search (`_bracket_min`, all candidate windows at once) and the
-    events' kernel and orientation samples are one stack each."""
+    events' kernel and orientation samples are one stack each, all taken
+    through `isotypic_blocks`, so every sample is checked to commute with the
+    actor (NotCommuting)."""
     eps_t = 10 * policy.zero_tol  # endpoint evaluation rule: step inside by eps
     ts = np.linspace(eps_t, 1.0 - eps_t, grid)
-    mats = sample_stack(pair, ts)
-    check_commuting(a, mats, ts, NotCommuting, policy)
-    V, blocks, chars = isotypic_split(a, mats.shape[-1], policy)
+    blocks_at = isotypic_blocks(pair, a, NotCommuting, policy)
+    chars, scan = blocks_at(ts)
 
-    def blocked(ts):
-        return V.conj().T @ sample_stack(pair, ts) @ V
-
-    mats = V.conj().T @ mats @ V
     # candidate intersection windows: local minima below a loose threshold
     windows = []  # (block, lo, hi)
-    for b, idx in enumerate(blocks):
-        sig = _sigma_min(mats, idx)
+    for b, B in enumerate(scan):
+        sig = _sigma_min(B)
         for k in range(grid):
             if sig[k] < 0.2 and (k == 0 or sig[k] <= sig[k - 1]) and \
                     (k == grid - 1 or sig[k] <= sig[k + 1]):
                 windows.append((b, ts[max(k - 1, 0)], ts[min(k + 1, grid - 1)]))
     if not windows:
         return 0.0 + 0.0j
-    events = [[] for _ in blocks]
-    for (b, _, _), t_star, s_star in zip(windows, *_bracket_min(blocked, blocks, windows)):
+    events = [[] for _ in scan]
+    for (b, _, _), t_star, s_star in zip(windows, *_bracket_min(blocks_at, windows)):
         if s_star < 1e-6 and eps_t < t_star < 1.0 - eps_t:
             if not any(abs(t_star - e) <= 1e-8 for e in events[b]):
                 events[b].append(t_star)
-    found = [(b, t) for b in range(len(blocks)) for t in sorted(events[b])]
+    found = [(b, t) for b in range(len(scan)) for t in sorted(events[b])]
     if not found:
         return 0.0 + 0.0j
     t_ev = np.array([t for _, t in found])
     delta = np.minimum(1e-5, np.minimum(t_ev, 1.0 - t_ev))
-    at, before, after = np.split(blocked(np.concatenate([t_ev, t_ev - delta, t_ev + delta])), 3)
+    _, samples = blocks_at(np.concatenate([t_ev, t_ev - delta, t_ev + delta]))
     total = 0.0 + 0.0j
     for e, (b, t_star) in enumerate(found):
-        idx = blocks[b]
-        kdim = int(np.sum(_svals_plus_identity(at[e][np.ix_(idx, idx)]) <= 1e-6))
+        at, before, after = samples[b][e::len(found)]
+        kdim = int(np.sum(np.linalg.svd(np.eye(at.shape[-1]) + at, compute_uv=False) <= 1e-6))
         if kdim == 0:
             continue
-        phase_before = _phase_near_pi(before[e][np.ix_(idx, idx)])
-        phase_after = _phase_near_pi(after[e][np.ix_(idx, idx)])
+        phase_before = _phase_near_pi(before)
+        phase_after = _phase_near_pi(after)
         if phase_after == phase_before:
             raise TrackingAmbiguous(f"cannot orient the intersection at t={t_star:.6g}")
         direction = 1 if phase_after > phase_before else -1
@@ -119,12 +113,13 @@ def _maslov_grid(pair, a, policy, grid):
     return complex(total)
 
 
-def _bracket_min(blocked, blocks, windows):
+def _bracket_min(blocks_at, windows):
     """Minimize sigma_min(I + block) on each window (block, lo, hi), all
     windows together: each step samples 17 evenly spaced times per window in
-    one stack of `blocked` (t -> V* pair(t) V) and keeps the two cells around
-    the smallest value, until every window is narrower than 1e-10.  Returns
-    the times and values of the smallest samples of the last step."""
+    one stack of `blocks_at` (the pair's `isotypic_blocks` sampler) and
+    keeps the two cells around the smallest value, until every window is
+    narrower than 1e-10.  Returns the times and values of the smallest
+    samples of the last step."""
     which = np.array([b for b, _, _ in windows])
     lo = np.array([w[1] for w in windows])
     hi = np.array([w[2] for w in windows])
@@ -132,13 +127,12 @@ def _bracket_min(blocked, blocks, windows):
     frac = np.linspace(0.0, 1.0, 17)
     while True:
         grid = lo[:, None] + (hi - lo)[:, None] * frac
-        M = blocked(grid.ravel())
-        M = M.reshape(grid.shape + M.shape[-2:])
+        _, blocks = blocks_at(grid.ravel())
         sig = np.empty(grid.shape)
-        for b, idx in enumerate(blocks):
+        for b, B in enumerate(blocks):
             sel = which == b
             if sel.any():
-                sig[sel] = _sigma_min(M[sel], idx)
+                sig[sel] = _sigma_min(B.reshape(grid.shape + B.shape[-2:])[sel])
         j = np.argmin(sig, axis=1)
         lo = grid[rows, np.maximum(j - 1, 0)]
         hi = grid[rows, np.minimum(j + 1, frac.size - 1)]

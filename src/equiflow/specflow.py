@@ -17,14 +17,14 @@ and `concatenate`, the seeded generators and the contraction flows are each
 one batched formula: their pointwise call is stack([t])[0].
 
 Spectral flow has two independent pipelines: a grid-partition computation
-(spectral-window counts over a certified partition) and a crossing oracle
-(branch tracking and a count of the branches' sign changes).  Both work on the
-isotypic blocks of the actor (`spectra.isotypic_split`): a path commuting
-with h never mixes them, so every window count and every crossing weighs
-chi * (number of the chi-block's eigenvalues counted), and the flow is
-sum_chi chi * n_chi with integers n_chi.  The spectral window is closed at 0;
-an eigenvalue within zero_tol of 0 at an endpoint of [0, 1] counts as
-nonnegative.
+(spectral-window counts over a certified partition, each node sampled and
+eigendecomposed once) and a crossing oracle (branch tracking and a count of
+the branches' sign changes).  Both read the isotypic blocks of the actor
+from `spectra.isotypic_blocks`: a path commuting with h never mixes them, so
+every window count and every crossing weighs chi * (number of the
+chi-block's eigenvalues counted), and the flow is sum_chi chi * n_chi with
+integers n_chi.  The spectral window is closed at 0; an eigenvalue within
+zero_tol of 0 at an endpoint of [0, 1] counts as nonnegative.
 """
 
 from dataclasses import dataclass, field
@@ -32,13 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotEquivariant, PartitionFailure
-from .spectra import (
-    eig_hermitian,
-    group_events,
-    isotypic_sampler,
-    sample_stack,
-    track_blocks,
-)
+from .spectra import _block_eigh, group_events, isotypic_blocks, sample_stack, track_blocks
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -248,29 +242,6 @@ def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int =
     return GridPartition(intervals)
 
 
-def _window_count(sampler, t, level, policy, t_lo=0.0, t_hi=1.0):
-    """sum_chi chi * #(eigenvalues of the chi-block of B(t) in [0, level]),
-    dodging interior kernels."""
-
-    def block_values(t):
-        chars, mats = sampler(t)
-        vals = [eig_hermitian(X, policy).values for X in mats]
-        return chars, vals, min(np.min(np.abs(v)) for v in vals)
-
-    chars, vals, gap = block_values(t)
-    shift = 10 * policy.zero_tol
-    if t_lo < t < t_hi and gap <= policy.zero_tol:
-        # interior node sits on a kernel: nudge it
-        for tt in (t + shift, t - shift, t + 10 * shift, t - 10 * shift):
-            if t_lo < tt < t_hi:
-                _, vals2, gap2 = block_values(tt)
-                if gap2 > policy.zero_tol:
-                    vals = vals2
-                    break
-    return complex(sum(chi * np.count_nonzero((v >= -policy.zero_tol) & (v <= level))
-                       for chi, v in zip(chars, vals)))
-
-
 def spectral_flow(path, h=None, partition: GridPartition = None,
                   policy: TolerancePolicy = DEFAULT) -> FlowResult:
     """Equivariant spectral flow over a certified grid partition.
@@ -278,22 +249,52 @@ def spectral_flow(path, h=None, partition: GridPartition = None,
     Sum over intervals of N_j(t_j) - N_j(t_{j-1}), where N_j(t) is
     sum_chi chi * #(eigenvalues of the chi-block of B(t) in [0, a_j]).  The
     value is invariant under partition refinement; with h = None (one block,
-    chi = 1) it is the classical integer spectral flow.  Every sample taken
-    at the partition nodes is checked to commute with h (NotEquivariant
-    otherwise).
+    chi = 1) it is the classical integer spectral flow.  Each distinct
+    partition node is sampled and eigendecomposed once, all nodes in one
+    stack (`spectra.isotypic_blocks`: NotEquivariant when a sample does not
+    commute with h), and each interval counts at its own level from those
+    eigenvalues.  An interior node with an eigenvalue within zero_tol of 0
+    is nudged: it takes the eigenvalues at the first of t + s, t - s,
+    t + 10 s, t - 10 s (s = 10 zero_tol, inside (0, 1)) that has none, the
+    nodes still on a kernel trying each candidate together, and keeps its
+    own when none does.
     """
     if partition is None:
         partition = good_partition(path, policy)
-    sampler = isotypic_sampler(path, h, NotEquivariant, policy)
-    contributions = []
-    total = 0.0 + 0.0j
-    for iv in partition.intervals:
-        hi = _window_count(sampler, iv.t1, iv.level, policy)
-        lo = _window_count(sampler, iv.t0, iv.level, policy)
-        c = hi - lo
-        contributions.append(c)
-        total += c
-    return FlowResult(value=total, contributions=contributions,
+    zero = policy.zero_tol
+    ends = np.array([(iv.t0, iv.t1) for iv in partition.intervals])
+    ts, node = np.unique(ends, return_inverse=True)
+    node = node.reshape(ends.shape)
+
+    blocks_at = isotypic_blocks(path, h, NotEquivariant, policy)
+
+    def values(ts):
+        chars, blocks = blocks_at(ts)
+        vals = [lam for lam, _ in _block_eigh(blocks, policy)]
+        return chars, vals, np.min([np.min(np.abs(v), axis=1) for v in vals], axis=0)
+
+    chars, vals, gap = values(ts)
+    stuck = np.nonzero((ts > 0) & (ts < 1) & (gap <= zero))[0]
+    shift = 10 * zero
+    for step in (shift, -shift, 10 * shift, -10 * shift):
+        moved = ts[stuck] + step
+        inside = (moved > 0) & (moved < 1)
+        if not inside.any():
+            continue
+        _, new, gap = values(moved[inside])
+        clear = gap > zero
+        for v, w in zip(vals, new):
+            v[stuck[inside][clear]] = w[clear]
+        stuck = np.setdiff1d(stuck, stuck[inside][clear])
+
+    levels = np.array([iv.level for iv in partition.intervals])[:, None]
+
+    def count(k):
+        return sum(chi * np.count_nonzero((v[k] >= -zero) & (v[k] <= levels), axis=1)
+                   for chi, v in zip(chars, vals))
+
+    contributions = [complex(c) for c in count(node[:, 1]) - count(node[:, 0])]
+    return FlowResult(value=sum(contributions, 0j), contributions=contributions,
                       diagnostics={"n_intervals": len(partition.intervals)})
 
 
@@ -309,8 +310,7 @@ def crossing_oracle(path, h=None, K: int = 33, policy: TolerancePolicy = DEFAULT
     sample lies in the zero band; the path is sampled only at the tracked
     times.  Every sample is checked to commute with h (NotEquivariant
     otherwise)."""
-    chars, sets = track_blocks(isotypic_sampler(path, h, NotEquivariant, policy),
-                               "hermitian", K, policy)
+    chars, sets = track_blocks(path, h, "hermitian", NotEquivariant, K, policy)
     band = policy.zero_tol
     events = []  # (time, direction, character) per crossing branch
     for chi, bs in zip(chars, sets):

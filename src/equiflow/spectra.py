@@ -1,6 +1,9 @@
 """Numerical kernel: eigendecompositions, the isotypic split of an actor,
-clustering, branch tracking, matrix functions and deterministic adaptive
-quadrature.
+clustering, branch tracking, the principal logarithm and deterministic
+adaptive quadrature.
+
+Every route reads a path's isotypic blocks from `isotypic_blocks`, and
+`_block_eigh` is the one source of Hermitian block eigendata.
 
 All operations are pure functions of their inputs; sums and quadrature
 reductions run in a fixed sequential order.
@@ -12,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
-from scipy.special import erf
 
 from .errors import (
     BranchCut,
@@ -31,13 +33,11 @@ __all__ = [
     "eig_unitary",
     "hermitian_part",
     "isotypic_split",
-    "isotypic_sampler",
+    "isotypic_blocks",
     "principal_log_unitary",
-    "matrix_erf",
     "integrate",
     "path_panel",
     "sample_stack",
-    "track_branches",
     "track_blocks",
     "group_events",
     "cluster_indices",
@@ -229,26 +229,45 @@ def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
     return es.vectors, blocks, chars
 
 
-def isotypic_sampler(path, a, error, policy: TolerancePolicy = DEFAULT):
-    """Sampler t -> (chars, [diagonal blocks of V* path(t) V]) for the
-    isotypic split (V, blocks, chars) of the actor a.
+def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT):
+    """Block sampler of a path for the actor a: ts -> (chars, blocks).
 
-    Every sample is checked to commute with a (check_commuting, raising
-    `error`).  The split is made at the first sample, whose size gives the
-    dimension, so the sampler takes no sample of its own.
+    This is the one place where a path's actor is split, its samples checked
+    and sliced.  Each call samples the path at the times ts with one
+    `sample_stack` and checks every sample to commute with a
+    (`check_commuting`, raising `error` and naming t).  The first call splits
+    a (`isotypic_split`, on the samples' dimension) and later calls reuse the
+    split, so a route that makes one sampler splits its actor once.
+    blocks[i] is the (K, k, k) stack of Q* F Q, Q = V[:, i-th block], and
+    chars[i] the character of a on it.
     """
-    split = []
+    split = None
 
-    def sampler(t):
-        M = np.asarray(path(t), dtype=complex)
-        check_commuting(a, M, t, error, policy)
-        if not split:
-            split.extend(isotypic_split(a, M.shape[-1], policy))
-        V, blocks, chars = split
-        X = V.conj().T @ M @ V
-        return chars, [X[np.ix_(idx, idx)] for idx in blocks]
+    def blocks_at(ts):
+        nonlocal split
+        ts = np.asarray(ts, dtype=float)
+        split, blocks = _isotypic_cut(sample_stack(path, ts), a, ts, error, policy, split)
+        return split[2], blocks
 
-    return sampler
+    return blocks_at
+
+
+def _isotypic_cut(F, a, ts, error, policy, split):
+    """(split, blocks) of samples F taken at the times ts (None for matrices
+    that are not path samples), as in `isotypic_blocks`, on the given split
+    (V, blocks, chars) of a or, when split is None, on a new one."""
+    check_commuting(a, F, ts, error, policy)
+    split = split or isotypic_split(a, F.shape[-1], policy)
+    V, blocks, _ = split
+    F = V.conj().T @ F @ V
+    return split, [F[..., idx[:, None], idx] for idx in blocks]
+
+
+def _block_eigh(blocks, policy):
+    """(lam, U) = `np.linalg.eigh` of the Hermitian part of every block, a
+    matrix or a stack: the one source of Hermitian block eigendata.
+    NotHermitian by the test of `hermitian_part`, per sample."""
+    return [np.linalg.eigh(hermitian_part(B, policy)) for B in blocks]
 
 
 def principal_log_unitary(U, offset: float = 0.0, policy: TolerancePolicy = DEFAULT):
@@ -267,13 +286,6 @@ def principal_log_unitary(U, offset: float = 0.0, policy: TolerancePolicy = DEFA
     shifted = offset + rel
     L = es.vectors @ np.diag(1j * shifted) @ es.vectors.conj().T
     return (L - L.conj().T) / 2.0
-
-
-def matrix_erf(D, policy: TolerancePolicy = DEFAULT):
-    """Error function of a Hermitian matrix (same eigenvectors, erf'd eigenvalues)."""
-    es = eig_hermitian(D, policy)
-    out = es.vectors @ np.diag(erf(es.values)) @ es.vectors.conj().T
-    return (out + out.conj().T) / 2.0
 
 
 @lru_cache(maxsize=None)
@@ -375,47 +387,42 @@ def _lift(raw, ref):
     return raw + 2 * np.pi * np.round((ref - raw) / (2 * np.pi))
 
 
-def _match(es1, es2, policy, kind):
-    """Match the eigenpairs of consecutive eigensystems by maximal overlap.
+def _match(vals1, vecs1, vals2, vecs2, policy, kind):
+    """Match the eigenpairs (vals, vecs) of two consecutive samples of a
+    block by maximal overlap.
 
-    Returns perm (the i-th eigenpair of es1 continues as the perm[i]-th of
-    es2), or None when the link does not certify: an eigenphase step above
-    STEP_MAX (unitary), or a cluster of es1 whose overlap block has smallest
-    singular value below 1/sqrt(2).
+    Returns perm (the i-th eigenpair of the first sample continues as the
+    perm[i]-th of the second), or None when the link does not certify: an
+    eigenphase step above STEP_MAX (unitary), or a cluster of the first
+    sample whose overlap block has smallest singular value below 1/sqrt(2).
     """
-    O = es1.vectors.conj().T @ es2.vectors
+    O = vecs1.conj().T @ vecs2
     row, col = linear_sum_assignment(-np.abs(O))
     perm = np.empty_like(col)
     perm[row] = col
-    if kind == "unitary":
-        raw2 = es2.values[perm]
-        if np.max(np.abs(_lift(raw2, es1.values) - es1.values)) > STEP_MAX:
-            return None
-    # cluster-blocked overlap certificate (es1.values ascend)
-    for a, b in cluster_indices(es1.values, policy.cluster_tol * 10 + 1e-12):
+    if kind == "unitary" and np.max(np.abs(_lift(vals2[perm], vals1) - vals1)) > STEP_MAX:
+        return None
+    # cluster-blocked overlap certificate (vals1 ascend)
+    for a, b in cluster_indices(vals1, policy.cluster_tol * 10 + 1e-12):
         if np.linalg.svd(O[a:b, perm[a:b]], compute_uv=False)[-1] < _OVERLAP_MIN:
             return None
     return perm
 
 
-def track_branches(path, kind: str, K: int = 17, policy: TolerancePolicy = DEFAULT,
-                   max_samples: int = MAX_SAMPLES, min_dt: float = MIN_DT) -> BranchSet:
-    """Track eigenvalue/eigenphase branches of a reentrant matrix sampler on
-    [0, 1]: `track_blocks` with the whole matrix as its one block."""
-    sampler = isotypic_sampler(path, None, None, policy)
-    _, (bs,) = track_blocks(sampler, kind, K, policy, max_samples, min_dt)
-    return bs
-
-
-def track_blocks(sampler, kind: str, K: int = 17, policy: TolerancePolicy = DEFAULT,
+def track_blocks(path, a, kind: str, error, K: int = 17, policy: TolerancePolicy = DEFAULT,
                  max_samples: int = MAX_SAMPLES, min_dt: float = MIN_DT):
-    """Track the branches of every block of an `isotypic_sampler` on [0, 1].
+    """Track the eigenvalue (kind "hermitian") or eigenphase ("unitary")
+    branches of every isotypic block of the actor a (None: one block) along
+    a path on [0, 1].
 
-    Returns (chars, [BranchSet per block]).  Each time is sampled once and
-    shared by all blocks.  Consecutive samples are matched per block by
-    maximal-overlap assignment (`_match`, once per block and link); intervals
-    are bisected until the link certifies in every block (cluster-blocked
-    overlap >= 1/sqrt(2), and phase steps below STEP_MAX for unitary paths).
+    Returns (chars, [BranchSet per block]).  The K-point grid and each
+    bisection level are one stack of `isotypic_blocks` (a sample not
+    commuting with a raises `error`), eigendecomposed by `_block_eigh`
+    (Hermitian) or per sample by `eig_unitary`.  Consecutive samples are
+    matched per block (`_match`, once per block and link, stopping at the
+    link's first uncertified block), and every link that does not certify
+    is bisected, all links of a level together.  TrackingAmbiguous past
+    max_samples samples, or when a link to bisect is at most min_dt long.
     The branches follow the certified permutations, and unitary phases are
     lifted against the branch values at the previous sample.
     """
@@ -423,52 +430,59 @@ def track_blocks(sampler, kind: str, K: int = 17, policy: TolerancePolicy = DEFA
         raise ValueError("K must be >= 2")
     if kind not in ("hermitian", "unitary"):
         raise ValueError("kind must be 'hermitian' or 'unitary'")
-    eig = eig_hermitian if kind == "hermitian" else eig_unitary
+    blocks_at = isotypic_blocks(path, a, error, policy)
 
-    def systems_at(t):
-        chars, mats = sampler(t)
-        return chars, [eig(X, policy) for X in mats]
+    def eigen(blocks):
+        """Per block: eigenvalues (N, k) and eigenvectors (N, k, k) of its samples."""
+        if kind == "hermitian":
+            return _block_eigh(blocks, policy)
+        out = []
+        for B in blocks:
+            systems = [eig_unitary(X, policy) for X in B]
+            out.append((np.array([es.values for es in systems]),
+                        np.array([es.vectors for es in systems])))
+        return out
 
-    def certify(left, right):
-        """Per-block permutations of a link; None at its first uncertified block."""
+    def certify(i):
+        """Per-block permutations of link i; None at its first uncertified block."""
         perms = []
-        for es1, es2 in zip(left, right):
-            perm = _match(es1, es2, policy, kind)
+        for vals, vecs in eig:
+            perm = _match(vals[i], vecs[i], vals[i + 1], vecs[i + 1], policy, kind)
             if perm is None:
                 return None
             perms.append(perm)
         return perms
 
-    times = list(np.linspace(0.0, 1.0, K))
-    chars, first = systems_at(times[0])
-    systems = [first] + [systems_at(t)[1] for t in times[1:]]
-
-    # bisect each uncertified link until both halves certify; links[i] certifies
-    # (times[i], times[i + 1]), and every link left of the current one is certified
-    links = []
-    while len(links) < len(times) - 1:
-        i = len(links)
-        perms = certify(systems[i], systems[i + 1])
-        if perms is not None:
-            links.append(perms)
-            continue
-        if len(times) >= max_samples or times[i + 1] - times[i] <= min_dt:
-            raise TrackingAmbiguous(
-                f"branch matching uncertified near t={times[i]:.6g} at depth cap")
-        tm = (times[i] + times[i + 1]) / 2.0
-        times.insert(i + 1, tm)
-        systems.insert(i + 1, systems_at(tm)[1])
+    ts = np.linspace(0.0, 1.0, K)
+    chars, blocks = blocks_at(ts)
+    eig = eigen(blocks)
+    links = [None] * (K - 1)  # links[i] certifies (ts[i], ts[i + 1]); None: not yet checked
+    while True:
+        links = [certify(i) if perms is None else perms for i, perms in enumerate(links)]
+        bad = np.array([i for i, perms in enumerate(links) if perms is None], dtype=int)
+        if not bad.size:
+            break
+        short = ts[bad + 1] - ts[bad] <= min_dt
+        if len(ts) + bad.size > max_samples or short.any():
+            raise TrackingAmbiguous("branch matching uncertified near "
+                                    f"t={ts[bad[np.argmax(short)]]:.6g} at depth cap")
+        mids = (ts[bad] + ts[bad + 1]) / 2.0
+        eig = [(np.insert(vals, bad + 1, v, axis=0), np.insert(vecs, bad + 1, u, axis=0))
+               for (vals, vecs), (v, u) in zip(eig, eigen(blocks_at(mids)[1]))]
+        ts = np.insert(ts, bad + 1, mids)
+        for i in bad[::-1]:
+            links[i:i + 1] = [None, None]
 
     sets = []
-    for b in range(len(chars)):
-        values = np.empty((len(times), systems[0][b].dim))
-        values[0] = systems[0][b].values
-        where = np.arange(values.shape[1])  # each branch's eigenpair index at the sample
-        for k in range(1, len(times)):
+    for b, (vals, _) in enumerate(eig):
+        values = np.empty(vals.shape)
+        values[0] = vals[0]
+        where = np.arange(vals.shape[1])  # each branch's eigenpair index at the sample
+        for k in range(1, len(ts)):
             where = links[k - 1][b][where]
-            raw = systems[k][b].values[where]
+            raw = vals[k][where]
             values[k] = raw if kind == "hermitian" else _lift(raw, values[k - 1])
-        sets.append(BranchSet(times=np.asarray(times), values=values))
+        sets.append(BranchSet(times=ts, values=values))
     return chars, sets
 
 

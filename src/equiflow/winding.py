@@ -5,8 +5,8 @@ A path commuting with a unitary actor a preserves each eigenspace of a, and
 a acts on the chi-eigenspace as chi * I.  The winding number is therefore
 sum_chi chi * n_chi, with n_chi the integer count of eigenphase crossings
 through the wall at angle pi (shifted by a deterministic offset when an
-endpoint has spectrum at -1) of the path's chi-block; the blocks come from
-`spectra.isotypic_split`.  The primary route reads n_chi off the unwrapped
+endpoint has spectrum at -1) of the path's chi-block; the block samples come
+from `spectra.isotypic_blocks`.  The primary route reads n_chi off the unwrapped
 det phase of each block; `winding_events` (branch tracking per block,
 crossings located between samples, each weighing chi times the number of the
 chi-block's branches crossing together) and `winding_from_logs` (trace-log
@@ -35,12 +35,10 @@ from .spectra import (
     eig_unitary,
     group_events,
     integrate,
-    isotypic_sampler,
-    isotypic_split,
+    isotypic_blocks,
     opnorm,
     path_panel,
     principal_log_unitary,
-    sample_stack,
     track_blocks,
 )
 from .specflow import Path, _from_stack, product
@@ -65,35 +63,33 @@ _ROUNDING_TOL = 1e-9  # largest rounding error allowed in a block count n_chi
 def _det_phases(f, a, policy, K=33):
     """One isotypic det-phase pass over a unitary path on [0, 1].
 
-    Samples f on a uniform K-point grid, checks every sample for unitarity
-    and commutation with a (Frobenius norms), and takes the determinant of
-    each diagonal block of V* f V.  Intervals where some block's det phase
-    steps by more than STEP_MAX are bisected; TrackingAmbiguous is raised at
-    MAX_SAMPLES samples or when an interval to bisect is at most MIN_DT long.
-    The grid and each bisection level are one stack (`sample_stack`).  This
-    step bound is what certifies the unwrapping.  Returns (blocks, chars,
-    deltas, ends): deltas are the unwrapped det-phase changes per block, ends
-    the V* f V samples at t = 0 and t = 1.
+    Samples the isotypic blocks of f (`isotypic_blocks`, NotCommuting when a
+    sample does not commute with a) on a uniform K-point grid, checks every
+    sample for unitarity (the Frobenius norm of Q* f* f Q - I over the
+    blocks), and takes the determinant of each block.  Intervals where some
+    block's det phase steps by more than STEP_MAX are bisected;
+    TrackingAmbiguous is raised at MAX_SAMPLES samples or when an interval
+    to bisect is at most MIN_DT long.  The grid and each bisection level are
+    one stack.  This step bound is what certifies the unwrapping.  Returns
+    (chars, deltas, ends): deltas are the unwrapped det-phase changes per
+    block, ends[i] the samples of block i at t = 0 and t = 1.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
+    blocks_at = isotypic_blocks(f, a, NotCommuting, policy)
 
-    ts = np.linspace(0.0, 1.0, K)
-    F = sample_stack(f, ts)
-    n = F.shape[-1]
-    V, blocks, chars = isotypic_split(a, n, policy)
-
-    def block_dets(ts, F):
-        gram = np.swapaxes(F.conj(), -1, -2) @ F - np.eye(n)
-        off = np.linalg.norm(gram, axis=(-2, -1)) > max(policy.eig_tol, 1e-10)
+    def block_dets(ts):
+        chars, blocks = blocks_at(ts)
+        gram = sum(np.linalg.norm(np.swapaxes(B.conj(), -1, -2) @ B - np.eye(B.shape[-1]),
+                                  axis=(-2, -1)) ** 2 for B in blocks)
+        off = np.sqrt(gram) > max(policy.eig_tol, 1e-10)
         if np.any(off):
             raise NotUnitary(f"f({ts[np.argmax(off)]:.6g}) is not unitary within tolerance")
-        check_commuting(a, F, ts, NotCommuting, policy)
-        M = V.conj().T @ F @ V
-        return M, np.stack([np.linalg.det(M[:, idx[:, None], idx]) for idx in blocks], axis=1)
+        return chars, blocks, np.stack([np.linalg.det(B) for B in blocks], axis=1)
 
-    M, dets = block_dets(ts, F)
-    ends = (M[0], M[-1])
+    ts = np.linspace(0.0, 1.0, K)
+    chars, blocks, dets = block_dets(ts)
+    ends = [(B[0], B[-1]) for B in blocks]
     while True:
         steps = np.angle(dets[1:] * dets[:-1].conj())
         big = np.max(np.abs(steps), axis=1) > STEP_MAX
@@ -107,10 +103,10 @@ def _det_phases(f, a, policy, K=33):
                 f"det phase of block {b} steps by {steps[k, b]:.3g} rad on "
                 f"[{ts[k]:.6g}, {ts[k + 1]:.6g}] at the depth cap")
         mids = (ts[lo] + ts[lo + 1]) / 2.0
-        _, mid_dets = block_dets(mids, sample_stack(f, mids))
+        _, _, mid_dets = block_dets(mids)
         ts = np.insert(ts, lo + 1, mids)
         dets = np.insert(dets, lo + 1, mid_dets, axis=0)
-    return blocks, chars, steps.sum(axis=0), ends
+    return chars, steps.sum(axis=0), ends
 
 
 def pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT,
@@ -153,7 +149,7 @@ def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33):
     times the number of the chi-block's branches crossing together (within
     1e-7 in time), summed over blocks.
     """
-    chars, sets = track_blocks(isotypic_sampler(f, a, NotCommuting, policy), "unitary", K, policy)
+    chars, sets = track_blocks(f, a, "unitary", NotCommuting, K, policy)
     theta = pick_offset(np.concatenate([bs.values[[0, -1]].ravel() for bs in sets]), policy)
     wall = np.pi + theta
     raw = []  # (time, direction, character) per crossing branch
@@ -189,9 +185,8 @@ def winding_number(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33) ->
     check only.  Mis-tracking is caught by the det-phase step bound in the
     sampling pass.  With trivial actor the value is an integer.
     """
-    blocks, chars, deltas, (M0, M1) = _det_phases(f, a, policy, K)
-    ends = [(np.angle(np.linalg.eigvals(M0[np.ix_(idx, idx)])),
-             np.angle(np.linalg.eigvals(M1[np.ix_(idx, idx)]))) for idx in blocks]
+    chars, deltas, ends = _det_phases(f, a, policy, K)
+    ends = [(np.angle(np.linalg.eigvals(B0)), np.angle(np.linalg.eigvals(B1))) for B0, B1 in ends]
     wall = np.pi + pick_offset(np.concatenate([p for pair in ends for p in pair]), policy)
     total = 0.0 + 0.0j
     for b, (chi, delta, (p0, p1)) in enumerate(zip(chars, deltas, ends)):
@@ -213,7 +208,7 @@ def fredholm_det_path(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     exp(i sum_chi chi * Delta_chi) with Delta_chi the unwrapped det-phase
     change of the block.
     """
-    _, chars, deltas, _ = _det_phases(f, a, policy)
+    chars, deltas, _ = _det_phases(f, a, policy)
     return complex(np.exp(1j * np.dot(chars, deltas)))
 
 

@@ -37,7 +37,7 @@ from equiflow.specflow import (
     good_partition,
     spectral_flow,
 )
-from equiflow.spectra import track_branches
+from equiflow.spectra import track_blocks
 from equiflow.symplectic import make_isometry, make_projection_from_unitary, pair_report
 from equiflow.winding import (
     fredholm_det_path,
@@ -58,7 +58,7 @@ def test_tracking_ambiguous_on_discontinuity():
         return A if t < 0.5 else B
 
     with pytest.raises(TrackingAmbiguous):
-        track_branches(path, "hermitian", K=9, max_samples=60)
+        track_blocks(path, None, "hermitian", None, K=9, max_samples=60)
 
 
 def test_partition_failure_on_noise():

@@ -9,7 +9,7 @@ from equiflow.errors import (
     NotPositive,
     NotUnitary,
 )
-from equiflow import eta_zeta
+from equiflow import eta_zeta, spectra
 from equiflow.eta_zeta import (
     SpectralOperator,
     eta,
@@ -419,6 +419,24 @@ class TestEtaLogDefect:
         lhs, rhs, defect = eta_log_defect(D0, D1, h)
         assert abs(lhs - W3) < 1e-12
         assert abs(defect - W3 * (1 + erf(delta))) < 1e-10
+
+    def test_unitaries_from_block_eigendata(self, monkeypatch):
+        # exp(i pi erf D) comes from the operators' own block eigendata: no
+        # whole-matrix eigendecomposition, under any name the module may use
+        eig = spectra.eig_hermitian
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "eig_hermitian", counting)
+        monkeypatch.setattr(eta_zeta, "eig_hermitian", counting, raising=False)
+        delta, h = 0.1, np.diag([W3, 1.0])
+        _, _, defect = eta_log_defect(np.diag([-delta, 5.0]).astype(complex),
+                                      np.diag([delta, 5.0]).astype(complex), h)
+        assert abs(defect - W3 * (1 + erf(delta))) < 1e-10
+        assert calls == []
 
     def test_saturated_crossing_in_lattice(self):
         h = np.diag([W3, 1.0])

@@ -1,5 +1,8 @@
 import numpy as np
+import pytest
+import scipy.linalg
 
+from equiflow.errors import NotCommuting
 from equiflow.harness import generators as gen
 from equiflow.maslov import (
     LagrangianPath,
@@ -62,6 +65,25 @@ class TestMaslovIndex:
         mg = maslov_index(L1, L2, a, mode="grid", grid=256)
         assert abs(mw - (2 + 2j)) < 1e-9
         assert abs(mg - mw) < 1e-8
+
+    def test_grid_mode_checks_every_sample(self):
+        # the X term of S vanishes at every scan node, so only the bracket and
+        # event samples of the grid mode see that S leaves a's blocks
+        eps = 1e-8  # the scan steps 10 * zero_tol inside [0, 1]
+        a = np.diag([1.0, -1.0]).astype(complex)
+        X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+        def s(t):
+            return 4 * t * (1 - t) * np.sin(63 * np.pi * (t - eps) / (1 - 2 * eps))
+
+        def S(t, x=1.0):
+            return scipy.linalg.expm(1j * (np.diag([2 * np.pi * t, 0.3]) + 0.2 * x * s(t) * X))
+
+        T = lambda t: np.eye(2, dtype=complex)
+        assert abs(maslov_index(T, lambda t: S(t, 0.0), a, mode="grid", grid=64) - 1) < 1e-9
+        for mode in ("winding", "grid"):
+            with pytest.raises(NotCommuting):
+                maslov_index(T, S, a, mode=mode, grid=64)
 
     def test_trivial_action_integer(self):
         rng = gen.rng_for(62)

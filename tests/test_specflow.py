@@ -12,7 +12,7 @@ from equiflow.specflow import (
     reverse,
     spectral_flow,
 )
-from equiflow.spectra import isotypic_sampler, track_blocks
+from equiflow.spectra import track_blocks
 from equiflow.winding import winding_number
 
 W3 = np.exp(2j * np.pi / 3)
@@ -70,6 +70,19 @@ class TestSpectralFlow:
         v = spectral_flow(path).value
         assert abs(v.imag) < 1e-9
         assert abs(v.real - round(v.real)) < 1e-9
+
+    def test_samples_each_node_once(self):
+        path, h = gen.commuting_hermitian_path(4, 3, gen.rng_for(113))
+        part = good_partition(path)
+        seen = []
+
+        def recording(t):
+            seen.append(float(t))
+            return path(t)
+
+        res = spectral_flow(recording, h, part)
+        assert sorted(seen) == part.nodes and len(part.nodes) == len(part.intervals) + 1
+        assert res.contributions == spectral_flow(path, h, part).contributions
 
     def test_refinement_invariance(self):
         rng = gen.rng_for(12)
@@ -140,7 +153,7 @@ class TestCrossingOracle:
 
     def test_samples_only_tracked_times(self):
         path, h = gen.commuting_hermitian_path(4, 3, gen.rng_for(113))
-        _, (bs, *_) = track_blocks(isotypic_sampler(path, h, NotEquivariant), "hermitian", 33)
+        _, (bs, *_) = track_blocks(path, h, "hermitian", NotEquivariant, 33)
         seen = []
 
         def recording(t):

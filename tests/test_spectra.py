@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from scipy.special import erf
 
 from equiflow import spectra
 from equiflow.errors import (
@@ -19,14 +18,11 @@ from equiflow.spectra import (
     eig_unitary,
     hermitian_part,
     integrate,
-    isotypic_sampler,
     isotypic_split,
-    matrix_erf,
     opnorm,
     path_panel,
     principal_log_unitary,
     track_blocks,
-    track_branches,
 )
 
 
@@ -179,23 +175,6 @@ class TestPrincipalLog:
         assert np.all(phases < np.pi + 0.3 + 1e-12)
 
 
-class TestMatrixErf:
-    def test_zero(self):
-        assert opnorm(matrix_erf(np.zeros((2, 2)))) == 0.0
-
-    def test_saturation(self):
-        out = matrix_erf(np.diag([10.0, -10.0]))
-        assert opnorm(out - np.diag([1.0, -1.0])) < 1e-12
-
-    def test_erf_one(self):
-        assert np.isclose(matrix_erf(np.array([[1.0]]))[0, 0], 0.8427007929, atol=1e-9)
-
-    def test_norm_bounded_by_one(self):
-        rng = np.random.default_rng(8)
-        D = rand_hermitian(4, rng, 3.0)
-        assert opnorm(matrix_erf(D)) <= 1.0 + 1e-12  # erf saturates to 1.0 in doubles
-
-
 class TestIntegrate:
     def test_constant(self):
         assert np.isclose(integrate(lambda t: 1.0, 0.0, 1.0), 1.0)
@@ -241,7 +220,7 @@ class TestPathPanel:
 class TestTrackBranches:
     def test_diag_crossing(self):
         path = lambda t: np.diag([2 * t - 1, 1.0]).astype(complex)
-        bs = track_branches(path, "hermitian", K=9)
+        _, (bs,) = track_blocks(path, None, "hermitian", None, K=9)
         assert np.allclose(bs.values[:, 1], 1.0)
         assert np.allclose(bs.values[:, 0], 2 * bs.times - 1)
 
@@ -250,17 +229,28 @@ class TestTrackBranches:
             c, s = np.cos(t), np.sin(t)
             R = np.array([[c, -s], [s, c]])
             return R @ np.diag([1.0, -1.0]) @ R.T
-        bs = track_branches(path, "hermitian", K=9)
+        _, (bs,) = track_blocks(path, None, "hermitian", None, K=9)
         assert np.allclose(np.sort(bs.values, axis=1), [[-1.0, 1.0]] * len(bs.times))
 
     def test_avoided_crossing_gap(self):
         delta = 1e-3
         path = lambda t: np.array([[t - 0.5, delta], [delta, 0.5 - t]], dtype=complex)
-        bs = track_branches(path, "hermitian", K=17)
+        _, (bs,) = track_blocks(path, None, "hermitian", None, K=17)
         lo, hi = bs.values[:, 0], bs.values[:, 1]
         expect_hi = np.sqrt((bs.times - 0.5) ** 2 + delta ** 2)
         assert np.allclose(hi, expect_hi, atol=1e-10)
         assert np.min(hi - lo) >= 2 * delta - 1e-12
+
+    def test_bisection_times_fixture(self):
+        # three levels avoiding each other at t = 0.5: the links next to it
+        # bisect down to 1/2048; the times were recorded with the one-link-
+        # at-a-time tracker, and bisecting a level's links together keeps them
+        g = 3e-4
+        path = lambda t: np.array([[t - 0.5, g, g], [g, 0.0, g], [g, g, 0.5 - t]], dtype=complex)
+        _, (bs,) = track_blocks(path, None, "hermitian", None, K=17)
+        recorded = [0, 128, 256, 384, 512, 640, 768, 896, 960, 992, 1008, 1016, 1020, 1024,
+                    1028, 1032, 1040, 1056, 1088, 1152, 1280, 1408, 1536, 1664, 1792, 1920, 2048]
+        assert bs.times.tolist() == [k / 2048 for k in recorded]
 
     def test_one_match_per_block_and_link(self, monkeypatch):
         # a diagonal path certifies every link of the K-grid without bisection
@@ -272,8 +262,7 @@ class TestTrackBranches:
 
         monkeypatch.setattr(spectra, "_match", counted)
         path = lambda t: np.diag([2 * t - 1, 2.0, -t]).astype(complex)
-        sampler = isotypic_sampler(path, np.diag([1j, 1j, -1.0]), NotEquivariant)
-        chars, sets = track_blocks(sampler, "hermitian", K=9)
+        chars, sets = track_blocks(path, np.diag([1j, 1j, -1.0]), "hermitian", NotEquivariant, K=9)
         assert len(chars) == 2 and all(len(bs.times) == 9 for bs in sets)
         assert len(calls) == 2 * 8
 
@@ -281,7 +270,7 @@ class TestTrackBranches:
         rng = np.random.default_rng(9)
         A, B = rand_hermitian(4, rng), rand_hermitian(4, rng, 0.5)
         path = lambda t: A + t * B
-        bs = track_branches(path, "hermitian", K=11)
+        _, (bs,) = track_blocks(path, None, "hermitian", None, K=11)
         for k, t in enumerate(bs.times):
             assert np.allclose(np.sort(bs.values[k]), np.linalg.eigvalsh(path(t)),
                                atol=1e-9)
