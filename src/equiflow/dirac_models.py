@@ -11,16 +11,17 @@ A Lagrangian boundary projection P (domain condition P(psi(0), psi(L)) = 0)
 yields the secular equation det(I + T* M(lambda)) = 0, whose solutions are
 m exact arithmetic progressions.
 
-The eta invariants are regularized signed sums over these progressions,
-each summed in closed form as finite geometric series; the sum over an
-enumerated eigenvalue list (`regularized_signed_sum`) is the reference.
+The eta invariants are exact: each progression b + s k has a closed-form
+zeta-regularized signed sum (`_exact_eta`), so an eta costs O(progressions).
+The Abel or averaged cutoff sum over an enumerated spectrum
+(`enumerated_eta`, `regularized_signed_sum`) is the cross-check.
 All sign and orientation conventions are pinned in docs/conventions.md and
 asserted by tests.
 """
 
 import cmath
 from dataclasses import dataclass
-from math import ceil, pi
+from math import floor, pi
 
 import numpy as np
 
@@ -55,6 +56,7 @@ __all__ = [
     "sw_identity_check",
     "splitting_experiment",
     "regularized_signed_sum",
+    "enumerated_eta",
 ]
 
 
@@ -203,11 +205,22 @@ def secular_branches(model: IntervalDiracModel, P, element_power: int = 0):
     The phases and clusters are computed once per model and T; only the
     weights depend on the power.
     """
+    return _branches(model, P, _phase_weights(model, np.asarray(model.split[2]) ** element_power))
+
+
+def _phase_weights(model, block_values):
+    """One weight per eigenphase of G, in the block order of `model.split`:
+    the value of its isotypic block."""
+    return np.concatenate([np.full(len(idx), x, dtype=complex)
+                           for x, idx in zip(block_values, model.split[1])])
+
+
+def _branches(model, P, phase_weights):
+    """(betas, weights, dims) of the branch clusters, each weight the sum of
+    `phase_weights` (see `_phase_weights`) over the cluster's phases."""
     order, betas, members = _branch_clusters(model, P)
-    _, blocks, chars = model.split
-    powers = np.concatenate([np.full(len(idx), chi ** element_power)
-                             for chi, idx in zip(chars, blocks)])[order]
-    weights = [complex(np.sum(powers[idx])) for idx in members]
+    phase_weights = phase_weights[order]
+    weights = [complex(np.sum(phase_weights[idx])) for idx in members]
     return (np.array(betas), np.array(weights, dtype=complex),
             np.array([len(idx) for idx in members], dtype=int))
 
@@ -286,151 +299,107 @@ def interval_calderon(model: IntervalDiracModel):
     return make_projection_from_unitary(K, model.policy), K
 
 
-def _taper(x, lam_cut, width):
+def _taper(x, lc):
+    """1 on x <= lc, cos^2(pi (x - lc) / (2 lc)) on lc < x < 2 lc, 0 beyond."""
     out = np.ones_like(x)
-    top = x >= lam_cut + width
-    mid = (x > lam_cut) & ~top
+    top = x >= 2 * lc
+    mid = (x > lc) & ~top
     out[top] = 0.0
-    out[mid] = np.cos(pi * (x[mid] - lam_cut) / (2 * width)) ** 2
+    out[mid] = np.cos(pi * (x[mid] - lc) / (2 * lc)) ** 2
     return out
-
-
-def _extrapolate(at, cutoff, accel):
-    """(value, error_estimate) from the regularized sum `at(lc)` at cutoff lc.
-
-    "average": the value at cutoff, and its change under cutoff halving.
-    "abel": Richardson extrapolation 2 at(2 cutoff) - at(cutoff), and its
-    distance from at(2 cutoff).  ValueError unless cutoff > 0.
-    """
-    if not cutoff > 0:
-        raise ValueError("cutoff must be positive")
-    if accel == "average":
-        val = at(cutoff)
-        return val, abs(val - at(cutoff / 2))
-    if accel == "abel":
-        v1 = at(cutoff)
-        v2 = at(2 * cutoff)
-        val = 2 * v2 - v1
-        return val, abs(val - v2)
-    raise ValueError("accel must be 'average' or 'abel'")
 
 
 def regularized_signed_sum(values, weights, cutoff, accel: str = "average"):
     """Regularized sum of weight * sgn(value) over an explicit eigenvalue list.
 
-    "average": smooth cutoff taper of width = cutoff (Cesaro-style averaging
-    of symmetric partial sums), 1 on |value| <= cutoff and
+    "average": smooth cutoff taper (Cesaro-style averaging of symmetric
+    partial sums), 1 on |value| <= cutoff and
     cos^2(pi (|value| - cutoff) / (2 cutoff)) below 2 cutoff; returns (value
     at cutoff, |change under cutoff halving|).
-    "abel": Abel factors x^{|lambda|} with x = exp(-1/cutoff), Richardson
-    extrapolated between cutoff and 2*cutoff.
+    "abel": Abel factors e^{-|value|/lc}, Richardson extrapolated
+    2 S(2 cutoff) - S(cutoff); returns (that value, |S(2 cutoff) - S(cutoff)|).
 
-    The supplied list must cover |value| up to the enumeration bound
-    reported by `enumeration_bound(cutoff, accel)`.  `circle_eta` and
-    `interval_eta` sum the same terms in closed form, one progression at a
-    time; this enumerated route is their reference.
+    The list must cover |value| up to the bound `enumerated_eta` enumerates
+    to.  This is the cross-check of the exact eta of `circle_eta` and
+    `interval_eta`.  ValueError unless cutoff > 0 and accel is one of the two.
     """
+    if not cutoff > 0:
+        raise ValueError("cutoff must be positive")
     v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=complex)
-    s = np.sign(v)
+    w = np.asarray(weights, dtype=complex) * np.sign(v)
     av = np.abs(v)
     if accel == "average":
-        return _extrapolate(lambda lc: complex(np.sum(w * s * _taper(av, lc, lc))), cutoff, accel)
-    return _extrapolate(lambda lc: complex(np.sum(w * s * np.exp(-av / lc))), cutoff, accel)
+        val = complex(np.sum(w * _taper(av, cutoff)))
+        return val, abs(val - complex(np.sum(w * _taper(av, cutoff / 2))))
+    if accel == "abel":
+        v1, v2 = (complex(np.sum(w * np.exp(-av / lc))) for lc in (cutoff, 2 * cutoff))
+        return 2 * v2 - v1, abs(v2 - v1)
+    raise ValueError("accel must be 'average' or 'abel'")
 
 
-def enumeration_bound(cutoff, accel):
-    """|lambda| up to which a regularized sum at `cutoff` keeps its terms."""
-    return 2.0 * cutoff + 2.0 if accel == "average" else 90.0 * cutoff
-
-
-def _geometric(n, z):
-    """sum_{j < n} e^{z j} = expm1(n z) / expm1(z), stable as e^z -> 1
-    (Im z is taken into [-pi, pi) first)."""
-    if n <= 0:
-        return 0j
-    z = complex(z.real, (z.imag + pi) % (2 * pi) - pi)
-    if z == 0 or n == 1:
-        return complex(n)
-    return complex(np.expm1(n * z) / np.expm1(z))
-
-
-class _Ray:
-    """The part lam_k > tol of the progression lam_k = b + s k (s > 0),
-    k in [k_lo, k_hi], weighted e^{2 pi i r k / N} (N = 0: weight 1); it
-    starts at k = kp.  The part lam_k < -tol is the ray of (-b, s, -r, N)
-    over [-k_hi, -k_lo], whose float values are exactly -lam_{-k}.
-
-    Every end is decided by the float test the enumerated route applies to
-    the float lam_k (`regularized_signed_sum`, `_taper`); between the ends
-    each part of the regularized sum is a geometric series in k.
-    """
-
-    def __init__(self, b, s, r, N, k_lo, k_hi, tol):
-        self.b, self.s, self.r, self.N, self.k_lo, self.k_hi = float(b), float(s), r, N, k_lo, k_hi
-        self.phi = 2 * pi * (r % N) / N if N else 0.0
-        self.kp = self._first(lambda x: x > tol, tol)
-
-    def _first(self, test, t):
-        """Smallest k in [k_lo, k_hi + 1] with test(lam_k), for a test that
-        holds from some k on; real arithmetic puts it next to (t - b) / s."""
-        lo, hi = self.k_lo, self.k_hi
-        k = min(max(ceil((t - self.b) / self.s), lo), hi + 1)
-        while k > lo and test(self.b + self.s * (k - 1)):
-            k -= 1
-        while k <= hi and not test(self.b + self.s * k):
-            k += 1
-        return k
-
-    def run(self, ka, kb, alpha, x_ref=0.0):
-        """sum over k in [ka, kb] of e^{2 pi i r k / N} e^{alpha (lam_k - x_ref)}."""
-        if kb < ka:
-            return 0j
-        phase = cmath.exp(2j * pi * ((ka * self.r) % self.N) / self.N) if self.N else 1.0
-        return (phase * cmath.exp(alpha * (self.b + self.s * ka - x_ref))
-                * _geometric(kb - ka + 1, alpha * self.s + 1j * self.phi))
-
-    def at(self, lc, accel):
-        """Regularized sum of the weights over the ray at cutoff lc."""
-        if accel == "abel":
-            return self.run(self.kp, self.k_hi, -1.0 / lc)
-        # taper 1 on lam <= lc, cos^2 = 1/2 + e^{i th (lam - lc)}/4 + e^{-i th (lam - lc)}/4
-        # (th = pi / lc) on lc < lam < 2 lc, 0 beyond
-        kf = self._first(lambda x: x > lc, lc)
-        mid = max(self.kp, kf), self._first(lambda x: x >= 2 * lc, 2 * lc) - 1
-        th = pi / lc
-        return (self.run(self.kp, kf - 1, 0.0) + 0.5 * self.run(*mid, 0.0)
-                + 0.25 * self.run(*mid, 1j * th, lc) + 0.25 * self.run(*mid, -1j * th, lc))
-
-
-def _progression_eta(progressions, rot, tol, cutoff, accel, reduced, where):
-    """(value, error_estimate) of the regularized signed sum over the
-    progressions (b, s, c): eigenvalues b + s k weighted c e^{2 pi i r k / N}
-    for rot = (r, N) (N = 0: weight c), with k over the range that
-    `enumeration_bound` gives, each summed in closed form.  With reduced,
-    (value + kernel trace) / 2; else KernelPresent when a zero band
-    |lambda| <= tol is occupied."""
-    bound = enumeration_bound(cutoff, accel)
+def enumerated_eta(progressions, rot, tol, cutoff, accel: str = "average",
+                   reduced: bool = False):
+    """(value, error_estimate) of `regularized_signed_sum` over every
+    eigenvalue of the progressions, the enumerated cross-check of `_exact_eta`
+    (same arguments and zero band): eigenvalues b + s k weighted c w^k are
+    listed up to |lambda| = 2 cutoff + 2 ("average") or 90 cutoff ("abel",
+    where e^{-|lambda|/(2 cutoff)} < 1e-19)."""
+    bound = 2.0 * cutoff + 2.0 if accel == "average" else 90.0 * cutoff
     r, N = rot
-    rays = []
-    ker_trace = 0.0 + 0.0j
+    vals, wts, ker = [], [], 0j
     for b, s, c in progressions:
-        k_lo, k_hi = int(np.ceil((-bound - b) / s)), int(np.floor((bound - b) / s))
-        pos, neg = _Ray(b, s, r, N, k_lo, k_hi, tol), _Ray(-b, s, -r, N, -k_hi, -k_lo, tol)
-        if pos.kp + neg.kp > 1:  # the zero band is k in [1 - neg.kp, pos.kp - 1]
+        k = np.arange(int(np.ceil((-bound - b) / s)), int(np.floor((bound - b) / s)) + 1)
+        lam = b + s * k
+        w = c * np.exp(2j * pi * np.arange(N) / N)[(r * k) % N] if N else np.full(k.shape, c + 0j)
+        zero = np.abs(lam) <= tol
+        if zero.any():
             if not reduced:
-                raise KernelPresent(f"{where} model has spectrum at 0")
-            ker_trace += c * pos.run(1 - neg.kp, pos.kp - 1, 0.0)
-        rays.append((c, pos, neg))
+                raise KernelPresent("enumerated spectrum has an eigenvalue at 0")
+            ker += complex(np.sum(w[zero]))
+            lam, w = lam[~zero], w[~zero]
+        vals.append(lam)
+        wts.append(w)
+    value, err = regularized_signed_sum(np.concatenate(vals), np.concatenate(wts), cutoff, accel)
+    return ((value + ker) / 2.0, err / 2.0) if reduced else (value, err)
 
-    def at(lc):
-        return complex(sum(c * (pos.at(lc, accel) - neg.at(lc, accel)) for c, pos, neg in rays))
 
-    value, err = _extrapolate(at, cutoff, accel)
-    if reduced:
-        value = (value + ker_trace) / 2.0
-        err = err / 2.0
-    return value, err
+def _exact_eta(progressions, rot, tol, reduced, where):
+    """Zeta-regularized signed sum over the progressions (b, s, c): the
+    eigenvalues b + s k (s > 0, k in Z) weighted c w^k, with the rotation
+    character w = e^{2 pi i r / N} for rot = (r, N) (N = 0: w = 1).
+
+    Per progression, kz = round(-b / s) and the eigenvalue b + s kz is in the
+    zero band when |b + s kz| <= tol; then KernelPresent is raised, or with
+    reduced it enters the kernel trace c w^{kz}.  The eta is
+      w = 1:  c (1 - 2 frac(b/s)), and 0 with a zero-band eigenvalue (the
+              rest of the progression is symmetric about it);
+      w != 1: 2 c w^{k0} / (1 - w), k0 the first k with b + s k > 0, and
+              c w^{kz} (1 + w) / (1 - w) with a zero-band eigenvalue.
+    Returns eta, or (eta + kernel trace) / 2 with reduced.
+    """
+    r, N = rot
+    rotates = bool(N) and r % N != 0
+    w = cmath.exp(2j * pi * r / N) if rotates else 1.0
+    eta = ker = 0j
+    for b, s, c in progressions:
+        kz = round(-b / s)
+        zero = abs(b + s * kz) <= tol
+        if zero and not reduced:
+            raise KernelPresent(f"{where} model has spectrum at 0")
+        if not rotates:
+            if zero:
+                ker += c
+            else:
+                eta += c * (1.0 - 2.0 * (b / s - floor(b / s)))
+            continue
+        k = kz if zero or b + s * kz > 0 else kz + 1
+        ck = c * cmath.exp(2j * pi * ((r * k) % N) / N)  # c w^k
+        if zero:
+            ker += ck
+            eta += ck * (1.0 + w) / (1.0 - w)
+        else:
+            eta += 2.0 * ck / (1.0 - w)
+    return (eta + ker) / 2.0 if reduced else eta
 
 
 def circle_spectrum(model: CircleDiracModel, window, u_power: int = 0,
@@ -451,60 +420,76 @@ def circle_spectrum(model: CircleDiracModel, window, u_power: int = 0,
 
 
 def circle_eta(model: CircleDiracModel, u_power: int = 0, rotation_power: int = 0,
-               cutoff: float = 1e4, accel: str = "average", reduced: bool = False):
-    """Regularized equivariant eta invariant of the circle model.
+               reduced: bool = False) -> complex:
+    """Exact equivariant eta invariant of the circle model.
 
     For m = 1, V = (beta), trivial action: eta = 1 - 2 beta for beta in (0, 1).
     For a rotation of order N with character w = e^{2 pi i r / N}: eta = 2/(1 - w),
     independently of beta.
-    Each channel is the progression k + v_j, k in the range that
-    `enumeration_bound` gives, and its regularized sum (`regularized_signed_sum`,
-    the enumerated reference) is taken in closed form as finite geometric sums.
-    The zero band |lambda| <= zero_tol raises KernelPresent, or with reduced
-    enters as its weight trace.  Returns (value, error_estimate).
+    Each channel is the progression k + v_j weighted chi_j^p w^k, summed by
+    `_exact_eta`.  The zero band |lambda| <= zero_tol raises KernelPresent,
+    or with reduced enters as its weight trace.
     """
     rot = (rotation_power, model.rotation_order) if rotation_power and model.rotation_order \
         else (0, 0)
     progs = [(v, 1.0, chi ** u_power) for v, chi in zip(model.channel_values, model.channel_chars)]
-    return _progression_eta(progs, rot, model.policy.zero_tol, cutoff, accel, reduced, "circle")
+    return _exact_eta(progs, rot, model.policy.zero_tol, reduced, "circle")
 
 
 def interval_eta(model: IntervalDiracModel, P, u_power: int = 0,
-                 cutoff: float = 4e3, accel: str = "average", reduced: bool = False):
-    """Regularized equivariant eta invariant of D_P on the interval.
+                 reduced: bool = False) -> complex:
+    """Exact equivariant eta invariant of D_P on the interval.
 
     For the m = 1 theta-model: eta = 1 - theta/pi for theta in (0, 2 pi).
     Each branch cluster of `secular_branches` is the progression
-    (beta + 2 pi k)/L, k in the range that `enumeration_bound` gives, and its
-    regularized sum (`regularized_signed_sum`, the enumerated reference) is
-    taken in closed form as finite geometric sums.  The zero band
+    (beta + 2 pi k)/L with its weight, summed by `_exact_eta`.  The zero band
     |lambda| <= 10 zero_tol raises KernelPresent, or with reduced enters as
-    its weight trace.  Returns (value, error_estimate).
+    its weight trace.
     """
     betas, weights, _ = secular_branches(model, P, u_power)
+    return _branch_eta(model, betas, weights, reduced)
+
+
+def _branch_eta(model, betas, weights, reduced):
     progs = [(beta / model.L, 2 * pi / model.L, w) for beta, w in zip(betas, weights)]
-    return _progression_eta(progs, (0, 0), model.policy.zero_tol * 10, cutoff, accel, reduced,
-                            "interval")
+    return _exact_eta(progs, (0, 0), model.policy.zero_tol * 10, reduced, "interval")
 
 
-def sw_identity_check(model: IntervalDiracModel, P, Q, u_power: int = 0,
-                      cutoff: float = 4e3, accel: str = "average"):
-    """Exponentiated eta-difference against the boundary determinant:
+def sw_identity_check(model: IntervalDiracModel, P, Q, u_power: int = 0):
+    """Exponentiated eta-difference against the boundary determinant on each
+    eigenspace E of u^p:
 
-        exp(2 pi i (reduced_eta(D_P) - reduced_eta(D_Q)))  vs  det(a T* S)
+        exp(2 pi i (reduced_eta(D_P | E) - reduced_eta(D_Q | E)))  vs  det(T* S | E)
 
-    with T, S the unitaries of P, Q and a = u^p.  Returns
-    (lhs, rhs, defect, err_estimate); raises KernelPresent when either
-    operator is singular.
+    with T, S the unitaries of P, Q.  E is the sum of the isotypic blocks of
+    u whose chi^p agree (u^0 = I: the whole space), and on E every weight is
+    1.  (Weighted by chi^p on the whole space, the eta difference is complex
+    and its exponential is not unit-modulus, so no such identity holds.)
+    Returns (lhs, rhs, defect):
+    lhs and rhs are the products of the two sides over the eigenspaces, i.e.
+    exp(2 pi i (reduced_eta(D_P) - reduced_eta(D_Q))) and det(T* S), and
+    defect is the eigenspace lhs - rhs of the largest modulus.  Raises
+    KernelPresent when either operator is singular.
     """
     P = as_projection(P, model.policy)
     Q = as_projection(Q, model.policy)
-    etaP, errP = interval_eta(model, P, u_power, cutoff, accel, reduced=False)
-    etaQ, errQ = interval_eta(model, Q, u_power, cutoff, accel, reduced=False)
-    lhs = complex(np.exp(2j * pi * (etaP / 2.0 - etaQ / 2.0)))
-    a = model.actor(u_power)
-    rhs = complex(np.linalg.det(a @ P.T.conj().T @ Q.T))
-    return lhs, rhs, complex(lhs - rhs), float(pi * (errP + errQ))
+    W, blocks, chars = model.split
+    powers = np.asarray(chars) ** u_power
+    left = np.ones(len(blocks), dtype=bool)
+    lhs, rhs, defect = 1.0 + 0j, 1.0 + 0j, 0j
+    while left.any():
+        on = left & (np.abs(powers - powers[np.argmax(left)]) <= model.policy.cluster_tol)
+        left &= ~on
+        weights = _phase_weights(model, on.astype(float))
+        eta_P, eta_Q = (_branch_eta(model, *_branches(model, X, weights)[:2], False)
+                        for X in (P, Q))
+        B = W[:, np.concatenate([blocks[i] for i in np.flatnonzero(on)])]
+        l = cmath.exp(1j * pi * (eta_P - eta_Q))
+        r = complex(np.linalg.det(B.conj().T @ P.T.conj().T @ Q.T @ B))
+        lhs, rhs = lhs * l, rhs * r
+        if abs(l - r) >= abs(defect):
+            defect = l - r
+    return lhs, rhs, complex(defect)
 
 
 @dataclass
@@ -520,9 +505,6 @@ class SplitScenario:
     P: LagrangianProjection
     u: np.ndarray = None
     u_power: int = 0
-    circle_cutoff: float = 1e4
-    interval_cutoff: float = 4e3
-    accel: str = "average"
     policy: TolerancePolicy = DEFAULT
 
 
@@ -534,19 +516,16 @@ def splitting_experiment(sc: SplitScenario) -> dict:
 
     The halves M+ and M- are the same model (length pi, the circle's V and u),
     built once, so Calderon(M-) = Calderon(M+) is taken once.  Returns a
-    report dict with every term, the triple index, the residual and
-    accumulated regularization error estimates.
+    report dict with every term, the triple index and the residual.
     """
     policy = sc.policy
     circle = CircleDiracModel(sc.V, sc.u, policy=policy)
     half = IntervalDiracModel(pi, sc.V, sc.u, policy=policy)
     P = as_projection(sc.P, policy)
 
-    eta_m, err_m = circle_eta(circle, sc.u_power, 0, sc.circle_cutoff, sc.accel, reduced=True)
-    eta_p, err_p = interval_eta(half, P, sc.u_power, sc.interval_cutoff, sc.accel, reduced=True)
-    P_minus_solver = flip_orientation(P, policy)
-    eta_n, err_n = interval_eta(half, P_minus_solver, sc.u_power, sc.interval_cutoff,
-                                sc.accel, reduced=True)
+    eta_m = circle_eta(circle, sc.u_power, 0, reduced=True)
+    eta_p = interval_eta(half, P, sc.u_power, reduced=True)
+    eta_n = interval_eta(half, flip_orientation(P, policy), sc.u_power, reduced=True)
 
     P_cal, _ = interval_calderon(half)
     first = flip_orientation(P_cal, policy)
@@ -560,5 +539,4 @@ def splitting_experiment(sc: SplitScenario) -> dict:
         "eta_minus": eta_n,
         "triple_index": tau,
         "residual": complex(residual),
-        "error_estimate": float(err_m + err_p + err_n),
     }

@@ -348,17 +348,14 @@ def _run_circle_eta(cfg, policy):
     u = matrix_from_wire(params["u"], "u") if "u" in params else None
     model = dm.CircleDiracModel(V, u, rotation_order=params.get("rotation_order"),
                                 policy=policy)
-    cutoff = float(params.get("cutoff", 1e4))
-    accel = params.get("accel", "average")
     ups, rots = _dirac_elements(cfg)
     out, records, labels = {}, {}, []
     for p in ups:
         for r in rots:
             label = f"u^{p}.rot^{r}"
             labels.append(label)
-            value, err = dm.circle_eta(model, p, r, cutoff, accel,
-                                       reduced=bool(params.get("reduced", False)))
-            out[label] = {"eta": value, "error_estimate": err}
+            out[label] = {"eta": dm.circle_eta(model, p, r,
+                                               reduced=bool(params.get("reduced", False)))}
             records[label] = dm.circle_spectrum(model, params.get("window", (-6, 6)), p, r)
     diag = {"spectrum_window": list(params.get("window", (-6, 6)))}
     return out, {"spectra": records, **diag}
@@ -400,15 +397,12 @@ def _run_interval_eta(cfg, policy):
     u = matrix_from_wire(params["u"], "u") if "u" in params else None
     model = dm.IntervalDiracModel(float(params.get("L", 1.0)), V, u, policy=policy)
     P = _interval_projection(params, model)
-    cutoff = float(params.get("cutoff", 4e3))
-    accel = params.get("accel", "average")
     ups, _ = _dirac_elements(cfg)
     out = {}
     spectra = {}
     for p in ups:
-        value, err = dm.interval_eta(model, P, p, cutoff, accel,
-                                     reduced=bool(params.get("reduced", False)))
-        out[f"u^{p}"] = {"eta": value, "error_estimate": err}
+        out[f"u^{p}"] = {"eta": dm.interval_eta(model, P, p,
+                                                reduced=bool(params.get("reduced", False)))}
         win = params.get("window", (-6, 6))
         spectra[f"u^{p}"] = [(lam, w) for lam, w, _d in
                              dm.interval_spectrum(model, P, win, p)]
@@ -427,12 +421,9 @@ def _run_sw_check(cfg, policy):
     ups, _ = _dirac_elements(cfg)
     out = {}
     for p in ups:
-        lhs, rhs, defect, err = dm.sw_identity_check(model, P, Q, p,
-                                                     float(params.get("cutoff", 4e3)),
-                                                     params.get("accel", "average"))
+        lhs, rhs, defect = dm.sw_identity_check(model, P, Q, p)
         out[f"u^{p}"] = {"lhs": lhs, "rhs": rhs, "defect": defect,
-                         "abs_defect": abs(defect), "error_estimate": err,
-                         "passed": bool(abs(defect) <= 1e-3)}
+                         "abs_defect": abs(defect), "passed": bool(abs(defect) <= 1e-3)}
     return out, {}
 
 
@@ -447,11 +438,7 @@ def _run_split(cfg, policy):
     ups, _ = _dirac_elements(cfg)
     out = {}
     for p in ups:
-        sc = dm.SplitScenario(V=V, P=P, u=u, u_power=p,
-                              circle_cutoff=float(params.get("circle_cutoff", 1e4)),
-                              interval_cutoff=float(params.get("interval_cutoff", 4e3)),
-                              accel=params.get("accel", "average"), policy=policy)
-        rep = dm.splitting_experiment(sc)
+        rep = dm.splitting_experiment(dm.SplitScenario(V=V, P=P, u=u, u_power=p, policy=policy))
         rep["abs_residual"] = abs(rep["residual"])
         rep["passed"] = bool(abs(rep["residual"]) <= 5e-3)
         out[f"u^{p}"] = rep

@@ -388,22 +388,30 @@ def getzler(seed=ACCEPTANCE_SEED, count=50, grad_count=20):
 
 @_register("dirac_closed_forms")
 def dirac_closed_forms(seed=ACCEPTANCE_SEED):
+    """Exact circle and interval eta against their closed forms, and the
+    regularized (Abel or averaged) sum over the enumerated spectrum
+    (`dm.enumerated_eta`) at the cutoffs below against the same targets."""
     res = SuiteResult("dirac_closed_forms", 0)
-    v, _ = dm.circle_eta(dm.CircleDiracModel(np.array([[0.25]])), cutoff=1e4)
-    res.check("circle_beta_quarter", abs(v - 0.5), 1e-3)
-    m = dm.CircleDiracModel(np.array([[0.37]]), rotation_order=3)
     target = 2.0 / (1.0 - np.exp(2j * pi / 3))
-    v, _ = dm.circle_eta(m, rotation_power=1, cutoff=1e4, accel="abel")
-    res.check("circle_rotation_abel", abs(v - target), 1e-3)
-    v, _ = dm.circle_eta(m, rotation_power=1, cutoff=1e4, accel="average")
-    res.check("circle_rotation_average", abs(v - target), 1e-3)
-    m2 = dm.CircleDiracModel(np.array([[0.61]]), rotation_order=3)
-    v, _ = dm.circle_eta(m2, rotation_power=1, cutoff=1e4, accel="abel")
-    res.check("circle_rotation_beta_independent", abs(v - target), 1e-3)
+    circle = [  # (label, beta, rotation power, accel, target)
+        ("circle_beta_quarter", 0.25, 0, "average", 0.5),
+        ("circle_rotation_abel", 0.37, 1, "abel", target),
+        ("circle_rotation_average", 0.37, 1, "average", target),
+        ("circle_rotation_beta_independent", 0.61, 1, "abel", target),
+    ]
+    for label, beta, r, accel, want in circle:
+        m = dm.CircleDiracModel(np.array([[beta]]), rotation_order=3)
+        res.check(label, abs(dm.circle_eta(m, rotation_power=r) - want), 1e-3)
+        v, _ = dm.enumerated_eta([(beta, 1.0, 1.0)], (r, 3), m.policy.zero_tol, 1e4, accel)
+        res.check(f"{label}_enumerated", abs(v - want), 1e-3)
     mod = dm.IntervalDiracModel(1.0, np.array([[0.0]]))
     for th in (pi / 2, pi, 3 * pi / 2):
-        v, _ = dm.interval_eta(mod, dm.theta_projection(th), cutoff=4e3)
-        res.check(f"interval_theta_{th:.3f}", abs(v - (1 - th / pi)), 1e-3)
+        P = dm.theta_projection(th)
+        res.check(f"interval_theta_{th:.3f}", abs(dm.interval_eta(mod, P) - (1 - th / pi)), 1e-3)
+        betas, weights, _ = dm.secular_branches(mod, P)
+        progs = [(b / mod.L, 2 * pi / mod.L, w) for b, w in zip(betas, weights)]
+        v, _ = dm.enumerated_eta(progs, (0, 0), 10 * mod.policy.zero_tol, 4e3)
+        res.check(f"interval_theta_{th:.3f}_enumerated", abs(v - (1 - th / pi)), 1e-3)
     return res
 
 
@@ -413,8 +421,8 @@ def dirac_closed_forms(seed=ACCEPTANCE_SEED):
 def sw_identity(seed=ACCEPTANCE_SEED, count=10):
     res = SuiteResult("sw_identity", 0)
     mod = dm.IntervalDiracModel(1.0, np.array([[0.3]]))
-    _, _, defect, _ = dm.sw_identity_check(mod, dm.theta_projection(pi / 2),
-                                           dm.theta_projection(pi))
+    _, _, defect = dm.sw_identity_check(mod, dm.theta_projection(pi / 2),
+                                        dm.theta_projection(pi))
     res.check("m1_closed_form", abs(defect), 1e-3)
     done = 0
     j = 0
@@ -426,7 +434,7 @@ def sw_identity(seed=ACCEPTANCE_SEED, count=10):
         P = make_projection_from_unitary(gen.rand_unitary(2, rng))
         Q = make_projection_from_unitary(gen.rand_unitary(2, rng))
         try:
-            _, _, defect, _ = dm.sw_identity_check(mod2, P, Q)
+            _, _, defect = dm.sw_identity_check(mod2, P, Q)
         except KernelPresent:
             continue
         res.check(f"m2_pair{done}", abs(defect), 1e-3)

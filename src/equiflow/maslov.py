@@ -13,10 +13,10 @@ to commute with the actor (NotCommuting).
 
 import numpy as np
 
-from .errors import NotCommuting, NotLagrangian, TrackingAmbiguous
+from .errors import NotCommuting, TrackingAmbiguous
 from .spectra import isotypic_blocks
 from .specflow import Path, adjoint, product
-from .symplectic import as_projection
+from .symplectic import as_projection, pair_report
 from .tolerances import DEFAULT, TolerancePolicy
 from .winding import double_index, winding_number
 
@@ -166,11 +166,6 @@ def triple_index_static(P, Q, N, a=None, policy: TolerancePolicy = DEFAULT) -> c
 
 def in_maslov_cycle(P, P_M, policy: TolerancePolicy = DEFAULT) -> bool:
     """True when the pair (P, P_M) is Fredholm but not invertible: the
-    finite-dimensional reading is dim ker(I + T* K) > 0."""
-    P = as_projection(P, policy)
-    P_M = as_projection(P_M, policy)
-    if P.n != P_M.n:
-        raise NotLagrangian("projections live on different spaces")
-    M = np.eye(P.n) + P.T.conj().T @ P_M.T
-    smin = np.linalg.svd(M, compute_uv=False)[-1]
-    return bool(smin <= max(policy.zero_tol * 10, 1e-8))
+    finite-dimensional reading is dim ker(I + T* K) > 0, decided by
+    `pair_report` and its rank threshold."""
+    return not pair_report(P, P_M, policy=policy).invertible

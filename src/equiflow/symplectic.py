@@ -24,13 +24,10 @@ from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
     "SymplecticSpace",
-    "EquivariantIsometry",
     "LagrangianProjection",
     "PairReport",
-    "BoundaryOperator",
     "make_projection_from_unitary",
     "unitary_of_projection",
-    "make_isometry",
     "pair_report",
     "aps_projection",
     "canonical_determinant",
@@ -132,41 +129,10 @@ def as_projection(P, policy: TolerancePolicy = DEFAULT) -> LagrangianProjection:
     return make_projection_from_unitary(unitary_of_projection(P, policy), policy)
 
 
-@dataclass
-class EquivariantIsometry:
-    """Block-diagonal unitary h = diag(a, W a W^*) commuting with gamma."""
-
-    a: np.ndarray
-    W: np.ndarray
-    h: np.ndarray = field(repr=False)
-
-    @property
-    def n(self):
-        return self.a.shape[0]
-
-    def commutes_with(self, M, policy: TolerancePolicy = DEFAULT):
-        M = np.asarray(M, dtype=complex)
-        return opnorm(self.h @ M - M @ self.h) <= policy.commute_tol * max(opnorm(M), 1.0)
-
-
-def make_isometry(a, W, policy: TolerancePolicy = DEFAULT) -> EquivariantIsometry:
-    a = check_unitary(a, 1e-10, "a")
-    W = check_unitary(W, 1e-10, "W")
-    if a.shape != W.shape:
-        raise NotUnitary("a and W must have the same shape")
-    n = a.shape[0]
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, :n] = a
-    h[n:, n:] = W @ a @ W.conj().T
-    return EquivariantIsometry(a=a, W=W, h=h)
-
-
 def _actor_block(h, n):
     """Extract the action a on the first-block coordinates from h (or pass a through)."""
     if h is None:
         return np.eye(n, dtype=complex)
-    if isinstance(h, EquivariantIsometry):
-        return h.a
     h = np.asarray(h, dtype=complex)
     if h.shape == (n, n):
         return h
@@ -200,11 +166,12 @@ def pair_report(P, Q, h=None, policy: TolerancePolicy = DEFAULT,
     """Invertibility and intersection data for a pair of Lagrangian projections."""
     P = as_projection(P, policy)
     Q = as_projection(Q, policy)
+    if P.n != Q.n:
+        raise NotLagrangian("projections live on different spaces")
     n = P.n
     a = _actor_block(h, n)
     if h is not None:
-        hfull = h.h if isinstance(h, EquivariantIsometry) else _embed_actor(h, n)
-        check_commuting(hfull, np.stack([P.P, Q.P]), None, NotEquivariant, policy)
+        check_commuting(_embed_actor(h, n), np.stack([P.P, Q.P]), None, NotEquivariant, policy)
     T, S = P.T, Q.T
     M = np.eye(n) + T.conj().T @ S
     svals = np.linalg.svd(M, compute_uv=False)
@@ -237,48 +204,25 @@ def _embed_actor(h, n):
     raise NotEquivariant(f"symmetry has incompatible shape {h.shape}")
 
 
-@dataclass
-class BoundaryOperator:
-    """Hermitian A on C^{2n} anti-commuting with gamma, plus its kernel data."""
-
-    A: np.ndarray
-    eigensystem: object
-    kernel_basis: np.ndarray
-
-    @property
-    def n(self):
-        return self.A.shape[0] // 2
-
-
-def make_boundary_operator(A, policy: TolerancePolicy = DEFAULT) -> BoundaryOperator:
-    A = np.asarray(A, dtype=complex)
-    m = A.shape[0]
-    if m % 2 != 0:
-        raise ValueError("boundary operator must act on C^{2n}")
-    n = m // 2
-    gamma = SymplecticSpace(n).gamma
-    nrm = max(opnorm(A), 1.0)
-    if opnorm(gamma @ A + A @ gamma) > 1e-10 * nrm:
-        raise ValueError("A must anti-commute with gamma within 1e-10 * ||A||")
-    es = eig_hermitian(A, policy)
-    ker = es.vectors[:, np.abs(es.values) <= policy.zero_tol * nrm]
-    return BoundaryOperator(A=A, eigensystem=es, kernel_basis=ker)
-
-
 def aps_projection(A, L=None, policy: TolerancePolicy = DEFAULT) -> LagrangianProjection:
     """Boundary projection P^+ + P_L for a gamma-anticommuting Hermitian A.
 
     L is an orthonormal basis of a Lagrangian inside ker(A), i.e.
     gamma(L) = L^perp & ker(A); omit it when A is invertible.
     """
-    bop = A if isinstance(A, BoundaryOperator) else make_boundary_operator(A, policy)
-    es = bop.eigensystem
-    nrm = max(opnorm(bop.A), 1.0)
+    A = np.asarray(A, dtype=complex)
+    if A.shape[0] % 2 != 0:
+        raise ValueError("boundary operator must act on C^{2n}")
+    gamma = SymplecticSpace(A.shape[0] // 2).gamma
+    nrm = max(opnorm(A), 1.0)
+    if opnorm(gamma @ A + A @ gamma) > 1e-10 * nrm:
+        raise ValueError("A must anti-commute with gamma within 1e-10 * ||A||")
+    es = eig_hermitian(A, policy)
     pos = es.vectors[:, es.values > policy.zero_tol * nrm]
-    ker = bop.kernel_basis
+    ker = es.vectors[:, np.abs(es.values) <= policy.zero_tol * nrm]
     kdim = ker.shape[1]
     if L is None:
-        L = np.zeros((bop.A.shape[0], 0), dtype=complex)
+        L = np.zeros((A.shape[0], 0), dtype=complex)
     L = np.asarray(L, dtype=complex)
     if L.ndim == 1:
         L = L[:, None]
@@ -291,7 +235,6 @@ def aps_projection(A, L=None, policy: TolerancePolicy = DEFAULT) -> LagrangianPr
             raise KernelLagrangianInvalid("L basis is not orthonormal")
         if opnorm(L - ker @ (ker.conj().T @ L)) > 1e-8:
             raise KernelLagrangianInvalid("L does not lie inside ker(A)")
-        gamma = SymplecticSpace(bop.n).gamma
         if opnorm(L.conj().T @ gamma @ L) > 1e-8:
             raise KernelLagrangianInvalid("gamma(L) is not orthogonal to L inside ker(A)")
     Pm = pos @ pos.conj().T
@@ -315,8 +258,7 @@ def canonical_determinant(P, P_M, h=None, policy: TolerancePolicy = DEFAULT) -> 
     n = P.n
     a = _actor_block(h, n)
     if h is not None:
-        hfull = h.h if isinstance(h, EquivariantIsometry) else _embed_actor(h, n)
-        check_commuting(hfull, np.stack([P.P, P_M.P]), None, NotEquivariant, policy)
+        check_commuting(_embed_actor(h, n), np.stack([P.P, P_M.P]), None, NotEquivariant, policy)
     T, K = P.T, P_M.T
     return complex(np.linalg.det(a @ (np.eye(n) + T.conj().T @ K) / 2.0))
 

@@ -10,7 +10,7 @@ from equiflow.dirac_models import (
     SplitScenario,
     circle_eta,
     circle_spectrum,
-    enumeration_bound,
+    enumerated_eta,
     interval_calderon,
     interval_eta,
     interval_spectrum,
@@ -24,6 +24,7 @@ from equiflow.dirac_models import (
     theta_projection,
 )
 from equiflow.errors import KernelPresent
+from equiflow.harness import cli, serialize
 from equiflow.harness import generators as gen
 from equiflow.maslov import LagrangianPath, maslov_index
 from equiflow.spectra import opnorm
@@ -32,6 +33,20 @@ from equiflow.symplectic import SymplecticSpace, make_projection_from_unitary
 from equiflow.winding import winding_number
 
 W3 = np.exp(2j * pi / 3)
+TOL = 1e-9  # the default zero_tol: the circle's zero band, a tenth of the interval's
+
+
+def equivariant_model(rng, m, N, scale=0.5, unitaries=1):
+    """(u, V, T_1, ..., T_k): a Z_N actor on C^m, and a Hermitian V and k
+    unitaries commuting with it, drawn block by block."""
+    u, _, blocks, R = gen.zn_action(m, N, rng)
+    Vd = np.zeros((m, m), dtype=complex)
+    Td = np.zeros((unitaries, m, m), dtype=complex)
+    for idx in blocks:
+        Vd[np.ix_(idx, idx)] = gen.rand_hermitian(len(idx), rng, scale)
+        for T in Td:
+            T[np.ix_(idx, idx)] = gen.rand_unitary(len(idx), rng)
+    return (u, R @ Vd @ R.conj().T, *(R @ T @ R.conj().T for T in Td))
 
 
 class TestCircleModel:
@@ -54,30 +69,40 @@ class TestCircleModel:
         assert np.isclose(spec[1][0], 0.7) and np.isclose(spec[1][1], 1.0)
 
     def test_eta_closed_form(self):
-        v, err = circle_eta(CircleDiracModel(np.array([[0.25]])), cutoff=1e4)
-        assert abs(v - 0.5) < 1e-3 and err < 1e-3
+        assert abs(circle_eta(CircleDiracModel(np.array([[0.25]]))) - 0.5) < 1e-12
 
     def test_eta_symmetric(self):
-        v, _ = circle_eta(CircleDiracModel(np.array([[0.5]])), cutoff=1e4)
-        assert abs(v) < 1e-6
+        assert abs(circle_eta(CircleDiracModel(np.array([[0.5]])))) < 1e-12
 
     def test_eta_rotation_character(self):
         target = 2.0 / (1.0 - W3)  # = 1 + i/sqrt(3)
         assert np.isclose(target, 1 + 1j / np.sqrt(3))
         for beta in (0.25, 0.61):
             m = CircleDiracModel(np.array([[beta]]), rotation_order=3)
-            v, _ = circle_eta(m, rotation_power=1, cutoff=1e4, accel="abel")
-            assert abs(v - target) < 1e-3
+            assert abs(circle_eta(m, rotation_power=1) - target) < 1e-12
+
+    def test_closed_forms_seeded(self):
+        # sum over channels of chi^p (1 - 2 beta), or chi^p 2/(1 - w) under a rotation
+        for i in range(240):
+            rng = gen.rng_for(7500 + i)
+            m, N = 1 + i % 2, 2 + i % 3
+            beta = rng.uniform(0.01, 0.99, size=m)
+            chars = np.exp(2j * pi * rng.integers(0, N, size=m) / N)
+            p, r = (i // 2) % 2, int(rng.integers(0, N))
+            mod = CircleDiracModel(np.diag(beta).astype(complex), np.diag(chars), rotation_order=N)
+            w = np.exp(2j * pi * r / N)
+            base = 1.0 - 2.0 * beta if r == 0 else 2.0 / (1.0 - w)
+            assert abs(circle_eta(mod, p, r) - np.sum(chars ** p * base)) <= 1e-12
 
     def test_error_decreases_under_doubling(self):
-        m = CircleDiracModel(np.array([[0.3]]), rotation_order=3)
-        _, e1 = circle_eta(m, rotation_power=1, cutoff=2e3)
-        _, e2 = circle_eta(m, rotation_power=1, cutoff=4e3)
+        # the error estimate of the regularized cross-check
+        _, e1 = enumerated_eta([(0.3, 1.0, 1.0)], (1, 3), TOL, 2e3)
+        _, e2 = enumerated_eta([(0.3, 1.0, 1.0)], (1, 3), TOL, 4e3)
         assert e2 <= 0.6 * e1
 
     def test_kernel_detected(self):
         with pytest.raises(KernelPresent):
-            circle_eta(CircleDiracModel(np.array([[0.0]])), cutoff=100)
+            circle_eta(CircleDiracModel(np.array([[0.0]])))
 
 
 class TestIntervalModel:
@@ -139,23 +164,23 @@ class TestIntervalModel:
     def test_eta_closed_forms(self):
         mod = IntervalDiracModel(1.0, np.array([[0.0]]))
         for th in (pi / 2, pi, 3 * pi / 2):
-            v, _ = interval_eta(mod, theta_projection(th), cutoff=4e3)
-            assert abs(v - (1 - th / pi)) < 1e-3
+            assert abs(interval_eta(mod, theta_projection(th)) - (1 - th / pi)) < 1e-12
 
     def test_eta_channel_additivity(self):
         u = np.diag([W3, 1.0])
         mod = IntervalDiracModel(1.0, np.diag([0.0, 0.0]).astype(complex), u)
         th1, th2 = 0.9, 2.4
         P = theta_projection([th1, th2])
-        v, _ = interval_eta(mod, P, u_power=1, cutoff=4e3)
         expect = W3 * (1 - th1 / pi) + 1.0 * (1 - th2 / pi)
-        assert abs(v - expect) < 1e-3
+        assert abs(interval_eta(mod, P, u_power=1) - expect) < 1e-12
 
     def test_eta_error_decreases(self):
+        # the error estimate of the regularized cross-check
         mod = IntervalDiracModel(1.0, np.array([[0.3]]))
-        P = theta_projection(1.1)
-        _, e1 = interval_eta(mod, P, cutoff=1e3)
-        _, e2 = interval_eta(mod, P, cutoff=2e3)
+        betas, weights, _ = secular_branches(mod, theta_projection(1.1))
+        progs = [(b, 2 * pi, w) for b, w in zip(betas, weights)]
+        _, e1 = enumerated_eta(progs, (0, 0), 10 * TOL, 1e3)
+        _, e2 = enumerated_eta(progs, (0, 0), 10 * TOL, 2e3)
         assert e2 <= 0.6 * e1
 
     def test_branch_weights(self):
@@ -214,128 +239,116 @@ class TestIntervalModel:
                 assert dims.sum() == m
 
 
-def enumerated_eta(progressions, cutoff, accel, tol):
-    """(value, error_estimate, kernel_trace, has_kernel) from
-    `regularized_signed_sum` over every eigenvalue b + s k of the
-    progressions (b, s, weight(k)) up to `enumeration_bound`, outside the
-    zero band |lambda| <= tol."""
-    bound = enumeration_bound(cutoff, accel)
-    vals, wts, ker, has_kernel = [], [], 0j, False
-    for b, s, weight in progressions:
-        k = np.arange(int(np.ceil((-bound - b) / s)), int(np.floor((bound - b) / s)) + 1)
-        lam = b + s * k
-        w = weight(k)
-        zero = np.abs(lam) <= tol
-        has_kernel |= bool(np.any(zero))
-        ker += complex(np.sum(w[zero]))
-        vals.append(lam[~zero])
-        wts.append(w[~zero])
-    value, err = regularized_signed_sum(np.concatenate(vals), np.concatenate(wts), cutoff, accel)
-    return value, err, ker, has_kernel
-
-
-def check_against_enumeration(eta_fn, progressions, cutoff, accel, tol):
-    value, err, ker, has_kernel = enumerated_eta(progressions, cutoff, accel, tol)
-    if has_kernel:
+def check_against_enumeration(eta_fn, progressions, rot, tol, cutoff, accel):
+    """The exact eta (eta_fn(reduced)) against the regularized sum over the
+    enumerated spectrum; a zero band must raise KernelPresent on both routes."""
+    try:
+        value, _ = enumerated_eta(progressions, rot, tol, cutoff, accel)
+        has_kernel = False
+    except KernelPresent:
         with pytest.raises(KernelPresent):
             eta_fn(False)
-        value, err = (value + ker) / 2.0, err / 2.0
-    got, got_err = eta_fn(has_kernel)
-    assert abs(got - value) <= 1e-9
-    assert abs(got_err - err) <= 1e-9
-    return has_kernel
+        value, _ = enumerated_eta(progressions, rot, tol, cutoff, accel, reduced=True)
+        has_kernel = True
+    gap = abs(eta_fn(has_kernel) - value)
+    assert gap <= 1e-3
+    return has_kernel, gap
 
 
 class TestClosedFormSums:
-    """circle_eta and interval_eta sum each progression in closed form; the
-    enumerated eigenvalue list through regularized_signed_sum is the reference."""
+    """circle_eta and interval_eta are exact; the regularized sum over the
+    enumerated spectrum (enumerated_eta, regularized_signed_sum) converges to
+    them and is checked against them at cutoffs 1e3-1e4."""
 
     def test_circle_matches_enumeration(self):
-        kernels = set()
-        for i in range(120):
+        kernels, gaps = set(), []
+        for i in range(60):
             rng = gen.rng_for(7100 + i)
             m, N = 1 + i % 2, 2 + i % 5
             accel = ("average", "abel")[(i // 2) % 2]
-            cutoff = float(10 ** rng.uniform(2, 4))
+            cutoff = float(10 ** rng.uniform(3, 4))
             v = rng.uniform(-2.5, 2.5, size=m)
             if i % 5 == 0:
                 v[0] = float(rng.integers(-2, 3))  # a zero mode at k = -v
             chars = np.exp(2j * pi * rng.integers(0, N, size=m) / N)
             mod = CircleDiracModel(np.diag(v).astype(complex), np.diag(chars), rotation_order=N)
             p, r = int(rng.integers(0, 2)), int(rng.integers(0, N))
-            progs = [(float(b), 1.0,
-                      lambda k, c=chi ** p, r=r, N=N: c * np.exp(2j * pi * k * r / N))
+            progs = [(float(b), 1.0, chi ** p)
                      for b, chi in zip(mod.channel_values, mod.channel_chars)]
-            kernels.add(check_against_enumeration(
-                lambda reduced: circle_eta(mod, p, r, cutoff, accel, reduced),
-                progs, cutoff, accel, mod.policy.zero_tol))
+            kernel, gap = check_against_enumeration(
+                lambda reduced: circle_eta(mod, p, r, reduced), progs, (r, N), TOL, cutoff, accel)
+            kernels.add(kernel)
+            gaps.append(gap)
         assert kernels == {False, True}
+        assert max(gaps) <= 1e-4
 
     def test_interval_matches_enumeration(self):
-        kernels = set()
+        kernels, gaps = set(), []
         for i in range(120):
             rng = gen.rng_for(7300 + i)
             m, N = 1 + i % 2, 2 + i % 5
             accel = ("average", "abel")[(i // 2) % 2]
-            cutoff = float(10 ** rng.uniform(2, 4))
+            cutoff = float(10 ** rng.uniform(3, 4))
             L = float(rng.uniform(0.5, 2.0))
-            u, _, blocks, R = gen.zn_action(m, N, rng)
-            Vd = np.zeros((m, m), dtype=complex)
-            Td = np.zeros((m, m), dtype=complex)
-            for idx in blocks:
-                Vd[np.ix_(idx, idx)] = gen.rand_hermitian(len(idx), rng, 1.5)
-                Td[np.ix_(idx, idx)] = gen.rand_unitary(len(idx), rng)
-            mod = IntervalDiracModel(L, R @ Vd @ R.conj().T, u)
-            # T = -M(0) puts every branch at beta = 0: a zero mode
-            T = -interval_transfer(mod, 0.0) if i % 5 == 0 else R @ Td @ R.conj().T
+            u, V, T = equivariant_model(rng, m, N, 1.5)
+            mod = IntervalDiracModel(L, V, u)
+            if i % 5 == 0:
+                T = -interval_transfer(mod, 0.0)  # every branch at beta = 0: a zero mode
             P = make_projection_from_unitary(T)
             p = int(rng.integers(0, 3))
             betas, weights, _ = secular_branches(mod, P, p)
-            progs = [(beta / L, 2 * pi / L, lambda k, c=w: np.full(k.shape, c, dtype=complex))
-                     for beta, w in zip(betas, weights)]
-            kernels.add(check_against_enumeration(
-                lambda reduced: interval_eta(mod, P, p, cutoff, accel, reduced),
-                progs, cutoff, accel, mod.policy.zero_tol * 10))
+            progs = [(beta / L, 2 * pi / L, w) for beta, w in zip(betas, weights)]
+            kernel, gap = check_against_enumeration(
+                lambda reduced: interval_eta(mod, P, p, reduced), progs, (0, 0), 10 * TOL,
+                cutoff, accel)
+            kernels.add(kernel)
+            gaps.append(gap)
         assert kernels == {False, True}
+        assert max(gaps) <= 1e-4
 
     def test_cutoff_must_be_positive(self):
-        mod = CircleDiracModel(np.array([[0.25]]))
         for accel in ("average", "abel"):
             for cutoff in (0.0, -10.0):
                 with pytest.raises(ValueError):
-                    circle_eta(mod, cutoff=cutoff, accel=accel)
-                with pytest.raises(ValueError):
                     regularized_signed_sum([0.25, -0.75], [1.0, 1.0], cutoff, accel)
+                with pytest.raises(ValueError):
+                    enumerated_eta([(0.25, 1.0, 1.0)], (0, 0), TOL, cutoff, accel)
 
     def test_large_cutoff(self):
-        # the enumerated route would need arrays of about 1e9 eigenvalues here
+        # the closed forms, and the enumerated route at cutoff 1e4 on both accelerations
         for beta in (0.25, 0.61):
             for N, r in ((2, 1), (3, 1), (4, 3), (6, 1)):
                 w = np.exp(2j * pi * r / N)
                 mod = CircleDiracModel(np.array([[beta]]), rotation_order=N)
-                v, _ = circle_eta(mod, rotation_power=r, cutoff=1e8, accel="abel")
-                assert abs(v - 2.0 / (1.0 - w)) < 1e-6
-            v, _ = circle_eta(CircleDiracModel(np.array([[beta]])), cutoff=1e8)
-            assert abs(v - (1.0 - 2.0 * beta)) < 1e-6
+                v = circle_eta(mod, rotation_power=r)
+                assert abs(v - 2.0 / (1.0 - w)) < 1e-12
+                for accel in ("average", "abel"):
+                    ref, _ = enumerated_eta([(beta, 1.0, 1.0)], (r, N), TOL, 1e4, accel)
+                    assert abs(v - ref) < 1e-3
+            v = circle_eta(CircleDiracModel(np.array([[beta]])))
+            assert abs(v - (1.0 - 2.0 * beta)) < 1e-12
+            ref, _ = enumerated_eta([(beta, 1.0, 1.0)], (0, 0), TOL, 1e4)
+            assert abs(v - ref) < 1e-3
         mod = IntervalDiracModel(1.0, np.array([[0.0]]))
-        v, _ = interval_eta(mod, theta_projection(1.1), cutoff=1e8)
-        assert abs(v - (1.0 - 1.1 / pi)) < 1e-6
+        v = interval_eta(mod, theta_projection(1.1))
+        assert abs(v - (1.0 - 1.1 / pi)) < 1e-12
+        ref, _ = enumerated_eta([(1.1, 2 * pi, 1.0)], (0, 0), 10 * TOL, 1e4)
+        assert abs(v - ref) < 1e-3
 
 
 class TestSWIdentity:
     def test_equal_projections(self):
         mod = IntervalDiracModel(1.0, np.array([[0.3]]))
         P = theta_projection(1.2)
-        lhs, rhs, defect, _ = sw_identity_check(mod, P, P)
-        assert abs(defect) < 1e-9
+        lhs, rhs, defect = sw_identity_check(mod, P, P)
+        assert abs(defect) < 1e-12
 
     def test_m1_closed_form(self):
         mod = IntervalDiracModel(1.0, np.array([[0.3]]))
-        lhs, rhs, defect, _ = sw_identity_check(mod, theta_projection(pi / 2),
-                                                theta_projection(pi))
-        assert abs(lhs) == pytest.approx(1.0, abs=1e-6)
+        lhs, rhs, defect = sw_identity_check(mod, theta_projection(pi / 2), theta_projection(pi))
+        assert abs(lhs) == pytest.approx(1.0, abs=1e-12)
         assert abs(rhs) == pytest.approx(1.0, abs=1e-12)
-        assert abs(defect) < 1e-3
+        assert abs(defect) < 1e-12
         # closed form: both sides equal e^{i(theta_Q - theta_P)}
         assert abs(rhs - np.exp(1j * (pi - pi / 2))) < 1e-12
 
@@ -345,8 +358,42 @@ class TestSWIdentity:
         mod = IntervalDiracModel(1.0, V)
         P = make_projection_from_unitary(gen.rand_unitary(2, rng))
         Q = make_projection_from_unitary(gen.rand_unitary(2, rng))
-        _, _, defect, _ = sw_identity_check(mod, P, Q)
-        assert abs(defect) < 1e-3
+        _, _, defect = sw_identity_check(mod, P, Q)
+        assert abs(defect) < 1e-12
+
+    def test_character_blocks(self):
+        # with u^1 the identity holds on each isotypic block of u; on the whole
+        # space exp(2 pi i eta difference) with complex weights is not unit-modulus
+        u = serialize.matrix_to_wire(np.diag([W3, 1.0]))
+        cfg = {"kind": "sw_check", "group": {"u_powers": [0, 1]},
+               "generator": {"name": "model", "params": {
+                   "v": [0.3, 0.6], "u": u, "p": {"theta": [1.0, 2.0]},
+                   "q": {"theta": [2.5, 0.7]}}}}
+        body, _ = cli.run_config(cfg)
+        for rep in body["results"].values():
+            assert rep["abs_defect"] <= 1e-12 and rep["passed"]
+        rep = body["results"]["u^0"]
+        assert abs(rep["rhs"] - np.exp(1j * (2.5 - 1.0 + 0.7 - 2.0))) <= 1e-12
+
+    def test_seeded_pairs(self):
+        # exp(2 pi i (eta~_P - eta~_Q)) = det(T* S) exactly (u^0), and per block of u (u^1)
+        done = 0
+        for i in range(300):
+            rng = gen.rng_for(7700 + i)
+            m, N = 1 + i % 2, 2 + i % 3
+            u, V, T, S = equivariant_model(rng, m, N, 0.8, unitaries=2)
+            mod = IntervalDiracModel(float(rng.uniform(0.5, 2.0)), V, u)
+            P, Q = make_projection_from_unitary(T), make_projection_from_unitary(S)
+            try:
+                lhs, rhs, defect = sw_identity_check(mod, P, Q)
+                _, _, defect1 = sw_identity_check(mod, P, Q, 1)
+            except KernelPresent:
+                continue
+            assert abs(rhs - np.linalg.det(T.conj().T @ S)) <= 1e-12
+            assert abs(defect) <= 1e-12 and abs(lhs - rhs) <= 1e-12
+            assert abs(defect1) <= 1e-12
+            done += 1
+        assert done >= 200
 
 
 class TestSplitting:
@@ -354,34 +401,45 @@ class TestSplitting:
         half = IntervalDiracModel(pi, np.array([[0.25]]))
         P_cal, _ = interval_calderon(half)
         rep = splitting_experiment(SplitScenario(V=np.array([[0.25]]), P=P_cal))
-        assert abs(rep["residual"]) < 5e-3
+        assert abs(rep["residual"]) < 1e-12
         assert abs(rep["triple_index"]) < 1e-9  # Calderon boundary: corollary case
 
     def test_theta_family_stability(self):
-        # individual terms jump along the family; the residual stays small
+        # individual terms jump along the family; the residual stays at rounding level
         for th in np.linspace(0.4, 2 * pi - 0.4, 8):
             rep = splitting_experiment(
                 SplitScenario(V=np.array([[0.25]]), P=theta_projection(float(th))))
-            assert abs(rep["residual"]) < 5e-3
+            assert abs(rep["residual"]) < 1e-12
 
     def test_nonzero_triple_index(self):
         rep = splitting_experiment(
             SplitScenario(V=np.array([[0.25]]), P=theta_projection(3 * pi / 2)))
         assert abs(rep["triple_index"] - 1.0) < 1e-8
-        assert abs(rep["residual"]) < 5e-3
+        assert abs(rep["residual"]) < 1e-12
 
     def test_symmetric_baseline(self):
         rep = splitting_experiment(
             SplitScenario(V=np.array([[0.5]]), P=theta_projection(pi - 0.3)))
-        assert abs(rep["residual"]) < 5e-3
+        assert abs(rep["residual"]) < 1e-12
 
     def test_characters(self):
         u = np.diag([W3, 1.0])
         V = np.diag([0.2, 0.7]).astype(complex)
         rep = splitting_experiment(
             SplitScenario(V=V, P=theta_projection([4.7, 5.1]), u=u, u_power=1))
-        assert abs(rep["residual"]) < 5e-3
+        assert abs(rep["residual"]) < 1e-12
         assert abs(rep["triple_index"] - (W3 - 1.0)) < 1e-8
+
+    def test_seeded_residuals(self):
+        done = 0
+        for i in range(300):
+            rng = gen.rng_for(7900 + i)
+            m, N = 1 + i % 2, 2 + i % 3
+            u, V, T = equivariant_model(rng, m, N, 0.8)
+            sc = SplitScenario(V=V, P=make_projection_from_unitary(T), u=u, u_power=(i // 3) % 2)
+            assert abs(splitting_experiment(sc)["residual"]) <= 1e-12
+            done += 1
+        assert done >= 200
 
     def test_one_interval_model_per_experiment(self, monkeypatch):
         # the two halves are the same model: one circle and one interval model

@@ -38,7 +38,7 @@ from equiflow.specflow import (
     spectral_flow,
 )
 from equiflow.spectra import track_blocks
-from equiflow.symplectic import make_isometry, make_projection_from_unitary, pair_report
+from equiflow.symplectic import make_projection_from_unitary, pair_report
 from equiflow.winding import (
     fredholm_det_path,
     relative_double_index,
@@ -104,7 +104,8 @@ def test_pair_report_not_equivariant():
     rng = gen.rng_for(72)
     P = make_projection_from_unitary(np.eye(2))
     Q = make_projection_from_unitary(np.diag([1j, -1j]))
-    h = make_isometry(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2))
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    h = np.block([[swap, np.zeros((2, 2))], [np.zeros((2, 2)), swap]])  # diag(a, W a W*), W = I
     with pytest.raises(NotEquivariant):
         pair_report(P, Q, h)
 
@@ -129,9 +130,9 @@ def test_interval_kernel_present():
     mod = IntervalDiracModel(1.0, np.array([[0.0]]))
     P = theta_projection(0.0)  # root at lambda = 0
     with pytest.raises(KernelPresent):
-        interval_eta(mod, P, cutoff=200)
-    v, _ = interval_eta(mod, P, cutoff=200, reduced=True)
-    assert abs(v - 0.5) < 1e-3  # symmetric nonzero spectrum + half kernel weight
+        interval_eta(mod, P)
+    v = interval_eta(mod, P, reduced=True)
+    assert abs(v - 0.5) < 1e-12  # symmetric nonzero spectrum + half kernel weight
 
 
 def test_interval_not_equivariant_projection():
@@ -139,7 +140,7 @@ def test_interval_not_equivariant_projection():
     mod = IntervalDiracModel(1.0, np.diag([0.1, 0.6]).astype(complex), u)
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(NotEquivariant):
-        interval_eta(mod, make_projection_from_unitary(swap), u_power=1, cutoff=100)
+        interval_eta(mod, make_projection_from_unitary(swap), u_power=1)
 
 
 def test_nonreality_degenerate_polynomial():

@@ -11,7 +11,7 @@ from equiflow.maslov import (
     triple_index_path,
     triple_index_static,
 )
-from equiflow.symplectic import make_projection_from_unitary
+from equiflow.symplectic import make_projection_from_unitary, pair_report
 from equiflow.winding import double_index
 
 ALPHA = np.exp(0.4j)
@@ -170,3 +170,12 @@ class TestMaslovCycle:
         P = make_projection_from_unitary(np.eye(2))
         K = make_projection_from_unitary(np.diag([-1.0 + 0j, 1j]))
         assert in_maslov_cycle(P, K)
+
+    def test_one_threshold_with_pair_report(self):
+        # sigma_min(I + T* S) = 5e-9 lies between pair_report's rank threshold
+        # (zero_tol = 1e-9) and the 1e-8 the predicate once used on its own
+        P = make_projection_from_unitary(np.eye(1))
+        S = make_projection_from_unitary(-np.exp(5e-9j) * np.eye(1))
+        rep = pair_report(P, S)
+        assert rep.invertible and rep.intersection_dim == 0
+        assert not in_maslov_cycle(P, S)

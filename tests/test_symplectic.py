@@ -8,7 +8,6 @@ from equiflow.symplectic import (
     aps_projection,
     canonical_determinant,
     flip_orientation,
-    make_isometry,
     make_projection_from_unitary,
     pair_report,
     unitary_of_projection,
@@ -68,29 +67,6 @@ class TestProjectionUnitary:
             make_projection_from_unitary(np.array([[2.0]]))
 
 
-class TestIsometry:
-    def test_identity_action(self):
-        rng = np.random.default_rng(2)
-        W = rand_unitary(2, rng)
-        h = make_isometry(np.eye(2), W)
-        assert np.allclose(h.h, np.eye(4))
-
-    def test_scalar_action(self):
-        w = np.exp(2j * np.pi / 3)
-        h = make_isometry(w * np.eye(2), rand_unitary(2, np.random.default_rng(3)))
-        assert np.allclose(h.h, w * np.eye(4))
-
-    def test_commutes_when_w_equals_t(self):
-        rng = np.random.default_rng(4)
-        T = rand_unitary(3, rng)
-        a = rand_unitary(3, rng)
-        h = make_isometry(a, T)
-        P = make_projection_from_unitary(T)
-        # [h, P] = 0 iff T a = W a W^* T; with W = T both sides are T a
-        assert h.commutes_with(P.P) == np.isclose(opnorm(T @ a - T @ a), 0.0)
-        assert opnorm(h.h @ P.P - P.P @ h.h) < 1e-13
-
-
 class TestPairReport:
     def test_invertible_identity_pair(self):
         P = make_projection_from_unitary(np.eye(2))
@@ -137,11 +113,12 @@ class TestPairReport:
             T = np.diag([-1.0 + 0j, np.exp(1j * theta)])
             P = make_projection_from_unitary(np.eye(2))
             Q = make_projection_from_unitary(T)
-            h = make_isometry(np.diag([chi, 1.0]), np.eye(2))
+            a = np.diag([chi, 1.0])
+            h = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), a]])  # diag(a, W a W*), W = I
             rep = pair_report(P, Q, h)
             if rep.intersection_dim:
                 B = rep.witness_basis
-                hB = h.h @ B
+                hB = h @ B
                 assert opnorm(hB - B @ (B.conj().T @ hB)) < 1e-9  # span(B) is h-invariant
                 assert abs(np.trace(B.conj().T @ hB) - rep.intersection_trace) < 1e-9
 
@@ -202,7 +179,7 @@ class TestCanonicalDeterminant:
         a = R @ np.diag(chars) @ R.conj().T
         T = R @ np.diag(np.exp(1j * np.array([0.4, -0.9]))) @ R.conj().T
         K = R @ np.diag(np.exp(1j * np.array([1.2, 0.3]))) @ R.conj().T
-        h = make_isometry(a, np.eye(2))
+        h = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), a]])  # diag(a, W a W*), W = I
         v = canonical_determinant(make_projection_from_unitary(T),
                                   make_projection_from_unitary(K), h)
         M = a @ (np.eye(2) + T.conj().T @ K) / 2
