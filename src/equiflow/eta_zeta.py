@@ -19,6 +19,7 @@ from .errors import KernelPresent, NotEquivariant, NotPositive
 from .spectra import (
     _block_eigh,
     _isotypic_cut,
+    check_commuting,
     integrate,
     isotypic_split,
     path_panel,
@@ -67,7 +68,8 @@ class SpectralOperator:
         self.D = np.asarray(self.D, dtype=complex)
         if self.h is not None:
             self.h = np.asarray(self.h, dtype=complex)
-        split, blocks = _isotypic_cut(self.D, self.h, None, NotEquivariant, self.policy, split)
+        check_commuting(self.h, self.D, None, NotEquivariant, self.policy)
+        split, blocks = _isotypic_cut(self.D, self.h, split, self.policy)
         self._eigh = _block_eigh(blocks, self.policy)  # (lam, U) per block
         values = np.concatenate([lam for lam, _ in self._eigh])
         weights = np.concatenate([np.full(lam.size, chi) for chi, (lam, _) in
@@ -159,10 +161,10 @@ def _eta_form(D, X, h, split, eps, policy):
     """`eta_form` on the isotypic split of h (made when split is None)."""
     F = np.asarray(D, dtype=complex)
     D = F.reshape((-1,) + F.shape[-2:])
-    split, blocks = _isotypic_cut(D, h, None, NotEquivariant, policy, split)
+    check_commuting(h, D, None, NotEquivariant, policy)
+    split, blocks = _isotypic_cut(D, h, split, policy)
     # X need not commute with h: only its diagonal blocks enter the trace
-    _, X_blocks = _isotypic_cut(np.asarray(X, dtype=complex).reshape(D.shape), None, None,
-                                None, policy, split)
+    _, X_blocks = _isotypic_cut(np.asarray(X, dtype=complex).reshape(D.shape), None, split, policy)
     total = 0.0
     for chi, (lam, U), Xc in zip(split[2], _block_eigh(blocks, policy), X_blocks):
         Xd = np.sum(U.conj() * (Xc @ U), axis=1)  # diagonal of U* X_chi U

@@ -17,14 +17,15 @@ and `concatenate`, the seeded generators and the contraction flows are each
 one batched formula: their pointwise call is stack([t])[0].
 
 Spectral flow has two independent pipelines: a grid-partition computation
-(spectral-window counts over a certified partition, each node sampled and
-eigendecomposed once) and a crossing oracle (branch tracking and a count of
-the branches' sign changes).  Both read the isotypic blocks of the actor
-from `spectra.isotypic_blocks`: a path commuting with h never mixes them, so
-every window count and every crossing weighs chi * (number of the
-chi-block's eigenvalues counted), and the flow is sum_chi chi * n_chi with
-integers n_chi.  The spectral window is closed at 0; an eigenvalue within
-zero_tol of 0 at an endpoint of [0, 1] counts as nonnegative.
+(spectral-window counts over a certified partition, one checked stack per
+bisection round, each node eigendecomposed once) and a crossing oracle
+(branch tracking and a count of the branches' sign changes).  Both read the
+isotypic blocks of the actor from `spectra.isotypic_blocks`: a path
+commuting with h never mixes them, so every window count and every crossing
+weighs chi * (number of the chi-block's eigenvalues counted), and the flow
+is sum_chi chi * n_chi with integers n_chi.  The spectral window is closed
+at 0; an eigenvalue within zero_tol of 0 at an endpoint of [0, 1] counts as
+nonnegative.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotEquivariant, PartitionFailure
-from .spectra import _block_eigh, group_events, isotypic_blocks, sample_stack, track_blocks
+from .spectra import (_ROUND_MAX, _block_eigh, check_commuting, group_events, isotypic_blocks,
+                      sample_stack, track_blocks)
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -184,62 +186,67 @@ def _level_candidates(pool):
     fallback (the window then counts every nonnegative eigenvalue).
     """
     pts = np.unique(pool)
-    pos = pts[pts > 0]
-    cands = []
-    prev = 0.0
-    for p in pos:
-        if p > prev:
-            cands.append(((prev + p) / 2.0, (p - prev) / 2.0))
-        prev = p
-    top = float(pts.max()) if pts.size else 0.0
-    cands.append((max(top, 0.0) + 1.0, 1.0))
-    med = float(np.median(pos)) if pos.size else np.inf
-    cands.sort(key=lambda c: (0 if c[0] <= med else 1, -c[1]))
-    return cands
+    edges = np.concatenate([[0.0], pts[pts > 0]])
+    levels = np.append((edges[:-1] + edges[1:]) / 2.0, pts.max(initial=0.0) + 1.0)
+    halfwidths = np.append((edges[1:] - edges[:-1]) / 2.0, 1.0)
+    med = np.median(edges[1:]) if edges.size > 1 else np.inf
+    return levels[np.lexsort((-halfwidths, levels > med))]
 
 
 def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int = 9,
                    max_depth: int = 22) -> GridPartition:
-    """Uniform seeding then local bisection until every interval certifies.
+    """Uniform seeding then bisection until every interval certifies.
 
-    An interval [t0, t1] certifies with level a when the sampled spectra stay
-    farther from a than the local Lipschitz bound allows them to move between
-    samples.  Levels are picked in the widest spectral gap inside
-    (0, median positive eigenvalue].
+    An interval [t0, t1] certifies with level a when the spectra at its 5
+    probes stay farther from a than the local Lipschitz bound allows them to
+    move between probes.  Levels are picked in the widest spectral gap inside
+    (0, median positive eigenvalue].  A round tests the leftmost `_ROUND_MAX`
+    pending intervals on one stack of their new probe times (each time is
+    sampled once); PartitionFailure names the leftmost one at `max_depth`.
     """
+    return _certify(path, None, policy, initial_nodes, max_depth)[0]
+
+
+def _certify(path, h, policy, initial_nodes=9, max_depth=22):
+    """(partition, node samples) as in `good_partition`; probes checked to commute with h."""
     n_probe = 5
-
-    def try_certify(t0, t1, depth):
-        ts = np.linspace(t0, t1, n_probe)
-        mats = sample_stack(path, ts)
-        spectra = np.linalg.eigvalsh((mats + np.swapaxes(mats.conj(), 1, 2)) / 2)
-        steps = np.linalg.norm(np.diff(mats, axis=0), 2, axis=(1, 2))
-        lip = float(np.max(steps / np.maximum(np.diff(ts), 1e-300)))
-        lip *= 1.5  # safety factor on the sampled Lipschitz estimate
-        travel = lip * (t1 - t0) / (n_probe - 1) / 2.0
-        for a, _halfwidth in _level_candidates(spectra.ravel())[:4]:
-            dmin = float(np.min(np.abs(spectra - a)))
-            if dmin > travel * 1.2 + policy.zero_tol:
-                return Interval(t0, t1, a, dmin, lip)
-        return None
-
-    intervals = []
     seeds = np.linspace(0.0, 1.0, initial_nodes)
-    stack = [(seeds[i], seeds[i + 1], 0) for i in range(initial_nodes - 1)]
-    while stack:
-        t0, t1, depth = stack.pop(0)
-        iv = try_certify(t0, t1, depth)
-        if iv is not None:
-            intervals.append(iv)
-            continue
-        if depth >= max_depth:
-            raise PartitionFailure(
-                f"no certified level found on [{t0:.6g}, {t1:.6g}] at depth {depth}")
-        tm = (t0 + t1) / 2.0
-        stack.insert(0, (tm, t1, depth + 1))
-        stack.insert(0, (t0, tm, depth + 1))
-    intervals.sort(key=lambda iv: iv.t0)
-    return GridPartition(intervals)
+    pending = np.stack([seeds[:-1], seeds[1:], 0 * seeds[1:]], 1)  # (t0, t1, depth), ascending
+    ts, intervals = np.empty(0), []  # ts: the times sampled so far, ascending
+    while pending.size:
+        a, b, d = pending[:_ROUND_MAX].T
+        probes = np.linspace(a, b, n_probe, axis=1)
+        new = np.setdiff1d(probes, ts)  # never empty: a child halves its parent's probe spacing
+        G = sample_stack(path, new)
+        check_commuting(h, G, new, NotEquivariant, policy)
+        S = np.linalg.eigvalsh((G + np.swapaxes(G.conj(), 1, 2)) / 2)
+        if ts.size:
+            G, S = np.concatenate([F, G]), np.concatenate([spec, S])
+        ts = np.concatenate([ts, new])
+        order = np.argsort(ts)
+        ts, F, spec = ts[order], G[order], S[order]
+        k = np.searchsorted(ts, probes)
+        steps = np.linalg.norm(np.diff(F[k], axis=1), 2, axis=(2, 3))
+        # 1.5: safety factor on the sampled Lipschitz estimate
+        lips = 1.5 * np.max(steps / np.maximum(np.diff(probes, axis=1), 1e-300), axis=1)
+        travel = lips * (b - a) / (n_probe - 1) / 2.0
+        failed = []
+        for j, spectra in enumerate(spec[k]):
+            for level in _level_candidates(spectra.ravel())[:4]:
+                dmin = float(np.min(np.abs(spectra - level)))
+                if dmin > travel[j] * 1.2 + policy.zero_tol:
+                    intervals.append(Interval(a[j], b[j], level, dmin, float(lips[j])))
+                    break
+            else:
+                if d[j] >= max_depth:  # the leftmost: depth never rises along the pending
+                    raise PartitionFailure(f"no certified level found on [{a[j]:.6g}, "
+                                           f"{b[j]:.6g}] at depth {d[j]:.0f}")
+                failed.append(j)
+        a, b, d = a[failed], b[failed], d[failed] + 1
+        halves = np.stack([a, (a + b) / 2.0, d, (a + b) / 2.0, b, d], 1).reshape(-1, 3)
+        pending = np.concatenate([halves, pending[_ROUND_MAX:]])
+    part = GridPartition(sorted(intervals, key=lambda iv: iv.t0))
+    return part, F[np.searchsorted(ts, part.nodes)]
 
 
 def spectral_flow(path, h=None, partition: GridPartition = None,
@@ -249,31 +256,28 @@ def spectral_flow(path, h=None, partition: GridPartition = None,
     Sum over intervals of N_j(t_j) - N_j(t_{j-1}), where N_j(t) is
     sum_chi chi * #(eigenvalues of the chi-block of B(t) in [0, a_j]).  The
     value is invariant under partition refinement; with h = None (one block,
-    chi = 1) it is the classical integer spectral flow.  Each distinct
-    partition node is sampled and eigendecomposed once, all nodes in one
-    stack (`spectra.isotypic_blocks`: NotEquivariant when a sample does not
-    commute with h), and each interval counts at its own level from those
-    eigenvalues.  An interior node with an eigenvalue within zero_tol of 0
-    is nudged: it takes the eigenvalues at the first of t + s, t - s,
-    t + 10 s, t - 10 s (s = 10 zero_tol, inside (0, 1)) that has none, the
-    nodes still on a kernel trying each candidate together, and keeps its
-    own when none does.
+    chi = 1) it is the classical integer spectral flow.  Without a partition
+    the path is certified as by `good_partition`, every probe checked to
+    commute with h (NotEquivariant, naming t), and its node samples are
+    counted once each; a given partition costs one checked node stack.  An
+    interior node with an eigenvalue within zero_tol of 0 is nudged: it
+    takes the eigenvalues at the first of t + s, t - s, t + 10 s, t - 10 s
+    (s = 10 zero_tol, inside (0, 1)) that has none, the nodes still on a
+    kernel trying each candidate together, and keeps its own when none does.
     """
-    if partition is None:
-        partition = good_partition(path, policy)
+    partition, F = (partition, None) if partition is not None else _certify(path, h, policy)
     zero = policy.zero_tol
     ends = np.array([(iv.t0, iv.t1) for iv in partition.intervals])
     ts, node = np.unique(ends, return_inverse=True)
     node = node.reshape(ends.shape)
-
     blocks_at = isotypic_blocks(path, h, NotEquivariant, policy)
 
-    def values(ts):
-        chars, blocks = blocks_at(ts)
+    def values(ts, F=None):
+        chars, blocks = blocks_at(ts, F)
         vals = [lam for lam, _ in _block_eigh(blocks, policy)]
         return chars, vals, np.min([np.min(np.abs(v), axis=1) for v in vals], axis=0)
 
-    chars, vals, gap = values(ts)
+    chars, vals, gap = values(ts, F)
     stuck = np.nonzero((ts > 0) & (ts < 1) & (gap <= zero))[0]
     shift = 10 * zero
     for step in (shift, -shift, 10 * shift, -10 * shift):

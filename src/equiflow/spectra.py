@@ -230,33 +230,34 @@ def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
 
 
 def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT):
-    """Block sampler of a path for the actor a: ts -> (chars, blocks).
+    """Block sampler of a path for the actor a: (ts, F=None) -> (chars, blocks).
 
-    This is the one place where a path's actor is split, its samples checked
-    and sliced.  Each call samples the path at the times ts with one
-    `sample_stack` and checks every sample to commute with a
-    (`check_commuting`, raising `error` and naming t).  The first call splits
-    a (`isotypic_split`, on the samples' dimension) and later calls reuse the
-    split, so a route that makes one sampler splits its actor once.
-    blocks[i] is the (K, k, k) stack of Q* F Q, Q = V[:, i-th block], and
-    chars[i] the character of a on it.
+    This is the one place where a path's actor is split and its samples
+    sliced.  A call samples the path at the times ts with one `sample_stack`
+    and checks every sample to commute with a (`check_commuting`, raising
+    `error` and naming t), unless the caller passes the samples F at ts that
+    it took and checked itself.  The first call splits a (`isotypic_split`)
+    and later calls reuse the split, so a route that makes one sampler
+    splits its actor once.  blocks[i] is the (K, k, k) stack of Q* F Q,
+    Q = V[:, i-th block], and chars[i] the character of a on it.
     """
     split = None
 
-    def blocks_at(ts):
+    def blocks_at(ts, F=None):
         nonlocal split
         ts = np.asarray(ts, dtype=float)
-        split, blocks = _isotypic_cut(sample_stack(path, ts), a, ts, error, policy, split)
+        if F is None:
+            F = sample_stack(path, ts)
+            check_commuting(a, F, ts, error, policy)
+        split, blocks = _isotypic_cut(F, a, split, policy)
         return split[2], blocks
 
     return blocks_at
 
 
-def _isotypic_cut(F, a, ts, error, policy, split):
-    """(split, blocks) of samples F taken at the times ts (None for matrices
-    that are not path samples), as in `isotypic_blocks`, on the given split
-    (V, blocks, chars) of a or, when split is None, on a new one."""
-    check_commuting(a, F, ts, error, policy)
+def _isotypic_cut(F, a, split, policy):
+    """(split, blocks) of matrices F, as in `isotypic_blocks` but unchecked, on
+    the given split (V, blocks, chars) of a or, when split is None, on a new one."""
     split = split or isotypic_split(a, F.shape[-1], policy)
     V, blocks, _ = split
     F = V.conj().T @ F @ V
@@ -314,54 +315,64 @@ def sample_stack(path, ts):
 
 
 def path_panel(path, ts):
-    """Samples F (K, n, n) of a matrix path at the nodes ts = mid + half * x of
-    one Gauss-Legendre panel, and its derivative dF there: the path is sampled
-    once per panel (`sample_stack`), and dF is the derivative of the samples'
-    degree-14 interpolant (applied to F - F[middle node], so a constant path
-    gives 0).
+    """Samples F (15m, n, n) of a matrix path at the nodes ts of m Gauss-Legendre
+    panels (panel j: ts[15j:15j + 15] = mid + half * x), and its derivative dF
+    there: the path is sampled once for all panels (`sample_stack`), and each
+    panel differentiates its own samples' degree-14 interpolant (applied to
+    F - F[the panel's middle node], so a constant path gives 0).
     """
     x, _, Dm = _gl_nodes()
     F = sample_stack(path, ts)
-    half = (ts[-1] - ts[0]) / (x[-1] - x[0])
-    return F, np.tensordot(Dm, F - F[x.size // 2], axes=1) / half
+    P = F.reshape(-1, x.size, F[0].size)
+    half = (ts[x.size - 1::x.size] - ts[::x.size]) / (x[-1] - x[0])
+    return F, (Dm @ (P - P[:, x.size // 2, None]) / half[:, None, None]).reshape(F.shape)
 
 
 def integrate(f, a: float, b: float, policy: TolerancePolicy = DEFAULT, max_depth: int = 20):
     """Adaptive composite Gauss-Legendre quadrature of a complex integrand.
 
-    f takes the 15 nodes of one panel as an array ts and returns its values
-    there, shape (15,) (a scalar is broadcast).  Panels are accepted when the
-    bisection error estimate fits inside the panel's share of quad_rel_tol.
-    A path derivative from `path_panel` is exact for degree-14 polynomials on
-    each panel, and child panels differentiate again, so the estimate covers
-    its error too.  Raises NoConvergence past `max_depth` levels of refinement.
+    f takes the 15 nodes of each of m panels, shape (15m,), and returns its
+    values there (a scalar is broadcast): for the whole interval, then per
+    round for both halves of the leftmost `_ROUND_MAX` pending panels.  A
+    panel is accepted when its bisection error estimate fits its share of
+    quad_rel_tol; the sum runs in tree order.  A `path_panel` derivative is
+    exact for degree 14, and halves differentiate again, so the estimate
+    covers its error.  NoConvergence names the leftmost panel at `max_depth`.
     """
     x, w, _ = _gl_nodes()
 
-    def panel(lo, hi):
+    def panels(lo, hi):
         half = (hi - lo) / 2.0
-        mid = (hi + lo) / 2.0
-        vals = np.broadcast_to(np.asarray(f(mid + half * x), dtype=complex), x.shape)
-        return half * np.dot(w, vals), half * float(np.dot(w, np.abs(vals)))
+        ts = (((hi + lo) / 2.0)[:, None] + half[:, None] * x).ravel()
+        vals = np.broadcast_to(np.asarray(f(ts), dtype=complex), ts.shape).reshape(-1, x.size)
+        return [hf * np.dot(w, v) for hf, v in zip(half, vals)], vals
 
     span = b - a
     if span == 0:
         return 0.0 + 0.0j
-    whole, aest = panel(a, b)
-    scale = max(aest, 1e-300)
+    (whole,), vals = panels(np.array([a]), np.array([b]))
+    scale = max(span / 2.0 * float(np.dot(w, np.abs(vals[0]))), 1e-300)
+    # (k, lo, hi, integral) to halve, ascending; panel k has halves 2k, 2k + 1
+    pending, sums = [(1, a, b, whole)], {}
+    while pending:
+        batch, rest = pending[:_ROUND_MAX], pending[_ROUND_MAX:]
+        edges = np.array([(lo, (lo + hi) / 2.0, hi) for _, lo, hi, _ in batch])
+        parts, _ = panels(edges[:, :2].ravel(), edges[:, 1:].ravel())
+        halved, pairs = [], zip(parts[::2], parts[1::2])
+        for (k, *_, approx), (lo, mid, hi), (left, right) in zip(batch, edges, pairs):
+            err = abs(approx - left - right)
+            if err <= policy.quad_rel_tol * scale * (hi - lo) / span or err == 0.0:
+                sums[k] = left + right
+            elif k.bit_length() > max_depth:  # depth k.bit_length() - 1, never rising rightwards
+                raise NoConvergence(f"quadrature stalled on [{lo}, {hi}] with error {err:.2e}")
+            else:
+                halved += [(2 * k, lo, mid, left), (2 * k + 1, mid, hi, right)]
+        pending = halved + rest
 
-    def rec(lo, hi, approx, depth):
-        mid = (lo + hi) / 2.0
-        left, _ = panel(lo, mid)
-        right, _ = panel(mid, hi)
-        err = abs(approx - left - right)
-        if err <= policy.quad_rel_tol * scale * (hi - lo) / span or err == 0.0:
-            return left + right
-        if depth >= max_depth:
-            raise NoConvergence(f"quadrature stalled on [{lo}, {hi}] with error {err:.2e}")
-        return rec(lo, mid, left, depth + 1) + rec(mid, hi, right, depth + 1)
+    def total(k):
+        return sums[k] if k in sums else total(2 * k) + total(2 * k + 1)
 
-    return complex(rec(a, b, whole, 0))
+    return complex(total(1))
 
 
 @dataclass
@@ -380,6 +391,7 @@ _OVERLAP_MIN = 1.0 / np.sqrt(2.0) - 1e-9
 STEP_MAX = 0.75  # rad: largest eigenphase step of a certified link (and det-phase step)
 MAX_SAMPLES = 6000  # samples per tracking pass
 MIN_DT = 1e-11  # shortest interval a tracking pass bisects
+_ROUND_MAX = 8  # most pending intervals (panels) a bisection round takes, the leftmost
 
 
 def _lift(raw, ref):
@@ -394,7 +406,8 @@ def _match(vals1, vecs1, vals2, vecs2, policy, kind):
     Returns perm (the i-th eigenpair of the first sample continues as the
     perm[i]-th of the second), or None when the link does not certify: an
     eigenphase step above STEP_MAX (unitary), or a cluster of the first
-    sample whose overlap block has smallest singular value below 1/sqrt(2).
+    sample whose overlap block has smallest singular value (its one entry's
+    modulus for a single eigenpair, no SVD) below 1/sqrt(2).
     """
     O = vecs1.conj().T @ vecs2
     row, col = linear_sum_assignment(-np.abs(O))
@@ -404,7 +417,9 @@ def _match(vals1, vecs1, vals2, vecs2, policy, kind):
         return None
     # cluster-blocked overlap certificate (vals1 ascend)
     for a, b in cluster_indices(vals1, policy.cluster_tol * 10 + 1e-12):
-        if np.linalg.svd(O[a:b, perm[a:b]], compute_uv=False)[-1] < _OVERLAP_MIN:
+        block = O[a:b, perm[a:b]]
+        smin = abs(block[0, 0]) if b - a == 1 else np.linalg.svd(block, compute_uv=False)[-1]
+        if smin < _OVERLAP_MIN:
             return None
     return perm
 

@@ -174,12 +174,11 @@ def pair_report(P, Q, h=None, policy: TolerancePolicy = DEFAULT,
         check_commuting(_embed_actor(h, n), np.stack([P.P, Q.P]), None, NotEquivariant, policy)
     T, S = P.T, Q.T
     M = np.eye(n) + T.conj().T @ S
-    svals = np.linalg.svd(M, compute_uv=False)
+    _, svals, Vh = np.linalg.svd(M)
     if rank_tol is None:
         rank_tol = max(policy.zero_tol, 10 * policy.eig_tol * n)
     smin = float(svals[-1]) if n else 0.0
     invertible = bool(smin > rank_tol)
-    _, _, Vh = np.linalg.svd(M)
     k = int(np.sum(svals <= rank_tol))
     kerT = Vh.conj().T[:, n - k:] if k else np.zeros((n, 0), dtype=complex)
     trace = complex(np.trace(kerT.conj().T @ a @ kerT)) if k else 0.0 + 0.0j

@@ -74,6 +74,38 @@ def test_partition_failure_on_noise():
         good_partition(HermitianPath(2, path), max_depth=6)
 
 
+def _noisy_diag(t):
+    # pseudo-random jumps at every sampled scale
+    x = np.sin(12345.678 * (t + np.arange(2))) * 1e6
+    return np.diag(3.0 * (x - np.floor(x)) - [0.0, 3.0]).astype(complex)
+
+
+def test_partition_failure_cost_is_bounded():
+    # failing everywhere at the default max_depth: one round per depth on the
+    # leftmost intervals, and the error names the leftmost interval at max_depth
+    seen = []
+
+    def path(t):
+        seen.append(t)
+        return _noisy_diag(t)
+
+    with pytest.raises(PartitionFailure, match=r"on \[0, 2\.98023e-08\] at depth 22"):
+        good_partition(path)
+    assert len(seen) < 500
+
+
+def test_partition_failure_names_leftmost_stall():
+    # smooth (and bisected) left of 0.55, noise right of it: the error names
+    # the leftmost interval failing at max_depth, as a depth-first search does
+    def path(t):
+        if t < 0.55:
+            return np.diag([np.sin(40 * t), np.cos(37 * t) - 0.2]).astype(complex)
+        return _noisy_diag(t)
+
+    with pytest.raises(PartitionFailure, match=r"on \[0\.548828, 0\.550781\] at depth 6"):
+        good_partition(path, max_depth=6)
+
+
 def test_spectral_flow_not_equivariant():
     path = HermitianPath(2, lambda t: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     h = np.diag([1.0, -1.0])
@@ -98,6 +130,20 @@ def test_equivariant_only_at_probe_points():
     for route in routes:
         with pytest.raises((NotEquivariant, NotCommuting)):
             route()
+
+
+def test_spectral_flow_checks_every_probe():
+    # the off-diagonal term vanishes at every seed node k/8, where B commutes
+    # with h; the first probe between nodes, t = 1/32, does not
+    h = np.diag([1.0, -1.0])
+
+    def B(t):
+        s = 0.3 * np.sin(8 * np.pi * t)
+        return np.array([[0.4 - t, s], [s, t - 0.4]], dtype=complex)
+
+    for route in (spectral_flow, crossing_oracle):
+        with pytest.raises(NotEquivariant, match=r"at t=0\.03125"):
+            route(B, h)
 
 
 def test_pair_report_not_equivariant():

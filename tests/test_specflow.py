@@ -39,6 +39,19 @@ class TestGoodPartition:
                 vals = np.linalg.eigvalsh(path(t))
                 assert np.min(np.abs(vals - iv.level)) > 1e-9
 
+    def test_samples_each_probe_time_once(self):
+        path, _ = gen.commuting_hermitian_path(5, 3, gen.rng_for(114))
+        seen = []
+
+        def recording(t):
+            seen.append(float(t))
+            return path(t)
+
+        part = good_partition(recording)
+        assert len(seen) == len(set(seen))
+        assert set(part.nodes) <= set(seen)
+        assert len(part.intervals) > 8  # bisected below the seed level
+
     def test_avoided_crossing_margin(self):
         delta = 1e-3
         path = HermitianPath(2, lambda t: np.array([[t - 0.5, delta],
@@ -82,6 +95,21 @@ class TestSpectralFlow:
 
         res = spectral_flow(recording, h, part)
         assert sorted(seen) == part.nodes and len(part.nodes) == len(part.intervals) + 1
+        assert res.contributions == spectral_flow(path, h, part).contributions
+
+    def test_counts_from_certification_samples(self):
+        path, h = gen.commuting_hermitian_path(4, 3, gen.rng_for(113))
+        seen = {"partition": [], "flow": []}
+
+        def recorder(key):
+            def sampler(t):
+                seen[key].append(float(t))
+                return path(t)
+            return sampler
+
+        part = good_partition(recorder("partition"))
+        res = spectral_flow(recorder("flow"), h)
+        assert sorted(seen["flow"]) == sorted(seen["partition"])
         assert res.contributions == spectral_flow(path, h, part).contributions
 
     def test_refinement_invariance(self):

@@ -187,8 +187,25 @@ class TestIntegrate:
         assert abs(integrate(lambda t: t ** 2, 0.0, 1.0) - 1.0 / 3.0) < 1e-10
 
     def test_no_convergence(self):
-        with pytest.raises(NoConvergence):
+        # the error names the leftmost panel still failing at max_depth
+        with pytest.raises(NoConvergence, match=r"on \[0\.0, 0\.125\]"):
             integrate(lambda t: np.sign(np.sin(1.0 / (t + 1e-9))), 0.0, 1.0, max_depth=3)
+        with pytest.raises(NoConvergence, match=r"on \[0\.625, 0\.75\]"):
+            integrate(lambda t: np.sign(np.sin(1.0 / (1 + 1e-9 - t))), 0.0, 1.0, max_depth=3)
+
+    def test_no_convergence_cost_is_bounded(self):
+        # failing on every panel at the default max_depth: each call holds both
+        # halves of at most _ROUND_MAX panels, one call per depth
+        calls = []
+
+        def f(ts):
+            calls.append(ts.size)
+            return np.sign(np.sin(1e6 * ts))
+
+        with pytest.raises(NoConvergence, match=r"on \[2\.86102294921875e-06, 3\.81469"):
+            integrate(f, 0.0, 1.0)
+        assert max(calls) == 15 * 2 * spectra._ROUND_MAX
+        assert sum(calls) <= 15 * (1 + 2 * spectra._ROUND_MAX * 20)
 
     def test_one_call_per_panel(self):
         calls = []
@@ -198,7 +215,29 @@ class TestIntegrate:
             return np.cos(ts)
 
         assert abs(integrate(f, 0.0, 1.0) - np.sin(1.0)) < 1e-14
-        assert calls == [(15,)] * 3  # the whole interval and its two halves
+        # the whole interval, then both of its halves in one call of one level
+        assert calls == [(15,), (30,)]
+
+    def test_one_call_per_level(self):
+        # a narrow peak bisects several levels; call k >= 1 holds both halves
+        # of every panel pending at level k - 1, each of width 2^-k
+        calls = []
+
+        def f(ts):
+            calls.append(ts.copy())
+            return 1.0 / (1e-4 + (ts - 0.3) ** 2)
+
+        v = integrate(f, 0.0, 1.0)
+        exact = 100.0 * (np.arctan(0.7 / 1e-2) + np.arctan(0.3 / 1e-2))
+        assert abs(v - exact) <= 1e-9 * exact
+        assert len(calls) > 4 and calls[0].shape == (15,)
+        x = np.polynomial.legendre.leggauss(15)[0]
+        for k, ts in enumerate(calls):
+            panels = ts.reshape(-1, 15)
+            widths = (panels[:, -1] - panels[:, 0]) / (x[-1] - x[0]) * 2
+            assert np.allclose(widths, 2.0 ** -k)
+            assert k == 0 or len(panels) % 2 == 0
+            assert np.all(np.diff(panels[:, 0]) > 0)  # panels in ascending order
 
 
 class TestPathPanel:
@@ -215,6 +254,15 @@ class TestPathPanel:
         F, dF = path_panel(lambda t: (t - 0.2) ** 14 * A + t * np.eye(2), self.ts)
         expect = 14 * (self.ts - 0.2)[:, None, None] ** 13 * A + np.eye(2)
         assert np.max(np.abs(dF - expect)) <= 1e-12
+
+    def test_panels_of_one_stack(self):
+        path = lambda t: np.array([[np.sin(3 * t), t ** 2], [t ** 2, np.exp(t)]], dtype=complex)
+        x = np.polynomial.legendre.leggauss(15)[0]
+        a, b = 0.3 + 0.2 * x, 0.6 + 0.05 * x
+        F, dF = path_panel(path, np.concatenate([a, b]))
+        (Fa, dFa), (Fb, dFb) = path_panel(path, a), path_panel(path, b)
+        assert np.array_equal(F, np.concatenate([Fa, Fb]))
+        assert np.array_equal(dF, np.concatenate([dFa, dFb]))
 
 
 class TestTrackBranches:
