@@ -10,11 +10,12 @@ from `spectra.isotypic_blocks`.  The primary route reads n_chi off the unwrapped
 det phase of each block; `winding_events` (branch tracking per block,
 crossings located between samples, each weighing chi times the number of the
 chi-block's branches crossing together) and `winding_from_logs` (trace-log
-quadrature) are independent cross-checks.  Paths are any callables
-t -> unitary (see `specflow`).
+quadrature) are independent cross-checks.  `double_index` samples no path: a
+contraction flow's block det phase is linear, a trace.  Paths are any
+callables t -> unitary (see `specflow`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -31,11 +32,13 @@ from .spectra import (
     MAX_SAMPLES,
     MIN_DT,
     STEP_MAX,
+    EigenSystem,
     check_commuting,
     eig_unitary,
     group_events,
     integrate,
     isotypic_blocks,
+    isotypic_split,
     opnorm,
     path_panel,
     principal_log_unitary,
@@ -72,7 +75,7 @@ def _det_phases(f, a, policy, K=33):
     to bisect is at most MIN_DT long.  The grid and each bisection level are
     one stack.  This step bound is what certifies the unwrapping.  Returns
     (chars, deltas, ends): deltas are the unwrapped det-phase changes per
-    block, ends[i] the samples of block i at t = 0 and t = 1.
+    block, ends[i] the (2, k, k) samples of block i at t = 0 and t = 1.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -89,7 +92,7 @@ def _det_phases(f, a, policy, K=33):
 
     ts = np.linspace(0.0, 1.0, K)
     chars, blocks, dets = block_dets(ts)
-    ends = [(B[0], B[-1]) for B in blocks]
+    ends = [B[[0, -1]] for B in blocks]
     while True:
         steps = np.angle(dets[1:] * dets[:-1].conj())
         big = np.max(np.abs(steps), axis=1) > STEP_MAX
@@ -186,7 +189,13 @@ def winding_number(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33) ->
     sampling pass.  With trivial actor the value is an integer.
     """
     chars, deltas, ends = _det_phases(f, a, policy, K)
-    ends = [(np.angle(np.linalg.eigvals(B0)), np.angle(np.linalg.eigvals(B1))) for B0, B1 in ends]
+    return _count(chars, deltas, [np.angle(np.linalg.eigvals(E)) for E in ends], policy)
+
+
+def _count(chars, deltas, ends, policy):
+    """sum_chi chi * n_chi (`winding_number`) from each block's det-phase change
+    deltas[i] and endpoint eigenphases ends[i] = (p0, p1); TrackingAmbiguous,
+    naming block and character, when an n_chi is more than 1e-9 off an integer."""
     wall = np.pi + pick_offset(np.concatenate([p for pair in ends for p in pair]), policy)
     total = 0.0 + 0.0j
     for b, (chi, delta, (p0, p1)) in enumerate(zip(chars, deltas, ends)):
@@ -255,14 +264,9 @@ class CanonicalContraction:
     h0_basis: np.ndarray
     comp_basis: np.ndarray
     path: Path
-    diagnostics: dict = field(default_factory=dict)
 
     def __call__(self, t):
         return self.path(t)
-
-    @property
-    def dim(self):
-        return self.U.shape[0]
 
 
 def _frozen_flow(B0, a0, B1, flows):
@@ -285,9 +289,7 @@ def _frozen_flow(B0, a0, B1, flows):
 def _split_at_minus_one(U, policy):
     es = eig_unitary(U, policy)
     on_cut = np.abs(np.exp(1j * es.values) + 1.0) <= max(policy.zero_tol, 1e-9) * 10
-    B0 = es.vectors[:, on_cut]
-    B1 = es.vectors[:, ~on_cut]
-    return B0, B1
+    return es.vectors[:, on_cut], es.vectors[:, ~on_cut]
 
 
 def canonical_path(U, a=None, policy: TolerancePolicy = DEFAULT) -> CanonicalContraction:
@@ -297,8 +299,7 @@ def canonical_path(U, a=None, policy: TolerancePolicy = DEFAULT) -> CanonicalCon
     a = np.eye(n, dtype=complex) if a is None else np.asarray(a, dtype=complex)
     check_commuting(a, U, None, NotCommuting, policy)
     B0, B1 = _split_at_minus_one(U, policy)
-    k0 = B0.shape[1]
-    if k0:
+    if B0.shape[1]:
         leak = opnorm((np.eye(n) - B0 @ B0.conj().T) @ a @ B0)
         if leak > max(policy.commute_tol, 1e-9) * 100:
             raise NotCommuting("actor does not preserve ker(U + I)")
@@ -308,20 +309,20 @@ def canonical_path(U, a=None, policy: TolerancePolicy = DEFAULT) -> CanonicalCon
     La = principal_log_unitary(a1, 0.0, policy) if B1.shape[1] else a1
     LU = principal_log_unitary(U1, 0.0, policy) if B1.shape[1] else U1
     return CanonicalContraction(U=U, a=a, h0_basis=B0, comp_basis=B1,
-                                path=Path(n, _frozen_flow(B0, a0, B1, [La, LU])),
-                                diagnostics={"h0_dim": k0})
+                                path=Path(n, _frozen_flow(B0, a0, B1, [La, LU])))
 
 
 def double_index(U, V, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
-    """Equivariant double index tau(U, V) = w(f) + w(g) - w(q).
+    """Equivariant double index tau(U, V) = w(f) + w(g) - w(q), sampling no path.
 
-    f and g are the canonical contraction paths of U and V split along
-    H0 = ker(U + I); q is the product-form path ending at (-a|H0) + a~U~V~.
-    V must restrict to -I on H0 and have no further spectrum at -1
-    (IncompatibleSplitting otherwise).
+    f, g, q flow as frozen + B1 E(t) B1*: -a frozen on H0 = ker(U + I), B1 an
+    eigenbasis of U on its complement, E(t) = exp(t Log U1), exp(t Log V1) or
+    their product (U1 = B1* U B1, V1 = B1* V B1).  On the chi-block of a
+    (basis Q) the det phase moves by Delta_chi = Im Tr(Q* B1 (sum Log) B1* Q),
+    between the block phases of frozen + B1 {I; U1, V1, U1 V1} B1*.  V must
+    restrict to -I on H0 with no further spectrum at -1 (IncompatibleSplitting).
     """
-    U = np.asarray(U, dtype=complex)
-    V = np.asarray(V, dtype=complex)
+    U, V = np.asarray(U, dtype=complex), np.asarray(V, dtype=complex)
     n = U.shape[0]
     if V.shape != U.shape:
         raise DimensionMismatch("U and V must have the same shape")
@@ -329,29 +330,27 @@ def double_index(U, V, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     for X in (U, V):
         check_commuting(a, X, None, NotCommuting, policy)
     B0, B1 = _split_at_minus_one(U, policy)
-    k0 = B0.shape[1]
     tol = max(policy.zero_tol, 1e-9) * 100
-    if k0:
-        if opnorm(B0.conj().T @ V @ B0 + np.eye(k0)) > max(tol, 1e-7):
-            raise IncompatibleSplitting("V does not restrict to -I on ker(U + I)")
-        if opnorm((np.eye(n) - B0 @ B0.conj().T) @ V @ B0) > max(tol, 1e-7):
-            raise IncompatibleSplitting("V does not preserve ker(U + I)")
-    V1 = B1.conj().T @ V @ B1
-    if B1.shape[1]:
-        ph = eig_unitary(V1, policy).values
-        if np.any(np.pi - np.abs(ph) <= max(policy.zero_tol, 1e-9)):
-            raise IncompatibleSplitting("ker(V + I) is not contained in ker(U + I)")
-    a0 = B0.conj().T @ a @ B0
-    U1 = B1.conj().T @ U @ B1
-    LU = principal_log_unitary(U1, 0.0, policy) if B1.shape[1] else U1
-    LV = principal_log_unitary(V1, 0.0, policy) if B1.shape[1] else V1
-
-    # The actor enters through the crossing weights only; twisting the flows
-    # by a would shift which phase lines cross the wall and break the triple
-    # index algebra.  The frozen H0 block never crosses and contributes 0.
-    wf = winding_number(_frozen_flow(B0, a0, B1, [LU]), a, policy)
-    wg = winding_number(_frozen_flow(B0, a0, B1, [LV]), a, policy)
-    wq = winding_number(_frozen_flow(B0, a0, B1, [LU, LV]), a, policy)
+    if B0.shape[1] and opnorm(B0.conj().T @ V @ B0 + np.eye(B0.shape[1])) > tol:
+        raise IncompatibleSplitting("V does not restrict to -I on ker(U + I)")
+    if B0.shape[1] and opnorm((np.eye(n) - B0 @ B0.conj().T) @ V @ B0) > tol:
+        raise IncompatibleSplitting("V does not preserve ker(U + I)")
+    U1, V1 = B1.conj().T @ U @ B1, B1.conj().T @ V @ B1
+    es = eig_unitary(V1, policy) if B1.shape[1] else EigenSystem(np.zeros(0), V1, [], "unitary")
+    if np.any(np.pi - np.abs(es.values) <= max(policy.zero_tol, 1e-9)):
+        raise IncompatibleSplitting("ker(V + I) is not contained in ker(U + I)")
+    # The actor enters through the crossing weights only: twisting the flows by
+    # a would shift which phase lines cross the wall, against the triple index.
+    Va, idx, chars = isotypic_split(a, n, policy)
+    G = Va.conj().T @ B1  # B1 holds eigenvectors of U, so Log U1 is diagonal
+    dU, dV = (np.array([np.sum(np.abs(H[i]) ** 2 * phi) for i in idx])
+              for H, phi in ((G, np.angle(np.diagonal(U1))), (G @ es.vectors, es.values)))
+    frozen = B0 @ -(B0.conj().T @ a @ B0) @ B0.conj().T
+    ends = np.stack([np.eye(B1.shape[1]), U1, V1, U1 @ V1])  # E(0); E(1) of f, g, q
+    X = Va.conj().T @ (frozen + B1 @ ends @ B1.conj().T) @ Va
+    ph = [np.angle(np.linalg.eigvals(X[:, i[:, None], i])) for i in idx]
+    wf, wg, wq = (_count(chars, d, [(p[0], p[j]) for p in ph], policy)
+                  for d, j in ((dU, 1), (dV, 2), (dU + dV, 3)))
     return complex(wf + wg - wq)
 
 

@@ -1,11 +1,16 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from equiflow import winding
+from equiflow.dirac_models import SplitScenario, splitting_experiment, theta_projection
 from equiflow.errors import IncompatibleSplitting, NotCommuting, TrackingAmbiguous
 from equiflow.harness import generators as gen
+from equiflow.maslov import triple_index_static
 from equiflow.specflow import UnitaryPath, concatenate, reverse
+from equiflow.symplectic import make_projection_from_unitary
 from equiflow.winding import (
     canonical_path,
     double_index,
@@ -210,6 +215,53 @@ class TestCanonicalPath:
             canonical_path(U, a)
 
 
+def double_index_pair(i):
+    """Seeded (U, V, a) for the double index, cycling i % 6 over the families
+    generic (0, 1), ker(U + I) != 0 with V = -I there (2, 3), V = U* (4) and
+    an eigenphase of UV within 1e-9 of pi (5); dims 1-5, trivial and Z_2..Z_5
+    actors.  U and V are built blockwise in the actor's eigenbasis R."""
+    rng = gen.rng_for(6100 + i)
+    n, order, family = 1 + (i // 6) % 5, 1 + (i // 30) % 5, i % 6
+    a, _, blocks, R = gen.zn_action(n, order, rng)
+
+    def commutant(minus_one, near_pi=None):
+        M = np.zeros((n, n), dtype=complex)
+        M[minus_one, minus_one] = -1.0
+        for b, idx in enumerate(blocks):
+            rest = [j for j in idx if j not in minus_one]
+            lam, W = np.linalg.eigh(gen.rand_hermitian(len(rest), rng, 2.0))
+            if b == near_pi and rest:
+                lam[0] = np.pi - (1 + i % 9) * 1e-10 * (-1) ** (i // 6)
+            M[np.ix_(rest, rest)] = (W * np.exp(1j * lam)) @ W.conj().T
+        return R @ M @ R.conj().T
+
+    kernel = list(rng.choice(n, size=1 + rng.integers(n), replace=False)) if family in (2, 3) else []
+    U, V = commutant(kernel), commutant(kernel)
+    if family == 4:
+        V = U.conj().T
+    elif family == 5:
+        V = U.conj().T @ commutant([], near_pi=int(rng.integers(len(blocks))))
+    return U, V, (None if order == 1 else a)
+
+
+def double_index_oracle(U, V, a=None):
+    """w(f) + w(g) - w(q) of scipy-expm frozen flows, each by `winding_number`."""
+    n = U.shape[0]
+    a = np.eye(n) if a is None else a
+    T, Q = scipy.linalg.schur(U, output="complex")
+    on = np.abs(np.diag(T) + 1.0) < 1e-6
+    B0, B1 = Q[:, on], Q[:, ~on]
+    frozen = -B0 @ B0.conj().T @ a @ B0 @ B0.conj().T
+    m = B1.shape[1]
+    LU, LV = (scipy.linalg.logm(B1.conj().T @ X @ B1) if m else np.zeros((0, 0)) for X in (U, V))
+
+    def flow(*Ls):
+        return UnitaryPath(n, lambda t: frozen + B1 @ reduce(
+            np.matmul, [scipy.linalg.expm(t * L) if m else L for L in Ls], np.eye(m)) @ B1.conj().T)
+
+    return (winding_number(flow(LU), a) + winding_number(flow(LV), a)
+            - winding_number(flow(LU, LV), a))
+
 class TestDoubleIndex:
     def test_identity_left(self):
         rng = gen.rng_for(28)
@@ -243,6 +295,39 @@ class TestDoubleIndex:
         V2 = np.diag([-1.0 + 0j, -1.0 + 0j])  # extra -1 outside ker(U + 1)
         with pytest.raises(IncompatibleSplitting):
             double_index(U, V2)
+
+    def test_not_commuting(self):
+        U = np.diag([-1.0 + 0j, 1j, np.exp(0.4j)])
+        swap = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+        with pytest.raises(NotCommuting):
+            double_index(U, np.eye(3), swap)
+        with pytest.raises(NotCommuting):
+            double_index(np.eye(3), U, swap)
+
+    def test_equals_tracked_flows(self):
+        nonzero = 0
+        for i in range(330):
+            U, V, a = double_index_pair(i)
+            tau = double_index(U, V, a)
+            assert tau == double_index_oracle(U, V, a), i
+            nonzero += tau != 0
+        assert nonzero >= 50
+
+    def test_samples_no_path(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the static double index must not sample a path")
+
+        monkeypatch.setattr(winding, "_det_phases", forbidden)
+        monkeypatch.setattr(winding, "isotypic_blocks", forbidden)
+        for i in range(12):
+            double_index(*double_index_pair(i))
+        P = make_projection_from_unitary(np.diag([np.exp(0.3j), 1j]))
+        Q = make_projection_from_unitary(np.diag([np.exp(2.9j), -1j]))
+        N = make_projection_from_unitary(np.diag([np.exp(-2.5j), 1j]))
+        assert triple_index_static(P, Q, N) == -1
+        rep = splitting_experiment(
+            SplitScenario(V=np.array([[0.25]]), P=theta_projection(3 * np.pi / 2)))
+        assert abs(rep["triple_index"] - 1.0) < 1e-8
 
 
 class TestRelativeDoubleIndex:
