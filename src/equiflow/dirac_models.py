@@ -514,29 +514,30 @@ def splitting_experiment(sc: SplitScenario) -> dict:
         reduced_eta(circle) = reduced_eta(M+, P) + reduced_eta(M-, flip(P))
                               + triple_index(flip(Calderon(M-)), P, Calderon(M+)).
 
-    The halves M+ and M- are the same model (length pi, the circle's V and u),
-    built once, so Calderon(M-) = Calderon(M+) is taken once.  Returns a
-    report dict with every term, the triple index and the residual.
+    The halves M+ and M- are the same model (length pi, the circle's V and
+    u), built once; the circle's eta is read from its channel data, which is
+    the circle model's too, so (V, u) is diagonalized once.  Returns a report
+    dict with every term, the triple index and the residual.
     """
-    policy = sc.policy
-    circle = CircleDiracModel(sc.V, sc.u, policy=policy)
-    half = IntervalDiracModel(pi, sc.V, sc.u, policy=policy)
-    P = as_projection(sc.P, policy)
+    half = IntervalDiracModel(pi, sc.V, sc.u, policy=sc.policy)
+    return next(_splitting_reports(half, as_projection(sc.P, sc.policy), [sc.u_power]))
 
-    eta_m = circle_eta(circle, sc.u_power, 0, reduced=True)
-    eta_p = interval_eta(half, P, sc.u_power, reduced=True)
-    eta_n = interval_eta(half, flip_orientation(P, policy), sc.u_power, reduced=True)
 
+def _splitting_reports(half, P, powers):
+    """Yield the `splitting_experiment` report of each u-power in powers for
+    the half model and the boundary projection P.  `circle_eta` reads only
+    channel data, so it takes the half model; the Calderon projection and
+    both flips are taken once, and per power only the weights, u^p and the
+    triple index are computed."""
+    policy = half.policy
     P_cal, _ = interval_calderon(half)
+    P_flip = flip_orientation(P, policy)
     first = flip_orientation(P_cal, policy)
-    a = half.actor(sc.u_power)
-    tau = triple_index_static(first, P, P_cal, a, policy)
-
-    residual = eta_m - eta_p - eta_n - tau
-    return {
-        "eta_circle": eta_m,
-        "eta_plus": eta_p,
-        "eta_minus": eta_n,
-        "triple_index": tau,
-        "residual": complex(residual),
-    }
+    for p in powers:
+        rep = {"eta_circle": circle_eta(half, p, 0, reduced=True),
+               "eta_plus": interval_eta(half, P, p, reduced=True),
+               "eta_minus": interval_eta(half, P_flip, p, reduced=True),
+               "triple_index": triple_index_static(first, P, P_cal, half.actor(p), policy)}
+        rep["residual"] = complex(rep["eta_circle"] - rep["eta_plus"] - rep["eta_minus"]
+                                  - rep["triple_index"])
+        yield rep

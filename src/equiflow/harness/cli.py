@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -80,7 +80,7 @@ def _policy_from(cfg):
     if unknown:
         _fail_config(f"unknown tolerance keys: {sorted(unknown)}")
     try:
-        return TolerancePolicy(**{**asdict(DEFAULT), **tol})
+        return replace(DEFAULT, **tol) if tol else DEFAULT
     except ValueError as exc:
         _fail_config(str(exc))
 
@@ -349,14 +349,14 @@ def _run_circle_eta(cfg, policy):
     model = dm.CircleDiracModel(V, u, rotation_order=params.get("rotation_order"),
                                 policy=policy)
     ups, rots = _dirac_elements(cfg)
-    out, records, labels = {}, {}, []
+    out, records = {}, ({} if _csv_target(cfg) else None)
     for p in ups:
         for r in rots:
             label = f"u^{p}.rot^{r}"
-            labels.append(label)
             out[label] = {"eta": dm.circle_eta(model, p, r,
                                                reduced=bool(params.get("reduced", False)))}
-            records[label] = dm.circle_spectrum(model, params.get("window", (-6, 6)), p, r)
+            if records is not None:
+                records[label] = dm.circle_spectrum(model, params.get("window", (-6, 6)), p, r)
     diag = {"spectrum_window": list(params.get("window", (-6, 6)))}
     return out, {"spectra": records, **diag}
 
@@ -398,14 +398,14 @@ def _run_interval_eta(cfg, policy):
     model = dm.IntervalDiracModel(float(params.get("L", 1.0)), V, u, policy=policy)
     P = _interval_projection(params, model)
     ups, _ = _dirac_elements(cfg)
-    out = {}
-    spectra = {}
+    out, spectra = {}, ({} if _csv_target(cfg) else None)
     for p in ups:
         out[f"u^{p}"] = {"eta": dm.interval_eta(model, P, p,
                                                 reduced=bool(params.get("reduced", False)))}
-        win = params.get("window", (-6, 6))
-        spectra[f"u^{p}"] = [(lam, w) for lam, w, _d in
-                             dm.interval_spectrum(model, P, win, p)]
+        if spectra is not None:
+            win = params.get("window", (-6, 6))
+            spectra[f"u^{p}"] = [(lam, w) for lam, w, _d in
+                                 dm.interval_spectrum(model, P, win, p)]
     return out, {"spectra": spectra}
 
 
@@ -437,8 +437,7 @@ def _run_split(cfg, policy):
     P = _interval_projection({"boundary": params.get("boundary", {"calderon": True})}, half)
     ups, _ = _dirac_elements(cfg)
     out = {}
-    for p in ups:
-        rep = dm.splitting_experiment(dm.SplitScenario(V=V, P=P, u=u, u_power=p, policy=policy))
+    for p, rep in zip(ups, dm._splitting_reports(half, P, ups)):
         rep["abs_residual"] = abs(rep["residual"])
         rep["passed"] = bool(abs(rep["residual"]) <= 5e-3)
         out[f"u^{p}"] = rep
@@ -475,7 +474,9 @@ _RUNNERS = {
 
 
 def run_config(cfg):
-    """Execute a validated config; returns the deterministic report body."""
+    """Execute a validated config; returns the deterministic report body and
+    the spectra for the CSV export (None unless `output.csv` is set)."""
+    _csv_target(cfg)  # a bad 'output' fails before any computation
     policy = _policy_from(cfg)
     results, diagnostics = _RUNNERS[cfg["kind"]](cfg, policy)
     body = {
@@ -483,18 +484,22 @@ def run_config(cfg):
         "results": results,
         "diagnostics": {k: v for k, v in diagnostics.items() if k != "spectra"},
     }
-    spectra = diagnostics.get("spectra") if isinstance(diagnostics, dict) else None
-    return body, spectra
+    return body, diagnostics.get("spectra")
 
 
-def _write_csv_if_asked(cfg, spectra, out_dir):
+def _csv_target(cfg):
+    """The CSV file name of the config's `output` (falsy when none is asked)."""
     out = cfg.get("output", {})
     if not isinstance(out, dict):
         _fail_config("'output' must be an object")
     unknown = set(out) - {"csv"}
     if unknown:
         _fail_config(f"unknown output keys: {sorted(unknown)}")
-    target = out.get("csv")
+    return out.get("csv")
+
+
+def _write_csv_if_asked(cfg, spectra, out_dir):
+    target = _csv_target(cfg)
     if not target or spectra is None:
         return
     if out_dir:

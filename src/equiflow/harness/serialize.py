@@ -6,7 +6,7 @@ produce bitwise-identical bodies.
 """
 
 import csv
-import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -66,11 +66,49 @@ def jsonable(obj):
 
 
 def dump_report(body, wall_time=None):
-    """Serialize a report: deterministic body, wall time kept outside it."""
+    """Serialize a report: deterministic body, wall time kept outside it.
+
+    The text is `json.dumps(doc, sort_keys=True, indent=2)`, written in one
+    pass by `_encode`."""
     doc = {"report": jsonable(body)}
     if wall_time is not None:
         doc["wall_time_s"] = round(float(wall_time), 6)
-    return json.dumps(doc, sort_keys=True, indent=2)
+    out = []
+    _encode(doc, out, "\n")
+    return "".join(out)
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(obj, out, pad):
+    """Append the `json.dumps(obj, sort_keys=True, indent=2)` text of a
+    `jsonable` value to the list out; pad is a newline and obj's indent."""
+    if isinstance(obj, float):
+        r = float.__repr__(obj)
+        out.append(_NONFINITE.get(r, r))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, list):
+        inner = pad + "  "
+        out.append("[")
+        for i, v in enumerate(obj):
+            out.append("," + inner if i else inner)
+            _encode(v, out, inner)
+        out.append(pad + "]" if obj else "]")
+    elif isinstance(obj, dict):
+        inner = pad + "  "
+        out.append("{")
+        for i, (k, v) in enumerate(sorted(obj.items())):
+            out.append(("," if i else "") + inner + encode_basestring_ascii(k) + ": ")
+            _encode(v, out, inner)
+        out.append(pad + "}" if obj else "}")
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_spectrum_csv(path, records, labels):

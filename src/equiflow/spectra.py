@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zgees
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (
@@ -183,13 +183,15 @@ def eig_unitary(U, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
 
     A phase equals pi only when the eigenvalue is within zero_tol of -1.
     The unitarity and eigen-residual tests use Frobenius norms, as in
-    `hermitian_part`.
+    `hermitian_part`; a non-finite U fails the unitarity test.
     """
     U = _as_matrix(U)
     n = U.shape[0]
-    if np.linalg.norm(U.conj().T @ U - np.eye(n)) > max(policy.eig_tol, 1e-10):
+    if not np.linalg.norm(U.conj().T @ U - np.eye(n)) <= max(policy.eig_tol, 1e-10):
         raise NotUnitary("matrix is not unitary within tolerance")
-    T, Q = scipy.linalg.schur(U, output="complex")
+    T, _, _, Q, _, info = zgees(lambda x: None, U, compute_v=1, sort_t=0, overwrite_a=0)
+    if info != 0:
+        raise NotUnitary(f"Schur decomposition failed (zgees info {info})")
     lam = np.diag(T)
     # unitary matrices are normal: Schur vectors are eigenvectors
     phases = np.angle(lam)

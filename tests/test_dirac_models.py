@@ -442,25 +442,24 @@ class TestSplitting:
         assert done >= 200
 
     def test_one_interval_model_per_experiment(self, monkeypatch):
-        # the two halves are the same model: one circle and one interval model
-        # per u-power, plus the run kind's model for the boundary projection
+        # one model and one Calderon projection per config, whatever the
+        # number of u-powers: the circle eta reads the half model's channel data
         from equiflow import dirac_models
         from equiflow.harness import cli, serialize
 
-        builds = []
-        channel_data = dirac_models._channel_data
+        calls = {"_channel_data": 0, "interval_calderon": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(dirac_models, name)):
+                calls[_name] += 1
+                return _f(*args)
 
-        def counted(*args):
-            builds.append(1)
-            return channel_data(*args)
-
-        monkeypatch.setattr(dirac_models, "_channel_data", counted)
+            monkeypatch.setattr(dirac_models, name, counted)
         cfg = {"kind": "split", "group": {"u_powers": [0, 1]},
                "generator": {"name": "model", "params": {
                    "v": [0.3, 0.6], "u": serialize.matrix_to_wire(np.diag([W3, 1.0])),
                    "boundary": {"theta": [1.0, 2.0]}}}}
         body, _ = cli.run_config(cfg)
-        assert len(builds) == 5
+        assert calls == {"_channel_data": 1, "interval_calderon": 1}
         assert all(rep["passed"] for rep in body["results"].values())
 
 

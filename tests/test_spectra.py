@@ -90,6 +90,16 @@ class TestEigUnitary:
         with pytest.raises(NotUnitary):
             eig_unitary(np.diag([2.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_not_unitary(self, bad):
+        # a NaN unitarity defect must fail the test, not reach LAPACK
+        for M in (np.array([[bad]]), np.diag([1.0, bad]), np.full((3, 3), bad)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                with pytest.raises(NotUnitary):
+                    eig_unitary(M)
+                with pytest.raises(NotUnitary):
+                    isotypic_split(M, M.shape[0])
+
 
 class TestIsotypicSplit:
     def test_actor_is_scalar_on_each_block(self):
