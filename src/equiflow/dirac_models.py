@@ -520,17 +520,18 @@ def splitting_experiment(sc: SplitScenario) -> dict:
     dict with every term, the triple index and the residual.
     """
     half = IntervalDiracModel(pi, sc.V, sc.u, policy=sc.policy)
-    return next(_splitting_reports(half, as_projection(sc.P, sc.policy), [sc.u_power]))
+    P = as_projection(sc.P, sc.policy)
+    return next(_splitting_reports(half, P, interval_calderon(half)[0], [sc.u_power]))
 
 
-def _splitting_reports(half, P, powers):
+def _splitting_reports(half, P, P_cal, powers):
     """Yield the `splitting_experiment` report of each u-power in powers for
-    the half model and the boundary projection P.  `circle_eta` reads only
-    channel data, so it takes the half model; the Calderon projection and
-    both flips are taken once, and per power only the weights, u^p and the
-    triple index are computed."""
+    the half model, the boundary projection P and the half's Calderon
+    projection P_cal (`interval_calderon`, taken by the caller, which may
+    also use it as P).  `circle_eta` reads only channel data, so it takes
+    the half model; both flips are taken once, and per power only the
+    weights, u^p and the triple index are computed."""
     policy = half.policy
-    P_cal, _ = interval_calderon(half)
     P_flip = flip_orientation(P, policy)
     first = flip_orientation(P_cal, policy)
     for p in powers:

@@ -434,10 +434,12 @@ def _run_split(cfg, policy):
     V = _param_matrix(params, "v", default=[[0.25]])
     u = matrix_from_wire(params["u"], "u") if "u" in params else None
     half = dm.IntervalDiracModel(pi, V, u, policy=policy)
-    P = _interval_projection({"boundary": params.get("boundary", {"calderon": True})}, half)
+    spec = params.get("boundary", {"calderon": True})
+    P = _interval_projection({"boundary": spec}, half)
+    P_cal = P if "calderon" in spec else dm.interval_calderon(half)[0]
     ups, _ = _dirac_elements(cfg)
     out = {}
-    for p, rep in zip(ups, dm._splitting_reports(half, P, ups)):
+    for p, rep in zip(ups, dm._splitting_reports(half, P, P_cal, ups)):
         rep["abs_residual"] = abs(rep["residual"])
         rep["passed"] = bool(abs(rep["residual"]) <= 5e-3)
         out[f"u^{p}"] = rep

@@ -68,29 +68,38 @@ def _exp_i(X):
     return (W * np.exp(1j * lam)[..., None, :]) @ np.swapaxes(W.conj(), -1, -2)
 
 
-def _flow(H2, H1):
-    """Batched ts -> exp(i (t H1 + sin(pi t) H2)); for a loop (H1 None) from
-    one eigendecomposition of H2, taken here."""
-    if H1 is not None:
-        return lambda ts: _exp_i(ts[:, None, None] * H1 + np.sin(pi * ts)[:, None, None] * H2)
-    lam, W = np.linalg.eigh(H2)
-    return lambda ts: (W * np.exp(1j * np.outer(np.sin(pi * ts), lam))[:, None, :]) @ W.conj().T
-
-
 def blockwise_unitary_path(Q, blocks, factors):
     """Unitary sampler t -> sum_b Q_b U_b(t) Q_b* with Q_b = Q[:, blocks[b]] and
 
         U_b(t) = E0 exp(2 pi i t diag(k)) exp(i (t H1 + sin(pi t) H2))
 
     for factors[b] = (E0, k, H2, H1); H1 = None makes the block a loop.  The
-    stack is closed-form: exp(2 pi i t diag(k)) from its diagonal, the loop
-    factor from one eigendecomposition of H2 and the open one from a batched
-    eigh.  The pointwise call is stack([t])[0]."""
-    pieces = [(Q[:, idx], E0, k, _flow(H2, H1)) for idx, (E0, k, H2, H1) in zip(blocks, factors)]
+    stack is one formula, Q U(t) Q* with U(t) block-diagonal on the blocks'
+    index sets, with constants built here.  When every block is a loop,
+    exp(i sin(pi t) H2) = W exp(i sin(pi t) diag(lam)) W* from the blockwise
+    eigendecomposition of H2; else one batched eigh per stack of the block
+    diagonal of t H1 + sin(pi t) H2.  The pointwise call is stack([t])[0]."""
+    dim = Q.shape[1]
+    E0, k, H2, H1 = zip(*factors)
+    order = np.argsort(np.concatenate(blocks))  # concatenated block entries -> index order
+    A = Q @ _block_embed(blocks, dim, E0)
+    k = np.concatenate(k)[order]
+    if all(h is None for h in H1):
+        lam, W = zip(*map(np.linalg.eigh, H2))
+        lam, W = np.concatenate(lam)[order], _block_embed(blocks, dim, W)
+        B = (Q @ W).conj().T
 
-    def stack(ts):
-        return sum(Qb @ ((E0 * np.exp(2j * pi * np.outer(ts, k))[:, None, :]) @ flow(ts))
-                   @ Qb.conj().T for Qb, E0, k, flow in pieces)
+        def stack(ts):
+            DW = np.exp(2j * pi * np.outer(ts, k))[:, :, None] * W
+            return A @ (DW * np.exp(1j * np.outer(np.sin(pi * ts), lam))[:, None, :]) @ B
+    else:
+        H1 = _block_embed(blocks, dim, [np.zeros_like(h2) if h1 is None else h1
+                                        for h1, h2 in zip(H1, H2)])
+        H2, B = _block_embed(blocks, dim, H2), Q.conj().T
+
+        def stack(ts):
+            flow = _exp_i(ts[:, None, None] * H1 + np.sin(pi * ts)[:, None, None] * H2)
+            return (A * np.exp(2j * pi * np.outer(ts, k))[:, None, :]) @ flow @ B
 
     return _from_stack(stack)
 

@@ -8,13 +8,19 @@ equivalently crossings of spec(T*(t)S(t)) through -1, signed by the crossing
 direction.  Both modes count per isotypic block of the actor: a crossing of
 m branches of the chi-block weighs chi * m.  Both read their block samples
 from `spectra.isotypic_blocks`, so every sample either mode takes is checked
-to commute with the actor (NotCommuting).
+to commute with the actor (NotCommuting).  Grid mode closes each window
+around a minimum of sigma_min(I + block) with one 16-cell step and then, where
+the window looks like a crossing, a few V-interpolation steps (see
+`_min_search`); the triple index samples each of its three paths
+once per distinct time across its three winding numbers.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotCommuting, TrackingAmbiguous
-from .spectra import isotypic_blocks
+from .spectra import _sampled_once, isotypic_blocks
 from .specflow import Path, adjoint, product
 from .symplectic import as_projection, pair_report
 from .tolerances import DEFAULT, TolerancePolicy
@@ -59,51 +65,53 @@ def _phase_near_pi(M):
     return float(rel[np.argmin(np.abs(rel))])
 
 
-def _sigma_min(M):
-    """sigma_min(I + M) for a matrix or every matrix of a stack."""
-    return np.linalg.svd(np.eye(M.shape[-1]) + M, compute_uv=False)[..., -1]
+def _singular_values(B):
+    """Singular values of I + B, descending, for every matrix of a stack: the
+    last is sigma_min(I + B)."""
+    return np.linalg.svd(np.eye(B.shape[-1]) + B, compute_uv=False)
 
 
 def _maslov_grid(pair, a, policy, grid):
     """Scan sigma_min(I + block of T*S) per isotypic block of the actor; each
     intersection event in the chi-block counts chi * dim ker, signed by the
-    direction of the block eigenphase through pi.  The scan, each step of the
-    minimum search (`_bracket_min`, all candidate windows at once) and the
-    events' kernel and orientation samples are one stack each, all taken
-    through `isotypic_blocks`, so every sample is checked to commute with the
-    actor (NotCommuting)."""
+    direction of the block eigenphase through pi.  Each local minimum of the
+    scan below 0.2 opens a window, a bracket of the scan's three samples
+    around it that `_min_search` narrows to 1e-10; its smallest sample is an
+    event when sigma_min < 1e-6 there, and that sample also gives dim ker.
+    The scan, each round of the search (all open windows at once) and the
+    events' orientation samples are one stack each, all taken through
+    `isotypic_blocks`, so every sample is checked to commute with the actor
+    (NotCommuting)."""
     eps_t = 10 * policy.zero_tol  # endpoint evaluation rule: step inside by eps
     ts = np.linspace(eps_t, 1.0 - eps_t, grid)
     blocks_at = isotypic_blocks(pair, a, NotCommuting, policy)
     chars, scan = blocks_at(ts)
 
-    # candidate intersection windows: local minima below a loose threshold
-    windows = []  # (block, lo, hi)
+    windows = []
     for b, B in enumerate(scan):
-        sig = _sigma_min(B)
+        sv = _singular_values(B)
+        sig = sv[:, -1]
         for k in range(grid):
             if sig[k] < 0.2 and (k == 0 or sig[k] <= sig[k - 1]) and \
                     (k == grid - 1 or sig[k] <= sig[k + 1]):
-                windows.append((b, ts[max(k - 1, 0)], ts[min(k + 1, grid - 1)]))
-    if not windows:
-        return 0.0 + 0.0j
-    events = [[] for _ in scan]
-    for (b, _, _), t_star, s_star in zip(windows, *_bracket_min(blocks_at, windows)):
-        if s_star < 1e-6 and eps_t < t_star < 1.0 - eps_t:
-            if not any(abs(t_star - e) <= 1e-8 for e in events[b]):
-                events[b].append(t_star)
-    found = [(b, t) for b in range(len(scan)) for t in sorted(events[b])]
+                near = [max(k - 1, 0), k, min(k + 1, grid - 1)]
+                windows.append(_Window(b, ts[near], sv[near]))
+    _min_search(blocks_at, windows)
+    events = [[] for _ in scan]  # per block: (time, dim ker)
+    for w in windows:
+        t_star, sv = w.times[1], w.sv[1]
+        if sv[-1] < _KERNEL and eps_t < t_star < 1.0 - eps_t:
+            if not any(abs(t_star - e) <= 1e-8 for e, _ in events[w.block]):
+                events[w.block].append((t_star, int(np.sum(sv <= _KERNEL))))
+    found = [(b, t, kdim) for b in range(len(scan)) for t, kdim in sorted(events[b])]
     if not found:
         return 0.0 + 0.0j
-    t_ev = np.array([t for _, t in found])
+    t_ev = np.array([t for _, t, _ in found])
     delta = np.minimum(1e-5, np.minimum(t_ev, 1.0 - t_ev))
-    _, samples = blocks_at(np.concatenate([t_ev, t_ev - delta, t_ev + delta]))
+    _, samples = blocks_at(np.concatenate([t_ev - delta, t_ev + delta]))
     total = 0.0 + 0.0j
-    for e, (b, t_star) in enumerate(found):
-        at, before, after = samples[b][e::len(found)]
-        kdim = int(np.sum(np.linalg.svd(np.eye(at.shape[-1]) + at, compute_uv=False) <= 1e-6))
-        if kdim == 0:
-            continue
+    for e, (b, t_star, kdim) in enumerate(found):
+        before, after = samples[b][e::len(found)]
         phase_before = _phase_near_pi(before)
         phase_after = _phase_near_pi(after)
         if phase_after == phase_before:
@@ -113,31 +121,87 @@ def _maslov_grid(pair, a, policy, grid):
     return complex(total)
 
 
-def _bracket_min(blocks_at, windows):
-    """Minimize sigma_min(I + block) on each window (block, lo, hi), all
-    windows together: each step samples 17 evenly spaced times per window in
-    one stack of `blocks_at` (the pair's `isotypic_blocks` sampler) and
-    keeps the two cells around the smallest value, until every window is
-    narrower than 1e-10.  Returns the times and values of the smallest
-    samples of the last step."""
-    which = np.array([b for b, _, _ in windows])
-    lo = np.array([w[1] for w in windows])
-    hi = np.array([w[2] for w in windows])
-    rows = np.arange(len(windows))
-    frac = np.linspace(0.0, 1.0, 17)
+_CLOSED = 1e-10  # a window narrower than this is closed
+_KERNEL = 1e-6  # a singular value of I + block below this is a kernel direction
+
+
+@dataclass
+class _Window:
+    """Bracket of a minimum of sigma_min(I + block): the times (lo, mid, hi),
+    the singular values of I + block there (sigma_min at mid is the least),
+    and whether its next step may be a V step (not on its first round)."""
+
+    block: int
+    times: np.ndarray
+    sv: np.ndarray
+    v_step: bool = False
+
+
+def _min_search(blocks_at, windows):
+    """Narrow every window to a bracket narrower than 1e-10, all open windows
+    together.  Each round is one stack of `blocks_at` (the pair's
+    `isotypic_blocks` sampler).  A window samples the inner times of 16
+    equal cells (`_cell_times`) on its first round, after a V step that did
+    not shrink its bracket 8-fold, and when its samples do not look like a
+    crossing; so its first round samples what a plain 17-point step would,
+    and a crossing hidden between the scan's samples shows there.  Otherwise
+    it samples a few times around where the two arms of a V through its
+    samples meet (`_v_times`), exact when sigma_min is |c (t - t0)|, as near
+    a crossing.  The bracket becomes the smallest sample (the earliest of
+    ties) and its neighbours."""
     while True:
-        grid = lo[:, None] + (hi - lo)[:, None] * frac
-        _, blocks = blocks_at(grid.ravel())
-        sig = np.empty(grid.shape)
-        for b, B in enumerate(blocks):
-            sel = which == b
-            if sel.any():
-                sig[sel] = _sigma_min(B.reshape(grid.shape + B.shape[-2:])[sel])
-        j = np.argmin(sig, axis=1)
-        lo = grid[rows, np.maximum(j - 1, 0)]
-        hi = grid[rows, np.minimum(j + 1, frac.size - 1)]
-        if np.max(hi - lo) < 1e-10:
-            return grid[rows, j], sig[rows, j]
+        open_ = [w for w in windows if w.times[2] - w.times[0] >= _CLOSED]
+        if not open_:
+            return
+        v_steps = [_v_times(w.times, w.sv[:, -1]) if w.v_step else None for w in open_]
+        steps = [_cell_times(w.times) if v is None else v for w, v in zip(open_, v_steps)]
+        _, blocks = blocks_at(np.concatenate(steps))
+        stops = np.cumsum([len(s) for s in steps])
+        for w, s, v, stop in zip(open_, steps, v_steps, stops):
+            new = _singular_values(blocks[w.block][stop - len(s):stop])
+            times, first = np.unique(np.concatenate([w.times, s]), return_index=True)
+            sv = np.concatenate([w.sv, new])[first]
+            j = int(np.argmin(sv[:, -1]))
+            near = [max(j - 1, 0), j, min(j + 1, len(times) - 1)]
+            width = w.times[2] - w.times[0]
+            w.times, w.sv = times[near], sv[near]
+            w.v_step = v is None or w.times[2] - w.times[0] <= width / 8
+
+
+def _cell_times(t):
+    """The inner times of 16 equal cells of the bracket t = (lo, mid, hi)
+    but one within half a cell of mid, whose sample the bracket holds: a
+    near copy of mid would stand in as its neighbour and hide the rest of
+    the bracket."""
+    lo, mid, hi = t
+    inner = np.linspace(lo, hi, 17)[1:-1]
+    return inner[np.abs(inner - mid) >= (hi - lo) / 32]
+
+
+def _v_times(t, s):
+    """Up to three sample times around the vertex of the V through the
+    samples s at the times t = (lo, mid, hi) of a bracket: its arms have the
+    slopes -m and m, m the steeper outer slope, and pass through the outer
+    samples.  None unless the samples look like a crossing: a bracket inside
+    the scan, a V with slopes, and the V's value at its vertex within
+    s_mid / 4 of 0 or s_mid already that of an event (below 1e-6, where
+    rounding in the times outweighs s_mid).  The times spread by 4 w^2
+    (w = hi - lo), at most w / 32 and at least a quarter of the closed
+    width, so that a step on a V that narrow closes its window; they lie
+    inside the bracket."""
+    (lo, mid, hi), (s_lo, s_mid, s_hi) = t, s
+    if not lo < mid < hi:
+        return None
+    left, right = (s_lo - s_mid) / (mid - lo), (s_hi - s_mid) / (hi - mid)
+    m = max(left, right)
+    if not m > 0:
+        return None
+    vertex = (lo + hi) / 2 + (s_lo - s_hi) / (2 * m)
+    if not (abs(s_lo - m * (vertex - lo)) <= s_mid / 4 or s_mid < _KERNEL):
+        return None
+    d = max(min(4 * (hi - lo) ** 2, (hi - lo) / 32), _CLOSED / 4)
+    inside = [x for x in (vertex - d, vertex, vertex + d) if lo < x < hi]
+    return np.array(inside) if inside else None
 
 
 def triple_index_path(T, S, R, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
@@ -145,8 +209,11 @@ def triple_index_path(T, S, R, a=None, policy: TolerancePolicy = DEFAULT) -> com
 
         w(T* S) + w(S* R) - w(T* R),
 
-    equal to the alternating sum of the three pairwise Maslov indices.
+    equal to the alternating sum of the three pairwise Maslov indices.  The
+    three windings share the samples of T, S and R: each path is sampled
+    once per distinct time.
     """
+    T, S, R = _sampled_once(T, S, R)
     w1 = winding_number(product(adjoint(T), S), a, policy)
     w2 = winding_number(product(adjoint(S), R), a, policy)
     w3 = winding_number(product(adjoint(T), R), a, policy)

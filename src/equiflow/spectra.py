@@ -316,6 +316,31 @@ def sample_stack(path, ts):
     return np.stack([np.asarray(path(t), dtype=complex) for t in ts])
 
 
+def _sampled_once(*paths):
+    """Samplers of the paths that take each sample once: a stack samples its
+    path (`sample_stack`) only at the times not sampled before and reads the
+    others back.  A route makes them for one call, to share its paths'
+    samples among the invariants it combines."""
+
+    def once(path):
+        kept = {}
+
+        def stack(ts):
+            ts = np.asarray(ts, dtype=float).tolist()
+            new = [t for t in dict.fromkeys(ts) if t not in kept]
+            if new:
+                kept.update(zip(new, sample_stack(path, new)))
+            return np.stack([kept[t] for t in ts])
+
+        def sampler(t):
+            return stack([t])[0]
+
+        sampler.stack = stack
+        return sampler
+
+    return [once(path) for path in paths]
+
+
 def path_panel(path, ts):
     """Samples F (15m, n, n) of a matrix path at the nodes ts of m Gauss-Legendre
     panels (panel j: ts[15j:15j + 15] = mid + half * x), and its derivative dF

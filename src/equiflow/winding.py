@@ -33,6 +33,7 @@ from .spectra import (
     MIN_DT,
     STEP_MAX,
     EigenSystem,
+    _sampled_once,
     check_commuting,
     eig_unitary,
     group_events,
@@ -355,7 +356,10 @@ def double_index(U, V, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
 
 
 def relative_double_index(f, g, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
-    """Relative double index of two unitary paths: w(f) + w(g) - w(fg)."""
+    """Relative double index of two unitary paths: w(f) + w(g) - w(fg).  The
+    three windings share the samples of f and g: each path is sampled once
+    per distinct time."""
+    f, g = _sampled_once(f, g)
     wf = winding_number(f, a, policy)
     wg = winding_number(g, a, policy)
     wq = winding_number(product(f, g), a, policy)

@@ -462,6 +462,27 @@ class TestSplitting:
         assert calls == {"_channel_data": 1, "interval_calderon": 1}
         assert all(rep["passed"] for rep in body["results"].values())
 
+    def test_calderon_boundary_taken_once(self, monkeypatch):
+        # a Calderon boundary is the projection the splitting identity also
+        # needs: the config takes it once, and its report is that of a config
+        # with the same projection given as a unitary boundary
+        from equiflow import dirac_models
+
+        calls = []
+        real = dirac_models.interval_calderon
+        monkeypatch.setattr(dirac_models, "interval_calderon",
+                            lambda model: calls.append(1) or real(model))
+        params = {"v": [0.3, 0.6], "u": serialize.matrix_to_wire(np.diag([W3, 1.0])),
+                  "boundary": {"calderon": True}}
+        cfg = {"kind": "split", "group": {"u_powers": [0, 1]},
+               "generator": {"name": "model", "params": params}}
+        body, _ = cli.run_config(cfg)
+        assert len(calls) == 1
+        assert all(rep["passed"] for rep in body["results"].values())
+        half = IntervalDiracModel(np.pi, np.diag([0.3, 0.6]), np.diag([W3, 1.0]))
+        params["boundary"] = {"unitary": serialize.matrix_to_wire(real(half)[0].T)}
+        assert serialize.dump_report(cli.run_config(cfg)[0]) == serialize.dump_report(body)
+
 
 class TestDiracChain:
     def test_sf_mas_w_agree(self):

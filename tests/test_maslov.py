@@ -85,6 +85,22 @@ class TestMaslovIndex:
             with pytest.raises(NotCommuting):
                 maslov_index(T, S, a, mode=mode, grid=64)
 
+    @pytest.mark.parametrize("near_pi, crossing", [
+        (lambda t: -0.003, lambda t: 3 * (t - 0.5)),
+        (lambda t: -0.003 - 0.05 * (t - 0.5) ** 2, lambda t: 10 * (t - 0.501)),
+        (lambda t: -0.003 - 0.01 * abs(t - 0.5), lambda t: 10 * (t - 0.501)),
+    ], ids=["flat", "curved", "sloped"])
+    def test_grid_finds_a_dip_below_a_branch(self, near_pi, crossing):
+        # one eigenphase stays about 0.003 from pi while the other crosses it
+        # near t = 1/2 so fast that every scan node sees the first branch as
+        # sigma_min: the crossing shows only inside the window's bracket.  A
+        # curved or sloped first branch gives the window a V whose vertex
+        # lies off the crossing.
+        T = lambda t: np.eye(2, dtype=complex)
+        S = lambda t: np.diag(np.exp(1j * (np.pi + np.array([near_pi(t), crossing(t)]))))
+        assert abs(maslov_index(T, S, mode="winding") - 1) < 1e-12
+        assert abs(maslov_index(T, S, mode="grid", grid=256) - 1) < 1e-12
+
     def test_trivial_action_integer(self):
         rng = gen.rng_for(62)
         T, S, _ = gen.lagrangian_loop_pair(2, 2, rng)

@@ -13,7 +13,7 @@ import scipy.linalg as sl
 from equiflow import maslov, winding
 from equiflow.harness import generators as gen
 from equiflow.spectra import sample_stack
-from equiflow.specflow import Path, adjoint, bott_loop, concatenate, product, reverse
+from equiflow.specflow import Path, _from_stack, adjoint, bott_loop, concatenate, product, reverse
 from equiflow.winding import canonical_path
 
 TS = np.random.default_rng(20).uniform(0.0, 1.0, 50)
@@ -137,15 +137,20 @@ class TestClosedForms:
             assert np.max(np.abs(f(t) - ref)) <= 1e-13
 
 
-def counted(f, log):
-    """Sampler counting its pointwise and stack calls in `log`."""
+def counted(f, log, times=None):
+    """Sampler counting its pointwise and stack calls in `log`, and listing
+    the times it is sampled at in `times` if given."""
 
     def sampler(t):
         log.append(1)
+        if times is not None:
+            times.append(float(t))
         return f(t)
 
     def stack(ts):
         log.append(len(ts))
+        if times is not None:
+            times.extend(np.asarray(ts, dtype=float).tolist())
         return f.stack(ts)
 
     sampler.stack = stack
@@ -192,3 +197,47 @@ class TestConsumers:
         assert all(n > 1 for n in log)  # every sample is part of a stack
         assert abs(grid - maslov.maslov_index(self.T, self.S, self.a, mode="winding")) < 1e-12
         assert abs(grid) > 1
+
+    def test_grid_search_samples_few_times_per_crossing(self):
+        # one simple crossing of -1 at t = (pi - 0.3) / (2 pi): the window's
+        # search and the event's orientation take at most 40 samples
+        T = Path(1, _from_stack(lambda ts: np.ones((len(ts), 1, 1), dtype=complex)))
+        S = Path(1, _from_stack(lambda ts: np.exp(1j * (2 * pi * ts + 0.3))[:, None, None]))
+        log = []
+        grid = maslov.maslov_index(T, counted(S, log), mode="grid", grid=256)
+        assert grid == 1
+        assert log[0] == 256 and sum(log[1:]) <= 40
+
+
+class TestSharedSamples:
+    """The triple and relative double indices sample each of their paths once
+    per distinct time across the three windings they combine."""
+
+    def setup_method(self):
+        rng = gen.rng_for(5_000_045)
+        self.T, self.S, self.a = gen.lagrangian_loop_pair(2, 3, rng)
+        self.R = gen.commutant_loop(self.a, rng)
+
+    def test_triple_index_samples_each_path_once_per_time(self):
+        paths, logs, times = (self.T, self.S, self.R), ([], [], []), ([], [], [])
+        # R pointwise only, as a sampler without a batched form
+        wrapped = [counted(p, log, ts) for p, ts, log in zip(paths, times, logs)]
+        bare_R = wrapped[2]
+        tau = maslov.triple_index_path(wrapped[0], wrapped[1], lambda t: bare_R(t), self.a)
+        for ts, log in zip(times, logs):
+            assert sum(log) == len(ts) == len(set(ts))
+        separate = (winding.winding_number(product(adjoint(self.T), self.S), self.a)
+                    + winding.winding_number(product(adjoint(self.S), self.R), self.a)
+                    - winding.winding_number(product(adjoint(self.T), self.R), self.a))
+        assert tau == separate == maslov.triple_index_path(*paths, self.a)
+
+    def test_relative_double_index_samples_each_path_once_per_time(self):
+        f, g = self.T, self.R
+        logs, times = ([], []), ([], [])
+        wrapped = [counted(p, log, ts) for p, ts, log in zip((f, g), times, logs)]
+        rel = winding.relative_double_index(*wrapped, self.a)
+        for ts, log in zip(times, logs):
+            assert sum(log) == len(ts) == len(set(ts))
+        separate = (winding.winding_number(f, self.a) + winding.winding_number(g, self.a)
+                    - winding.winding_number(product(f, g), self.a))
+        assert rel == separate
