@@ -178,19 +178,44 @@ class FlowResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _level_candidates(pool):
-    """Candidate levels (midpoints of positive spectral gaps), best first.
+def _pick_levels(pools, floor):
+    """(level, margin, passed) per row of pooled probe spectra (m, N), all rows
+    in one array pass.
 
-    Gaps at or below the median positive eigenvalue are preferred (widest
-    first); a level above the whole sampled spectrum is kept as a sound
-    fallback (the window then counts every nonnegative eigenvalue).
+    A row's candidate levels are the midpoints of the gaps between 0 and its
+    distinct positive eigenvalues, then the fallback max(0, largest
+    eigenvalue) + 1 above the whole sampled spectrum (the window then counts
+    every nonnegative eigenvalue).  Gaps whose midpoint lies at or below the
+    median distinct positive eigenvalue come first, widest first, ties by
+    ascending level; the first of the first 4 candidates whose distance to
+    the row's spectrum (the margin) exceeds floor passes.  The level and
+    margin of a row that does not pass mean nothing.
     """
-    pts = np.unique(pool)
-    edges = np.concatenate([[0.0], pts[pts > 0]])
-    levels = np.append((edges[:-1] + edges[1:]) / 2.0, pts.max(initial=0.0) + 1.0)
-    halfwidths = np.append((edges[1:] - edges[:-1]) / 2.0, 1.0)
-    med = np.median(edges[1:]) if edges.size > 1 else np.inf
-    return levels[np.lexsort((-halfwidths, levels > med))]
+    m = len(pools)
+    rows = np.arange(m)
+    xs = np.sort(pools, axis=1)
+    keep = xs > 0
+    keep[:, 1:] &= xs[:, 1:] != xs[:, :-1]  # distinct positive values, each once
+    c = keep.sum(axis=1)
+    width = max(c.max(), 1)
+    gap = np.arange(width) < c[:, None]
+    edges = np.zeros((m, width + 1))
+    edges[:, 1:] = np.where(gap, np.sort(np.where(keep, xs, np.inf), axis=1)[:, :width], 0.0)
+    levels = np.empty((m, width + 1))
+    levels[:, :-1] = (edges[:, :-1] + edges[:, 1:]) / 2.0
+    levels[:, -1] = np.maximum(xs[:, -1], 0.0) + 1.0
+    halfwidths = np.ones((m, width + 1))
+    halfwidths[:, :-1] = (edges[:, 1:] - edges[:, :-1]) / 2.0
+    lo, hi = edges[rows, (c + 1) // 2], edges[rows, c // 2 + 1]  # the middle value(s)
+    med = np.where(c == 0, np.inf, np.where(c % 2, lo, (lo + hi) / 2.0))
+    group = np.where(levels > med[:, None], 1, 0)
+    group[:, :-1][~gap] = 2  # padding past a row's last gap: never tried
+    order = np.lexsort((-halfwidths, group))[:, :4]  # stable: ties keep ascending level
+    tried = levels[rows[:, None], order]
+    margins = np.min(np.abs(pools[:, None, :] - tried[:, :, None]), axis=2)
+    ok = (group[rows[:, None], order] < 2) & (margins > floor[:, None])
+    first = (rows, ok.argmax(axis=1))
+    return tried[first], margins[first], ok.any(axis=1)
 
 
 def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int = 9,
@@ -200,15 +225,19 @@ def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int =
     An interval [t0, t1] certifies with level a when the spectra at its 5
     probes stay farther from a than the local Lipschitz bound allows them to
     move between probes.  Levels are picked in the widest spectral gap inside
-    (0, median positive eigenvalue].  A round tests the leftmost `_ROUND_MAX`
-    pending intervals on one stack of their new probe times (each time is
-    sampled once); PartitionFailure names the leftmost one at `max_depth`.
+    (0, median positive eigenvalue] (`_pick_levels`).  A round tests the
+    leftmost `_ROUND_MAX` pending intervals on one stack of their new probe
+    times (each time is sampled once) and picks all their levels in one array
+    pass; PartitionFailure names the leftmost one at `max_depth`.  ValueError
+    when initial_nodes < 2.
     """
     return _certify(path, None, policy, initial_nodes, max_depth)[0]
 
 
 def _certify(path, h, policy, initial_nodes=9, max_depth=22):
     """(partition, node samples) as in `good_partition`; probes checked to commute with h."""
+    if initial_nodes < 2:
+        raise ValueError("initial_nodes must be >= 2")
     n_probe = 5
     seeds = np.linspace(0.0, 1.0, initial_nodes)
     pending = np.stack([seeds[:-1], seeds[1:], 0 * seeds[1:]], 1)  # (t0, t1, depth), ascending
@@ -230,19 +259,16 @@ def _certify(path, h, policy, initial_nodes=9, max_depth=22):
         # 1.5: safety factor on the sampled Lipschitz estimate
         lips = 1.5 * np.max(steps / np.maximum(np.diff(probes, axis=1), 1e-300), axis=1)
         travel = lips * (b - a) / (n_probe - 1) / 2.0
-        failed = []
-        for j, spectra in enumerate(spec[k]):
-            for level in _level_candidates(spectra.ravel())[:4]:
-                dmin = float(np.min(np.abs(spectra - level)))
-                if dmin > travel[j] * 1.2 + policy.zero_tol:
-                    intervals.append(Interval(a[j], b[j], level, dmin, float(lips[j])))
-                    break
-            else:
-                if d[j] >= max_depth:  # the leftmost: depth never rises along the pending
-                    raise PartitionFailure(f"no certified level found on [{a[j]:.6g}, "
-                                           f"{b[j]:.6g}] at depth {d[j]:.0f}")
-                failed.append(j)
-        a, b, d = a[failed], b[failed], d[failed] + 1
+        level, margin, passed = _pick_levels(spec[k].reshape(len(a), -1),
+                                             travel * 1.2 + policy.zero_tol)
+        stuck = ~passed & (d >= max_depth)
+        if stuck.any():  # the leftmost: depth never rises along the pending
+            j = np.argmax(stuck)
+            raise PartitionFailure(f"no certified level found on [{a[j]:.6g}, "
+                                   f"{b[j]:.6g}] at depth {d[j]:.0f}")
+        intervals += [Interval(a[j], b[j], level[j], float(margin[j]), float(lips[j]))
+                      for j in np.flatnonzero(passed)]
+        a, b, d = a[~passed], b[~passed], d[~passed] + 1
         halves = np.stack([a, (a + b) / 2.0, d, (a + b) / 2.0, b, d], 1).reshape(-1, 3)
         pending = np.concatenate([halves, pending[_ROUND_MAX:]])
     part = GridPartition(sorted(intervals, key=lambda iv: iv.t0))
@@ -265,6 +291,8 @@ def spectral_flow(path, h=None, partition: GridPartition = None,
     (s = 10 zero_tol, inside (0, 1)) that has none, the nodes still on a
     kernel trying each candidate together, and keeps its own when none does.
     """
+    if partition is not None and not partition.intervals:
+        raise ValueError("partition has no intervals")
     partition, F = (partition, None) if partition is not None else _certify(path, h, policy)
     zero = policy.zero_tol
     ends = np.array([(iv.t0, iv.t1) for iv in partition.intervals])

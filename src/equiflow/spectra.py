@@ -434,16 +434,22 @@ def _match(vals1, vecs1, vals2, vecs2, policy, kind):
     perm[i]-th of the second), or None when the link does not certify: an
     eigenphase step above STEP_MAX (unitary), or a cluster of the first
     sample whose overlap block has smallest singular value (its one entry's
-    modulus for a single eigenpair, no SVD) below 1/sqrt(2).
+    modulus for a single eigenpair, no SVD) below 1/sqrt(2).  A block with
+    one eigenpair matches as perm [0], without an assignment solve or
+    clustering: its one overlap entry is the whole certificate.
     """
     O = vecs1.conj().T @ vecs2
-    row, col = linear_sum_assignment(-np.abs(O))
-    perm = np.empty_like(col)
-    perm[row] = col
+    if len(vals1) == 1:
+        perm, clusters = np.zeros(1, dtype=np.intp), [(0, 1)]
+    else:
+        row, col = linear_sum_assignment(-np.abs(O))
+        perm = np.empty_like(col)
+        perm[row] = col
+        # cluster-blocked overlap certificate (vals1 ascend)
+        clusters = cluster_indices(vals1, policy.cluster_tol * 10 + 1e-12)
     if kind == "unitary" and np.max(np.abs(_lift(vals2[perm], vals1) - vals1)) > STEP_MAX:
         return None
-    # cluster-blocked overlap certificate (vals1 ascend)
-    for a, b in cluster_indices(vals1, policy.cluster_tol * 10 + 1e-12):
+    for a, b in clusters:
         block = O[a:b, perm[a:b]]
         smin = abs(block[0, 0]) if b - a == 1 else np.linalg.svd(block, compute_uv=False)[-1]
         if smin < _OVERLAP_MIN:

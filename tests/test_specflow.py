@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from equiflow.errors import DimensionMismatch, NotEquivariant
+from equiflow import specflow
+from equiflow.errors import DimensionMismatch, NotEquivariant, PartitionFailure
 from equiflow.harness import generators as gen
 from equiflow.specflow import (
+    GridPartition,
     HermitianPath,
+    Interval,
     bott_loop,
     concatenate,
     crossing_oracle,
@@ -12,7 +16,8 @@ from equiflow.specflow import (
     reverse,
     spectral_flow,
 )
-from equiflow.spectra import track_blocks
+from equiflow.spectra import _ROUND_MAX, check_commuting, sample_stack, track_blocks
+from equiflow.tolerances import DEFAULT
 from equiflow.winding import winding_number
 
 W3 = np.exp(2j * np.pi / 3)
@@ -52,12 +57,172 @@ class TestGoodPartition:
         assert set(part.nodes) <= set(seen)
         assert len(part.intervals) > 8  # bisected below the seed level
 
+    @pytest.mark.parametrize("nodes", [0, 1])
+    def test_too_few_initial_nodes(self, nodes):
+        with pytest.raises(ValueError, match="initial_nodes must be >= 2"):
+            good_partition(diag_path(lambda t: 1.0), initial_nodes=nodes)
+
     def test_avoided_crossing_margin(self):
         delta = 1e-3
         path = HermitianPath(2, lambda t: np.array([[t - 0.5, delta],
                                                     [delta, 0.5 - t]], dtype=complex))
         part = good_partition(path)
         assert all(iv.margin > 0 for iv in part.intervals)
+
+
+# --- reference: the level picker as a per-interval loop --------------------
+# `specflow._pick_levels` takes every interval of a bisection round in one
+# array pass; these are the candidate order and the loop it replaced, kept
+# verbatim, and its levels and margins must equal theirs bit for bit.
+
+
+def _level_candidates(pool):
+    """Candidate levels (midpoints of positive spectral gaps), best first.
+
+    Gaps at or below the median positive eigenvalue are preferred (widest
+    first); a level above the whole sampled spectrum is kept as a sound
+    fallback (the window then counts every nonnegative eigenvalue).
+    """
+    pts = np.unique(pool)
+    edges = np.concatenate([[0.0], pts[pts > 0]])
+    levels = np.append((edges[:-1] + edges[1:]) / 2.0, pts.max(initial=0.0) + 1.0)
+    halfwidths = np.append((edges[1:] - edges[:-1]) / 2.0, 1.0)
+    med = np.median(edges[1:]) if edges.size > 1 else np.inf
+    return levels[np.lexsort((-halfwidths, levels > med))]
+
+
+def _reference_certify(path, h, policy=DEFAULT, initial_nodes=9, max_depth=22):
+    """`specflow._certify` with the per-interval level loop."""
+    n_probe = 5
+    seeds = np.linspace(0.0, 1.0, initial_nodes)
+    pending = np.stack([seeds[:-1], seeds[1:], 0 * seeds[1:]], 1)  # (t0, t1, depth), ascending
+    ts, intervals = np.empty(0), []  # ts: the times sampled so far, ascending
+    while pending.size:
+        a, b, d = pending[:_ROUND_MAX].T
+        probes = np.linspace(a, b, n_probe, axis=1)
+        new = np.setdiff1d(probes, ts)  # never empty: a child halves its parent's probe spacing
+        G = sample_stack(path, new)
+        check_commuting(h, G, new, NotEquivariant, policy)
+        S = np.linalg.eigvalsh((G + np.swapaxes(G.conj(), 1, 2)) / 2)
+        if ts.size:
+            G, S = np.concatenate([F, G]), np.concatenate([spec, S])
+        ts = np.concatenate([ts, new])
+        order = np.argsort(ts)
+        ts, F, spec = ts[order], G[order], S[order]
+        k = np.searchsorted(ts, probes)
+        steps = np.linalg.norm(np.diff(F[k], axis=1), 2, axis=(2, 3))
+        # 1.5: safety factor on the sampled Lipschitz estimate
+        lips = 1.5 * np.max(steps / np.maximum(np.diff(probes, axis=1), 1e-300), axis=1)
+        travel = lips * (b - a) / (n_probe - 1) / 2.0
+        failed = []
+        for j, spectra in enumerate(spec[k]):
+            for level in _level_candidates(spectra.ravel())[:4]:
+                dmin = float(np.min(np.abs(spectra - level)))
+                if dmin > travel[j] * 1.2 + policy.zero_tol:
+                    intervals.append(Interval(a[j], b[j], level, dmin, float(lips[j])))
+                    break
+            else:
+                if d[j] >= max_depth:  # the leftmost: depth never rises along the pending
+                    raise PartitionFailure(f"no certified level found on [{a[j]:.6g}, "
+                                           f"{b[j]:.6g}] at depth {d[j]:.0f}")
+                failed.append(j)
+        a, b, d = a[failed], b[failed], d[failed] + 1
+        halves = np.stack([a, (a + b) / 2.0, d, (a + b) / 2.0, b, d], 1).reshape(-1, 3)
+        pending = np.concatenate([halves, pending[_ROUND_MAX:]])
+    part = GridPartition(sorted(intervals, key=lambda iv: iv.t0))
+    return part, F[np.searchsorted(ts, part.nodes)]
+
+
+def _reference_pick(pools, floor):
+    """(level, margin, passed) per row by the loop above: pools (m, 5, n)."""
+    out = []
+    for spectra, thr in zip(pools, floor):
+        for level in _level_candidates(spectra.ravel())[:4]:
+            dmin = float(np.min(np.abs(spectra - level)))
+            if dmin > thr:
+                out.append((level, dmin, True))
+                break
+        else:
+            out.append((None, None, False))
+    return out
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def assert_picks_equal(pools, floor):
+    level, margin, passed = specflow._pick_levels(pools.reshape(len(pools), -1), floor)
+    for j, (ref_level, ref_margin, ref_passed) in enumerate(_reference_pick(pools, floor)):
+        assert passed[j] == ref_passed
+        if ref_passed:
+            assert _bits(level[j]) == _bits(ref_level) and _bits(margin[j]) == _bits(ref_margin)
+
+
+def assert_partitions_equal(part, ref):
+    assert len(part.intervals) == len(ref.intervals)
+    for iv, rv in zip(part.intervals, ref.intervals):
+        for name in ("t0", "t1", "level", "margin", "lipschitz"):
+            x, y = getattr(iv, name), getattr(rv, name)
+            assert type(x) is type(y) and _bits(x) == _bits(y), name
+
+
+_ZERO_TOL = DEFAULT.zero_tol
+# exact duplicates, exact and signed zeros, values within zero_tol of 0, ties
+_SPECIAL = [0.0, -0.0, 0.5 * _ZERO_TOL, -0.5 * _ZERO_TOL, _ZERO_TOL, 0.25, 0.5, 1.0, 1.5, 2.0,
+            -0.5, -1.0, -2.0]
+_value = st.one_of(st.sampled_from(_SPECIAL), st.floats(-4.0, 4.0, allow_subnormal=False))
+
+
+@st.composite
+def _pool_rows(draw):
+    """Pooled probe spectra (m, 5, n) of one round: rows drawn as mixed,
+    all-negative, or with exactly one distinct positive value."""
+    m, n = draw(st.integers(1, _ROUND_MAX)), draw(st.integers(1, 8))
+    rows = []
+    for _ in range(m):
+        row = np.array(draw(st.lists(_value, min_size=5 * n, max_size=5 * n)))
+        kind = draw(st.sampled_from(["mixed", "negative", "one_positive"]))
+        if kind != "mixed":
+            row = -np.abs(row)
+        if kind == "one_positive":
+            row[draw(st.lists(st.integers(0, 5 * n - 1), min_size=1, unique=True))] = \
+                draw(st.sampled_from([_ZERO_TOL, 0.5, 3.0]))
+        rows.append(row.reshape(5, n))
+    floor = draw(st.lists(st.sampled_from([_ZERO_TOL, 0.01, 0.2, 0.6, 2.0]), min_size=m,
+                          max_size=m))
+    return np.array(rows), np.array(floor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pool_rows())
+@example((np.array([[[0.0, -0.0, 0.5 * _ZERO_TOL, -1.0]] * 5]), np.array([_ZERO_TOL])))
+@example((np.array([[[1.0, 1.0, 2.0, 3.0]] * 5, [[-1.0, -1.0, -2.0, -0.0]] * 5]),
+          np.array([0.2, 0.2])))  # odd count of distinct positives; all negative
+@example((np.array([[[1.0, 2.0, 3.0, 4.0]] * 5, [[0.5, 0.5, -1.0, -3.0]] * 5]),
+          np.array([0.2, 0.2])))  # even count; one distinct positive
+def test_pick_levels_matches_reference_loop(case):
+    assert_picks_equal(*case)
+
+
+class TestPartitionMatchesReference:
+    @pytest.mark.parametrize("i", range(20))
+    def test_commuting_paths(self, i):
+        dim, order = 2 + i % 7, (1, 2, 3, 4, 6)[i % 5]
+        path, h = gen.commuting_hermitian_path(dim, order, gen.rng_for(400 + i))
+        assert_partitions_equal(good_partition(path), _reference_certify(path, None)[0])
+        part, F = specflow._certify(path, h, DEFAULT)
+        ref, F_ref = _reference_certify(path, h)
+        assert_partitions_equal(part, ref)
+        assert np.array_equal(F, F_ref)
+
+    @pytest.mark.parametrize("weights, ambient", [([1.0], (2, 2)), ([W3], (1, 1)),
+                                                  ([W3, W3 ** 2, 1.0], (3, 4)), ([], (2, 3))])
+    def test_bott_loops(self, weights, ambient):
+        # eigenvalues exactly +-1 with many duplicates, crossing 0 together
+        bl = bott_loop(weights, ambient)
+        path = bl.hermitian_path
+        assert_partitions_equal(good_partition(path), _reference_certify(path, None)[0])
 
 
 class TestSpectralFlow:
@@ -111,6 +276,10 @@ class TestSpectralFlow:
         res = spectral_flow(recorder("flow"), h)
         assert sorted(seen["flow"]) == sorted(seen["partition"])
         assert res.contributions == spectral_flow(path, h, part).contributions
+
+    def test_empty_partition(self):
+        with pytest.raises(ValueError, match="partition has no intervals"):
+            spectral_flow(diag_path(lambda t: 1.0), partition=GridPartition([]))
 
     def test_refinement_invariance(self):
         rng = gen.rng_for(12)

@@ -12,6 +12,7 @@ from equiflow.errors import (
     NotUnitary,
 )
 from equiflow.harness.generators import rng_for, zn_action
+from equiflow.tolerances import DEFAULT
 from equiflow.spectra import (
     _match as match,
     eig_hermitian,
@@ -332,6 +333,34 @@ class TestTrackBranches:
         for k, t in enumerate(bs.times):
             assert np.allclose(np.sort(bs.values[k]), np.linalg.eigvalsh(path(t)),
                                atol=1e-9)
+
+
+class TestMatchOneEigenpair:
+    # a block with one eigenpair: perm [0] without an assignment solve
+    one = np.ones((1, 1), dtype=complex)
+
+    def test_hermitian(self):
+        perm = match(np.array([0.3]), self.one, np.array([-2.0]), 1j * self.one, DEFAULT,
+                     "hermitian")
+        assert perm.tolist() == [0] and perm.dtype == np.intp
+
+    def test_unitary_step_above_step_max(self):
+        step = spectra.STEP_MAX + 1e-3
+        assert match(np.array([0.1]), self.one, np.array([0.1 + step]), self.one, DEFAULT,
+                     "unitary") is None
+
+    def test_unitary_step_across_the_cut(self):
+        # pi - 0.1 -> -pi + 0.1 is a step of 0.2 once lifted
+        perm = match(np.array([np.pi - 0.1]), self.one, np.array([-np.pi + 0.1]), self.one,
+                     DEFAULT, "unitary")
+        assert perm.tolist() == [0]
+
+    @pytest.mark.parametrize("kind", ["hermitian", "unitary"])
+    def test_overlap_below_minimum(self, kind):
+        low, high = spectra._OVERLAP_MIN * (1 - 1e-6), spectra._OVERLAP_MIN * (1 + 1e-6)
+        vals = np.array([0.5])
+        assert match(vals, self.one, vals, low * self.one, DEFAULT, kind) is None
+        assert match(vals, self.one, vals, high * self.one, DEFAULT, kind).tolist() == [0]
 
 
 @settings(max_examples=25, deadline=None)
