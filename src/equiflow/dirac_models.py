@@ -33,6 +33,7 @@ from .errors import (
 from .spectra import check_commuting, cluster_indices, eig_hermitian, eig_unitary, isotypic_split
 from .symplectic import (
     LagrangianProjection,
+    _projection,
     as_projection,
     flip_orientation,
     make_projection_from_unitary,
@@ -111,8 +112,8 @@ class IntervalDiracModel:
     policy: TolerancePolicy = DEFAULT
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("interval length must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError("interval length must be positive and finite")
         self.V = np.atleast_2d(np.asarray(self.V, dtype=complex))
         self.m = self.V.shape[0]
         self.channel_values, self.channel_chars, self.channel_basis, self.split = \
@@ -294,9 +295,10 @@ def interval_spectrum(model: IntervalDiracModel, P, window, element_power: int =
 
 def interval_calderon(model: IntervalDiracModel):
     """Calderon projection: orthogonal projector onto the Cauchy-data space
-    {(v, M(0) v)}, i.e. the graph of K = M(0) = exp(-i L V)."""
+    {(v, M(0) v)}, i.e. the graph of K = M(0) = exp(-i L V), unitary by
+    construction from the orthonormal channel basis."""
     K = interval_transfer(model, 0.0)
-    return make_projection_from_unitary(K, model.policy), K
+    return _projection(K), K
 
 
 def _taper(x, lc):

@@ -7,13 +7,17 @@ chi-block, so each eigenvalue of that block carries the weight chi.  The
 s-dependent quantities are finite sums with principal powers;
 Mellin-transform quadratures are provided as verification-only
 cross-checks.
+
+`scipy.special` is imported by the routines that use it (`truncated_eta`,
+`truncated_eta_quadrature`, the `mellin_*` cross-checks and
+`eta_log_defect`), on first call, so a process that calls none of them
+never loads it.
 """
 
 from dataclasses import dataclass, field
 from math import pi, sqrt
 
 import numpy as np
-from scipy.special import erf, erfc, gamma as gamma_fn
 
 from .errors import KernelPresent, NotEquivariant, NotPositive
 from .spectra import (
@@ -126,6 +130,8 @@ def truncated_eta(D, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT
     sum of Tr(h|lambda) * sgn(lambda) * erfc(sqrt(eps) |lambda|)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
+    from scipy.special import erfc
+
     op = _spec(D, h, policy)
     lam, w = op.nonzero()
     return complex(np.sum(w * np.sign(lam) * erfc(np.sqrt(eps) * np.abs(lam))))
@@ -134,6 +140,8 @@ def truncated_eta(D, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT
 def truncated_eta_quadrature(D, h=None, eps: float = 1.0,
                              policy: TolerancePolicy = DEFAULT) -> complex:
     """Verification route: (1/Gamma(1/2)) int_eps^inf t^{-1/2} Tr(h D e^{-t D^2}) dt."""
+    from scipy.special import gamma as gamma_fn
+
     op = _spec(D, h, policy)
     lam, w = op.nonzero()
     lam_min = np.min(np.abs(lam)) if lam.size else 1.0
@@ -241,6 +249,8 @@ def zeta_determinant_product_route(D, h=None, policy: TolerancePolicy = DEFAULT)
 def mellin_zeta(D, h=None, s: complex = 1.0, policy: TolerancePolicy = DEFAULT) -> complex:
     """Quadrature cross-check of zeta via (1/Gamma(s)) int t^{s-1} Tr(h e^{-tD}) dt
     over the positive spectrum; requires Re(s) > 0."""
+    from scipy.special import gamma as gamma_fn
+
     op = _spec(D, h, policy)
     m = op.values > policy.zero_tol * op.zero_scale
     lam = op.values[m]
@@ -259,6 +269,8 @@ def mellin_zeta(D, h=None, s: complex = 1.0, policy: TolerancePolicy = DEFAULT) 
 def mellin_eta(D, h=None, s: complex = 1.0, policy: TolerancePolicy = DEFAULT) -> complex:
     """Quadrature cross-check of eta via the Mellin transform of
     Tr(h D e^{-t D^2}), after the substitution t = u^2."""
+    from scipy.special import gamma as gamma_fn
+
     op = _spec(D, h, policy)
     lam, w = op.nonzero()
     if lam.size == 0:
@@ -317,6 +329,8 @@ def eta_log_defect(D0, D1, h=None, policy: TolerancePolicy = DEFAULT):
     so the trace is sum_chi chi Tr(Log(T_chi* K_chi)).
     Raises KernelPresent for singular input, BranchCut when spec(T*K) touches -1.
     """
+    from scipy.special import erf
+
     h = None if h is None else np.asarray(h, dtype=complex)
     D0, D1 = (np.asarray(D, dtype=complex) for D in (D0, D1))
     split = isotypic_split(h, D0.shape[-1], policy)

@@ -68,9 +68,9 @@ def jsonable(obj):
 def dump_report(body, wall_time=None):
     """Serialize a report: deterministic body, wall time kept outside it.
 
-    The text is `json.dumps(doc, sort_keys=True, indent=2)`, written in one
-    pass by `_encode`."""
-    doc = {"report": jsonable(body)}
+    The text is `json.dumps({"report": jsonable(body)}, sort_keys=True,
+    indent=2)`, written in one walk of the body by `_encode`."""
+    doc = {"report": body}
     if wall_time is not None:
         doc["wall_time_s"] = round(float(wall_time), 6)
     out = []
@@ -82,14 +82,15 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _encode(obj, out, pad):
-    """Append the `json.dumps(obj, sort_keys=True, indent=2)` text of a
-    `jsonable` value to the list out; pad is a newline and obj's indent."""
+    """Append the `json.dumps(jsonable(obj), sort_keys=True, indent=2)` text
+    of a report value to the list out; pad is a newline and obj's indent.
+    Complex values, ndarrays and numpy scalars are converted as by `jsonable`."""
     if isinstance(obj, float):
         r = float.__repr__(obj)
         out.append(_NONFINITE.get(r, r))
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         inner = pad + "  "
         out.append("[")
         for i, v in enumerate(obj):
@@ -99,7 +100,7 @@ def _encode(obj, out, pad):
     elif isinstance(obj, dict):
         inner = pad + "  "
         out.append("{")
-        for i, (k, v) in enumerate(sorted(obj.items())):
+        for i, (k, v) in enumerate(sorted({str(k): v for k, v in obj.items()}.items())):
             out.append(("," if i else "") + inner + encode_basestring_ascii(k) + ": ")
             _encode(v, out, inner)
         out.append(pad + "}" if obj else "}")
@@ -107,6 +108,12 @@ def _encode(obj, out, pad):
         out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _encode(complex_to_pair(obj), out, pad)
+    elif isinstance(obj, np.ndarray):
+        _encode(obj.tolist(), out, pad)  # complex entries become python complex, then pairs
+    elif isinstance(obj, (np.integer, np.floating, np.bool_)):
+        _encode(obj.item(), out, pad)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

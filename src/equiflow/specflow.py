@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotEquivariant, PartitionFailure
-from .spectra import (_ROUND_MAX, _block_eigh, check_commuting, group_events, isotypic_blocks,
-                      sample_stack, track_blocks)
+from .spectra import (_ROUND_MAX, _block_eigh, check_commuting, group_events, hermitian_part,
+                      isotypic_blocks, sample_stack, track_blocks)
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -228,14 +228,16 @@ def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int =
     (0, median positive eigenvalue] (`_pick_levels`).  A round tests the
     leftmost `_ROUND_MAX` pending intervals on one stack of their new probe
     times (each time is sampled once) and picks all their levels in one array
-    pass; PartitionFailure names the leftmost one at `max_depth`.  ValueError
-    when initial_nodes < 2.
+    pass; PartitionFailure names the leftmost one at `max_depth`.  Every probe
+    passes the test of `spectra.hermitian_part` (NotHermitian, also for a
+    non-finite sample).  ValueError when initial_nodes < 2.
     """
     return _certify(path, None, policy, initial_nodes, max_depth)[0]
 
 
 def _certify(path, h, policy, initial_nodes=9, max_depth=22):
-    """(partition, node samples) as in `good_partition`; probes checked to commute with h."""
+    """(partition, node samples) as in `good_partition`; probes checked to commute
+    with h and to be Hermitian (`hermitian_part`, NotHermitian)."""
     if initial_nodes < 2:
         raise ValueError("initial_nodes must be >= 2")
     n_probe = 5
@@ -248,7 +250,7 @@ def _certify(path, h, policy, initial_nodes=9, max_depth=22):
         new = np.setdiff1d(probes, ts)  # never empty: a child halves its parent's probe spacing
         G = sample_stack(path, new)
         check_commuting(h, G, new, NotEquivariant, policy)
-        S = np.linalg.eigvalsh((G + np.swapaxes(G.conj(), 1, 2)) / 2)
+        S = np.linalg.eigvalsh(hermitian_part(G, policy))
         if ts.size:
             G, S = np.concatenate([F, G]), np.concatenate([spec, S])
         ts = np.concatenate([ts, new])

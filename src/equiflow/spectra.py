@@ -7,6 +7,12 @@ Every route reads a path's isotypic blocks from `isotypic_blocks`, and
 
 All operations are pure functions of their inputs; sums and quadrature
 reductions run in a fixed sequential order.
+
+`scipy.optimize` (about 0.25 s and 20 MB to import) serves only the
+assignment solve of `_match`, so it is imported there, on the first match
+of a block with two or more eigenpairs: the routes that never track such
+branches (det-phase windings, Maslov, Fredholm and double indices, the
+Dirac models) never load it.
 """
 
 from dataclasses import dataclass
@@ -14,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import zgees
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     BranchCut,
@@ -54,7 +59,7 @@ def opnorm(M):
 def check_commuting(h, M, ts, error, policy: TolerancePolicy = DEFAULT):
     """Raise `error` unless a sample M, or every sample of a (K, n, n) stack
     taken at times ts (None for matrices that are not path samples), commutes
-    with h:
+    with h (a non-finite sample never does):
 
         ||[h, M]||_F <= 10 max(commute_tol, 1e-9) max(||M||_F / sqrt(n), 1).
 
@@ -74,7 +79,7 @@ def check_commuting(h, M, ts, error, policy: TolerancePolicy = DEFAULT):
     M = M.reshape((-1,) + M.shape[-2:])
     excess = np.linalg.norm(h @ M - M @ h, axis=(1, 2))
     scale = np.maximum(np.linalg.norm(M, axis=(1, 2)) / np.sqrt(M.shape[-1]), 1.0)
-    bad = excess > 10 * max(policy.commute_tol, 1e-9) * scale
+    bad = ~(excess <= 10 * max(policy.commute_tol, 1e-9) * scale)
     if np.any(bad):
         k = int(np.argmax(bad))
         where = "" if ts is None else f" at t={float(np.atleast_1d(ts)[k]):.6g}"
@@ -154,8 +159,9 @@ class EigenSystem:
 def hermitian_part(M, policy: TolerancePolicy = DEFAULT):
     """(M + M*) / 2 of a square matrix, or of every sample of a (K, n, n) stack.
 
-    NotHermitian when a sample has ||M - M*||_F > eig_tol * max(||M||_F / sqrt(n), 1):
-    never looser than the same test in spectral norms with scale
+    NotHermitian unless every sample has
+    ||M - M*||_F <= eig_tol * max(||M||_F / sqrt(n), 1) (a non-finite sample
+    never does): never looser than the same test in spectral norms with scale
     max(||M||_2, 1), since ||X||_2 <= ||X||_F and ||M||_F / sqrt(n) <= ||M||_2.
     """
     M = np.asarray(M, dtype=complex)
@@ -164,8 +170,9 @@ def hermitian_part(M, policy: TolerancePolicy = DEFAULT):
     Mh = np.swapaxes(M.conj(), -1, -2)
     axes = (-2, -1) if M.ndim > 2 else None  # per sample; a matrix takes the faster whole norm
     scale = np.maximum(np.linalg.norm(M, axis=axes) / np.sqrt(M.shape[-1]), 1.0)
-    if (np.linalg.norm(M - Mh, axis=axes) > policy.eig_tol * scale).any():
-        raise NotHermitian(f"matrix deviates from Hermitian by more than {policy.eig_tol} * ||M||")
+    if not (np.linalg.norm(M - Mh, axis=axes) <= policy.eig_tol * scale).all():
+        raise NotHermitian(f"matrix is not finite or deviates from Hermitian by more than "
+                           f"{policy.eig_tol} * ||M||")
     return (M + Mh) / 2.0
 
 
@@ -442,6 +449,8 @@ def _match(vals1, vecs1, vals2, vecs2, policy, kind):
     if len(vals1) == 1:
         perm, clusters = np.zeros(1, dtype=np.intp), [(0, 1)]
     else:
+        from scipy.optimize import linear_sum_assignment
+
         row, col = linear_sum_assignment(-np.abs(O))
         perm = np.empty_like(col)
         perm[row] = col

@@ -37,11 +37,14 @@ __all__ = [
 
 
 def check_unitary(U, tol=1e-10, what="matrix"):
+    """U as a complex array; NotUnitary unless it is square, finite and
+    ||U* U - I||_2 <= tol."""
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise NotUnitary(f"{what} must be square")
-    n = U.shape[0]
-    if opnorm(U.conj().T @ U - np.eye(n)) > tol:
+    if not np.isfinite(U).all():
+        raise NotUnitary(f"{what} has non-finite entries")
+    if not opnorm(U.conj().T @ U - np.eye(U.shape[0])) <= tol:
         raise NotUnitary(f"{what} is not unitary within {tol}")
     return U
 
@@ -93,11 +96,20 @@ class LagrangianProjection:
 
 
 def make_projection_from_unitary(T, policy: TolerancePolicy = DEFAULT) -> LagrangianProjection:
-    """Build the Lagrangian projection associated to an n x n unitary T."""
-    T = check_unitary(T, max(policy.eig_tol * 100, 1e-10), "T")
+    """Build the Lagrangian projection associated to an n x n unitary T
+    (NotUnitary by `check_unitary` at max(100 eig_tol, 1e-10))."""
+    return _projection(check_unitary(T, max(policy.eig_tol * 100, 1e-10), "T"))
+
+
+def _projection(T):
+    """The Lagrangian projection of a complex T that is unitary by
+    construction, unchecked: P = 1/2 [[I, T*], [T, I]]."""
     n = T.shape[0]
-    P = 0.5 * np.block([[np.eye(n), T.conj().T], [T, np.eye(n)]])
-    return LagrangianProjection(T=T, P=P)
+    P = np.zeros((2 * n, 2 * n), dtype=complex)
+    P[:n, n:] = T.conj().T
+    P[n:, :n] = T
+    P.flat[::2 * n + 1] = 1.0
+    return LagrangianProjection(T=T, P=0.5 * P)
 
 
 def unitary_of_projection(P, policy: TolerancePolicy = DEFAULT):
@@ -270,4 +282,4 @@ def flip_orientation(P, policy: TolerancePolicy = DEFAULT) -> LagrangianProjecti
     condition of the orientation-reversed piece in splitting experiments.
     """
     P = as_projection(P, policy)
-    return make_projection_from_unitary(-P.T.conj().T, policy)
+    return _projection(-P.T.conj().T)  # unitary: T was checked when P was built

@@ -70,13 +70,14 @@ def _det_phases(f, a, policy, K=33):
     Samples the isotypic blocks of f (`isotypic_blocks`, NotCommuting when a
     sample does not commute with a) on a uniform K-point grid, checks every
     sample for unitarity (the Frobenius norm of Q* f* f Q - I over the
-    blocks), and takes the determinant of each block.  Intervals where some
-    block's det phase steps by more than STEP_MAX are bisected;
-    TrackingAmbiguous is raised at MAX_SAMPLES samples or when an interval
-    to bisect is at most MIN_DT long.  The grid and each bisection level are
-    one stack.  This step bound is what certifies the unwrapping.  Returns
-    (chars, deltas, ends): deltas are the unwrapped det-phase changes per
-    block, ends[i] the (2, k, k) samples of block i at t = 0 and t = 1.
+    blocks; a non-finite sample fails), and takes the determinant of each
+    block.  Intervals where some block's det phase steps by more than
+    STEP_MAX are bisected; TrackingAmbiguous is raised at MAX_SAMPLES
+    samples or when an interval to bisect is at most MIN_DT long.  The grid
+    and each bisection level are one stack.  This step bound is what
+    certifies the unwrapping.  Returns (chars, deltas, ends): deltas are the
+    unwrapped det-phase changes per block, ends[i] the (2, k, k) samples of
+    block i at t = 0 and t = 1.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -86,7 +87,7 @@ def _det_phases(f, a, policy, K=33):
         chars, blocks = blocks_at(ts)
         gram = sum(np.linalg.norm(np.swapaxes(B.conj(), -1, -2) @ B - np.eye(B.shape[-1]),
                                   axis=(-2, -1)) ** 2 for B in blocks)
-        off = np.sqrt(gram) > max(policy.eig_tol, 1e-10)
+        off = ~(np.sqrt(gram) <= max(policy.eig_tol, 1e-10))
         if np.any(off):
             raise NotUnitary(f"f({ts[np.argmax(off)]:.6g}) is not unitary within tolerance")
         return chars, blocks, np.stack([np.linalg.det(B) for B in blocks], axis=1)

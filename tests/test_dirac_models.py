@@ -161,6 +161,12 @@ class TestIntervalModel:
         g = SymplecticSpace(3).gamma
         assert opnorm(g @ PM.P @ g.conj().T - (np.eye(6) - PM.P)) < 1e-12
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, np.inf, np.nan])
+    def test_length_positive_and_finite(self, L):
+        # the Calderon unitary exp(-i L V) is built unchecked: L must be finite
+        with pytest.raises(ValueError):
+            IntervalDiracModel(L, np.array([[0.4]]))
+
     def test_eta_closed_forms(self):
         mod = IntervalDiracModel(1.0, np.array([[0.0]]))
         for th in (pi / 2, pi, 3 * pi / 2):
@@ -482,6 +488,25 @@ class TestSplitting:
         half = IntervalDiracModel(np.pi, np.diag([0.3, 0.6]), np.diag([W3, 1.0]))
         params["boundary"] = {"unitary": serialize.matrix_to_wire(real(half)[0].T)}
         assert serialize.dump_report(cli.run_config(cfg)[0]) == serialize.dump_report(body)
+
+    @pytest.mark.parametrize("boundary, checks", [({"calderon": True}, 0),
+                                                  ({"theta": [1.0, 2.0]}, 1)])
+    def test_unitarity_checked_once_per_outside_unitary(self, monkeypatch, boundary, checks):
+        # only a boundary unitary from the config is checked; the Calderon
+        # projection and both orientation flips are unitary by construction
+        from equiflow import symplectic
+
+        calls = []
+        real = symplectic.check_unitary
+        monkeypatch.setattr(symplectic, "check_unitary",
+                            lambda *args: calls.append(1) or real(*args))
+        cfg = {"kind": "split", "group": {"u_powers": [0, 1]},
+               "generator": {"name": "model", "params": {
+                   "v": [0.3, 0.6], "u": serialize.matrix_to_wire(np.diag([W3, 1.0])),
+                   "boundary": boundary}}}
+        body, _ = cli.run_config(cfg)
+        assert len(calls) == checks
+        assert all(rep["passed"] for rep in body["results"].values())
 
 
 class TestDiracChain:

@@ -14,6 +14,7 @@ from equiflow.dirac_models import (
 from equiflow.errors import (
     BranchCut,
     DimensionMismatch,
+    EquiflowError,
     IncompatibleSplitting,
     KernelPresent,
     NotCommuting,
@@ -22,7 +23,7 @@ from equiflow.errors import (
     RootFindingFailure,
     TrackingAmbiguous,
 )
-from equiflow.eta_zeta import eta_log_defect
+from equiflow.eta_zeta import eta, eta_log_defect
 from equiflow.harness import generators as gen
 from equiflow.maslov import (
     LagrangianPath,
@@ -38,7 +39,7 @@ from equiflow.specflow import (
     spectral_flow,
 )
 from equiflow.spectra import track_blocks
-from equiflow.symplectic import make_projection_from_unitary, pair_report
+from equiflow.symplectic import check_unitary, make_projection_from_unitary, pair_report
 from equiflow.winding import (
     fredholm_det_path,
     relative_double_index,
@@ -215,3 +216,39 @@ def test_dimension_mismatch_is_typed():
     for route in routes:
         with pytest.raises(DimensionMismatch):
             route()
+
+
+def _spoiled(kind, bad_t, value):
+    """A 2x2 Hermitian or unitary path commuting with diag(1, -1) whose sample
+    at bad_t has `value` on its diagonal."""
+
+    def path(t):
+        phases = np.array([t - 0.3, 0.7 - t]) if kind == "hermitian" else np.array([t, -2 * t])
+        d = phases if kind == "hermitian" else np.exp(1j * phases)
+        if t == bad_t:
+            d = np.array([value, d[1]])
+        return np.diag(d).astype(complex)
+
+    return path
+
+
+_H = np.diag([1.0, -1.0]).astype(complex)
+_NONFINITE_ROUTES = {
+    "fredholm_det_path": ("unitary", lambda f, t: fredholm_det_path(f)),
+    "winding_number": ("unitary", lambda f, t: winding_number(f)),
+    "eta": ("hermitian", lambda f, t: eta(f(t))),
+    "crossing_oracle": ("hermitian", lambda f, t: crossing_oracle(f)),
+    "spectral_flow": ("hermitian", lambda f, t: spectral_flow(f)),
+    "spectral_flow_h": ("hermitian", lambda f, t: spectral_flow(f, _H)),
+    "check_unitary": ("unitary", lambda f, t: check_unitary(f(t))),
+    "make_projection_from_unitary": ("unitary", lambda f, t: make_projection_from_unitary(f(t))),
+}
+
+
+@pytest.mark.parametrize("bad_t, value", [(0.5, np.nan), (1.0, np.inf)], ids=["nan_mid", "inf_end"])
+@pytest.mark.parametrize("route", sorted(_NONFINITE_ROUTES))
+def test_nonfinite_sample_is_typed(route, bad_t, value):
+    # a NaN passes every `err > tol` test; each route must refuse it with a typed error
+    kind, call = _NONFINITE_ROUTES[route]
+    with np.errstate(invalid="ignore"), pytest.raises(EquiflowError):
+        call(_spoiled(kind, bad_t, value), bad_t)

@@ -1,5 +1,9 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import equiflow
 
@@ -10,3 +14,63 @@ def test_every_export_resolves():
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"{name}.__all__ names {missing}"
+
+
+_FOOTPRINT = """
+import importlib, json, math, pkgutil, sys
+import numpy as np
+import equiflow
+
+for m in pkgutil.walk_packages(equiflow.__path__, "equiflow."):
+    importlib.import_module(m.name)
+import equiflow.harness.cli
+from equiflow.eta_zeta import truncated_eta
+from equiflow.harness import generators as gen
+from equiflow.maslov import LagrangianPath, maslov_index
+from equiflow.specflow import crossing_oracle, spectral_flow
+from equiflow.winding import winding_number
+
+
+def loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.special") if m in sys.modules)
+
+
+out = {"imported": loaded()}
+body, _ = equiflow.harness.cli.run_config({"kind": "split", "generator": {"name": "model",
+    "params": {"v": [0.25], "boundary": {"calderon": True}}}})
+out["split"] = all(r["passed"] for r in body["results"].values())
+f, a = gen.commuting_unitary_path(3, 3, gen.rng_for(4))
+out["winding"] = winding_number(f, a)
+T, S, b = gen.lagrangian_loop_pair(2, 3, gen.rng_for(7))
+out["maslov"] = maslov_index(LagrangianPath(2, T), LagrangianPath(2, S), b, mode="grid")
+out["ran"] = loaded()
+path, h = gen.commuting_hermitian_path(4, 3, gen.rng_for(9))
+out["oracle"], out["sf"] = crossing_oracle(path, h).value, spectral_flow(path, h).value
+lam = [-1.3, 0.2, 0.7, 2.5]
+out["eta"] = truncated_eta(np.diag(lam), eps=0.8)
+out["eta_ref"] = sum(math.copysign(math.erfc(math.sqrt(0.8) * abs(x)), x) for x in lam)
+out["used"] = loaded()
+print(json.dumps({k: [v.real, v.imag] if isinstance(v, complex) else v for k, v in out.items()}))
+"""
+
+
+def test_import_footprint():
+    # scipy.optimize and scipy.special are imported where they are used: a
+    # fresh process that imports the whole library and runs the Dirac,
+    # winding and grid-Maslov routes never loads them, and the routes that
+    # use them still give their values once they do
+    src = os.path.dirname(os.path.dirname(equiflow.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["imported"] == [] and out["ran"] == []
+    assert out["split"]
+    w3 = complex(-0.5, 3 ** 0.5 / 2)
+    assert abs(complex(*out["winding"]) - (2 + 3 * w3)) < 1e-9
+    assert abs(complex(*out["maslov"]) - w3) < 1e-9
+    assert out["used"] == ["scipy.optimize", "scipy.special"]
+    assert abs(complex(*out["oracle"]) + w3) < 1e-9
+    assert abs(complex(*out["oracle"]) - complex(*out["sf"])) < 1e-9
+    assert abs(complex(*out["eta"]) - out["eta_ref"]) < 1e-14
