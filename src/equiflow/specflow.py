@@ -18,7 +18,7 @@ one batched formula: their pointwise call is stack([t])[0].
 
 Spectral flow has two independent pipelines: a grid-partition computation
 (spectral-window counts over a certified partition, one checked stack per
-bisection round, each node eigendecomposed once) and a crossing oracle
+bisection round, each node's eigenvalues computed once) and a crossing oracle
 (branch tracking and a count of the branches' sign changes).  Both read the
 isotypic blocks of the actor from `spectra.isotypic_blocks`: a path
 commuting with h never mixes them, so every window count and every crossing
@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotEquivariant, PartitionFailure
-from .spectra import (_ROUND_MAX, _block_eigh, check_commuting, group_events, hermitian_part,
-                      isotypic_blocks, sample_stack, track_blocks)
+from .spectra import (_ROUND_MAX, _block_eigvalsh, check_commuting, group_events,
+                      hermitian_part, isotypic_blocks, sample_stack, track_blocks)
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -224,7 +224,9 @@ def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int =
 
     An interval [t0, t1] certifies with level a when the spectra at its 5
     probes stay farther from a than the local Lipschitz bound allows them to
-    move between probes.  Levels are picked in the widest spectral gap inside
+    move between probes: 1.5 times the largest spectral norm of a step
+    between neighbouring probes' Hermitian parts (their largest |eigenvalue|)
+    per unit time.  Levels are picked in the widest spectral gap inside
     (0, median positive eigenvalue] (`_pick_levels`).  A round tests the
     leftmost `_ROUND_MAX` pending intervals on one stack of their new probe
     times (each time is sampled once) and picks all their levels in one array
@@ -236,8 +238,10 @@ def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int =
 
 
 def _certify(path, h, policy, initial_nodes=9, max_depth=22):
-    """(partition, node samples) as in `good_partition`; probes checked to commute
-    with h and to be Hermitian (`hermitian_part`, NotHermitian)."""
+    """(partition, node samples, node spectra) as in `good_partition`; probes
+    checked to commute with h and to be Hermitian (`hermitian_part`,
+    NotHermitian).  The node spectra are the eigenvalues of the samples'
+    Hermitian parts (`np.linalg.eigvalsh`), ascending."""
     if initial_nodes < 2:
         raise ValueError("initial_nodes must be >= 2")
     n_probe = 5
@@ -250,14 +254,16 @@ def _certify(path, h, policy, initial_nodes=9, max_depth=22):
         new = np.setdiff1d(probes, ts)  # never empty: a child halves its parent's probe spacing
         G = sample_stack(path, new)
         check_commuting(h, G, new, NotEquivariant, policy)
-        S = np.linalg.eigvalsh(hermitian_part(G, policy))
+        H = hermitian_part(G, policy)
+        S = np.linalg.eigvalsh(H)
         if ts.size:
-            G, S = np.concatenate([F, G]), np.concatenate([spec, S])
+            G, H, S = np.concatenate([F, G]), np.concatenate([herm, H]), np.concatenate([spec, S])
         ts = np.concatenate([ts, new])
         order = np.argsort(ts)
-        ts, F, spec = ts[order], G[order], S[order]
+        ts, F, herm, spec = ts[order], G[order], H[order], S[order]
         k = np.searchsorted(ts, probes)
-        steps = np.linalg.norm(np.diff(F[k], axis=1), 2, axis=(2, 3))
+        # the spectral norm of a Hermitian step is its largest |eigenvalue|
+        steps = np.max(np.abs(np.linalg.eigvalsh(np.diff(herm[k], axis=1))), axis=-1)
         # 1.5: safety factor on the sampled Lipschitz estimate
         lips = 1.5 * np.max(steps / np.maximum(np.diff(probes, axis=1), 1e-300), axis=1)
         travel = lips * (b - a) / (n_probe - 1) / 2.0
@@ -274,7 +280,8 @@ def _certify(path, h, policy, initial_nodes=9, max_depth=22):
         halves = np.stack([a, (a + b) / 2.0, d, (a + b) / 2.0, b, d], 1).reshape(-1, 3)
         pending = np.concatenate([halves, pending[_ROUND_MAX:]])
     part = GridPartition(sorted(intervals, key=lambda iv: iv.t0))
-    return part, F[np.searchsorted(ts, part.nodes)]
+    nodes = np.searchsorted(ts, part.nodes)
+    return part, F[nodes], spec[nodes]
 
 
 def spectral_flow(path, h=None, partition: GridPartition = None,
@@ -287,15 +294,18 @@ def spectral_flow(path, h=None, partition: GridPartition = None,
     chi = 1) it is the classical integer spectral flow.  Without a partition
     the path is certified as by `good_partition`, every probe checked to
     commute with h (NotEquivariant, naming t), and its node samples are
-    counted once each; a given partition costs one checked node stack.  An
-    interior node with an eigenvalue within zero_tol of 0 is nudged: it
-    takes the eigenvalues at the first of t + s, t - s, t + 10 s, t - 10 s
-    (s = 10 zero_tol, inside (0, 1)) that has none, the nodes still on a
-    kernel trying each candidate together, and keeps its own when none does.
+    counted once each (with h = None from the spectra the certification
+    holds); a given partition costs one checked node stack.  The counts read
+    eigenvalues alone (`spectra._block_eigvalsh`).  An interior node with an
+    eigenvalue within zero_tol of 0 is nudged: it takes the eigenvalues at
+    the first of t + s, t - s, t + 10 s, t - 10 s (s = 10 zero_tol, inside
+    (0, 1)) that has none, the nodes still on a kernel trying each candidate
+    together, and keeps its own when none does.
     """
     if partition is not None and not partition.intervals:
         raise ValueError("partition has no intervals")
-    partition, F = (partition, None) if partition is not None else _certify(path, h, policy)
+    partition, F, spec = ((partition, None, None) if partition is not None
+                          else _certify(path, h, policy))
     zero = policy.zero_tol
     ends = np.array([(iv.t0, iv.t1) for iv in partition.intervals])
     ts, node = np.unique(ends, return_inverse=True)
@@ -304,19 +314,24 @@ def spectral_flow(path, h=None, partition: GridPartition = None,
 
     def values(ts, F=None):
         chars, blocks = blocks_at(ts, F)
-        vals = [lam for lam, _ in _block_eigh(blocks, policy)]
-        return chars, vals, np.min([np.min(np.abs(v), axis=1) for v in vals], axis=0)
+        return chars, _block_eigvalsh(blocks, policy)
 
-    chars, vals, gap = values(ts, F)
-    stuck = np.nonzero((ts > 0) & (ts < 1) & (gap <= zero))[0]
+    def gap(vals):
+        return np.min([np.min(np.abs(v), axis=1) for v in vals], axis=0)
+
+    if h is None and spec is not None:  # the one block is the whole sample, already solved
+        chars, vals = np.ones(1, dtype=complex), [spec]
+    else:
+        chars, vals = values(ts, F)
+    stuck = np.nonzero((ts > 0) & (ts < 1) & (gap(vals) <= zero))[0]
     shift = 10 * zero
     for step in (shift, -shift, 10 * shift, -10 * shift):
         moved = ts[stuck] + step
         inside = (moved > 0) & (moved < 1)
         if not inside.any():
             continue
-        _, new, gap = values(moved[inside])
-        clear = gap > zero
+        _, new = values(moved[inside])
+        clear = gap(new) > zero
         for v, w in zip(vals, new):
             v[stuck[inside][clear]] = w[clear]
         stuck = np.setdiff1d(stuck, stuck[inside][clear])

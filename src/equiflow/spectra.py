@@ -3,16 +3,21 @@ clustering, branch tracking, the principal logarithm and deterministic
 adaptive quadrature.
 
 Every route reads a path's isotypic blocks from `isotypic_blocks`, and
-`_block_eigh` is the one source of Hermitian block eigendata.
+`_block_eigh` (eigenpairs) and `_block_eigvalsh` (eigenvalues alone, for
+the counts that read no vectors) are the one source of Hermitian block
+eigendata.
 
 All operations are pure functions of their inputs; sums and quadrature
 reductions run in a fixed sequential order.
 
 `scipy.optimize` (about 0.25 s and 20 MB to import) serves only the
-assignment solve of `_match`, so it is imported there, on the first match
-of a block with two or more eigenpairs: the routes that never track such
-branches (det-phase windings, Maslov, Fredholm and double indices, the
-Dirac models) never load it.
+assignment solve of `_match`, so it is imported by the first track of a
+block with two or more eigenpairs (`_assignment`): the routes that never
+track such branches (det-phase windings, Maslov, Fredholm and double
+indices, the Dirac models) never load it.  A Hermitian track loads it even
+when the identity screen of `track_blocks` leaves no link for the solve,
+so the memory a process holds does not depend on which links the screen
+settles.
 """
 
 from dataclasses import dataclass
@@ -275,9 +280,26 @@ def _isotypic_cut(F, a, split, policy):
 
 def _block_eigh(blocks, policy):
     """(lam, U) = `np.linalg.eigh` of the Hermitian part of every block, a
-    matrix or a stack: the one source of Hermitian block eigendata.
-    NotHermitian by the test of `hermitian_part`, per sample."""
-    return [np.linalg.eigh(hermitian_part(B, policy)) for B in blocks]
+    matrix or a stack: with `_block_eigvalsh`, the one source of Hermitian
+    block eigendata.  A 1x1 block takes its real entry and the vector 1
+    without a solve, as LAPACK returns them for N = 1.  NotHermitian by the
+    test of `hermitian_part`, per sample."""
+    out = []
+    for B in blocks:
+        H = hermitian_part(B, policy)
+        out.append((H.real[..., 0], np.ones_like(H)) if H.shape[-1] == 1 else np.linalg.eigh(H))
+    return out
+
+
+def _block_eigvalsh(blocks, policy):
+    """lam alone, as in `_block_eigh` but from `np.linalg.eigvalsh` (whose
+    values may differ from eigh's in the last bits): for routes that read no
+    eigenvectors."""
+    out = []
+    for B in blocks:
+        H = hermitian_part(B, policy)
+        out.append(H.real[..., 0] if H.shape[-1] == 1 else np.linalg.eigvalsh(H))
+    return out
 
 
 def principal_log_unitary(U, offset: float = 0.0, policy: TolerancePolicy = DEFAULT):
@@ -422,6 +444,12 @@ class BranchSet:
 
 
 _OVERLAP_MIN = 1.0 / np.sqrt(2.0) - 1e-9
+# When every diagonal entry of a unitary overlap matrix exceeds 1/sqrt(2),
+# each is the strict largest of its row and column, so the identity is the
+# unique optimal assignment: what `_match` returns.  The 1e-6 margin keeps
+# that true against the rounding of the eigenvectors' orthonormality (about
+# 1e-15), and keeps the entries above _OVERLAP_MIN.
+_IDENTITY_MIN = 1.0 / np.sqrt(2.0) + 1e-6
 STEP_MAX = 0.75  # rad: largest eigenphase step of a certified link (and det-phase step)
 MAX_SAMPLES = 6000  # samples per tracking pass
 MIN_DT = 1e-11  # shortest interval a tracking pass bisects
@@ -431,6 +459,13 @@ _ROUND_MAX = 8  # most pending intervals (panels) a bisection round takes, the l
 def _lift(raw, ref):
     """The phases raw shifted by multiples of 2 pi to lie nearest ref."""
     return raw + 2 * np.pi * np.round((ref - raw) / (2 * np.pi))
+
+
+def _assignment():
+    """`scipy.optimize.linear_sum_assignment`, imported on first use."""
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
 
 
 def _match(vals1, vecs1, vals2, vecs2, policy, kind):
@@ -449,9 +484,7 @@ def _match(vals1, vecs1, vals2, vecs2, policy, kind):
     if len(vals1) == 1:
         perm, clusters = np.zeros(1, dtype=np.intp), [(0, 1)]
     else:
-        from scipy.optimize import linear_sum_assignment
-
-        row, col = linear_sum_assignment(-np.abs(O))
+        row, col = _assignment()(-np.abs(O))
         perm = np.empty_like(col)
         perm[row] = col
         # cluster-blocked overlap certificate (vals1 ascend)
@@ -466,6 +499,18 @@ def _match(vals1, vecs1, vals2, vecs2, policy, kind):
     return perm
 
 
+def _identity_links(vals1, vecs1, vecs2, policy):
+    """Per link of a stack of Hermitian eigendata (vals1 (m, d) ascending,
+    vecs1 and vecs2 (m, d, d)): True when `_match` certifies it with the
+    identity permutation, decided in one array pass without an assignment
+    solve.  That holds when vals1 has no cluster (the gap of `_match`), so
+    the certificate is the diagonal overlaps alone, and every diagonal
+    overlap exceeds _IDENTITY_MIN.  False says nothing: `_match` decides."""
+    gap = policy.cluster_tol * 10 + 1e-12
+    diag = np.abs(np.einsum("kji,kji->ki", vecs1.conj(), vecs2))
+    return (np.diff(vals1, axis=1) > gap).all(axis=1) & (diag > _IDENTITY_MIN).all(axis=1)
+
+
 def track_blocks(path, a, kind: str, error, K: int = 17, policy: TolerancePolicy = DEFAULT,
                  max_samples: int = MAX_SAMPLES, min_dt: float = MIN_DT):
     """Track the eigenvalue (kind "hermitian") or eigenphase ("unitary")
@@ -476,12 +521,16 @@ def track_blocks(path, a, kind: str, error, K: int = 17, policy: TolerancePolicy
     bisection level are one stack of `isotypic_blocks` (a sample not
     commuting with a raises `error`), eigendecomposed by `_block_eigh`
     (Hermitian) or per sample by `eig_unitary`.  Consecutive samples are
-    matched per block (`_match`, once per block and link, stopping at the
-    link's first uncertified block), and every link that does not certify
-    is bisected, all links of a level together.  TrackingAmbiguous past
-    max_samples samples, or when a link to bisect is at most min_dt long.
-    The branches follow the certified permutations, and unitary phases are
-    lifted against the branch values at the previous sample.
+    matched per block, and every link that does not certify is bisected,
+    all links of a level together.  The unchecked Hermitian links of a
+    level are screened in one array pass per block (`_identity_links`): a
+    block it passes takes the identity, which is what `_match` returns, and
+    every other block goes through `_match`, at most once per block and
+    link, stopping at the link's first uncertified block.
+    TrackingAmbiguous past max_samples samples, or when a link to bisect is
+    at most min_dt long.  The branches follow the certified permutations,
+    and unitary phases are lifted against the branch values at the
+    previous sample.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -500,11 +549,20 @@ def track_blocks(path, a, kind: str, error, K: int = 17, policy: TolerancePolicy
                         np.array([es.vectors for es in systems])))
         return out
 
-    def certify(i):
+    def by_identity(todo):
+        """(len(todo), blocks) mask of the links todo: True where the block
+        matches by the identity (`_identity_links`; Hermitian kind only)."""
+        if kind == "unitary":
+            return np.zeros((len(todo), len(eig)), dtype=bool)
+        return np.stack([_identity_links(vals[todo], vecs[todo], vecs[todo + 1], policy)
+                         for vals, vecs in eig], axis=1)
+
+    def certify(i, identity):
         """Per-block permutations of link i; None at its first uncertified block."""
         perms = []
-        for vals, vecs in eig:
-            perm = _match(vals[i], vecs[i], vals[i + 1], vecs[i + 1], policy, kind)
+        for (vals, vecs), same in zip(eig, identity):
+            perm = (np.arange(vals.shape[1]) if same
+                    else _match(vals[i], vecs[i], vals[i + 1], vecs[i + 1], policy, kind))
             if perm is None:
                 return None
             perms.append(perm)
@@ -513,10 +571,14 @@ def track_blocks(path, a, kind: str, error, K: int = 17, policy: TolerancePolicy
     ts = np.linspace(0.0, 1.0, K)
     chars, blocks = blocks_at(ts)
     eig = eigen(blocks)
+    if any(vals.shape[1] > 1 for vals, _ in eig):
+        _assignment()  # loaded whether or not a link needs it: see the module docstring
     links = [None] * (K - 1)  # links[i] certifies (ts[i], ts[i + 1]); None: not yet checked
     while True:
-        links = [certify(i) if perms is None else perms for i, perms in enumerate(links)]
-        bad = np.array([i for i, perms in enumerate(links) if perms is None], dtype=int)
+        todo = np.array([i for i, perms in enumerate(links) if perms is None], dtype=int)
+        for i, identity in zip(todo, by_identity(todo)):
+            links[i] = certify(i, identity)
+        bad = np.array([i for i in todo if links[i] is None], dtype=int)
         if not bad.size:
             break
         short = ts[bad + 1] - ts[bad] <= min_dt

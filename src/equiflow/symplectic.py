@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     KernelLagrangianInvalid,
     NotEquivariant,
+    NotHermitian,
     NotLagrangian,
     NotUnitary,
 )
@@ -115,13 +116,22 @@ def _projection(T):
 def unitary_of_projection(P, policy: TolerancePolicy = DEFAULT):
     """Recover T from a 2n x 2n Lagrangian projection matrix.
 
-    Raises NotLagrangian unless P is an orthogonal projection with
-    gamma P gamma^* = I - P within 1e-10.
+    Raises NotLagrangian unless P is finite and an orthogonal projection
+    with gamma P gamma^* = I - P within 1e-10, and NotUnitary unless the
+    recovered T is unitary within 1e-8.
     """
+    return check_unitary(_recovered_T(P), 1e-8, "recovered T")
+
+
+def _recovered_T(P):
+    """T = 2 P[n:, :n] of a Lagrangian projection matrix P, with the tests of
+    `unitary_of_projection` on P (NotLagrangian) but not yet on T."""
     P = np.asarray(P, dtype=complex)
     m = P.shape[0]
     if P.ndim != 2 or P.shape[0] != P.shape[1] or m % 2 != 0:
         raise NotLagrangian("P must be a square matrix of even dimension")
+    if not np.isfinite(P).all():
+        raise NotLagrangian("P has non-finite entries")
     n = m // 2
     tol = 1e-10
     if opnorm(P @ P - P) > tol or opnorm(P - P.conj().T) > tol:
@@ -129,16 +139,22 @@ def unitary_of_projection(P, policy: TolerancePolicy = DEFAULT):
     gamma = SymplecticSpace(n).gamma
     if opnorm(gamma @ P @ gamma.conj().T - (np.eye(m) - P)) > tol:
         raise NotLagrangian("gamma P gamma^* != I - P within 1e-10")
-    T = 2.0 * P[n:, :n]
-    T = check_unitary(T, 1e-8, "recovered T")
-    return T
+    return 2.0 * P[n:, :n]
+
+
+def _projection_of_matrix(P, policy):
+    """The Lagrangian projection of a matrix P: T recovered as in
+    `unitary_of_projection` and checked once, at the tighter of its 1e-8 and
+    the tolerance of `make_projection_from_unitary`."""
+    tol = min(1e-8, max(policy.eig_tol * 100, 1e-10))
+    return _projection(check_unitary(_recovered_T(P), tol, "recovered T"))
 
 
 def as_projection(P, policy: TolerancePolicy = DEFAULT) -> LagrangianProjection:
     """Coerce a matrix or LagrangianProjection into a LagrangianProjection."""
     if isinstance(P, LagrangianProjection):
         return P
-    return make_projection_from_unitary(unitary_of_projection(P, policy), policy)
+    return _projection_of_matrix(P, policy)
 
 
 def _actor_block(h, n):
@@ -224,6 +240,8 @@ def aps_projection(A, L=None, policy: TolerancePolicy = DEFAULT) -> LagrangianPr
     A = np.asarray(A, dtype=complex)
     if A.shape[0] % 2 != 0:
         raise ValueError("boundary operator must act on C^{2n}")
+    if not np.isfinite(A).all():
+        raise NotHermitian("boundary operator A has non-finite entries")
     gamma = SymplecticSpace(A.shape[0] // 2).gamma
     nrm = max(opnorm(A), 1.0)
     if opnorm(gamma @ A + A @ gamma) > 1e-10 * nrm:
@@ -241,6 +259,8 @@ def aps_projection(A, L=None, policy: TolerancePolicy = DEFAULT) -> LagrangianPr
     if 2 * ldim != kdim:
         raise KernelLagrangianInvalid(
             f"ker(A) has dimension {kdim}; L must span half of it, got {ldim}")
+    if not np.isfinite(L).all():
+        raise KernelLagrangianInvalid("L basis has non-finite entries")
     if ldim:
         if opnorm(L.conj().T @ L - np.eye(ldim)) > 1e-10:
             raise KernelLagrangianInvalid("L basis is not orthonormal")
@@ -252,10 +272,9 @@ def aps_projection(A, L=None, policy: TolerancePolicy = DEFAULT) -> LagrangianPr
     if ldim:
         Pm = Pm + L @ L.conj().T
     try:
-        T = unitary_of_projection(Pm, policy)
+        return _projection_of_matrix(Pm, policy)
     except NotLagrangian as exc:
         raise KernelLagrangianInvalid(f"resulting projection is not Lagrangian: {exc}")
-    return make_projection_from_unitary(T, policy)
 
 
 def canonical_determinant(P, P_M, h=None, policy: TolerancePolicy = DEFAULT) -> complex:

@@ -39,7 +39,15 @@ from equiflow.specflow import (
     spectral_flow,
 )
 from equiflow.spectra import track_blocks
-from equiflow.symplectic import check_unitary, make_projection_from_unitary, pair_report
+from equiflow.symplectic import (
+    aps_projection,
+    as_projection,
+    canonical_determinant,
+    check_unitary,
+    make_projection_from_unitary,
+    pair_report,
+    unitary_of_projection,
+)
 from equiflow.winding import (
     fredholm_det_path,
     relative_double_index,
@@ -232,7 +240,19 @@ def _spoiled(kind, bad_t, value):
     return path
 
 
+def _lagrangian_matrix(T):
+    """P = 1/2 [[I, T*], [T, I]] of a 2x2 T, without any check."""
+    return np.block([[np.eye(2), T.conj().T], [T, np.eye(2)]]) / 2
+
+
+def _boundary_operator(B):
+    """A = [[0, B*], [B, 0]], anticommuting with gamma, of a 2x2 B."""
+    zero = np.zeros((2, 2), dtype=complex)
+    return np.block([[zero, B.conj().T], [B, zero]])
+
+
 _H = np.diag([1.0, -1.0]).astype(complex)
+_P0 = make_projection_from_unitary(np.eye(2))
 _NONFINITE_ROUTES = {
     "fredholm_det_path": ("unitary", lambda f, t: fredholm_det_path(f)),
     "winding_number": ("unitary", lambda f, t: winding_number(f)),
@@ -242,6 +262,14 @@ _NONFINITE_ROUTES = {
     "spectral_flow_h": ("hermitian", lambda f, t: spectral_flow(f, _H)),
     "check_unitary": ("unitary", lambda f, t: check_unitary(f(t))),
     "make_projection_from_unitary": ("unitary", lambda f, t: make_projection_from_unitary(f(t))),
+    "unitary_of_projection": ("unitary",
+                              lambda f, t: unitary_of_projection(_lagrangian_matrix(f(t)))),
+    "as_projection": ("unitary", lambda f, t: as_projection(_lagrangian_matrix(f(t)))),
+    "pair_report": ("unitary", lambda f, t: pair_report(_P0, _lagrangian_matrix(f(t)))),
+    "canonical_determinant": ("unitary",
+                              lambda f, t: canonical_determinant(_lagrangian_matrix(f(t)), _P0)),
+    "aps_projection": ("hermitian", lambda f, t: aps_projection(_boundary_operator(f(t)))),
+    "aps_projection_L": ("hermitian", lambda f, t: aps_projection(np.zeros((2, 2)), f(t)[:, :1])),
 }
 
 

@@ -27,7 +27,7 @@ import equiflow.harness.cli
 from equiflow.eta_zeta import truncated_eta
 from equiflow.harness import generators as gen
 from equiflow.maslov import LagrangianPath, maslov_index
-from equiflow.specflow import crossing_oracle, spectral_flow
+from equiflow.specflow import bott_loop, crossing_oracle, spectral_flow
 from equiflow.winding import winding_number
 
 
@@ -44,7 +44,15 @@ out["winding"] = winding_number(f, a)
 T, S, b = gen.lagrangian_loop_pair(2, 3, gen.rng_for(7))
 out["maslov"] = maslov_index(LagrangianPath(2, T), LagrangianPath(2, S), b, mode="grid")
 out["ran"] = loaded()
+# every link of this path matches by the identity screen, and tracking it
+# still loads the assignment solve, so a process's memory does not depend
+# on the path
 path, h = gen.commuting_hermitian_path(4, 3, gen.rng_for(9))
+out["screened"] = crossing_oracle(path, h).value
+out["tracked"] = loaded()
+# each block's eigenvalues are doubled, so tracking them needs the assignment solve
+loop = bott_loop([np.exp(2j * np.pi / 3)] * 2, (2, 2))
+path, h = loop.hermitian_path, loop.h
 out["oracle"], out["sf"] = crossing_oracle(path, h).value, spectral_flow(path, h).value
 lam = [-1.3, 0.2, 0.7, 2.5]
 out["eta"] = truncated_eta(np.diag(lam), eps=0.8)
@@ -58,7 +66,8 @@ def test_import_footprint():
     # scipy.optimize and scipy.special are imported where they are used: a
     # fresh process that imports the whole library and runs the Dirac,
     # winding and grid-Maslov routes never loads them, and the routes that
-    # use them still give their values once they do
+    # use them (branch tracking of blocks with two or more eigenpairs, a
+    # truncated eta) load them and still give their values
     src = os.path.dirname(os.path.dirname(equiflow.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -70,7 +79,9 @@ def test_import_footprint():
     w3 = complex(-0.5, 3 ** 0.5 / 2)
     assert abs(complex(*out["winding"]) - (2 + 3 * w3)) < 1e-9
     assert abs(complex(*out["maslov"]) - w3) < 1e-9
+    assert "scipy.optimize" in out["tracked"]
+    assert abs(complex(*out["screened"]) + w3) < 1e-9
     assert out["used"] == ["scipy.optimize", "scipy.special"]
-    assert abs(complex(*out["oracle"]) + w3) < 1e-9
+    assert abs(complex(*out["oracle"]) - 2 * w3) < 1e-9
     assert abs(complex(*out["oracle"]) - complex(*out["sf"])) < 1e-9
     assert abs(complex(*out["eta"]) - out["eta_ref"]) < 1e-14

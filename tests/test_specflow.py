@@ -103,14 +103,15 @@ def _reference_certify(path, h, policy=DEFAULT, initial_nodes=9, max_depth=22):
         new = np.setdiff1d(probes, ts)  # never empty: a child halves its parent's probe spacing
         G = sample_stack(path, new)
         check_commuting(h, G, new, NotEquivariant, policy)
-        S = np.linalg.eigvalsh((G + np.swapaxes(G.conj(), 1, 2)) / 2)
+        H = (G + np.swapaxes(G.conj(), 1, 2)) / 2
+        S = np.linalg.eigvalsh(H)
         if ts.size:
-            G, S = np.concatenate([F, G]), np.concatenate([spec, S])
+            G, H, S = np.concatenate([F, G]), np.concatenate([herm, H]), np.concatenate([spec, S])
         ts = np.concatenate([ts, new])
         order = np.argsort(ts)
-        ts, F, spec = ts[order], G[order], S[order]
+        ts, F, herm, spec = ts[order], G[order], H[order], S[order]
         k = np.searchsorted(ts, probes)
-        steps = np.linalg.norm(np.diff(F[k], axis=1), 2, axis=(2, 3))
+        steps = np.max(np.abs(np.linalg.eigvalsh(np.diff(herm[k], axis=1))), axis=-1)
         # 1.5: safety factor on the sampled Lipschitz estimate
         lips = 1.5 * np.max(steps / np.maximum(np.diff(probes, axis=1), 1e-300), axis=1)
         travel = lips * (b - a) / (n_probe - 1) / 2.0
@@ -130,7 +131,8 @@ def _reference_certify(path, h, policy=DEFAULT, initial_nodes=9, max_depth=22):
         halves = np.stack([a, (a + b) / 2.0, d, (a + b) / 2.0, b, d], 1).reshape(-1, 3)
         pending = np.concatenate([halves, pending[_ROUND_MAX:]])
     part = GridPartition(sorted(intervals, key=lambda iv: iv.t0))
-    return part, F[np.searchsorted(ts, part.nodes)]
+    nodes = np.searchsorted(ts, part.nodes)
+    return part, F[nodes], spec[nodes]
 
 
 def _reference_pick(pools, floor):
@@ -205,24 +207,47 @@ def test_pick_levels_matches_reference_loop(case):
     assert_picks_equal(*case)
 
 
+_BOTT_LOOPS = [([1.0], (2, 2)), ([W3], (1, 1)), ([W3, W3 ** 2, 1.0], (3, 4)), ([], (2, 3))]
+
+
 class TestPartitionMatchesReference:
     @pytest.mark.parametrize("i", range(20))
     def test_commuting_paths(self, i):
         dim, order = 2 + i % 7, (1, 2, 3, 4, 6)[i % 5]
         path, h = gen.commuting_hermitian_path(dim, order, gen.rng_for(400 + i))
         assert_partitions_equal(good_partition(path), _reference_certify(path, None)[0])
-        part, F = specflow._certify(path, h, DEFAULT)
-        ref, F_ref = _reference_certify(path, h)
+        part, F, spec = specflow._certify(path, h, DEFAULT)
+        ref, F_ref, spec_ref = _reference_certify(path, h)
         assert_partitions_equal(part, ref)
-        assert np.array_equal(F, F_ref)
+        assert np.array_equal(F, F_ref) and np.array_equal(spec, spec_ref)
 
-    @pytest.mark.parametrize("weights, ambient", [([1.0], (2, 2)), ([W3], (1, 1)),
-                                                  ([W3, W3 ** 2, 1.0], (3, 4)), ([], (2, 3))])
+    @pytest.mark.parametrize("weights, ambient", _BOTT_LOOPS)
     def test_bott_loops(self, weights, ambient):
         # eigenvalues exactly +-1 with many duplicates, crossing 0 together
         bl = bott_loop(weights, ambient)
         path = bl.hermitian_path
         assert_partitions_equal(good_partition(path), _reference_certify(path, None)[0])
+
+
+def _svd_lipschitz(path, iv):
+    """1.5 times the largest SVD spectral norm of the steps between an
+    interval's neighbouring probes' Hermitian parts, per unit time."""
+    probes = np.linspace(iv.t0, iv.t1, 5)
+    F = sample_stack(path, probes)
+    H = (F + np.swapaxes(F.conj(), 1, 2)) / 2
+    steps = np.linalg.norm(np.diff(H, axis=0), 2, axis=(1, 2))
+    return 1.5 * np.max(steps / np.diff(probes))
+
+
+@pytest.mark.parametrize("path", [gen.commuting_hermitian_path(2 + i % 7, (1, 2, 3, 4, 6)[i % 5],
+                                                               gen.rng_for(400 + i))[0]
+                                  for i in range(20)]
+                         + [bott_loop(*loop).hermitian_path for loop in _BOTT_LOOPS])
+def test_lipschitz_is_the_spectral_norm_rate(path):
+    # the step norm read from eigenvalues is the spectral norm up to rounding
+    for iv in good_partition(path).intervals:
+        ref = _svd_lipschitz(path, iv)
+        assert abs(iv.lipschitz - ref) <= 1e-12 * ref
 
 
 class TestSpectralFlow:
@@ -276,6 +301,17 @@ class TestSpectralFlow:
         res = spectral_flow(recorder("flow"), h)
         assert sorted(seen["flow"]) == sorted(seen["partition"])
         assert res.contributions == spectral_flow(path, h, part).contributions
+
+    def test_trivial_actor_counts_from_certification_spectra(self, monkeypatch):
+        # without an actor the nodes' spectra come from the certification: no
+        # node is solved again, and the counts equal those of a given partition
+        path, _ = gen.commuting_hermitian_path(5, 1, gen.rng_for(17))
+        part = good_partition(path)
+        expected = spectral_flow(path, None, part).contributions
+        solves = []
+        monkeypatch.setattr(specflow, "_block_eigvalsh",
+                            lambda blocks, policy: solves.append(1) or [])
+        assert spectral_flow(path).contributions == expected and not solves
 
     def test_empty_partition(self):
         with pytest.raises(ValueError, match="partition has no intervals"):

@@ -311,19 +311,36 @@ class TestTrackBranches:
                     1028, 1032, 1040, 1056, 1088, 1152, 1280, 1408, 1536, 1664, 1792, 1920, 2048]
         assert bs.times.tolist() == [k / 2048 for k in recorded]
 
-    def test_one_match_per_block_and_link(self, monkeypatch):
-        # a diagonal path certifies every link of the K-grid without bisection
+    @staticmethod
+    def _matched_links(monkeypatch, diagonal, actor):
+        """(calls of `_match` as (vals1, vals2) bytes, BranchSets) of a diagonal path."""
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return match(*args)
+        def counted(vals1, vecs1, vals2, *rest):
+            calls.append((vals1.tobytes(), vals2.tobytes()))
+            return match(vals1, vecs1, vals2, *rest)
 
         monkeypatch.setattr(spectra, "_match", counted)
-        path = lambda t: np.diag([2 * t - 1, 2.0, -t]).astype(complex)
-        chars, sets = track_blocks(path, np.diag([1j, 1j, -1.0]), "hermitian", NotEquivariant, K=9)
+        path = lambda t: np.diag([f(t) for f in diagonal]).astype(complex)
+        chars, sets = track_blocks(path, np.diag(actor), "hermitian", NotEquivariant, K=9)
+        # diagonal paths certify every link of the K-grid without bisection
         assert len(chars) == 2 and all(len(bs.times) == 9 for bs in sets)
-        assert len(calls) == 2 * 8
+        return calls
+
+    def test_one_match_per_block_and_link(self, monkeypatch):
+        # at most one `_match` per block and link; unclustered diagonal
+        # branches match by the identity without one
+        calls = self._matched_links(monkeypatch, [lambda t: 2 * t - 1, lambda t: 2.0,
+                                                  lambda t: -t], [1j, 1j, -1.0])
+        assert len(calls) == len(set(calls)) == 0
+
+    def test_clustered_links_reach_match(self, monkeypatch):
+        # the doubled eigenvalue 2 is a cluster: each link of its block goes
+        # through `_match` once, the unclustered block never
+        calls = self._matched_links(monkeypatch, [lambda t: 2 * t - 1, lambda t: 2.0,
+                                                  lambda t: 2.0, lambda t: -t],
+                                    [1j, 1j, 1j, -1.0])
+        assert len(calls) == len(set(calls)) == 8
 
     def test_simple_spectrum_reproduction(self):
         rng = np.random.default_rng(9)
@@ -333,6 +350,53 @@ class TestTrackBranches:
         for k, t in enumerate(bs.times):
             assert np.allclose(np.sort(bs.values[k]), np.linalg.eigvalsh(path(t)),
                                atol=1e-9)
+
+
+def _link_corpus(seed):
+    """Hermitian paths A + t B + t^2 C (dims 1-6) whose spectra have near-degenerate
+    pairs (gap 1e-3 down to 0, inside the cluster gap of `_match`), and diagonal
+    paths whose branches cross, lightly coupled."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 6
+    gap = (1e-3, 1e-7, 1e-9, 0.0)[seed % 4]
+    if seed % 3 == 2:
+        slopes = rng.normal(size=n)
+        A = np.diag(rng.normal(size=n)).astype(complex)
+        B, C = np.diag(slopes).astype(complex), rand_hermitian(n, rng, 1e-6)
+    else:
+        lam = np.sort(rng.normal(size=n))
+        lam[n // 2:] += gap if n > 1 else 0.0
+        lam[n // 2] = lam[n // 2 - 1] + gap if n > 1 else lam[0]
+        Q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        A = Q @ np.diag(lam) @ Q.conj().T
+        B, C = rand_hermitian(n, rng, 0.3), rand_hermitian(n, rng, 0.3)
+    return lambda t: A + t * B + t * t * C
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_identity_links_agree_with_match(seed):
+    # a link the array pass certifies takes the permutation `_match` gives
+    path = _link_corpus(seed)
+    ts = np.concatenate([np.linspace(0, 1, 17), np.linspace(0.5, 0.5 + 1e-4, 9)])
+    # links between neighbouring times, and of lengths 0.1 and 1e-6
+    t1, t2 = np.tile(ts[:-1], 3), np.concatenate([ts[1:], ts[:-1] + 0.1, ts[:-1] + 1e-6])
+    (vals1, vecs1), = spectra._block_eigh([np.stack([path(t) for t in t1])], DEFAULT)
+    (vals2, vecs2), = spectra._block_eigh([np.stack([path(t) for t in t2])], DEFAULT)
+    plain = spectra._identity_links(vals1, vecs1, vecs2, DEFAULT)
+    for k in np.flatnonzero(plain):
+        perm = match(vals1[k], vecs1[k], vals2[k], vecs2[k], DEFAULT, "hermitian")
+        assert perm is not None and perm.tolist() == list(range(vals1.shape[1]))
+
+
+@pytest.mark.parametrize("seed", range(0, 36, 5))
+def test_screened_track_equals_matched_track(monkeypatch, seed):
+    # the same branches and times when every link goes through `_match`
+    path = _link_corpus(seed)
+    _, (screened,) = track_blocks(path, None, "hermitian", None, K=17)
+    monkeypatch.setattr(spectra, "_IDENTITY_MIN", np.inf)
+    _, (matched,) = track_blocks(path, None, "hermitian", None, K=17)
+    assert np.array_equal(screened.times, matched.times)
+    assert np.array_equal(screened.values, matched.values)
 
 
 class TestMatchOneEigenpair:
