@@ -7,8 +7,9 @@ Every route reads a path's isotypic blocks from `isotypic_blocks`, and
 the counts that read no vectors) are the one source of Hermitian block
 eigendata.
 
-All operations are pure functions of their inputs; sums and quadrature
-reductions run in a fixed sequential order.
+All values are pure functions of the inputs, but the Schur splits a call
+makes depend on earlier calls (`isotypic_split` keeps recent ones); sums
+and quadrature reductions run in a fixed sequential order.
 
 `scipy.optimize` (about 0.25 s and 20 MB to import) serves only the
 assignment solve of `_match`, so it is imported by the first track of a
@@ -230,17 +231,32 @@ def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
     and a acts as chi * I on the chi-block, so each counting invariant is
     sum_chi chi * (integer count on the chi-block), and each spectral sum
     weighs an eigenvalue of the chi-block by chi.
+
+    The last 32 splits are kept by value (bytes of a, dim, policy), read-only
+    with blocks a tuple, so routes on one actor split it once; failures are not.
     """
+    if a is not None:
+        a = np.asarray(a, dtype=complex)
+        if a.shape != (dim, dim):
+            raise DimensionMismatch("actor dimension does not match the path")
+        a = a.tobytes()
+    return _split_of(a, dim, policy)
+
+
+@lru_cache(maxsize=32)
+def _split_of(a, dim, policy):
+    """`isotypic_split` of the actor with the bytes a (None: no actor)."""
     if a is None:
-        return np.eye(dim, dtype=complex), [np.arange(dim)], np.ones(1, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (dim, dim):
-        raise DimensionMismatch("actor dimension does not match the path")
-    es = eig_unitary(a, policy)
-    blocks = es.cluster_slices()
-    chars = np.array([np.trace(es.vectors[:, idx].conj().T @ a @ es.vectors[:, idx]) / len(idx)
-                      for idx in blocks])
-    return es.vectors, blocks, chars
+        V, blocks, chars = np.eye(dim, dtype=complex), [np.arange(dim)], np.ones(1, dtype=complex)
+    else:
+        a = np.frombuffer(a, dtype=complex).reshape(dim, dim)
+        es = eig_unitary(a, policy)
+        V, blocks = es.vectors, es.cluster_slices()
+        chars = np.array([np.trace(V[:, idx].conj().T @ a @ V[:, idx]) / len(idx)
+                          for idx in blocks])
+    for arr in (V, chars, *blocks):
+        arr.flags.writeable = False
+    return V, tuple(blocks), chars
 
 
 def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT):
@@ -388,12 +404,15 @@ def integrate(f, a: float, b: float, policy: TolerancePolicy = DEFAULT, max_dept
     """Adaptive composite Gauss-Legendre quadrature of a complex integrand.
 
     f takes the 15 nodes of each of m panels, shape (15m,), and returns its
-    values there (a scalar is broadcast): for the whole interval, then per
-    round for both halves of the leftmost `_ROUND_MAX` pending panels.  A
-    panel is accepted when its bisection error estimate fits its share of
-    quad_rel_tol; the sum runs in tree order.  A `path_panel` derivative is
-    exact for degree 14, and halves differentiate again, so the estimate
-    covers its error.  NoConvergence names the leftmost panel at `max_depth`.
+    values there (a scalar is broadcast): first for the top three levels of
+    the bisection tree at once (the whole interval, its halves and its
+    quarters: 7 panels), then per round for both halves of the leftmost
+    `_ROUND_MAX` pending panels; a round whose halves are known makes no
+    call.  A panel is accepted when its bisection error estimate fits its
+    share of quad_rel_tol; the sum runs in tree order.  A `path_panel`
+    derivative is exact for degree 14, and halves differentiate again, so
+    the estimate covers its error.  NoConvergence names the leftmost panel
+    at `max_depth`.
     """
     x, w, _ = _gl_nodes()
 
@@ -406,14 +425,21 @@ def integrate(f, a: float, b: float, policy: TolerancePolicy = DEFAULT, max_dept
     span = b - a
     if span == 0:
         return 0.0 + 0.0j
-    (whole,), vals = panels(np.array([a]), np.array([b]))
+    mid = (a + b) / 2.0
+    cuts = [a, (a + mid) / 2.0, mid, (mid + b) / 2.0, b]
+    # panels 1-7 of the tree: the whole interval, its halves, its quarters
+    top, vals = panels(*np.array([(a, b), (a, mid), (mid, b), *zip(cuts, cuts[1:])]).T)
+    known = dict(enumerate(top[1:], start=2))
     scale = max(span / 2.0 * float(np.dot(w, np.abs(vals[0]))), 1e-300)
     # (k, lo, hi, integral) to halve, ascending; panel k has halves 2k, 2k + 1
-    pending, sums = [(1, a, b, whole)], {}
+    pending, sums = [(1, a, b, top[0])], {}
     while pending:
         batch, rest = pending[:_ROUND_MAX], pending[_ROUND_MAX:]
         edges = np.array([(lo, (lo + hi) / 2.0, hi) for _, lo, hi, _ in batch])
-        parts, _ = panels(edges[:, :2].ravel(), edges[:, 1:].ravel())
+        if 2 * batch[0][0] in known:  # levels 0 and 1, never mixed with deeper panels
+            parts = [known[j] for k, *_ in batch for j in (2 * k, 2 * k + 1)]
+        else:
+            parts, _ = panels(edges[:, :2].ravel(), edges[:, 1:].ravel())
         halved, pairs = [], zip(parts[::2], parts[1::2])
         for (k, *_, approx), (lo, mid, hi), (left, right) in zip(batch, edges, pairs):
             err = abs(approx - left - right)

@@ -127,9 +127,9 @@ def _recovered_T(P):
     """T = 2 P[n:, :n] of a Lagrangian projection matrix P, with the tests of
     `unitary_of_projection` on P (NotLagrangian) but not yet on T."""
     P = np.asarray(P, dtype=complex)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] % 2 != 0:
+        raise NotLagrangian(f"P must be a square matrix of even dimension, got shape {P.shape}")
     m = P.shape[0]
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or m % 2 != 0:
-        raise NotLagrangian("P must be a square matrix of even dimension")
     if not np.isfinite(P).all():
         raise NotLagrangian("P has non-finite entries")
     n = m // 2
@@ -238,8 +238,9 @@ def aps_projection(A, L=None, policy: TolerancePolicy = DEFAULT) -> LagrangianPr
     gamma(L) = L^perp & ker(A); omit it when A is invertible.
     """
     A = np.asarray(A, dtype=complex)
-    if A.shape[0] % 2 != 0:
-        raise ValueError("boundary operator must act on C^{2n}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2 != 0:
+        raise ValueError(f"boundary operator must be a square matrix on C^{{2n}}, "
+                         f"got shape {A.shape}")
     if not np.isfinite(A).all():
         raise NotHermitian("boundary operator A has non-finite entries")
     gamma = SymplecticSpace(A.shape[0] // 2).gamma

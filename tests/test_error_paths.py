@@ -1,5 +1,7 @@
 """Failure-mode contracts: each declared error class fires on its trigger."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,6 +21,7 @@ from equiflow.errors import (
     KernelPresent,
     NotCommuting,
     NotEquivariant,
+    NotLagrangian,
     PartitionFailure,
     RootFindingFailure,
     TrackingAmbiguous,
@@ -224,6 +227,18 @@ def test_dimension_mismatch_is_typed():
     for route in routes:
         with pytest.raises(DimensionMismatch):
             route()
+
+
+@pytest.mark.parametrize("bad", [1.0, np.zeros(4), np.zeros((2, 3)), np.zeros((3, 3))],
+                         ids=["scalar", "vector", "non_square", "odd"])
+@pytest.mark.parametrize("route, error", [(unitary_of_projection, NotLagrangian),
+                                          (as_projection, NotLagrangian),
+                                          (aps_projection, ValueError)],
+                         ids=["unitary_of_projection", "as_projection", "aps_projection"])
+def test_malformed_shape_is_named(route, error, bad):
+    # the number of dimensions is tested before any size is read
+    with pytest.raises(error, match=re.escape(f"got shape {np.shape(bad)}")):
+        route(bad)
 
 
 def _spoiled(kind, bad_t, value):

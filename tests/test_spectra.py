@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from equiflow import spectra
 from equiflow.errors import (
     BranchCut,
+    DimensionMismatch,
     NoConvergence,
     NotEquivariant,
     NotHermitian,
     NotUnitary,
 )
-from equiflow.harness.generators import rng_for, zn_action
-from equiflow.tolerances import DEFAULT
+from equiflow.harness.generators import commuting_hermitian_path, rng_for, zn_action
+from equiflow.tolerances import DEFAULT, TolerancePolicy
 from equiflow.spectra import (
     _match as match,
     eig_hermitian,
@@ -118,6 +119,71 @@ class TestIsotypicSplit:
         assert np.array_equal(V, np.eye(4))
         assert len(blocks) == 1 and list(blocks[0]) == [0, 1, 2, 3]
         assert list(chars) == [1.0]
+
+    @staticmethod
+    def _counted_splits(monkeypatch):
+        """The Schur splits of actors made from now on, one entry per `eig_unitary`."""
+        spectra._split_of.cache_clear()
+        calls = []
+
+        def counted(U, *rest):
+            calls.append(np.asarray(U).tobytes())
+            return eig_unitary(U, *rest)
+
+        monkeypatch.setattr(spectra, "eig_unitary", counted)
+        return calls
+
+    def test_one_split_per_actor_value(self, monkeypatch):
+        calls = self._counted_splits(monkeypatch)
+        a, _, _, _ = zn_action(4, 3, rng_for(11))
+        first = isotypic_split(a, 4)
+        again = isotypic_split(a.copy(), 4)
+        assert len(calls) == 1
+        assert again[0] is first[0] and again[2] is first[2]
+        V, blocks, chars = first
+        assert isinstance(blocks, tuple)
+        for arr in (V, chars, *blocks):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        # another actor value, or the same one under another policy, splits again
+        b, _, _, _ = zn_action(4, 3, rng_for(12))
+        isotypic_split(b, 4)
+        isotypic_split(a, 4, TolerancePolicy(cluster_tol=1e-8))
+        assert len(calls) == 3
+        isotypic_split(a, 4)
+        assert len(calls) == 3
+
+    def test_kept_split_is_the_fresh_split(self):
+        # a split read back is bitwise the split of a fresh process state
+        a, _, _, _ = zn_action(5, 4, rng_for(13))
+        spectra._split_of.cache_clear()
+        V, blocks, chars = isotypic_split(a, 5)
+        spectra._split_of.cache_clear()
+        V2, blocks2, chars2 = isotypic_split(np.asfortranarray(a), 5)
+        assert np.array_equal(V, V2) and np.array_equal(chars, chars2)
+        assert all(np.array_equal(i, j) for i, j in zip(blocks, blocks2))
+
+    def test_failures_are_not_kept(self, monkeypatch):
+        calls = self._counted_splits(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(NotUnitary):
+                isotypic_split(np.diag([2.0, 1.0]), 2)
+        assert len(calls) == 3
+        with pytest.raises(DimensionMismatch):  # the shape, not the bytes, must fit
+            isotypic_split(np.eye(2).ravel(), 2)
+
+    def test_routes_on_one_actor_split_it_once(self, monkeypatch):
+        from equiflow.eta_zeta import getzler_spectral_flow
+        from equiflow.specflow import crossing_oracle, spectral_flow
+
+        calls = self._counted_splits(monkeypatch)
+        path, h = commuting_hermitian_path(4, 3, rng_for(470))
+        s = spectral_flow(path, h).value
+        c = crossing_oracle(path, h).value
+        g = getzler_spectral_flow(path, h)
+        assert len(calls) == 1 and calls[0] == np.asarray(h, dtype=complex).tobytes()
+        assert abs(s - c) <= 1e-8 and abs(g - s) <= 1e-6
 
 
 class TestHermitianPart:
@@ -226,12 +292,14 @@ class TestIntegrate:
             return np.cos(ts)
 
         assert abs(integrate(f, 0.0, 1.0) - np.sin(1.0)) < 1e-14
-        # the whole interval, then both of its halves in one call of one level
-        assert calls == [(15,), (30,)]
+        # the whole interval, its halves and its quarters in one call; the
+        # whole interval passes its test against its halves, so no round calls
+        assert calls == [(105,)]
 
     def test_one_call_per_level(self):
-        # a narrow peak bisects several levels; call k >= 1 holds both halves
-        # of every panel pending at level k - 1, each of width 2^-k
+        # a narrow peak bisects several levels; the first call holds the top
+        # three levels (widths 1, 1/2, 1/4), and call k >= 1 holds both halves
+        # of every panel pending at level k + 1, each of width 2^-(k + 2)
         calls = []
 
         def f(ts):
@@ -241,14 +309,102 @@ class TestIntegrate:
         v = integrate(f, 0.0, 1.0)
         exact = 100.0 * (np.arctan(0.7 / 1e-2) + np.arctan(0.3 / 1e-2))
         assert abs(v - exact) <= 1e-9 * exact
-        assert len(calls) > 4 and calls[0].shape == (15,)
+        assert len(calls) > 2 and calls[0].shape == (105,)
         x = np.polynomial.legendre.leggauss(15)[0]
         for k, ts in enumerate(calls):
             panels = ts.reshape(-1, 15)
             widths = (panels[:, -1] - panels[:, 0]) / (x[-1] - x[0]) * 2
-            assert np.allclose(widths, 2.0 ** -k)
-            assert k == 0 or len(panels) % 2 == 0
-            assert np.all(np.diff(panels[:, 0]) > 0)  # panels in ascending order
+            if k == 0:
+                assert np.allclose(widths, [1.0] + [0.5] * 2 + [0.25] * 4)
+                levels = (panels[:1], panels[1:3], panels[3:])
+            else:
+                assert np.allclose(widths, 2.0 ** -(k + 2)) and len(panels) % 2 == 0
+                levels = (panels,)
+            for level in levels:
+                assert np.all(np.diff(level[:, 0]) > 0)  # panels in ascending order
+
+    @staticmethod
+    def _reference_integrate(f, a, b, policy=DEFAULT, max_depth=20):
+        """The level-by-level quadrature: the whole interval in the first call,
+        then per round both halves of the leftmost `_ROUND_MAX` pending panels."""
+        x, w, _ = spectra._gl_nodes()
+
+        def panels(lo, hi):
+            half = (hi - lo) / 2.0
+            ts = (((hi + lo) / 2.0)[:, None] + half[:, None] * x).ravel()
+            vals = np.broadcast_to(np.asarray(f(ts), dtype=complex), ts.shape).reshape(-1, x.size)
+            return [hf * np.dot(w, v) for hf, v in zip(half, vals)], vals
+
+        span = b - a
+        if span == 0:
+            return 0.0 + 0.0j
+        (whole,), vals = panels(np.array([a]), np.array([b]))
+        scale = max(span / 2.0 * float(np.dot(w, np.abs(vals[0]))), 1e-300)
+        pending, sums = [(1, a, b, whole)], {}
+        while pending:
+            batch, rest = pending[:spectra._ROUND_MAX], pending[spectra._ROUND_MAX:]
+            edges = np.array([(lo, (lo + hi) / 2.0, hi) for _, lo, hi, _ in batch])
+            parts, _ = panels(edges[:, :2].ravel(), edges[:, 1:].ravel())
+            halved, pairs = [], zip(parts[::2], parts[1::2])
+            for (k, *_, approx), (lo, mid, hi), (left, right) in zip(batch, edges, pairs):
+                err = abs(approx - left - right)
+                if err <= policy.quad_rel_tol * scale * (hi - lo) / span or err == 0.0:
+                    sums[k] = left + right
+                elif k.bit_length() > max_depth:
+                    raise NoConvergence(f"quadrature stalled on [{lo}, {hi}] with error {err:.2e}")
+                else:
+                    halved += [(2 * k, lo, mid, left), (2 * k + 1, mid, hi, right)]
+            pending = halved + rest
+
+        def total(k):
+            return sums[k] if k in sums else total(2 * k) + total(2 * k + 1)
+
+        return complex(total(1))
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda t: 1.0, 0.0, 1.0),
+        (lambda t: np.exp(2j * np.pi * t) * 2j * np.pi, 0.0, 1.0),
+        (lambda t: t ** 2, 0.0, 1.0),
+        (np.cos, 0.0, 1.0),
+        (lambda t: 1.0 / (1e-4 + (t - 0.3) ** 2), 0.0, 1.0),
+        (lambda t: 1.0 / (1e-8 + (t - 0.71) ** 2), -0.5, 2.0),
+        (lambda t: np.exp(-t) * np.sin(40.0 * t), 1e-12, 7.3),
+        (lambda t: 1.0 / (1e-6 + (t - 0.2) ** 2), 0.1, 0.35),
+    ], ids=["constant", "closed_loop", "square", "cos", "peak", "narrow_peak", "oscillation",
+            "off_grid_peak"])
+    def test_equals_level_by_level_quadrature(self, f, a, b):
+        # equal values from the same nodes: the first call holds the nodes of
+        # the reference's first three calls (or two, when it stops at halves),
+        # and every later call is one of the reference's
+        new, ref = [], []
+        assert integrate(lambda ts: new.append(ts) or f(ts), a, b) == \
+            self._reference_integrate(lambda ts: ref.append(ts) or f(ts), a, b)
+        top = np.concatenate(ref[:3])
+        assert np.array_equal(new[0][:top.size], top)
+        assert len(new) == max(len(ref) - 2, 1)
+        assert all(np.array_equal(n, r) for n, r in zip(new[1:], ref[3:]))
+
+    def test_equals_level_by_level_on_trace_forms(self, monkeypatch):
+        # the Getzler and trace-log winding integrands of seeded paths, each
+        # integrated both ways on the same integrand
+        from equiflow import eta_zeta, winding
+        from equiflow.harness.generators import commuting_unitary_path
+
+        pairs = []
+
+        def both(f, a, b, policy=DEFAULT):
+            pairs.append((integrate(f, a, b, policy), self._reference_integrate(f, a, b, policy)))
+            return pairs[-1][0]
+
+        for module in (eta_zeta, winding):
+            monkeypatch.setattr(module, "integrate", both)
+        for i in range(4):
+            path, h = commuting_hermitian_path(3 + i % 3, 2 + i % 3, rng_for(470 + i))
+            eta_zeta.getzler_spectral_flow(path, h)
+            f, a = commuting_unitary_path(2 + i % 3, 3, rng_for(480 + i))
+            winding.winding_from_logs(f, a)
+        assert len(pairs) == 8
+        assert all(new == old for new, old in pairs)
 
 
 class TestPathPanel:
