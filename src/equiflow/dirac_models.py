@@ -64,14 +64,14 @@ __all__ = [
 def _channel_data(V, u, policy):
     """Joint eigen-data of a commuting pair (V Hermitian, u unitary).
 
-    Returns (values, chars, basis, split): per channel, ascending in value,
-    the V-eigenvalue and the u-character, with a common orthonormal basis, and
-    the split `isotypic_split(u)` (one block with chi = 1 when u is None) on
-    whose chi-block u acts as chi * I and V is diagonalized.
+    Returns (values, chars, basis): per channel, ascending in value, the
+    V-eigenvalue and the u-character, with a common orthonormal basis.  V is
+    diagonalized on each chi-block of `isotypic_split(u)` (one block with
+    chi = 1 when u is None), where u acts as chi * I.
     """
     V = np.asarray(V, dtype=complex)
     check_commuting(u, V, None, NotEquivariant, policy)
-    split = W, blocks, chars = isotypic_split(u, V.shape[0], policy)
+    W, blocks, chars = isotypic_split(u, V.shape[0], policy)
     vals, chis, cols = [], [], []
     for chi, idx in zip(chars, blocks):
         Q = W[:, idx]
@@ -81,7 +81,7 @@ def _channel_data(V, u, policy):
         cols.append(Q @ es.vectors)
     vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")
-    return vals[order], np.concatenate(chis)[order], np.hstack(cols)[:, order], split
+    return vals[order], np.concatenate(chis)[order], np.hstack(cols)[:, order]
 
 
 @dataclass
@@ -96,15 +96,16 @@ class CircleDiracModel:
     def __post_init__(self):
         self.V = np.atleast_2d(np.asarray(self.V, dtype=complex))
         self.m = self.V.shape[0]
-        self.channel_values, self.channel_chars, self.channel_basis, _ = _channel_data(
+        self.channel_values, self.channel_chars, self.channel_basis = _channel_data(
             self.V, self.u, self.policy)
 
 
 @dataclass
 class IntervalDiracModel:
-    """-i d/dx + V on [0, L], boundary data (psi(0), psi(L)) in C^{2m}; split
-    is the isotypic split of u that its channels and branches are taken on,
-    and the branch clusters of each boundary unitary are kept once computed."""
+    """-i d/dx + V on [0, L], boundary data (psi(0), psi(L)) in C^{2m}; its
+    channels and branches are taken on the isotypic split of u
+    (`isotypic_split`), and the branch clusters of each boundary unitary are
+    kept once computed."""
 
     L: float
     V: np.ndarray
@@ -116,8 +117,8 @@ class IntervalDiracModel:
             raise ValueError("interval length must be positive and finite")
         self.V = np.atleast_2d(np.asarray(self.V, dtype=complex))
         self.m = self.V.shape[0]
-        self.channel_values, self.channel_chars, self.channel_basis, self.split = \
-            _channel_data(self.V, self.u, self.policy)
+        self.channel_values, self.channel_chars, self.channel_basis = _channel_data(
+            self.V, self.u, self.policy)
         self._cluster_cache = {}
 
     def actor(self, power: int = 1):
@@ -161,10 +162,11 @@ def _secular_det(model, B, lam) -> complex:
 
 def _branch_clusters(model: IntervalDiracModel, P):
     """(order, betas, members) of the eigenphases of G = T* M(0) for the
-    boundary unitary T of P: `order` sorts the phases pooled over the blocks
-    of `model.split`, and each branch cluster has its beta and the positions
-    of its phases in that order.  None of it depends on the power of u, so
-    it is computed once per model and T and kept on the model.
+    boundary unitary T of P: `order` sorts the phases pooled over the
+    isotypic blocks of u (`isotypic_split`), and each branch cluster has its
+    beta and the positions of its phases in that order.  None of it depends
+    on the power of u, so it is computed once per model and T and kept on
+    the model.
     """
     P = as_projection(P, model.policy)
     key = P.T.tobytes()
@@ -174,7 +176,7 @@ def _branch_clusters(model: IntervalDiracModel, P):
             raise ValueError("projection dimension does not match the model")
         check_commuting(model.u, T, None, NotEquivariant, model.policy)
         G = T.conj().T @ interval_transfer(model, 0.0)
-        W, blocks, _ = model.split
+        W, blocks, _ = isotypic_split(model.u, model.m, model.policy)
         phases = np.concatenate([eig_unitary(W[:, idx].conj().T @ G @ W[:, idx],
                                              model.policy).values for idx in blocks])
         order = np.argsort(phases, kind="stable")
@@ -200,20 +202,22 @@ def secular_branches(model: IntervalDiracModel, P, element_power: int = 0):
 
     Returns (betas in (-pi, pi], weights, dims) with one entry per branch
     cluster.  G = T* M(0) commutes with u, so its eigenphases are taken per
-    isotypic block of u (`model.split`), where u acts as chi * I, and
+    isotypic block of u (`isotypic_split`), where u acts as chi * I, and
     pooled into clusters: a cluster's weight is the sum of chi^p over its
     phases, Tr(u^p | branch eigenspace), and its dim the number of them.
     The phases and clusters are computed once per model and T; only the
     weights depend on the power.
     """
-    return _branches(model, P, _phase_weights(model, np.asarray(model.split[2]) ** element_power))
+    chars = isotypic_split(model.u, model.m, model.policy)[2]
+    return _branches(model, P, _phase_weights(model, chars ** element_power))
 
 
 def _phase_weights(model, block_values):
-    """One weight per eigenphase of G, in the block order of `model.split`:
-    the value of its isotypic block."""
+    """One weight per eigenphase of G, in the block order of the isotypic
+    split of u (`isotypic_split`): the value of its isotypic block."""
+    blocks = isotypic_split(model.u, model.m, model.policy)[1]
     return np.concatenate([np.full(len(idx), x, dtype=complex)
-                           for x, idx in zip(block_values, model.split[1])])
+                           for x, idx in zip(block_values, blocks)])
 
 
 def _branches(model, P, phase_weights):
@@ -475,7 +479,7 @@ def sw_identity_check(model: IntervalDiracModel, P, Q, u_power: int = 0):
     """
     P = as_projection(P, model.policy)
     Q = as_projection(Q, model.policy)
-    W, blocks, chars = model.split
+    W, blocks, chars = isotypic_split(model.u, model.m, model.policy)
     powers = np.asarray(chars) ** u_power
     left = np.ones(len(blocks), dtype=bool)
     lhs, rhs, defect = 1.0 + 0j, 1.0 + 0j, 0j

@@ -68,26 +68,18 @@ class SpectralOperator:
     values: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
 
-    def __post_init__(self, split=None):
+    def __post_init__(self):
         self.D = np.asarray(self.D, dtype=complex)
         if self.h is not None:
             self.h = np.asarray(self.h, dtype=complex)
         check_commuting(self.h, self.D, None, NotEquivariant, self.policy)
-        split, blocks = _isotypic_cut(self.D, self.h, split, self.policy)
+        chars, blocks = _isotypic_cut(self.D, self.h, self.policy)
         self._eigh = _block_eigh(blocks, self.policy)  # (lam, U) per block
         values = np.concatenate([lam for lam, _ in self._eigh])
         weights = np.concatenate([np.full(lam.size, chi) for chi, (lam, _) in
-                                  zip(split[2], self._eigh)])
+                                  zip(chars, self._eigh)])
         order = np.argsort(values, kind="stable")
         self.values, self.weights = values[order], weights[order]
-
-    @classmethod
-    def _on_split(cls, D, h, split, policy):
-        """The operator of D on a given isotypic split of h: no new split."""
-        op = cls.__new__(cls)
-        op.D, op.h, op.policy = D, h, policy
-        op.__post_init__(split)
-        return op
 
     @property
     def zero_scale(self):
@@ -106,7 +98,11 @@ class SpectralOperator:
 
 
 def _spec(D, h, policy) -> SpectralOperator:
+    """D as a SpectralOperator; an operator already carries its h, so none
+    may be passed with it (ValueError)."""
     if isinstance(D, SpectralOperator):
+        if h is not None:
+            raise ValueError("h is given with a SpectralOperator, which carries its own h")
         return D
     return SpectralOperator(D, h, policy)
 
@@ -162,19 +158,14 @@ def eta_form(D, X, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT):
     each of its blocks by the Frobenius test of `hermitian_part`
     (NotHermitian).
     """
-    return _eta_form(D, X, h, None, eps, policy)
-
-
-def _eta_form(D, X, h, split, eps, policy):
-    """`eta_form` on the isotypic split of h (made when split is None)."""
     F = np.asarray(D, dtype=complex)
     D = F.reshape((-1,) + F.shape[-2:])
     check_commuting(h, D, None, NotEquivariant, policy)
-    split, blocks = _isotypic_cut(D, h, split, policy)
+    chars, blocks = _isotypic_cut(D, h, policy)
     # X need not commute with h: only its diagonal blocks enter the trace
-    _, X_blocks = _isotypic_cut(np.asarray(X, dtype=complex).reshape(D.shape), None, split, policy)
+    _, X_blocks = _isotypic_cut(np.asarray(X, dtype=complex).reshape(D.shape), h, policy)
     total = 0.0
-    for chi, (lam, U), Xc in zip(split[2], _block_eigh(blocks, policy), X_blocks):
+    for chi, (lam, U), Xc in zip(chars, _block_eigh(blocks, policy), X_blocks):
         Xd = np.sum(U.conj() * (Xc @ U), axis=1)  # diagonal of U* X_chi U
         total += chi * np.sum(Xd * np.exp(-eps * lam ** 2), axis=1)
     out = sqrt(eps / pi) * total
@@ -294,20 +285,19 @@ def getzler_spectral_flow(path, h=None, eps: float = 1.0,
     (d/dt) eta_eps = -2 sqrt(eps/pi) Tr(h dD/dt e^{-eps D^2}) (`eta_form`),
     integrated on whole panels with dD/dt from `path_panel`: exact for
     degree-14 polynomials on each panel, and covered by the bisection error
-    estimate.  D is sampled only at 0, 1 and the panel nodes, and h is split
-    (`isotypic_split`) once for all of them.  KernelPresent when D(0) or D(1)
-    has spectrum at 0, where the reduced eta jumps.  Equals the grid-partition
-    spectral flow within quadrature tolerance.
+    estimate.  D is sampled only at 0, 1 and the panel nodes, and each reader
+    of h takes its split from `isotypic_split`, which keeps it, so h is split
+    once for all of them.  KernelPresent when D(0) or D(1) has spectrum at 0,
+    where the reduced eta jumps.  Equals the grid-partition spectral flow
+    within quadrature tolerance.
     """
-    D1 = np.asarray(path(1.0), dtype=complex)
-    split = isotypic_split(h, D1.shape[-1], policy)
-    ops = [SpectralOperator._on_split(D, h, split, policy) for D in (D1, path(0.0))]
+    ops = [SpectralOperator(D, h, policy) for D in (path(1.0), path(0.0))]
     if any(np.any(op.kernel_mask()) for op in ops):
         raise KernelPresent("D(0) or D(1) has spectrum at 0")
     e1, e0 = (truncated_eta(op, eps=eps, policy=policy) for op in ops)
 
     def integrand(ts):
-        return -2.0 * _eta_form(*path_panel(path, ts), h, split, eps, policy)
+        return -2.0 * eta_form(*path_panel(path, ts), h, eps, policy)
 
     var = integrate(integrand, 0.0, 1.0, policy)
     return complex(0.5 * (e1 - e0 - var))
@@ -324,22 +314,21 @@ def eta_log_defect(D0, D1, h=None, policy: TolerancePolicy = DEFAULT):
 
     For saturated spectra (|lambda| >> 1) the defect is an integer combination
     of character values of h (the crossing count of the connecting path).
-    h is split (`isotypic_split`) once for both operators, and T and K are
-    built per isotypic block from the block eigendata of the two operators,
-    so the trace is sum_chi chi Tr(Log(T_chi* K_chi)).
+    Both operators take the split of h from `isotypic_split`, which keeps it,
+    so h is split once, and T and K are built per isotypic block from the
+    block eigendata of the two operators, so the trace is
+    sum_chi chi Tr(Log(T_chi* K_chi)).
     Raises KernelPresent for singular input, BranchCut when spec(T*K) touches -1.
     """
     from scipy.special import erf
 
-    h = None if h is None else np.asarray(h, dtype=complex)
-    D0, D1 = (np.asarray(D, dtype=complex) for D in (D0, D1))
-    split = isotypic_split(h, D0.shape[-1], policy)
-    op0, op1 = (SpectralOperator._on_split(D, h, split, policy) for D in (D0, D1))
+    op0, op1 = (SpectralOperator(D, h, policy) for D in (D0, D1))
     if np.any(op0.kernel_mask()) or np.any(op1.kernel_mask()):
         raise KernelPresent("eta_log_defect requires invertible operators")
     lhs = reduced_eta(op1, policy=policy) - reduced_eta(op0, policy=policy)
     rhs = 0.0
-    for chi, (lam0, U0), (lam1, U1) in zip(split[2], op0._eigh, op1._eigh):
+    chars = isotypic_split(op0.h, op0.D.shape[-1], policy)[2]
+    for chi, (lam0, U0), (lam1, U1) in zip(chars, op0._eigh, op1._eigh):
         T = (U1 * np.exp(1j * pi * erf(lam1))) @ U1.conj().T
         K = (U0 * np.exp(1j * pi * erf(lam0))) @ U0.conj().T
         rhs += chi * np.trace(principal_log_unitary(T.conj().T @ K, 0.0, policy))

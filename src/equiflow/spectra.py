@@ -144,13 +144,11 @@ class EigenSystem:
     values   ascending real eigenvalues (Hermitian) or phases in (-pi, pi]
     vectors  orthonormal columns, vectors[:, i] belongs to values[i]
     clusters index ranges grouped by cluster_tol (possibly wrapped for phases)
-    kind     "hermitian" or "unitary"
     """
 
     values: np.ndarray
     vectors: np.ndarray
     clusters: list
-    kind: str
 
     @property
     def dim(self):
@@ -188,7 +186,7 @@ def eig_hermitian(M, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
     vals, vecs = np.linalg.eigh(hermitian_part(_as_matrix(M), policy))
     vecs = _fix_phases(vecs)
     clusters = cluster_indices(vals, policy.cluster_tol)
-    return EigenSystem(values=vals, vectors=vecs, clusters=clusters, kind="hermitian")
+    return EigenSystem(values=vals, vectors=vecs, clusters=clusters)
 
 
 def eig_unitary(U, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
@@ -218,7 +216,7 @@ def eig_unitary(U, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
     if resid > 1e3 * policy.eig_tol * max(np.linalg.norm(U) / np.sqrt(n), 1.0) * n:
         raise NotUnitary(f"eigen-residual {resid:.2e} too large; matrix not normal enough")
     clusters = cluster_indices(phases, policy.cluster_tol, circular=True)
-    return EigenSystem(values=phases, vectors=vecs, clusters=clusters, kind="unitary")
+    return EigenSystem(values=phases, vectors=vecs, clusters=clusters)
 
 
 def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
@@ -262,36 +260,31 @@ def _split_of(a, dim, policy):
 def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT):
     """Block sampler of a path for the actor a: (ts, F=None) -> (chars, blocks).
 
-    This is the one place where a path's actor is split and its samples
-    sliced.  A call samples the path at the times ts with one `sample_stack`
-    and checks every sample to commute with a (`check_commuting`, raising
-    `error` and naming t), unless the caller passes the samples F at ts that
-    it took and checked itself.  The first call splits a (`isotypic_split`)
-    and later calls reuse the split, so a route that makes one sampler
-    splits its actor once.  blocks[i] is the (K, k, k) stack of Q* F Q,
-    Q = V[:, i-th block], and chars[i] the character of a on it.
+    This is the one place where a path's samples are sliced by its actor.  A
+    call samples the path at the times ts with one `sample_stack` and checks
+    every sample to commute with a (`check_commuting`, raising `error` and
+    naming t), unless the caller passes the samples F at ts that it took and
+    checked itself.  Every call reads the split of a from `isotypic_split`,
+    which keeps it, so a route on one actor splits it once.  blocks[i] is the
+    (K, k, k) stack of Q* F Q, Q = V[:, i-th block], and chars[i] the
+    character of a on it.
     """
-    split = None
 
     def blocks_at(ts, F=None):
-        nonlocal split
         ts = np.asarray(ts, dtype=float)
         if F is None:
             F = sample_stack(path, ts)
             check_commuting(a, F, ts, error, policy)
-        split, blocks = _isotypic_cut(F, a, split, policy)
-        return split[2], blocks
+        return _isotypic_cut(F, a, policy)
 
     return blocks_at
 
 
-def _isotypic_cut(F, a, split, policy):
-    """(split, blocks) of matrices F, as in `isotypic_blocks` but unchecked, on
-    the given split (V, blocks, chars) of a or, when split is None, on a new one."""
-    split = split or isotypic_split(a, F.shape[-1], policy)
-    V, blocks, _ = split
+def _isotypic_cut(F, a, policy):
+    """(chars, blocks) of matrices F, as in `isotypic_blocks` but unchecked."""
+    V, blocks, chars = isotypic_split(a, F.shape[-1], policy)
     F = V.conj().T @ F @ V
-    return split, [F[..., idx[:, None], idx] for idx in blocks]
+    return chars, [F[..., idx[:, None], idx] for idx in blocks]
 
 
 def _block_eigh(blocks, policy):

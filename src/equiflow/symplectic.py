@@ -157,16 +157,22 @@ def as_projection(P, policy: TolerancePolicy = DEFAULT) -> LagrangianProjection:
     return _projection_of_matrix(P, policy)
 
 
-def _actor_block(h, n):
-    """Extract the action a on the first-block coordinates from h (or pass a through)."""
+def _boundary_actor(h, P, Q, policy):
+    """The action a of h on the first n coordinates of C^{2n}, the space of
+    the projections P and Q (I when h is None).  h is n x n, acting as
+    diag(h, h), or 2n x 2n; NotEquivariant for any other shape or unless h
+    commutes with both projections."""
+    n = P.n
     if h is None:
         return np.eye(n, dtype=complex)
     h = np.asarray(h, dtype=complex)
     if h.shape == (n, n):
-        return h
-    if h.shape == (2 * n, 2 * n):
-        return h[:n, :n]
-    raise NotEquivariant(f"symmetry has incompatible shape {h.shape}")
+        zero = np.zeros_like(h)
+        h = np.block([[h, zero], [zero, h]])
+    elif h.shape != (2 * n, 2 * n):
+        raise NotEquivariant(f"symmetry has incompatible shape {h.shape}")
+    check_commuting(h, np.stack([P.P, Q.P]), None, NotEquivariant, policy)
+    return h[:n, :n]
 
 
 @dataclass
@@ -189,22 +195,21 @@ class PairReport:
     sigma_min: float = 0.0
 
 
-def pair_report(P, Q, h=None, policy: TolerancePolicy = DEFAULT,
-                rank_tol: float = None) -> PairReport:
-    """Invertibility and intersection data for a pair of Lagrangian projections."""
+def pair_report(P, Q, h=None, policy: TolerancePolicy = DEFAULT) -> PairReport:
+    """Invertibility and intersection data for a pair of Lagrangian projections.
+
+    A singular value of I + T*S at most max(zero_tol, 10 eig_tol n) counts
+    as zero."""
     P = as_projection(P, policy)
     Q = as_projection(Q, policy)
     if P.n != Q.n:
         raise NotLagrangian("projections live on different spaces")
     n = P.n
-    a = _actor_block(h, n)
-    if h is not None:
-        check_commuting(_embed_actor(h, n), np.stack([P.P, Q.P]), None, NotEquivariant, policy)
+    a = _boundary_actor(h, P, Q, policy)
     T, S = P.T, Q.T
     M = np.eye(n) + T.conj().T @ S
     _, svals, Vh = np.linalg.svd(M)
-    if rank_tol is None:
-        rank_tol = max(policy.zero_tol, 10 * policy.eig_tol * n)
+    rank_tol = max(policy.zero_tol, 10 * policy.eig_tol * n)
     smin = float(svals[-1]) if n else 0.0
     invertible = bool(smin > rank_tol)
     k = int(np.sum(svals <= rank_tol))
@@ -217,18 +222,6 @@ def pair_report(P, Q, h=None, policy: TolerancePolicy = DEFAULT,
         wit, _ = np.linalg.qr(wit)
     return PairReport(invertible=invertible, intersection_dim=k, intersection_trace=trace,
                       witness_basis=wit, sigma_min=smin)
-
-
-def _embed_actor(h, n):
-    h = np.asarray(h, dtype=complex)
-    if h.shape == (2 * n, 2 * n):
-        return h
-    if h.shape == (n, n):
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        out[:n, :n] = h
-        out[n:, n:] = h
-        return out
-    raise NotEquivariant(f"symmetry has incompatible shape {h.shape}")
 
 
 def aps_projection(A, L=None, policy: TolerancePolicy = DEFAULT) -> LagrangianProjection:
@@ -287,9 +280,7 @@ def canonical_determinant(P, P_M, h=None, policy: TolerancePolicy = DEFAULT) -> 
     P = as_projection(P, policy)
     P_M = as_projection(P_M, policy)
     n = P.n
-    a = _actor_block(h, n)
-    if h is not None:
-        check_commuting(_embed_actor(h, n), np.stack([P.P, P_M.P]), None, NotEquivariant, policy)
+    a = _boundary_actor(h, P, P_M, policy)
     T, K = P.T, P_M.T
     return complex(np.linalg.det(a @ (np.eye(n) + T.conj().T @ K) / 2.0))
 

@@ -114,14 +114,14 @@ def _det_phases(f, a, policy, K=33):
     return chars, steps.sum(axis=0), ends
 
 
-def pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT,
-                ceiling: float = _OFFSET_CEILING) -> float:
+def pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT) -> float:
     """Deterministic offset theta >= 0 so that no endpoint phase sits on the
     wall at pi + theta.
 
     theta = 0 when all endpoint phases are clear of pi; otherwise
-    min(ceiling/2, half the minimal endpoint phase-distance to pi), halved
-    until admissible.  Raises OffsetExhausted when no theta < ceiling works.
+    min(_OFFSET_CEILING/2, half the minimal endpoint phase-distance to pi),
+    halved until admissible.  Raises OffsetExhausted when no theta below
+    _OFFSET_CEILING works.
     """
     phases = np.asarray(endpoint_phases, dtype=float)
     if phases.size == 0:
@@ -135,7 +135,9 @@ def pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT,
         return 0.0
     d = np.abs(np.mod(phases - np.pi + np.pi, 2 * np.pi) - np.pi)
     d_pos = d[d > policy.zero_tol * 10]
-    theta = min(ceiling / 2, float(np.min(d_pos)) / 2) if d_pos.size else ceiling / 2
+    theta = _OFFSET_CEILING / 2
+    if d_pos.size:
+        theta = min(theta, float(np.min(d_pos)) / 2)
     for _ in range(60):
         if theta < 1e-15:
             break
@@ -338,7 +340,7 @@ def double_index(U, V, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     if B0.shape[1] and opnorm((np.eye(n) - B0 @ B0.conj().T) @ V @ B0) > tol:
         raise IncompatibleSplitting("V does not preserve ker(U + I)")
     U1, V1 = B1.conj().T @ U @ B1, B1.conj().T @ V @ B1
-    es = eig_unitary(V1, policy) if B1.shape[1] else EigenSystem(np.zeros(0), V1, [], "unitary")
+    es = eig_unitary(V1, policy) if B1.shape[1] else EigenSystem(np.zeros(0), V1, [])
     if np.any(np.pi - np.abs(es.values) <= max(policy.zero_tol, 1e-9)):
         raise IncompatibleSplitting("ker(V + I) is not contained in ker(U + I)")
     # The actor enters through the crossing weights only: twisting the flows by

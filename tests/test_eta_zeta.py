@@ -41,6 +41,18 @@ class TestEta:
         h = np.diag([W3, W3 ** 2, 1.0])
         assert abs(eta(D, h) - (W3 - W3 ** 2 + 1)) < 1e-12
 
+    def test_operator_carries_its_actor(self):
+        # an operator keeps the h it was built with; another h passed with it
+        # is an error, not silently dropped
+        D = np.diag([1.0, -2.0, 3.0]).astype(complex)
+        h1, h2 = np.diag([W3, 1.0, 1.0]), np.diag([1.0, W3, 1.0])
+        op = SpectralOperator(D, h1)
+        assert abs(eta(op) - W3) < 1e-12
+        assert abs(eta(D, h2) - (2 - W3)) < 1e-12
+        for route in (eta, reduced_eta, truncated_eta, heat_trace, zeta_determinant):
+            with pytest.raises(ValueError, match="SpectralOperator"):
+                route(op, h2)
+
     def test_symmetric_cancellation(self):
         assert eta(np.diag([2.0, -2.0, 1.0, -1.0]).astype(complex)) == 0
 
@@ -359,28 +371,24 @@ class TestGetzler:
         assert nodes and sampled == nodes | {0.0, 1.0}
 
     def test_splits_actor_once(self, monkeypatch):
-        split, panel = eta_zeta.isotypic_split, eta_zeta.path_panel
-        splits, panels = [], []
-
-        def counting_split(*args):
-            splits.append(1)
-            return split(*args)
+        # Schur splits are the misses of the split memo
+        panel = eta_zeta.path_panel
+        panels = []
 
         def counting_panel(*args):
             panels.append(1)
             return panel(*args)
 
-        monkeypatch.setattr(eta_zeta, "isotypic_split", counting_split)
         monkeypatch.setattr(eta_zeta, "path_panel", counting_panel)
         h = np.diag([W3, 1.0])
         counts = []
         for path in (HermitianPath(2, lambda t: np.diag([2 * t - 1, 1.0]).astype(complex)),
                      HermitianPath(2, lambda t: np.diag(
                          [np.sin(20 * np.pi * t) + 0.3 * t - 0.01, 1.0]).astype(complex))):
-            splits.clear()
+            spectra._split_of.cache_clear()
             panels.clear()
             getzler_spectral_flow(path, h)
-            counts.append((len(panels), len(splits)))
+            counts.append((len(panels), spectra._split_of.cache_info().misses))
         assert counts[0][0] < counts[1][0]
         assert [n for _, n in counts] == [1, 1]
 
@@ -458,19 +466,12 @@ class TestEtaLogDefect:
             eta_log_defect(np.diag([0.0, 1.0]).astype(complex),
                            np.diag([1.0, 1.0]).astype(complex))
 
-    def test_splits_actor_once(self, monkeypatch):
-        split = eta_zeta.isotypic_split
-        calls = []
-
-        def counting_split(*args):
-            calls.append(1)
-            return split(*args)
-
-        monkeypatch.setattr(eta_zeta, "isotypic_split", counting_split)
+    def test_splits_actor_once(self):
+        # Schur splits are the misses of the split memo
         h = np.diag([W3, 1.0])
         D0 = np.diag([-5.0, 7.0]).astype(complex)
         D1 = np.diag([5.0, 7.0]).astype(complex)
         for actor in (h, None):
-            calls.clear()
+            spectra._split_of.cache_clear()
             eta_log_defect(D0, D1, actor)
-            assert len(calls) == 1
+            assert spectra._split_of.cache_info().misses == 1

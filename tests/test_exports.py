@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -6,6 +7,61 @@ import subprocess
 import sys
 
 import equiflow
+
+_SRC = os.path.dirname(equiflow.__file__)
+
+
+def _modules():
+    """(path relative to the package, parsed module) of every source file."""
+    out = []
+    for root, _, files in os.walk(_SRC):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path) as fh:
+                    out.append((os.path.relpath(path, _SRC), ast.parse(fh.read())))
+    return out
+
+
+def _exported(tree):
+    """The strings of a module's `__all__`."""
+    return {elt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+            for elt in stmt.value.elts}
+
+
+def test_no_unused_imports():
+    # a name imported into a module is read there or exported (the harness
+    # package imports its modules to expose them)
+    unused = []
+    for rel, tree in _modules():
+        if rel == os.path.join("harness", "__init__.py"):
+            continue
+        nodes = list(ast.walk(tree))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= _exported(tree)
+        unused += [f"{rel}: {name}" for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))
+                   for name in ((a.asname or a.name).split(".")[0] for a in n.names)
+                   if name not in read]
+    assert not unused, f"imported and never used: {unused}"
+
+
+def test_no_unreferenced_private_definitions():
+    # a private module-level function or class is read or imported somewhere
+    # in the package outside its own definition
+    tops = []
+    for rel, tree in _modules():
+        for stmt in tree.body:
+            nodes = list(ast.walk(stmt))
+            refs = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            refs |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            refs |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+            tops.append((rel, stmt, refs))
+    dead = [f"{rel}: {stmt.name}" for rel, stmt, _ in tops
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and not any(stmt.name in refs for _, other, refs in tops if other is not stmt)]
+    assert not dead, f"private definitions nothing references: {dead}"
 
 
 def test_every_export_resolves():

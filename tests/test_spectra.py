@@ -186,6 +186,49 @@ class TestIsotypicSplit:
         assert abs(s - c) <= 1e-8 and abs(g - s) <= 1e-6
 
 
+    def test_memo_is_only_a_cache(self, monkeypatch):
+        # every route gives bitwise the same value with the kept splits, and
+        # with a fresh Schur split at every read of the split
+        from equiflow.dirac_models import IntervalDiracModel, interval_eta, sw_identity_check
+        from equiflow.eta_zeta import eta_log_defect, getzler_spectral_flow
+        from equiflow.harness.generators import (commuting_unitary_path, lagrangian_loop_pair,
+                                                 rand_unitary)
+        from equiflow.maslov import LagrangianPath, maslov_index
+        from equiflow.specflow import crossing_oracle, spectral_flow
+        from equiflow.symplectic import make_projection_from_unitary
+        from equiflow.winding import fredholm_det_path, winding_number
+
+        path, h = commuting_hermitian_path(4, 3, rng_for(470))
+        f, a = commuting_unitary_path(3, 3, rng_for(4))
+        T, S, b = lagrangian_loop_pair(2, 3, rng_for(7))
+        rng = rng_for(7701)
+        u, _, blocks, R = zn_action(3, 3, rng)
+
+        def commuting(draw):
+            M = np.zeros((3, 3), dtype=complex)
+            for idx in blocks:
+                M[np.ix_(idx, idx)] = draw(len(idx))
+            return R @ M @ R.conj().T
+
+        model = IntervalDiracModel(1.3, commuting(lambda k: rand_hermitian(k, rng, 0.8)), u)
+        P, Q = (make_projection_from_unitary(commuting(lambda k: rand_unitary(k, rng)))
+                for _ in range(2))
+
+        def values():
+            return [spectral_flow(path, h).value, crossing_oracle(path, h).value,
+                    getzler_spectral_flow(path, h), winding_number(f, a),
+                    fredholm_det_path(f, a),
+                    maslov_index(LagrangianPath(2, T), LagrangianPath(2, S), b, mode="grid"),
+                    interval_eta(model, P, 1), *sw_identity_check(model, P, Q, 1),
+                    *eta_log_defect(path(0.0), path(1.0), h)]
+
+        spectra._split_of.cache_clear()
+        kept = [values(), values()]
+        assert spectra._split_of.cache_info().hits
+        monkeypatch.setattr(spectra, "_split_of", spectra._split_of.__wrapped__)
+        assert kept[0] == kept[1] == values()
+
+
 class TestHermitianPart:
     def test_part_of_a_matrix(self):
         M = np.array([[1.0, 2.0 + 1e-14j], [2.0, 3.0]])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equiflow.errors import KernelLagrangianInvalid, NotLagrangian, NotUnitary
+from equiflow.errors import KernelLagrangianInvalid, NotEquivariant, NotLagrangian, NotUnitary
 from equiflow.spectra import opnorm
 from equiflow.symplectic import (
     SymplecticSpace,
@@ -185,6 +185,48 @@ class TestCanonicalDeterminant:
         M = a @ (np.eye(2) + T.conj().T @ K) / 2
         oracle = np.prod(np.linalg.eigvals(M))
         assert abs(v - oracle) < 1e-12
+
+
+class TestBoundaryActor:
+    """h acts on C^{2n} as an n x n matrix a (as diag(a, a)) or as a 2n x 2n one."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        R = rand_unitary(3, rng)
+        self.a = R @ np.diag(np.exp(2j * np.pi * np.array([1, 2, 0]) / 3)) @ R.conj().T
+        self.P = make_projection_from_unitary(
+            R @ np.diag(np.exp(1j * np.array([0.4, -0.9, 2.0]))) @ R.conj().T)
+        # T* S = diag(-1, ...) in the R basis: a one-dimensional intersection
+        self.Q = make_projection_from_unitary(
+            R @ np.diag(np.exp(1j * np.array([0.4 + np.pi, 0.3, 1.1]))) @ R.conj().T)
+
+    def test_square_and_embedded_actor_agree(self):
+        zero = np.zeros((3, 3))
+        h = np.block([[self.a, zero], [zero, self.a]])
+        small, big = pair_report(self.P, self.Q, self.a), pair_report(self.P, self.Q, h)
+        assert small.intersection_dim == big.intersection_dim == 1
+        assert small.invertible == big.invertible
+        assert small.intersection_trace == big.intersection_trace
+        assert small.sigma_min == big.sigma_min
+        assert np.array_equal(small.witness_basis, big.witness_basis)
+        assert abs(small.intersection_trace - np.exp(2j * np.pi / 3)) < 1e-9
+        assert (canonical_determinant(self.P, self.Q, self.a)
+                == canonical_determinant(self.P, self.Q, h))
+
+    def test_wrong_shape_rejected(self):
+        for route in (pair_report, canonical_determinant):
+            for h in (np.eye(2), np.eye(4), np.eye(6)[:, :3]):
+                with pytest.raises(NotEquivariant, match="incompatible shape"):
+                    route(self.P, self.Q, h)
+
+    def test_non_commuting_rejected(self):
+        P = make_projection_from_unitary(np.eye(2))
+        Q = make_projection_from_unitary(np.diag([1j, -1j]))
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        for h in (swap, np.kron(np.eye(2), swap)):
+            for route in (pair_report, canonical_determinant):
+                with pytest.raises(NotEquivariant, match="commutator"):
+                    route(P, Q, h)
 
 
 class TestFlip:
