@@ -26,11 +26,13 @@ from math import floor, pi
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     KernelPresent,
     NotEquivariant,
     RootFindingFailure,
 )
-from .spectra import check_commuting, cluster_indices, eig_hermitian, eig_unitary, isotypic_split
+from .spectra import (_as_matrix, check_commuting, cluster_indices, eig_hermitian, eig_unitary,
+                      isotypic_split)
 from .symplectic import (
     LagrangianProjection,
     _projection,
@@ -61,17 +63,20 @@ __all__ = [
 ]
 
 
-def _channel_data(V, u, policy):
-    """Joint eigen-data of a commuting pair (V Hermitian, u unitary).
+def _channel_data(model):
+    """Joint eigen-data of a model's commuting pair (V Hermitian, u unitary),
+    V passing `_as_matrix` and u `isotypic_split` first.
 
-    Returns (values, chars, basis): per channel, ascending in value, the
-    V-eigenvalue and the u-character, with a common orthonormal basis.  V is
-    diagonalized on each chi-block of `isotypic_split(u)` (one block with
-    chi = 1 when u is None), where u acts as chi * I.
+    Sets V (complex), m and, per channel, ascending in value, the
+    V-eigenvalue and the u-character (channel_values, channel_chars) with a
+    common orthonormal basis (channel_basis).  V is diagonalized on each
+    chi-block of `isotypic_split(u)` (one block with chi = 1 when u is
+    None), where u acts as chi * I.
     """
-    V = np.asarray(V, dtype=complex)
-    check_commuting(u, V, None, NotEquivariant, policy)
-    W, blocks, chars = isotypic_split(u, V.shape[0], policy)
+    V = model.V = _as_matrix(model.V, what="potential V")
+    model.m, policy = len(V), model.policy
+    check_commuting(model.u, V, None, NotEquivariant, policy)
+    W, blocks, chars = isotypic_split(model.u, model.m, policy)
     vals, chis, cols = [], [], []
     for chi, idx in zip(chars, blocks):
         Q = W[:, idx]
@@ -81,7 +86,9 @@ def _channel_data(V, u, policy):
         cols.append(Q @ es.vectors)
     vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")
-    return vals[order], np.concatenate(chis)[order], np.hstack(cols)[:, order]
+    model.channel_values = vals[order]
+    model.channel_chars = np.concatenate(chis)[order]
+    model.channel_basis = np.hstack(cols)[:, order]
 
 
 @dataclass
@@ -94,10 +101,7 @@ class CircleDiracModel:
     policy: TolerancePolicy = DEFAULT
 
     def __post_init__(self):
-        self.V = np.atleast_2d(np.asarray(self.V, dtype=complex))
-        self.m = self.V.shape[0]
-        self.channel_values, self.channel_chars, self.channel_basis = _channel_data(
-            self.V, self.u, self.policy)
+        _channel_data(self)
 
 
 @dataclass
@@ -115,10 +119,7 @@ class IntervalDiracModel:
     def __post_init__(self):
         if not 0 < self.L < np.inf:
             raise ValueError("interval length must be positive and finite")
-        self.V = np.atleast_2d(np.asarray(self.V, dtype=complex))
-        self.m = self.V.shape[0]
-        self.channel_values, self.channel_chars, self.channel_basis = _channel_data(
-            self.V, self.u, self.policy)
+        _channel_data(self)
         self._cluster_cache = {}
 
     def actor(self, power: int = 1):
@@ -173,7 +174,8 @@ def _branch_clusters(model: IntervalDiracModel, P):
     if key not in model._cluster_cache:
         T = P.T
         if T.shape[0] != model.m:
-            raise ValueError("projection dimension does not match the model")
+            raise DimensionMismatch(f"projection of shape {P.P.shape} does not match "
+                                    f"the model's {model.m} channels")
         check_commuting(model.u, T, None, NotEquivariant, model.policy)
         G = T.conj().T @ interval_transfer(model, 0.0)
         W, blocks, _ = isotypic_split(model.u, model.m, model.policy)

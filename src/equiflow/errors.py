@@ -42,8 +42,9 @@ class PartitionFailure(EquiflowError):
     """No valid grid partition found at the bisection depth cap."""
 
 
-class DimensionMismatch(EquiflowError):
-    pass
+class DimensionMismatch(EquiflowError, ValueError):
+    """A matrix, path sample or actor of the wrong shape, or of entries
+    that are not numbers."""
 
 
 class OffsetExhausted(EquiflowError):

@@ -19,8 +19,9 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .errors import KernelPresent, NotEquivariant, NotPositive
+from .errors import DimensionMismatch, KernelPresent, NotEquivariant, NotPositive
 from .spectra import (
+    _as_matrix,
     _block_eigh,
     _isotypic_cut,
     check_commuting,
@@ -28,6 +29,7 @@ from .spectra import (
     isotypic_split,
     path_panel,
     principal_log_unitary,
+    sample_stack,
 )
 from .tolerances import DEFAULT, TolerancePolicy
 
@@ -57,9 +59,9 @@ class SpectralOperator:
 
     values holds every eigenvalue of the blocks V_chi* D V_chi of the
     isotypic split of h, ascending; weights[i] is the character chi of the
-    block of values[i], on which h acts as chi * I.  NotEquivariant when D
-    does not commute with h, NotHermitian for a non-Hermitian D, NotUnitary
-    for a non-unitary h.
+    block of values[i], on which h acts as chi * I.  D passes `_as_matrix`
+    and h `isotypic_split` (DimensionMismatch, NotUnitary); NotEquivariant
+    when D does not commute with h, NotHermitian for a non-Hermitian D.
     """
 
     D: np.ndarray
@@ -69,10 +71,8 @@ class SpectralOperator:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.D = np.asarray(self.D, dtype=complex)
-        if self.h is not None:
-            self.h = np.asarray(self.h, dtype=complex)
-        check_commuting(self.h, self.D, None, NotEquivariant, self.policy)
+        self.D = _as_matrix(self.D)
+        self.h = check_commuting(self.h, self.D, None, NotEquivariant, self.policy)
         chars, blocks = _isotypic_cut(self.D, self.h, self.policy)
         self._eigh = _block_eigh(blocks, self.policy)  # (lam, U) per block
         values = np.concatenate([lam for lam, _ in self._eigh])
@@ -98,12 +98,13 @@ class SpectralOperator:
 
 
 def _spec(D, h, policy) -> SpectralOperator:
-    """D as a SpectralOperator; an operator already carries its h, so none
-    may be passed with it (ValueError)."""
+    """D as a SpectralOperator under the route's policy (an operator built
+    under another policy is rebuilt); an operator already carries its h, so
+    none may be passed with it (ValueError)."""
     if isinstance(D, SpectralOperator):
         if h is not None:
             raise ValueError("h is given with a SpectralOperator, which carries its own h")
-        return D
+        return D if D.policy == policy else SpectralOperator(D.D, D.h, policy)
     return SpectralOperator(D, h, policy)
 
 
@@ -154,16 +155,18 @@ def eta_form(D, X, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT):
     with the actor h: a complex for matrices D, X, a (K,) array for (K, n, n)
     stacks.  h acts as chi * I on its chi-block (`spectra.isotypic_split`), so
     this is sum_chi chi Tr(X_chi e^{-eps D_chi^2}), one stacked eigh per block.
-    Every sample of D is checked to commute with h (NotEquivariant), and
-    each of its blocks by the Frobenius test of `hermitian_part`
-    (NotHermitian).
+    D and X pass `_as_matrix` with one shape (DimensionMismatch).  Every
+    sample of D is checked to commute with h (NotEquivariant), and each of
+    its blocks by the Frobenius test of `hermitian_part` (NotHermitian).
     """
-    F = np.asarray(D, dtype=complex)
+    F, X = _as_matrix(D, stack=True), _as_matrix(X, what="X", stack=True)
+    if X.shape != F.shape:
+        raise DimensionMismatch(f"X of shape {X.shape} does not match D of shape {F.shape}")
     D = F.reshape((-1,) + F.shape[-2:])
     check_commuting(h, D, None, NotEquivariant, policy)
     chars, blocks = _isotypic_cut(D, h, policy)
     # X need not commute with h: only its diagonal blocks enter the trace
-    _, X_blocks = _isotypic_cut(np.asarray(X, dtype=complex).reshape(D.shape), h, policy)
+    _, X_blocks = _isotypic_cut(X.reshape(D.shape), h, policy)
     total = 0.0
     for chi, (lam, U), Xc in zip(chars, _block_eigh(blocks, policy), X_blocks):
         Xd = np.sum(U.conj() * (Xc @ U), axis=1)  # diagonal of U* X_chi U
@@ -285,19 +288,22 @@ def getzler_spectral_flow(path, h=None, eps: float = 1.0,
     (d/dt) eta_eps = -2 sqrt(eps/pi) Tr(h dD/dt e^{-eps D^2}) (`eta_form`),
     integrated on whole panels with dD/dt from `path_panel`: exact for
     degree-14 polynomials on each panel, and covered by the bisection error
-    estimate.  D is sampled only at 0, 1 and the panel nodes, and each reader
+    estimate.  D is sampled only at 0, 1 and the panel nodes, every sample
+    through `sample_stack` with the size of D(1), and each reader
     of h takes its split from `isotypic_split`, which keeps it, so h is split
     once for all of them.  KernelPresent when D(0) or D(1) has spectrum at 0,
     where the reduced eta jumps.  Equals the grid-partition spectral flow
     within quadrature tolerance.
     """
-    ops = [SpectralOperator(D, h, policy) for D in (path(1.0), path(0.0))]
+    D1 = sample_stack(path, [1.0])[0]
+    n = len(D1)
+    ops = [SpectralOperator(D, h, policy) for D in (D1, sample_stack(path, [0.0], n)[0])]
     if any(np.any(op.kernel_mask()) for op in ops):
         raise KernelPresent("D(0) or D(1) has spectrum at 0")
     e1, e0 = (truncated_eta(op, eps=eps, policy=policy) for op in ops)
 
     def integrand(ts):
-        return -2.0 * eta_form(*path_panel(path, ts), h, eps, policy)
+        return -2.0 * eta_form(*path_panel(path, ts, n), h, eps, policy)
 
     var = integrate(integrand, 0.0, 1.0, policy)
     return complex(0.5 * (e1 - e0 - var))
@@ -318,11 +324,15 @@ def eta_log_defect(D0, D1, h=None, policy: TolerancePolicy = DEFAULT):
     so h is split once, and T and K are built per isotypic block from the
     block eigendata of the two operators, so the trace is
     sum_chi chi Tr(Log(T_chi* K_chi)).
-    Raises KernelPresent for singular input, BranchCut when spec(T*K) touches -1.
+    Raises KernelPresent for singular input, BranchCut when spec(T*K) touches
+    -1, DimensionMismatch for operators of different sizes.
     """
     from scipy.special import erf
 
     op0, op1 = (SpectralOperator(D, h, policy) for D in (D0, D1))
+    if op0.D.shape != op1.D.shape:
+        raise DimensionMismatch(f"D0 of shape {op0.D.shape} and D1 of shape {op1.D.shape} "
+                                "act on different spaces")
     if np.any(op0.kernel_mask()) or np.any(op1.kernel_mask()):
         raise KernelPresent("eta_log_defect requires invertible operators")
     lhs = reduced_eta(op1, policy=policy) - reduced_eta(op0, policy=policy)

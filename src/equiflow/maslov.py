@@ -7,24 +7,24 @@ any callable t -> unitary.  The index counts intersections ker P(t) & im Q(t),
 equivalently crossings of spec(T*(t)S(t)) through -1, signed by the crossing
 direction.  Both modes count per isotypic block of the actor: a crossing of
 m branches of the chi-block weighs chi * m.  Both read their block samples
-from `spectra.isotypic_blocks`, so every sample either mode takes is checked
-to commute with the actor (NotCommuting).  Grid mode closes each window
-around a minimum of sigma_min(I + block) with one 16-cell step and then, where
-the window looks like a crossing, a few V-interpolation steps (see
-`_min_search`); the triple index samples each of its three paths
-once per distinct time across its three winding numbers.
+from `winding._unitary_blocks`, so every sample either mode takes is checked
+to commute with the actor (NotCommuting) and to be unitary (NotUnitary).
+Grid mode closes each window around a minimum of sigma_min(I + block) with
+one 16-cell step and then, where the window looks like a crossing, a few
+V-interpolation steps (see `_min_search`); the triple index samples each of
+its three paths once per distinct time across its three winding numbers.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCommuting, TrackingAmbiguous
-from .spectra import _sampled_once, isotypic_blocks
+from .errors import TrackingAmbiguous
+from .spectra import _sampled_once
 from .specflow import Path, adjoint, product
 from .symplectic import as_projection, pair_report
 from .tolerances import DEFAULT, TolerancePolicy
-from .winding import double_index, winding_number
+from .winding import _unitary_blocks, double_index, winding_number
 
 __all__ = [
     "LagrangianPath",
@@ -80,11 +80,12 @@ def _maslov_grid(pair, a, policy, grid):
     event when sigma_min < 1e-6 there, and that sample also gives dim ker.
     The scan, each round of the search (all open windows at once) and the
     events' orientation samples are one stack each, all taken through
-    `isotypic_blocks`, so every sample is checked to commute with the actor
-    (NotCommuting)."""
+    `winding._unitary_blocks`, as in winding mode, so every sample is
+    checked to commute with the actor (NotCommuting) and to be unitary
+    (NotUnitary) before any SVD reads it."""
     eps_t = 10 * policy.zero_tol  # endpoint evaluation rule: step inside by eps
     ts = np.linspace(eps_t, 1.0 - eps_t, grid)
-    blocks_at = isotypic_blocks(pair, a, NotCommuting, policy)
+    blocks_at = _unitary_blocks(pair, a, policy)
     chars, scan = blocks_at(ts)
 
     windows = []
@@ -140,7 +141,7 @@ class _Window:
 def _min_search(blocks_at, windows):
     """Narrow every window to a bracket narrower than 1e-10, all open windows
     together.  Each round is one stack of `blocks_at` (the pair's
-    `isotypic_blocks` sampler).  A window samples the inner times of 16
+    `_unitary_blocks` sampler).  A window samples the inner times of 16
     equal cells (`_cell_times`) on its first round, after a V step that did
     not shrink its bracket 8-fold, and when its samples do not look like a
     crossing; so its first round samples what a plain 17-point step would,

@@ -100,9 +100,9 @@ def concatenate(p1, p2):
         first = ts <= 0.5
         out = np.empty((len(ts), p1.dim, p1.dim), dtype=complex)
         if first.any():
-            out[first] = sample_stack(p1, 2 * ts[first])
+            out[first] = sample_stack(p1, 2 * ts[first], p1.dim)
         if not first.all():
-            out[~first] = sample_stack(p2, 2 * ts[~first] - 1)
+            out[~first] = sample_stack(p2, 2 * ts[~first] - 1, p2.dim)
         return out
 
     return Path(p1.dim, _from_stack(stack))
@@ -118,15 +118,12 @@ def adjoint(f):
 
 
 def product(f, g):
-    """Pointwise product sampler t -> f(t) g(t); DimensionMismatch unless the
-    samples have the same shape."""
+    """Pointwise product sampler t -> f(t) g(t); DimensionMismatch (from
+    `sample_stack`) unless the samples of g have the size of f's."""
 
     def stack(ts):
-        F, G = sample_stack(f, ts), sample_stack(g, ts)
-        if F.shape != G.shape:
-            raise DimensionMismatch(f"path samples of shapes {F.shape[1:]} and "
-                                    f"{G.shape[1:]} cannot be multiplied")
-        return F @ G
+        F = sample_stack(f, ts)
+        return F @ sample_stack(g, ts, F.shape[-1])
 
     return _from_stack(stack)
 
@@ -252,7 +249,7 @@ def _certify(path, h, policy, initial_nodes=9, max_depth=22):
         a, b, d = pending[:_ROUND_MAX].T
         probes = np.linspace(a, b, n_probe, axis=1)
         new = np.setdiff1d(probes, ts)  # never empty: a child halves its parent's probe spacing
-        G = sample_stack(path, new)
+        G = sample_stack(path, new, F.shape[-1] if ts.size else None)
         check_commuting(h, G, new, NotEquivariant, policy)
         H = hermitian_part(G, policy)
         S = np.linalg.eigvalsh(H)
@@ -310,7 +307,8 @@ def spectral_flow(path, h=None, partition: GridPartition = None,
     ends = np.array([(iv.t0, iv.t1) for iv in partition.intervals])
     ts, node = np.unique(ends, return_inverse=True)
     node = node.reshape(ends.shape)
-    blocks_at = isotypic_blocks(path, h, NotEquivariant, policy)
+    n = None if F is None else F.shape[-1]  # every later sample has the nodes' size
+    blocks_at = isotypic_blocks(path, h, NotEquivariant, policy, n)
 
     def values(ts, F=None):
         chars, blocks = blocks_at(ts, F)

@@ -71,17 +71,14 @@ def check_commuting(h, M, ts, error, policy: TolerancePolicy = DEFAULT):
 
     Since ||X||_2 <= ||X||_F and ||M||_F / sqrt(n) <= ||M||_2, this is never
     looser than the same test in spectral norms with scale max(||M||_2, 1).
-    DimensionMismatch when h and the samples are not square of one size.
-    Without an actor (h = None) there is nothing to check.
+    M passes `_as_matrix` and h `isotypic_split` first.  Returns h as a
+    complex array; without an actor (h = None) there is nothing to check.
     """
     if h is None:
-        return
+        return None
+    M = _as_matrix(M, stack=True)
+    isotypic_split(h, M.shape[-1], policy)
     h = np.asarray(h, dtype=complex)
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[-1] if M.ndim >= 2 else -1
-    if h.shape != (n, n) or M.shape[-2] != n:
-        raise DimensionMismatch(f"actor of shape {h.shape} does not match a sample of "
-                                f"shape {M.shape[-2:]}")
     M = M.reshape((-1,) + M.shape[-2:])
     excess = np.linalg.norm(h @ M - M @ h, axis=(1, 2))
     scale = np.maximum(np.linalg.norm(M, axis=(1, 2)) / np.sqrt(M.shape[-1]), 1.0)
@@ -90,13 +87,24 @@ def check_commuting(h, M, ts, error, policy: TolerancePolicy = DEFAULT):
         k = int(np.argmax(bad))
         where = "" if ts is None else f" at t={float(np.atleast_1d(ts)[k]):.6g}"
         raise error(f"commutator with the actor is {excess[k]:.2e}{where}")
+    return h
 
 
-def _as_matrix(M):
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return M
+_NUMERIC = "biufc"  # the numpy dtype kinds of numbers
+
+
+def _as_matrix(M, error=DimensionMismatch, what="matrix", even=False, stack=False):
+    """M as a complex n x n matrix, n >= 1 (even with `even`), or with `stack`
+    also a (K, n, n) stack of them: the one gate of static matrices.  `error`,
+    naming the shape, otherwise or for entries that are not numbers."""
+    M = np.asarray(M)
+    n = M.shape[-1] if M.ndim else 0
+    if (M.dtype.kind not in _NUMERIC or M.ndim not in ((2, 3) if stack else (2,))
+            or M.shape[-2] != n or not M.size or even and n % 2):
+        form = f"{'a 2n x 2n' if even else 'an n x n'} matrix{' or stack' if stack else ''}"
+        raise error(f"{what}: expected {form} of numbers, n >= 1; got shape {M.shape} of "
+                    f"{M.dtype}")
+    return M.astype(complex, copy=False)
 
 
 def _fix_phases(V, tol=1e-8):
@@ -168,9 +176,7 @@ def hermitian_part(M, policy: TolerancePolicy = DEFAULT):
     never does): never looser than the same test in spectral norms with scale
     max(||M||_2, 1), since ||X||_2 <= ||X||_F and ||M||_F / sqrt(n) <= ||M||_2.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    M = _as_matrix(M, stack=True)
     Mh = np.swapaxes(M.conj(), -1, -2)
     axes = (-2, -1) if M.ndim > 2 else None  # per sample; a matrix takes the faster whole norm
     scale = np.maximum(np.linalg.norm(M, axis=axes) / np.sqrt(M.shape[-1]), 1.0)
@@ -230,13 +236,15 @@ def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
     sum_chi chi * (integer count on the chi-block), and each spectral sum
     weighs an eigenvalue of the chi-block by chi.
 
-    The last 32 splits are kept by value (bytes of a, dim, policy), read-only
-    with blocks a tuple, so routes on one actor split it once; failures are not.
+    The one check of an actor: `_as_matrix` at size dim (DimensionMismatch),
+    then the unitarity test of `eig_unitary` (NotUnitary).  The last 32 splits
+    are kept by value (bytes of a, dim, policy), read-only with blocks a
+    tuple, so routes on one actor split it once; failures are not.
     """
     if a is not None:
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (dim, dim):
-            raise DimensionMismatch("actor dimension does not match the path")
+        a = _as_matrix(a, what="actor")
+        if len(a) != dim:
+            raise DimensionMismatch(f"actor of shape {a.shape} does not act on C^{dim}")
         a = a.tobytes()
     return _split_of(a, dim, policy)
 
@@ -257,24 +265,27 @@ def _split_of(a, dim, policy):
     return V, tuple(blocks), chars
 
 
-def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT):
+def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT, n: int = None):
     """Block sampler of a path for the actor a: (ts, F=None) -> (chars, blocks).
 
     This is the one place where a path's samples are sliced by its actor.  A
     call samples the path at the times ts with one `sample_stack` and checks
     every sample to commute with a (`check_commuting`, raising `error` and
     naming t), unless the caller passes the samples F at ts that it took and
-    checked itself.  Every call reads the split of a from `isotypic_split`,
-    which keeps it, so a route on one actor splits it once.  blocks[i] is the
-    (K, k, k) stack of Q* F Q, Q = V[:, i-th block], and chars[i] the
-    character of a on it.
+    checked itself.  Every sample has the size n of the route's other
+    samples (by default that of the first call's).  Every call reads the
+    split of a from `isotypic_split`, which keeps it, so a route on one
+    actor splits it once.  blocks[i] is the (K, k, k) stack of Q* F Q,
+    Q = V[:, i-th block], and chars[i] the character of a on it.
     """
 
     def blocks_at(ts, F=None):
+        nonlocal n
         ts = np.asarray(ts, dtype=float)
         if F is None:
-            F = sample_stack(path, ts)
+            F = sample_stack(path, ts, n)
             check_commuting(a, F, ts, error, policy)
+        n = F.shape[-1]
         return _isotypic_cut(F, a, policy)
 
     return blocks_at
@@ -340,18 +351,27 @@ def _gl_nodes(order=15):
     return x, w, Dm - np.diag(Dm.sum(axis=1))
 
 
-def sample_stack(path, ts):
-    """Samples (K, n, n) of a matrix path at the times ts.
+def sample_stack(path, ts, n: int = None):
+    """Samples (K, n, n) of a matrix path at the times ts, complex: the one
+    gate of path samples.
 
     A path may carry a batched form, a function attribute `stack(ts)` equal to
     its pointwise samples; it is called once.  Without one the path is called
-    once per time, so any callable t -> matrix works.
+    once per time, so any callable t -> matrix works.  DimensionMismatch,
+    naming t and the shape, unless each sample, checked before the stack is
+    formed, is an n x n matrix of numbers, n >= 1 as given (a route passes
+    the size of its first stack to its later ones) or the first sample's.
     """
     ts = np.asarray(ts, dtype=float)
     stack = getattr(path, "stack", None)
-    if stack is not None:
-        return np.asarray(stack(ts), dtype=complex)
-    return np.stack([np.asarray(path(t), dtype=complex) for t in ts])
+    F = [np.asarray(stack(ts))] if stack is not None else [np.asarray(path(t))[None] for t in ts]
+    for k, X in enumerate(F):
+        n = X.shape[-1] if n is None and X.ndim else n
+        if X.dtype.kind not in _NUMERIC or X.shape[1:] != (n, n) or not n:
+            expected = f"({n}, {n})" if n else "(n, n) with n >= 1"
+            raise DimensionMismatch(f"path sample at t={ts[k]:.6g}: shape {X.shape[1:]} of "
+                                    f"{X.dtype}, expected {expected}")
+    return (np.concatenate(F) if len(F) > 1 else F[0]).astype(complex, copy=False)
 
 
 def _sampled_once(*paths):
@@ -367,7 +387,8 @@ def _sampled_once(*paths):
             ts = np.asarray(ts, dtype=float).tolist()
             new = [t for t in dict.fromkeys(ts) if t not in kept]
             if new:
-                kept.update(zip(new, sample_stack(path, new)))
+                n = len(next(iter(kept.values()))) if kept else None
+                kept.update(zip(new, sample_stack(path, new, n)))
             return np.stack([kept[t] for t in ts])
 
         def sampler(t):
@@ -379,15 +400,16 @@ def _sampled_once(*paths):
     return [once(path) for path in paths]
 
 
-def path_panel(path, ts):
+def path_panel(path, ts, n: int = None):
     """Samples F (15m, n, n) of a matrix path at the nodes ts of m Gauss-Legendre
     panels (panel j: ts[15j:15j + 15] = mid + half * x), and its derivative dF
-    there: the path is sampled once for all panels (`sample_stack`), and each
-    panel differentiates its own samples' degree-14 interpolant (applied to
-    F - F[the panel's middle node], so a constant path gives 0).
+    there: the path is sampled once for all panels (`sample_stack`, of size n
+    when given), and each panel differentiates its own samples' degree-14
+    interpolant (applied to F - F[the panel's middle node], so a constant path
+    gives 0).
     """
     x, _, Dm = _gl_nodes()
-    F = sample_stack(path, ts)
+    F = sample_stack(path, ts, n)
     P = F.reshape(-1, x.size, F[0].size)
     half = (ts[x.size - 1::x.size] - ts[::x.size]) / (x[-1] - x[0])
     return F, (Dm @ (P - P[:, x.size // 2, None]) / half[:, None, None]).reshape(F.shape)

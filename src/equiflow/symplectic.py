@@ -20,7 +20,7 @@ from .errors import (
     NotLagrangian,
     NotUnitary,
 )
-from .spectra import check_commuting, eig_hermitian, opnorm
+from .spectra import _as_matrix, check_commuting, eig_hermitian, opnorm
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -38,11 +38,9 @@ __all__ = [
 
 
 def check_unitary(U, tol=1e-10, what="matrix"):
-    """U as a complex array; NotUnitary unless it is square, finite and
-    ||U* U - I||_2 <= tol."""
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise NotUnitary(f"{what} must be square")
+    """U as a complex array; NotUnitary unless it passes `_as_matrix`, is
+    finite and ||U* U - I||_2 <= tol."""
+    U = _as_matrix(U, NotUnitary, what)
     if not np.isfinite(U).all():
         raise NotUnitary(f"{what} has non-finite entries")
     if not opnorm(U.conj().T @ U - np.eye(U.shape[0])) <= tol:
@@ -125,10 +123,9 @@ def unitary_of_projection(P, policy: TolerancePolicy = DEFAULT):
 
 def _recovered_T(P):
     """T = 2 P[n:, :n] of a Lagrangian projection matrix P, with the tests of
-    `unitary_of_projection` on P (NotLagrangian) but not yet on T."""
-    P = np.asarray(P, dtype=complex)
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] % 2 != 0:
-        raise NotLagrangian(f"P must be a square matrix of even dimension, got shape {P.shape}")
+    `unitary_of_projection` on P (NotLagrangian, also from `_as_matrix`)
+    but not yet on T."""
+    P = _as_matrix(P, NotLagrangian, "P", even=True)
     m = P.shape[0]
     if not np.isfinite(P).all():
         raise NotLagrangian("P has non-finite entries")
@@ -161,18 +158,18 @@ def _boundary_actor(h, P, Q, policy):
     """The action a of h on the first n coordinates of C^{2n}, the space of
     the projections P and Q (I when h is None).  h is n x n, acting as
     diag(h, h), or 2n x 2n; NotEquivariant for any other shape or unless h
-    commutes with both projections."""
+    commutes with both projections, and the 2n x 2n actor passes
+    `isotypic_split` (in `check_commuting`)."""
     n = P.n
     if h is None:
         return np.eye(n, dtype=complex)
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     if h.shape == (n, n):
         zero = np.zeros_like(h)
         h = np.block([[h, zero], [zero, h]])
     elif h.shape != (2 * n, 2 * n):
         raise NotEquivariant(f"symmetry has incompatible shape {h.shape}")
-    check_commuting(h, np.stack([P.P, Q.P]), None, NotEquivariant, policy)
-    return h[:n, :n]
+    return check_commuting(h, np.stack([P.P, Q.P]), None, NotEquivariant, policy)[:n, :n]
 
 
 @dataclass
@@ -210,7 +207,7 @@ def pair_report(P, Q, h=None, policy: TolerancePolicy = DEFAULT) -> PairReport:
     M = np.eye(n) + T.conj().T @ S
     _, svals, Vh = np.linalg.svd(M)
     rank_tol = max(policy.zero_tol, 10 * policy.eig_tol * n)
-    smin = float(svals[-1]) if n else 0.0
+    smin = float(svals[-1])
     invertible = bool(smin > rank_tol)
     k = int(np.sum(svals <= rank_tol))
     kerT = Vh.conj().T[:, n - k:] if k else np.zeros((n, 0), dtype=complex)
@@ -230,10 +227,7 @@ def aps_projection(A, L=None, policy: TolerancePolicy = DEFAULT) -> LagrangianPr
     L is an orthonormal basis of a Lagrangian inside ker(A), i.e.
     gamma(L) = L^perp & ker(A); omit it when A is invertible.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2 != 0:
-        raise ValueError(f"boundary operator must be a square matrix on C^{{2n}}, "
-                         f"got shape {A.shape}")
+    A = _as_matrix(A, what="boundary operator A", even=True)
     if not np.isfinite(A).all():
         raise NotHermitian("boundary operator A has non-finite entries")
     gamma = SymplecticSpace(A.shape[0] // 2).gamma

@@ -21,7 +21,6 @@ from functools import reduce
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     IncompatibleSplitting,
     NotCommuting,
     NotUnitary,
@@ -33,6 +32,7 @@ from .spectra import (
     MIN_DT,
     STEP_MAX,
     EigenSystem,
+    _as_matrix,
     _sampled_once,
     check_commuting,
     eig_unitary,
@@ -43,6 +43,7 @@ from .spectra import (
     opnorm,
     path_panel,
     principal_log_unitary,
+    sample_stack,
     track_blocks,
 )
 from .specflow import Path, _from_stack, product
@@ -67,29 +68,21 @@ _ROUNDING_TOL = 1e-9  # largest rounding error allowed in a block count n_chi
 def _det_phases(f, a, policy, K=33):
     """One isotypic det-phase pass over a unitary path on [0, 1].
 
-    Samples the isotypic blocks of f (`isotypic_blocks`, NotCommuting when a
-    sample does not commute with a) on a uniform K-point grid, checks every
-    sample for unitarity (the Frobenius norm of Q* f* f Q - I over the
-    blocks; a non-finite sample fails), and takes the determinant of each
-    block.  Intervals where some block's det phase steps by more than
-    STEP_MAX are bisected; TrackingAmbiguous is raised at MAX_SAMPLES
-    samples or when an interval to bisect is at most MIN_DT long.  The grid
-    and each bisection level are one stack.  This step bound is what
-    certifies the unwrapping.  Returns (chars, deltas, ends): deltas are the
-    unwrapped det-phase changes per block, ends[i] the (2, k, k) samples of
-    block i at t = 0 and t = 1.
+    Samples the isotypic blocks of f on a uniform K-point grid, every sample
+    checked (`_unitary_blocks`), and takes the determinant of each block.
+    Intervals where some block's det phase steps by more than STEP_MAX are
+    bisected; TrackingAmbiguous is raised at MAX_SAMPLES samples or when an
+    interval to bisect is at most MIN_DT long.  The grid and each bisection
+    level are one stack.  This step bound is what certifies the unwrapping.
+    Returns (chars, deltas, ends): deltas are the unwrapped det-phase changes
+    per block, ends[i] the (2, k, k) samples of block i at t = 0 and t = 1.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
-    blocks_at = isotypic_blocks(f, a, NotCommuting, policy)
+    blocks_at = _unitary_blocks(f, a, policy)
 
     def block_dets(ts):
         chars, blocks = blocks_at(ts)
-        gram = sum(np.linalg.norm(np.swapaxes(B.conj(), -1, -2) @ B - np.eye(B.shape[-1]),
-                                  axis=(-2, -1)) ** 2 for B in blocks)
-        off = ~(np.sqrt(gram) <= max(policy.eig_tol, 1e-10))
-        if np.any(off):
-            raise NotUnitary(f"f({ts[np.argmax(off)]:.6g}) is not unitary within tolerance")
         return chars, blocks, np.stack([np.linalg.det(B) for B in blocks], axis=1)
 
     ts = np.linspace(0.0, 1.0, K)
@@ -112,6 +105,25 @@ def _det_phases(f, a, policy, K=33):
         ts = np.insert(ts, lo + 1, mids)
         dets = np.insert(dets, lo + 1, mid_dets, axis=0)
     return chars, steps.sum(axis=0), ends
+
+
+def _unitary_blocks(f, a, policy):
+    """`isotypic_blocks` of a unitary path f (NotCommuting), every sample also
+    checked for unitarity: NotUnitary, naming t, unless the Frobenius norm of
+    Q* f* f Q - I over the blocks is at most max(eig_tol, 1e-10) (a
+    non-finite sample fails)."""
+    blocks_at = isotypic_blocks(f, a, NotCommuting, policy)
+
+    def checked(ts):
+        chars, blocks = blocks_at(ts)
+        gram = sum(np.linalg.norm(np.swapaxes(B.conj(), -1, -2) @ B - np.eye(B.shape[-1]),
+                                  axis=(-2, -1)) ** 2 for B in blocks)
+        off = ~(np.sqrt(gram) <= max(policy.eig_tol, 1e-10))
+        if np.any(off):
+            raise NotUnitary(f"f({ts[np.argmax(off)]:.6g}) is not unitary within tolerance")
+        return chars, blocks
+
+    return checked
 
 
 def pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT) -> float:
@@ -232,24 +244,27 @@ def winding_from_logs(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
                          - Tr(a Log f(1)) + Tr(a Log f(0)) )
 
     with principal matrix logarithms; valid when neither endpoint has
-    spectrum at -1.  Every sample is checked to commute with a.  The integral
+    spectrum at -1.  Every sample, the endpoints' too, passes `sample_stack`
+    and is checked to commute with a (`check_commuting`).  The integral
     runs on whole panels with f' from `path_panel`: exact for degree-14
     polynomials on each panel, and covered by the bisection error estimate.
     """
-    a = None if a is None else np.asarray(a, dtype=complex)
+    n = None  # the size of the first panels' samples, which every later sample has
 
     def weighted(X):
-        return X if a is None else a @ X
+        return X if a is None else np.asarray(a, dtype=complex) @ X
 
     def integrand(ts):
-        U, dU = path_panel(f, ts)
+        nonlocal n
+        U, dU = path_panel(f, ts, n)
+        n = U.shape[-1]
         check_commuting(a, U, ts, NotCommuting, policy)
         return np.einsum("kij,kji->k", weighted(np.swapaxes(U.conj(), 1, 2)), dU)
 
     def log_trace(t):
-        U = np.asarray(f(t), dtype=complex)
+        U = sample_stack(f, [t], n)
         check_commuting(a, U, t, NotCommuting, policy)
-        return complex(np.trace(weighted(principal_log_unitary(U, 0.0, policy))))
+        return complex(np.trace(weighted(principal_log_unitary(U[0], 0.0, policy))))
 
     total = integrate(integrand, 0.0, 1.0, policy) - log_trace(1.0) + log_trace(0.0)
     return complex(total / (2j * np.pi))
@@ -298,10 +313,9 @@ def _split_at_minus_one(U, policy):
 
 def canonical_path(U, a=None, policy: TolerancePolicy = DEFAULT) -> CanonicalContraction:
     """Path from (-a|H0) + I to (-a|H0) + a~U~ with H0 = ker(U + I)."""
-    U = np.asarray(U, dtype=complex)
+    U = _as_matrix(U)
     n = U.shape[0]
-    a = np.eye(n, dtype=complex) if a is None else np.asarray(a, dtype=complex)
-    check_commuting(a, U, None, NotCommuting, policy)
+    a = check_commuting(np.eye(n) if a is None else a, U, None, NotCommuting, policy)
     B0, B1 = _split_at_minus_one(U, policy)
     if B0.shape[1]:
         leak = opnorm((np.eye(n) - B0 @ B0.conj().T) @ a @ B0)
@@ -326,13 +340,10 @@ def double_index(U, V, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     between the block phases of frozen + B1 {I; U1, V1, U1 V1} B1*.  V must
     restrict to -I on H0 with no further spectrum at -1 (IncompatibleSplitting).
     """
-    U, V = np.asarray(U, dtype=complex), np.asarray(V, dtype=complex)
+    U, V = _as_matrix(U), _as_matrix(V)
     n = U.shape[0]
-    if V.shape != U.shape:
-        raise DimensionMismatch("U and V must have the same shape")
-    a = np.eye(n, dtype=complex) if a is None else np.asarray(a, dtype=complex)
-    for X in (U, V):
-        check_commuting(a, X, None, NotCommuting, policy)
+    a = check_commuting(np.eye(n) if a is None else a, U, None, NotCommuting, policy)
+    check_commuting(a, V, None, NotCommuting, policy)  # also V's size against a's
     B0, B1 = _split_at_minus_one(U, policy)
     tol = max(policy.zero_tol, 1e-9) * 100
     if B0.shape[1] and opnorm(B0.conj().T @ V @ B0 + np.eye(B0.shape[1])) > tol:

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import erf, erfc
 
 from equiflow.errors import (
+    DimensionMismatch,
     KernelPresent,
     NotEquivariant,
     NotHermitian,
@@ -31,6 +32,7 @@ from equiflow.eta_zeta import (
 from equiflow.harness import generators as gen
 from equiflow.specflow import HermitianPath, spectral_flow
 from equiflow.spectra import path_panel
+from equiflow.tolerances import TolerancePolicy
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -52,6 +54,15 @@ class TestEta:
         for route in (eta, reduced_eta, truncated_eta, heat_trace, zeta_determinant):
             with pytest.raises(ValueError, match="SpectralOperator"):
                 route(op, h2)
+
+    def test_operator_takes_the_route_policy(self):
+        # 1e-3 is in the kernel under zero_tol = 1e-2 (relative to the largest
+        # |eigenvalue|, 3), whether D is passed as a matrix or as an operator
+        D = np.diag([1e-3, -2.0, 3.0]).astype(complex)
+        p = TolerancePolicy(zero_tol=1e-2)
+        assert eta(SpectralOperator(D), policy=p) == eta(D, policy=p) == 0
+        assert reduced_eta(SpectralOperator(D), policy=p) == reduced_eta(D, policy=p) == 0.5
+        assert eta(SpectralOperator(D, policy=p)) == eta(D) == 1
 
     def test_symmetric_cancellation(self):
         assert eta(np.diag([2.0, -2.0, 1.0, -1.0]).astype(complex)) == 0
@@ -409,6 +420,10 @@ class TestEtaLogDefect:
         D = np.diag([1.0, -2.0]).astype(complex)
         lhs, rhs, defect = eta_log_defect(D, D)
         assert abs(defect) < 1e-12
+
+    def test_operators_of_different_sizes(self):
+        with pytest.raises(DimensionMismatch, match=r"\(2, 2\).*\(3, 3\)"):
+            eta_log_defect(np.diag([1.0, 2.0]), np.diag([1.0, 2.0, 3.0]))
 
     def test_saturated_no_swap(self):
         # commuting, no eigenvalue changes sign: defect vanishes

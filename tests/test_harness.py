@@ -223,6 +223,16 @@ class TestCLI:
         bad = write_cfg(tmp_path, "bad.json", {"kind": "sf", "nope": 1})
         assert main(["run", bad]) == 2
 
+    @pytest.mark.parametrize("kind", ["circle_eta", "split"])
+    def test_non_square_potential(self, tmp_path, capsys, kind):
+        # a typed computation failure (exit 1) naming the shape, no traceback
+        cfg = write_cfg(tmp_path, "v.json", {"kind": kind, "generator": {
+            "name": "model", "params": {"v": [[[0.25, 0.0], [0.5, 0.0]]]}}})
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation failed: DimensionMismatch: potential V")
+        assert "got shape (1, 2)" in err and "Traceback" not in err
+
     def test_verify_unknown_suite(self):
         assert main(["verify", "no_such_suite"]) in (1, 2)
 

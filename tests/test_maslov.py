@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from equiflow.errors import NotCommuting
+from equiflow.errors import NotCommuting, NotUnitary
 from equiflow.harness import generators as gen
 from equiflow.maslov import (
     LagrangianPath,
@@ -84,6 +84,16 @@ class TestMaslovIndex:
         for mode in ("winding", "grid"):
             with pytest.raises(NotCommuting):
                 maslov_index(T, S, a, mode=mode, grid=64)
+
+    def test_grid_mode_checks_unitarity(self):
+        # T*S = 2I, 0.5 I or NaN: grid mode refuses every sample before its
+        # first SVD, as winding mode does
+        S = lambda t: np.diag(np.exp([2j * np.pi * t, 0.3j]))
+        for c in (2.0, 0.5, np.nan):
+            T = lambda t, c=c: c * np.eye(2, dtype=complex)
+            for mode in ("winding", "grid"):
+                with pytest.raises(NotUnitary):
+                    maslov_index(T, S, mode=mode)
 
     @pytest.mark.parametrize("near_pi, crossing", [
         (lambda t: -0.003, lambda t: 3 * (t - 0.5)),
