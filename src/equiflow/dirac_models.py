@@ -152,7 +152,17 @@ def interval_transfer(model: IntervalDiracModel, lam) -> np.ndarray:
 def secular_value(model: IntervalDiracModel, P, lam) -> complex:
     """det(B* J(lambda)) with B an orthonormal basis of ran(P) and
     J(lambda) v = (v, M(lambda) v); eigenvalues of D_P are its real roots."""
-    return _secular_det(model, as_projection(P, model.policy).image_basis(), lam)
+    return _secular_det(model, _boundary_projection(model, P).image_basis(), lam)
+
+
+def _boundary_projection(model, P):
+    """P as a LagrangianProjection (`as_projection`) on the model's m
+    channels; DimensionMismatch, naming its shape, on any other number."""
+    P = as_projection(P, model.policy)
+    if P.n != model.m:
+        raise DimensionMismatch(f"projection of shape {P.P.shape} does not match "
+                                f"the model's {model.m} channels")
+    return P
 
 
 def _secular_det(model, B, lam) -> complex:
@@ -169,13 +179,10 @@ def _branch_clusters(model: IntervalDiracModel, P):
     on the power of u, so it is computed once per model and T and kept on
     the model.
     """
-    P = as_projection(P, model.policy)
+    P = _boundary_projection(model, P)
     key = P.T.tobytes()
     if key not in model._cluster_cache:
         T = P.T
-        if T.shape[0] != model.m:
-            raise DimensionMismatch(f"projection of shape {P.P.shape} does not match "
-                                    f"the model's {model.m} channels")
         check_commuting(model.u, T, None, NotEquivariant, model.policy)
         G = T.conj().T @ interval_transfer(model, 0.0)
         W, blocks, _ = isotypic_split(model.u, model.m, model.policy)

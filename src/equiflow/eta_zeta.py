@@ -154,7 +154,9 @@ def eta_form(D, X, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT):
     """One-form sqrt(eps/pi) * Tr(h X e^{-eps D^2}) of a Hermitian D commuting
     with the actor h: a complex for matrices D, X, a (K,) array for (K, n, n)
     stacks.  h acts as chi * I on its chi-block (`spectra.isotypic_split`), so
-    this is sum_chi chi Tr(X_chi e^{-eps D_chi^2}), one stacked eigh per block.
+    this is sum_chi chi Tr(X_chi e^{-eps D_chi^2}): D and X are cut in one
+    call on their stack, and the blocks of D take one eigh per block size
+    (`spectra._block_eigh`).
     D and X pass `_as_matrix` with one shape (DimensionMismatch).  Every
     sample of D is checked to commute with h (NotEquivariant), and each of
     its blocks by the Frobenius test of `hermitian_part` (NotHermitian).
@@ -164,11 +166,12 @@ def eta_form(D, X, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT):
         raise DimensionMismatch(f"X of shape {X.shape} does not match D of shape {F.shape}")
     D = F.reshape((-1,) + F.shape[-2:])
     check_commuting(h, D, None, NotEquivariant, policy)
-    chars, blocks = _isotypic_cut(D, h, policy)
-    # X need not commute with h: only its diagonal blocks enter the trace
-    _, X_blocks = _isotypic_cut(X.reshape(D.shape), h, policy)
+    # one cut of D and X; X need not commute with h: only its diagonal
+    # blocks enter the trace
+    chars, blocks = _isotypic_cut(np.stack([D, X.reshape(D.shape)]), h, policy)
     total = 0.0
-    for chi, (lam, U), Xc in zip(chars, _block_eigh(blocks, policy), X_blocks):
+    for chi, (lam, U), (_, Xc) in zip(chars, _block_eigh([B[0] for B in blocks], policy),
+                                      blocks):
         Xd = np.sum(U.conj() * (Xc @ U), axis=1)  # diagonal of U* X_chi U
         total += chi * np.sum(Xd * np.exp(-eps * lam ** 2), axis=1)
     out = sqrt(eps / pi) * total

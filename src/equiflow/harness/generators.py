@@ -109,7 +109,8 @@ def commuting_hermitian_path(dim, order, rng, scale=1.5):
 
     Built blockwise in the action's eigenbasis:
     B(t) = R [C0 + t C1 + sin(pi t) C2 + cos(2 pi t) C3] R^*, batched as one
-    contraction of the four embedded coefficients.  Returns (Path, h).
+    product of the (K, 4) basis values and the four embedded coefficients.
+    Returns (Path, h).
     """
     h, _, blocks, R = zn_action(dim, order, rng)
     C = np.zeros((4, dim, dim), dtype=complex)
@@ -123,7 +124,7 @@ def commuting_hermitian_path(dim, order, rng, scale=1.5):
 
     def stack(ts):
         basis = np.stack([np.ones_like(ts), ts, np.sin(pi * ts), np.cos(2 * pi * ts)], axis=1)
-        return np.tensordot(basis, C, axes=1)
+        return (basis @ C.reshape(4, -1)).reshape(len(ts), dim, dim)
 
     return Path(dim, _from_stack(stack)), h
 

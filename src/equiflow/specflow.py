@@ -226,8 +226,9 @@ def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int =
     per unit time.  Levels are picked in the widest spectral gap inside
     (0, median positive eigenvalue] (`_pick_levels`).  A round tests the
     leftmost `_ROUND_MAX` pending intervals on one stack of their new probe
-    times (each time is sampled once) and picks all their levels in one array
-    pass; PartitionFailure names the leftmost one at `max_depth`.  Every probe
+    times (each time is sampled once), takes the new probes' spectra and the
+    steps' norms from one `eigvalsh` call, and picks all their levels in one
+    array pass; PartitionFailure names the leftmost one at `max_depth`.  Every probe
     passes the test of `spectra.hermitian_part` (NotHermitian, also for a
     non-finite sample).  ValueError when initial_nodes < 2.
     """
@@ -238,29 +239,36 @@ def _certify(path, h, policy, initial_nodes=9, max_depth=22):
     """(partition, node samples, node spectra) as in `good_partition`; probes
     checked to commute with h and to be Hermitian (`hermitian_part`,
     NotHermitian).  The node spectra are the eigenvalues of the samples'
-    Hermitian parts (`np.linalg.eigvalsh`), ascending."""
+    Hermitian parts, ascending (`np.linalg.eigvalsh`, in the round's one call,
+    bit for bit those of a call on the nodes alone)."""
     if initial_nodes < 2:
         raise ValueError("initial_nodes must be >= 2")
     n_probe = 5
     seeds = np.linspace(0.0, 1.0, initial_nodes)
     pending = np.stack([seeds[:-1], seeds[1:], 0 * seeds[1:]], 1)  # (t0, t1, depth), ascending
-    ts, intervals = np.empty(0), []  # ts: the times sampled so far, ascending
+    ts, intervals, n = np.empty(0), [], None  # ts: the times sampled so far, ascending
     while pending.size:
         a, b, d = pending[:_ROUND_MAX].T
-        probes = np.linspace(a, b, n_probe, axis=1)
-        new = np.setdiff1d(probes, ts)  # never empty: a child halves its parent's probe spacing
-        G = sample_stack(path, new, F.shape[-1] if ts.size else None)
+        probes = a[:, None] + np.arange(n_probe) * ((b - a) / (n_probe - 1))[:, None]
+        probes[:, -1] = b  # np.linspace(a, b, n_probe, axis=1), by its own arithmetic
+        new = np.unique(probes)
+        if ts.size:  # the times not sampled yet: never none, a child halves its parent's spacing
+            new = new[ts[np.minimum(np.searchsorted(ts, new), ts.size - 1)] != new]
+        G = sample_stack(path, new, n)
         check_commuting(h, G, new, NotEquivariant, policy)
         H = hermitian_part(G, policy)
-        S = np.linalg.eigvalsh(H)
-        if ts.size:
-            G, H, S = np.concatenate([F, G]), np.concatenate([herm, H]), np.concatenate([spec, S])
+        if n is None:
+            n = G.shape[-1]
+            F, herm, spec = G[:0], H[:0], np.empty((0, n))
         ts = np.concatenate([ts, new])
         order = np.argsort(ts)
-        ts, F, herm, spec = ts[order], G[order], H[order], S[order]
+        ts, F, herm = ts[order], np.concatenate([F, G])[order], np.concatenate([herm, H])[order]
         k = np.searchsorted(ts, probes)
-        # the spectral norm of a Hermitian step is its largest |eigenvalue|
-        steps = np.max(np.abs(np.linalg.eigvalsh(np.diff(herm[k], axis=1))), axis=-1)
+        # one solve: the new samples' spectra and the steps between neighbouring
+        # probes, whose spectral norm (Hermitian steps) is their largest |eigenvalue|
+        S = np.linalg.eigvalsh(np.concatenate([H, np.diff(herm[k], axis=1).reshape(-1, n, n)]))
+        spec = np.concatenate([spec, S[:len(new)]])[order]
+        steps = np.max(np.abs(S[len(new):]), axis=-1).reshape(len(a), n_probe - 1)
         # 1.5: safety factor on the sampled Lipschitz estimate
         lips = 1.5 * np.max(steps / np.maximum(np.diff(probes, axis=1), 1e-300), axis=1)
         travel = lips * (b - a) / (n_probe - 1) / 2.0

@@ -5,7 +5,8 @@ adaptive quadrature.
 Every route reads a path's isotypic blocks from `isotypic_blocks`, and
 `_block_eigh` (eigenpairs) and `_block_eigvalsh` (eigenvalues alone, for
 the counts that read no vectors) are the one source of Hermitian block
-eigendata.
+eigendata: the blocks of one size take one `hermitian_part` and one LAPACK
+call together, and without an actor the samples are the one block, uncut.
 
 All values are pure functions of the inputs, but the Schur splits a call
 makes depend on earlier calls (`isotypic_split` keeps recent ones); sums
@@ -276,7 +277,8 @@ def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT, n: int = 
     samples (by default that of the first call's).  Every call reads the
     split of a from `isotypic_split`, which keeps it, so a route on one
     actor splits it once.  blocks[i] is the (K, k, k) stack of Q* F Q,
-    Q = V[:, i-th block], and chars[i] the character of a on it.
+    Q = V[:, i-th block], and chars[i] the character of a on it; without an
+    actor the one block is F itself, chi = 1.
     """
 
     def blocks_at(ts, F=None):
@@ -292,22 +294,35 @@ def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT, n: int = 
 
 
 def _isotypic_cut(F, a, policy):
-    """(chars, blocks) of matrices F, as in `isotypic_blocks` but unchecked."""
+    """(chars, blocks) of matrices F, as in `isotypic_blocks` but unchecked;
+    without an actor F itself is the one block, chi = 1."""
+    if a is None:
+        return np.ones(1, dtype=complex), [F]
     V, blocks, chars = isotypic_split(a, F.shape[-1], policy)
     F = V.conj().T @ F @ V
     return chars, [F[..., idx[:, None], idx] for idx in blocks]
 
 
-def _block_eigh(blocks, policy):
-    """(lam, U) = `np.linalg.eigh` of the Hermitian part of every block, a
-    matrix or a stack: with `_block_eigvalsh`, the one source of Hermitian
-    block eigendata.  A 1x1 block takes its real entry and the vector 1
-    without a solve, as LAPACK returns them for N = 1.  NotHermitian by the
-    test of `hermitian_part`, per sample."""
-    out = []
-    for B in blocks:
-        H = hermitian_part(B, policy)
-        out.append((H.real[..., 0], np.ones_like(H)) if H.shape[-1] == 1 else np.linalg.eigh(H))
+def _block_eigh(blocks, policy, vectors=True):
+    """(lam, U) = `np.linalg.eigh` of the Hermitian part of every block, the
+    blocks matrices or stacks of one shape but their size (lam alone, from
+    `np.linalg.eigvalsh`, without `vectors`): with `_block_eigvalsh`, the one
+    source of Hermitian block eigendata.  The blocks of one size take one
+    `hermitian_part` and one solve together; the gufuncs solve each matrix
+    on its own, so each block gets the values of its own call, bit for bit.
+    A 1x1 block takes its real entry and the vector 1 without a solve, as
+    LAPACK returns them for N = 1.  NotHermitian by the test of
+    `hermitian_part`, per sample."""
+    out, sizes = [None] * len(blocks), [B.shape[-1] for B in blocks]
+    for k in dict.fromkeys(sizes):
+        group = [i for i, size in enumerate(sizes) if size == k]
+        X = [blocks[i].reshape(-1, k, k) for i in group]
+        H = hermitian_part(X[0] if len(X) == 1 else np.concatenate(X), policy)
+        res = ((H.real[..., 0], np.ones_like(H)) if k == 1
+               else np.linalg.eigh(H) if vectors else [np.linalg.eigvalsh(H)])
+        res = [r.reshape((len(X),) + blocks[group[0]].shape[:-2] + r.shape[1:]) for r in res]
+        for j, i in enumerate(group):
+            out[i] = tuple(r[j] for r in res) if vectors else res[0][j]
     return out
 
 
@@ -315,11 +330,7 @@ def _block_eigvalsh(blocks, policy):
     """lam alone, as in `_block_eigh` but from `np.linalg.eigvalsh` (whose
     values may differ from eigh's in the last bits): for routes that read no
     eigenvectors."""
-    out = []
-    for B in blocks:
-        H = hermitian_part(B, policy)
-        out.append(H.real[..., 0] if H.shape[-1] == 1 else np.linalg.eigvalsh(H))
-    return out
+    return _block_eigh(blocks, policy, vectors=False)
 
 
 def principal_log_unitary(U, offset: float = 0.0, policy: TolerancePolicy = DEFAULT):

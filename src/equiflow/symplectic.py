@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     KernelLagrangianInvalid,
     NotEquivariant,
     NotHermitian,
     NotLagrangian,
     NotUnitary,
 )
-from .spectra import _as_matrix, check_commuting, eig_hermitian, opnorm
+from .spectra import _NUMERIC, _as_matrix, check_commuting, eig_hermitian, opnorm
 from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
@@ -225,7 +226,8 @@ def aps_projection(A, L=None, policy: TolerancePolicy = DEFAULT) -> LagrangianPr
     """Boundary projection P^+ + P_L for a gamma-anticommuting Hermitian A.
 
     L is an orthonormal basis of a Lagrangian inside ker(A), i.e.
-    gamma(L) = L^perp & ker(A); omit it when A is invertible.
+    gamma(L) = L^perp & ker(A); omit it when A is invertible.  L must hold
+    numbers in 2n rows (a vector is one column): DimensionMismatch otherwise.
     """
     A = _as_matrix(A, what="boundary operator A", even=True)
     if not np.isfinite(A).all():
@@ -238,11 +240,13 @@ def aps_projection(A, L=None, policy: TolerancePolicy = DEFAULT) -> LagrangianPr
     pos = es.vectors[:, es.values > policy.zero_tol * nrm]
     ker = es.vectors[:, np.abs(es.values) <= policy.zero_tol * nrm]
     kdim = ker.shape[1]
-    if L is None:
-        L = np.zeros((A.shape[0], 0), dtype=complex)
-    L = np.asarray(L, dtype=complex)
+    L = np.zeros((len(A), 0)) if L is None else np.asarray(L)
     if L.ndim == 1:
         L = L[:, None]
+    if L.dtype.kind not in _NUMERIC or L.ndim != 2 or len(L) != len(A):
+        raise DimensionMismatch(f"kernel Lagrangian basis L: expected {len(A)} rows of numbers; "
+                                f"got shape {L.shape} of {L.dtype}")
+    L = L.astype(complex, copy=False)
     ldim = L.shape[1]
     if 2 * ldim != kdim:
         raise KernelLagrangianInvalid(

@@ -11,6 +11,8 @@ and a scalar.  Each public name of a library module is either a route in
 a new route without an entry fails `test_every_route_is_listed`.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,7 @@ _D = np.diag([1.0, 2.0]).astype(complex)
 _U = np.diag([1j, -1j])
 _P = symplectic.make_projection_from_unitary(np.eye(2))
 _V = np.diag([0.25, 0.5]).astype(complex)
+_ZERO = np.zeros((2, 2))  # a boundary operator with a kernel: aps_projection reads its L
 _MODEL = dirac_models.IntervalDiracModel(1.0, _V)
 
 # name -> {role: call}; a role is "path", "samples" (a path the route only
@@ -61,8 +64,9 @@ _MODEL = dirac_models.IntervalDiracModel(1.0, _V)
 # compute with them), "matrix" (a static matrix), "stack" (a matrix or a
 # stack of them: the (1, 2, 2) input is valid), "direction" (the X of
 # `eta_form`, a matrix or a stack whose trace against D the form takes: no
-# tolerance test reads it, so a NaN X gives NaN) or "actor".  Names with a
-# bracketed suffix are further calls of one route.
+# tolerance test reads it, so a NaN X gives NaN), "L" (the kernel Lagrangian
+# basis of `aps_projection`, a matrix or a vector of 2n rows) or "actor".
+# Names with a bracketed suffix are further calls of one route.
 ROUTES = {
     "spectra.sample_stack": {"samples": lambda f: spectra.sample_stack(f, _TS)},
     "spectra.path_panel": {"samples": lambda f: spectra.path_panel(f, _NODES)},
@@ -86,6 +90,7 @@ ROUTES = {
     "symplectic.check_unitary": {"matrix": symplectic.check_unitary},
     "symplectic.flip_orientation": {"matrix": symplectic.flip_orientation},
     "symplectic.aps_projection": {"matrix": symplectic.aps_projection},
+    "symplectic.aps_projection[L]": {"L": lambda L: symplectic.aps_projection(_ZERO, L)},
     "symplectic.pair_report": {
         "matrix": lambda P: symplectic.pair_report(P, _P),
         "actor": lambda a: symplectic.pair_report(_P, _P, a)},
@@ -217,6 +222,7 @@ NOT_ROUTES = {
 
 _INPUTS = {"path": PATHS, "matrix": MATRICES, "actor": ACTORS,
            "samples": {k: v for k, v in PATHS.items() if k != "nan"},
+           "L": MATRICES,
            "stack": {k: v for k, v in MATRICES.items() if k != "stack"},
            "direction": {k: v for k, v in MATRICES.items() if k not in ("stack", "nan")}}
 CASES = [(route, role, bad) for route, roles in ROUTES.items()
@@ -248,3 +254,16 @@ def test_path_of_another_size_between_stacks():
                                         specflow.Interval(0.5, 1.0, 0.5, 0.1, 1.0)])
     with pytest.raises(DimensionMismatch, match=r"t=0\.5.*\(3, 3\)"):
         specflow.spectral_flow(path, partition=partition)
+
+
+@pytest.mark.parametrize("call, shape", [
+    # a projection on 3 channels for a model of 2
+    (lambda: dirac_models.secular_value(
+        _MODEL, symplectic.make_projection_from_unitary(np.eye(3)), 0.3), "(6, 6)"),
+    # L of 3 rows, or of no numbers, for a 4x4 boundary operator
+    (lambda: symplectic.aps_projection(np.zeros((4, 4)), np.eye(3)[:, :2]), "(3, 2)"),
+    (lambda: symplectic.aps_projection(np.zeros((4, 4)), "abc"), "()"),
+], ids=["secular_value-projection", "aps_projection-L_rows", "aps_projection-L_string"])
+def test_size_shared_with_another_input(call, shape):
+    with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
+        call()

@@ -16,7 +16,8 @@ from equiflow.specflow import (
     reverse,
     spectral_flow,
 )
-from equiflow.spectra import _ROUND_MAX, check_commuting, sample_stack, track_blocks
+from equiflow.spectra import (_ROUND_MAX, check_commuting, hermitian_part, sample_stack,
+                              track_blocks)
 from equiflow.tolerances import DEFAULT
 from equiflow.winding import winding_number
 
@@ -221,12 +222,63 @@ class TestPartitionMatchesReference:
         assert_partitions_equal(part, ref)
         assert np.array_equal(F, F_ref) and np.array_equal(spec, spec_ref)
 
+    @pytest.mark.parametrize("initial_nodes", [4, 7, 12])
+    def test_seeds_off_the_dyadic_grid(self, initial_nodes):
+        # intervals with non-dyadic ends probe the times np.linspace gives
+        path, h = gen.commuting_hermitian_path(5, 3, gen.rng_for(430 + initial_nodes))
+        part, F, spec = specflow._certify(path, h, DEFAULT, initial_nodes)
+        ref, F_ref, spec_ref = _reference_certify(path, h, initial_nodes=initial_nodes)
+        assert_partitions_equal(part, ref)
+        assert np.array_equal(F, F_ref) and np.array_equal(spec, spec_ref)
+
     @pytest.mark.parametrize("weights, ambient", _BOTT_LOOPS)
     def test_bott_loops(self, weights, ambient):
         # eigenvalues exactly +-1 with many duplicates, crossing 0 together
         bl = bott_loop(weights, ambient)
         path = bl.hermitian_path
         assert_partitions_equal(good_partition(path), _reference_certify(path, None)[0])
+
+
+# (seed, dim, order, nodes, levels) of good_partition on
+# commuting_hermitian_path(dim, order, rng_for(seed)), recorded at a commit
+# that solved every certification round in two calls: the one-call round
+# must certify the same intervals at the same levels, bit for bit
+_RECORDED_PARTITIONS = [
+    (604, 4, 2,
+     [0.0, 0.03125, 0.046875, 0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0],
+     [0.3327998193661128, 0.2520632463910779, 0.18385775682035713, 1.3125775473414125,
+      1.3436083795749845, 1.9042672665080937, 2.4592739509243824, 2.728294532762791,
+      2.436453549996668, 2.0958413071617428, 1.928306058737828]),
+    (609, 2, 6,
+     [0.0, 0.0625, 0.09375, 0.109375, 0.1171875, 0.125, 0.1328125, 0.140625, 0.15625, 0.1875,
+      0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0],
+     [0.22596499961336952, 0.14451089606272305, 0.1100157532338773, 0.0983224595153378,
+      0.024072766548020257, 0.02361531069330919, 0.07369586737769905, 0.06350455171690678,
+      0.09104449944469292, 0.14801264998147728, 0.2619916727828762, 0.41476301252507597,
+      0.17204793517066608, 1.3440958703413322, 1.0510868835258487, 1.6169467966683677]),
+    (622, 8, 3,
+     [0.0, 0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0],
+     [0.29390054712472896, 0.39721874696345655, 0.5154517273397013, 0.4365451965408589,
+      1.8290070761339376, 1.9921285877965662, 1.9648764634114073, 0.614778067125094,
+      0.5176928929698935]),
+]
+
+
+@pytest.mark.parametrize("seed, dim, order, nodes, levels", _RECORDED_PARTITIONS,
+                         ids=[str(case[0]) for case in _RECORDED_PARTITIONS])
+def test_partition_matches_recording(seed, dim, order, nodes, levels):
+    path, h = gen.commuting_hermitian_path(dim, order, gen.rng_for(seed))
+    for part in (good_partition(path), specflow._certify(path, h, DEFAULT)[0]):
+        assert part.nodes == nodes
+        assert [iv.level for iv in part.intervals] == levels
+
+
+@pytest.mark.parametrize("seed, dim, order", [(604, 4, 2), (609, 2, 6), (17, 5, 1)])
+def test_certify_node_spectra(seed, dim, order):
+    # the round's one eigvalsh gives each node the spectrum of its own call
+    path, h = gen.commuting_hermitian_path(dim, order, gen.rng_for(seed))
+    _, F, spec = specflow._certify(path, h, DEFAULT)
+    assert spec.tobytes() == np.linalg.eigvalsh(hermitian_part(F)).tobytes()
 
 
 def _svd_lipschitz(path, iv):

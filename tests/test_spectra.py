@@ -254,6 +254,74 @@ class TestHermitianPart:
             hermitian_part(np.zeros((2, 3)))
 
 
+def _blocks(sizes, K, seed):
+    """Hermitian blocks of the given sizes, matrices (K = None) or (K, k, k)
+    stacks, each with a skew part well inside the tolerance of
+    `hermitian_part`, so that taking the Hermitian part changes bits."""
+    rng = np.random.default_rng(seed)
+    lead = () if K is None else (K,)
+    out = []
+    for k in sizes:
+        A = rng.normal(size=lead + (k, k)) + 1j * rng.normal(size=lead + (k, k))
+        out.append(A + np.swapaxes(A.conj(), -1, -2) + 1e-14 * A)
+    return out
+
+
+_SIZES = [2, 1, 3, 2, 1, 4, 3, 2]
+
+
+class TestBlockEigendata:
+    """The blocks of one size are solved together, each bit for bit as by
+    its own call."""
+
+    @pytest.mark.parametrize("K", [None, 1, 7])
+    def test_grouped_solves_equal_per_block_solves(self, K):
+        blocks = _blocks(_SIZES, K, 11)
+        pairs = spectra._block_eigh(blocks, DEFAULT)
+        values = spectra._block_eigvalsh(blocks, DEFAULT)
+        assert len(pairs) == len(values) == len(blocks)
+        for B, (lam, U), lam_only in zip(blocks, pairs, values):
+            ref_lam, ref_U = np.linalg.eigh(hermitian_part(B))
+            assert lam.shape == ref_lam.shape and U.shape == ref_U.shape
+            assert lam.tobytes() == ref_lam.tobytes() and U.tobytes() == ref_U.tobytes()
+            ref_only = np.linalg.eigvalsh(hermitian_part(B))
+            assert lam_only.shape == ref_only.shape
+            assert lam_only.tobytes() == ref_only.tobytes()
+
+    @pytest.mark.parametrize("K", [None, 5])
+    def test_non_hermitian_block_inside_a_group(self, K):
+        for solve in (spectra._block_eigh, spectra._block_eigvalsh):
+            blocks = _blocks(_SIZES, K, 12)
+            bad = blocks[3] if K is None else blocks[3][2]  # the second 2x2 block
+            bad[0, 1] += 1e-3
+            with pytest.raises(NotHermitian):
+                solve(blocks, DEFAULT)
+
+    def test_one_solve_per_block_size(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(spectra, "hermitian_part",
+                            counted("hermitian_part", spectra.hermitian_part))
+        blocks = _blocks(_SIZES, 6, 13)
+        spectra._block_eigh(blocks, DEFAULT)
+        # sizes 1, 2, 3, 4: a Hermitian part each, a solve each but the 1x1
+        assert sorted(calls) == ["eigh"] * 3 + ["hermitian_part"] * 4
+        calls.clear()
+        spectra._block_eigvalsh(blocks, DEFAULT)
+        assert sorted(calls) == ["eigvalsh"] * 3 + ["hermitian_part"] * 4
+
+    def test_cut_without_actor_is_the_samples(self):
+        F = _blocks([3], 4, 14)[0]
+        chars, blocks = spectra._isotypic_cut(F, None, DEFAULT)
+        assert np.array_equal(chars, [1.0]) and len(blocks) == 1
+        assert blocks[0].tobytes() == F.tobytes()
+
+
 class TestPrincipalLog:
     def test_identity(self):
         assert opnorm(principal_log_unitary(np.eye(3))) < 1e-14
