@@ -8,7 +8,7 @@ symplectic    Lagrangian projections, pair diagnostics, APS projections
 specflow      equivariant spectral flow (grid partitions + crossing oracle)
 winding       winding numbers, Fredholm determinants, double indices
 maslov        Maslov index, triple indices, Maslov cycle predicate
-eta_zeta      eta/zeta invariants, heat traces, zeta determinants
+eta_zeta      eta/zeta invariants, zeta determinants, the Getzler flow
 dirac_models  circle and interval Dirac models, splitting experiments
 harness       scenario configs, verification suites, CLI
 """

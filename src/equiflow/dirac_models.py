@@ -50,8 +50,6 @@ __all__ = [
     "theta_projection",
     "circle_spectrum",
     "circle_eta",
-    "interval_transfer",
-    "secular_value",
     "secular_branches",
     "interval_spectrum",
     "interval_calderon",
@@ -142,31 +140,17 @@ def theta_projection(theta, m: int = 1) -> LagrangianProjection:
     return make_projection_from_unitary(T)
 
 
-def interval_transfer(model: IntervalDiracModel, lam) -> np.ndarray:
+def _interval_transfer(model: IntervalDiracModel, lam) -> np.ndarray:
     """Transfer matrix M(lambda) = exp(i L (lambda I - V)), unitary for real lambda."""
     C = model.channel_basis
     phase = np.exp(1j * model.L * (lam - model.channel_values))
     return C @ np.diag(phase) @ C.conj().T
 
 
-def secular_value(model: IntervalDiracModel, P, lam) -> complex:
-    """det(B* J(lambda)) with B an orthonormal basis of ran(P) and
-    J(lambda) v = (v, M(lambda) v); eigenvalues of D_P are its real roots."""
-    return _secular_det(model, _boundary_projection(model, P).image_basis(), lam)
-
-
-def _boundary_projection(model, P):
-    """P as a LagrangianProjection (`as_projection`) on the model's m
-    channels; DimensionMismatch, naming its shape, on any other number."""
-    P = as_projection(P, model.policy)
-    if P.n != model.m:
-        raise DimensionMismatch(f"projection of shape {P.P.shape} does not match "
-                                f"the model's {model.m} channels")
-    return P
-
-
 def _secular_det(model, B, lam) -> complex:
-    M = interval_transfer(model, lam)
+    """The secular value det(B* J(lambda)), B an orthonormal basis of ran(P)
+    and J(lambda) v = (v, M(lambda) v); eigenvalues of D_P are its real roots."""
+    M = _interval_transfer(model, lam)
     J = np.vstack([np.eye(model.m), M])
     return complex(np.linalg.det(B.conj().T @ J))
 
@@ -177,14 +161,18 @@ def _branch_clusters(model: IntervalDiracModel, P):
     isotypic blocks of u (`isotypic_split`), and each branch cluster has its
     beta and the positions of its phases in that order.  None of it depends
     on the power of u, so it is computed once per model and T and kept on
-    the model.
+    the model.  P is taken by `as_projection`; DimensionMismatch, naming its
+    shape, unless it acts on the model's m channels.
     """
-    P = _boundary_projection(model, P)
+    P = as_projection(P, model.policy)
+    if P.n != model.m:
+        raise DimensionMismatch(f"projection of shape {P.P.shape} does not match "
+                                f"the model's {model.m} channels")
     key = P.T.tobytes()
     if key not in model._cluster_cache:
         T = P.T
         check_commuting(model.u, T, None, NotEquivariant, model.policy)
-        G = T.conj().T @ interval_transfer(model, 0.0)
+        G = T.conj().T @ _interval_transfer(model, 0.0)
         W, blocks, _ = isotypic_split(model.u, model.m, model.policy)
         phases = np.concatenate([eig_unitary(W[:, idx].conj().T @ G @ W[:, idx],
                                              model.policy).values for idx in blocks])
@@ -239,28 +227,6 @@ def _branches(model, P, phase_weights):
             np.array([len(idx) for idx in members], dtype=int))
 
 
-def nonreality_check(model: IntervalDiracModel, basis) -> np.ndarray:
-    """z-roots of det(B1* + z B2* M(0)) for an arbitrary rank-m boundary basis.
-
-    For a Lagrangian projection all moduli are 1 (real spectrum); moduli away
-    from 1 correspond to complex secular roots Im(lambda) = -log|z| / L.
-    """
-    B = np.asarray(basis, dtype=complex)
-    m = model.m
-    B1 = B[:m, :]
-    B2 = B[m:, :]
-    W0 = interval_transfer(model, 0.0)
-    nodes = np.exp(2j * pi * np.arange(m + 1) / (m + 1))
-    vals = np.array([np.linalg.det(B1.conj().T + z * B2.conj().T @ W0) for z in nodes])
-    # exact interpolation of the degree-m polynomial in z
-    Vand = np.vander(nodes, m + 1, increasing=True)
-    coeffs = np.linalg.solve(Vand, vals)
-    poly = np.trim_zeros(coeffs[::-1], trim="f")
-    if poly.size <= 1:
-        raise RootFindingFailure("degenerate secular polynomial")
-    return np.roots(poly)
-
-
 def _newton_polish(model, B, lam0, iters=4):
     """Newton iteration on the secular value for the boundary basis B."""
     delta = 1e-7 * max(1.0, abs(lam0))
@@ -310,7 +276,7 @@ def interval_calderon(model: IntervalDiracModel):
     """Calderon projection: orthogonal projector onto the Cauchy-data space
     {(v, M(0) v)}, i.e. the graph of K = M(0) = exp(-i L V), unitary by
     construction from the orthonormal channel basis."""
-    K = interval_transfer(model, 0.0)
+    K = _interval_transfer(model, 0.0)
     return _projection(K), K
 
 

@@ -63,10 +63,6 @@ class KernelPresent(EquiflowError):
     """Operator has spectrum at zero where an invertible one is required."""
 
 
-class NotPositive(EquiflowError):
-    pass
-
-
 class RootFindingFailure(EquiflowError):
     pass
 

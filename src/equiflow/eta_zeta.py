@@ -9,9 +9,8 @@ Mellin-transform quadratures are provided as verification-only
 cross-checks.
 
 `scipy.special` is imported by the routines that use it (`truncated_eta`,
-`truncated_eta_quadrature`, the `mellin_*` cross-checks and
-`eta_log_defect`), on first call, so a process that calls none of them
-never loads it.
+the `mellin_*` cross-checks and `eta_log_defect`), on first call, so a
+process that calls none of them never loads it.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, KernelPresent, NotEquivariant, NotPositive
+from .errors import DimensionMismatch, KernelPresent, NotEquivariant, NotHermitian
 from .spectra import (
     _as_matrix,
     _block_eigh,
@@ -38,12 +37,9 @@ __all__ = [
     "eta",
     "reduced_eta",
     "truncated_eta",
-    "truncated_eta_quadrature",
     "eta_form",
     "getzler_spectral_flow",
-    "heat_trace",
     "zeta",
-    "zeta_prime0",
     "zeta_determinant",
     "zeta_determinant_product_route",
     "mellin_eta",
@@ -134,22 +130,6 @@ def truncated_eta(D, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT
     return complex(np.sum(w * np.sign(lam) * erfc(np.sqrt(eps) * np.abs(lam))))
 
 
-def truncated_eta_quadrature(D, h=None, eps: float = 1.0,
-                             policy: TolerancePolicy = DEFAULT) -> complex:
-    """Verification route: (1/Gamma(1/2)) int_eps^inf t^{-1/2} Tr(h D e^{-t D^2}) dt."""
-    from scipy.special import gamma as gamma_fn
-
-    op = _spec(D, h, policy)
-    lam, w = op.nonzero()
-    lam_min = np.min(np.abs(lam)) if lam.size else 1.0
-
-    def f(ts):
-        return np.sum(w * lam * np.exp(-ts[:, None] * lam ** 2), axis=1) / np.sqrt(ts)
-
-    t_max = eps + 42.0 / lam_min ** 2
-    return complex(integrate(f, eps, t_max, policy) / gamma_fn(0.5))
-
-
 def eta_form(D, X, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT):
     """One-form sqrt(eps/pi) * Tr(h X e^{-eps D^2}) of a Hermitian D commuting
     with the actor h: a complex for matrices D, X, a (K,) array for (K, n, n)
@@ -159,11 +139,14 @@ def eta_form(D, X, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT):
     (`spectra._block_eigh`).
     D and X pass `_as_matrix` with one shape (DimensionMismatch).  Every
     sample of D is checked to commute with h (NotEquivariant), and each of
-    its blocks by the Frobenius test of `hermitian_part` (NotHermitian).
+    its blocks by the Frobenius test of `hermitian_part` (NotHermitian).  X
+    need not be Hermitian, but a non-finite X raises NotHermitian naming X.
     """
     F, X = _as_matrix(D, stack=True), _as_matrix(X, what="X", stack=True)
     if X.shape != F.shape:
         raise DimensionMismatch(f"X of shape {X.shape} does not match D of shape {F.shape}")
+    if not np.isfinite(X).all():
+        raise NotHermitian("X has non-finite entries")
     D = F.reshape((-1,) + F.shape[-2:])
     check_commuting(h, D, None, NotEquivariant, policy)
     # one cut of D and X; X need not commute with h: only its diagonal
@@ -178,20 +161,6 @@ def eta_form(D, X, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT):
     return complex(out[0]) if F.ndim == 2 else out
 
 
-def heat_trace(D, h=None, t: float = 1.0, positive_only: bool = False,
-               policy: TolerancePolicy = DEFAULT) -> complex:
-    """Sum of Tr(h|lambda) e^{-lambda t}; positive_only restricts to the
-    positive spectrum (renormalised variant)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    op = _spec(D, h, policy)
-    lam, w = op.values, op.weights
-    if positive_only:
-        m = lam > policy.zero_tol * op.zero_scale
-        lam, w = lam[m], w[m]
-    return complex(np.sum(w * np.exp(-lam * t)))
-
-
 def zeta(D, h=None, s: complex = 0.0, policy: TolerancePolicy = DEFAULT) -> complex:
     """Equivariant zeta function over the positive spectrum with principal powers.
 
@@ -204,14 +173,6 @@ def zeta(D, h=None, s: complex = 0.0, policy: TolerancePolicy = DEFAULT) -> comp
     lam = op.values[m]
     w = op.weights[m]
     return complex(np.sum(w * lam ** (-s)))
-
-
-def zeta_prime0(D, h=None, policy: TolerancePolicy = DEFAULT) -> complex:
-    """Derivative of zeta at s = 0 for positive definite D: -sum Tr(h|l) log(l)."""
-    op = _spec(D, h, policy)
-    if np.any(op.values <= policy.zero_tol * op.zero_scale):
-        raise NotPositive("zeta_prime0 requires a positive definite operator")
-    return complex(-np.sum(op.weights * np.log(op.values)))
 
 
 def zeta_determinant(D, h=None, policy: TolerancePolicy = DEFAULT) -> complex:

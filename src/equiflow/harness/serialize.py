@@ -13,7 +13,6 @@ import numpy as np
 from ..errors import ConfigInvalid
 
 __all__ = [
-    "complex_to_pair",
     "matrix_to_wire",
     "matrix_from_wire",
     "jsonable",
@@ -22,14 +21,14 @@ __all__ = [
 ]
 
 
-def complex_to_pair(z):
+def _complex_to_pair(z):
     z = complex(z)
     return [z.real, z.imag]
 
 
 def matrix_to_wire(M):
     M = np.asarray(M, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in M]
+    return [[_complex_to_pair(z) for z in row] for row in M]
 
 
 def matrix_from_wire(data, what="matrix"):
@@ -49,17 +48,17 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, complex):
-        return complex_to_pair(obj)
+        return _complex_to_pair(obj)
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return matrix_to_wire(obj) if obj.ndim == 2 else [complex_to_pair(z) for z in obj]
+            return matrix_to_wire(obj) if obj.ndim == 2 else [_complex_to_pair(z) for z in obj]
         return obj.tolist()
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.complexfloating,)):
-        return complex_to_pair(complex(obj))
+        return _complex_to_pair(complex(obj))
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
@@ -109,7 +108,7 @@ def _encode(obj, out, pad):
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, (complex, np.complexfloating)):
-        _encode(complex_to_pair(obj), out, pad)
+        _encode(_complex_to_pair(obj), out, pad)
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out, pad)  # complex entries become python complex, then pairs
     elif isinstance(obj, (np.integer, np.floating, np.bool_)):

@@ -52,7 +52,7 @@ from ..winding import (
 )
 from . import generators as gen
 
-__all__ = ["SUITES", "SuiteResult", "run_suite", "suite_names", "ACCEPTANCE_SEED"]
+__all__ = ["SuiteResult", "run_suite", "suite_names", "ACCEPTANCE_SEED"]
 
 ACCEPTANCE_SEED = 70917
 
@@ -89,24 +89,24 @@ def _sf_case(seed, i):
     return gen.commuting_hermitian_path(dim, order, rng)
 
 
-SUITES = {}
+_SUITES = {}
 
 
 def _register(name):
     def deco(fn):
-        SUITES[name] = fn
+        _SUITES[name] = fn
         return fn
     return deco
 
 
 def suite_names():
-    return sorted(SUITES)
+    return sorted(_SUITES)
 
 
 def run_suite(name, seed=ACCEPTANCE_SEED) -> SuiteResult:
-    if name not in SUITES:
+    if name not in _SUITES:
         raise UnknownSuite(f"unknown suite '{name}'; available: {', '.join(suite_names())}")
-    return SUITES[name](seed)
+    return _SUITES[name](seed)
 
 
 # --- criterion 1 + 2: grid-partition flow vs crossing oracle, refinement ----

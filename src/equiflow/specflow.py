@@ -2,8 +2,8 @@
 
 A path is a reentrant sampler t in [0, 1] -> square matrix.  Every routine
 of the library takes any such callable; `Path(dim, sampler)` attaches the
-dimension for `concatenate` and `reverse`, and `HermitianPath`,
-`UnitaryPath` and `maslov.LagrangianPath` are names of the same class.
+dimension for `concatenate` and `reverse`, and `UnitaryPath` and
+`maslov.LagrangianPath` are names of the same class.
 `product(f, g)` (t -> f(t) g(t)) and `adjoint(f)` (t -> f(t)*) build the
 pointwise products that the Maslov, triple and double indices wind.
 
@@ -39,7 +39,6 @@ from .tolerances import DEFAULT, TolerancePolicy
 
 __all__ = [
     "Path",
-    "HermitianPath",
     "UnitaryPath",
     "GridPartition",
     "FlowResult",
@@ -77,7 +76,7 @@ class Path:
         return getattr(self.sampler, "stack", None)
 
 
-HermitianPath = UnitaryPath = Path
+UnitaryPath = Path
 
 
 def _from_stack(stack):

@@ -29,16 +29,14 @@ __all__ = [
     "LagrangianProjection",
     "PairReport",
     "make_projection_from_unitary",
-    "unitary_of_projection",
     "pair_report",
     "aps_projection",
     "canonical_determinant",
     "flip_orientation",
-    "check_unitary",
 ]
 
 
-def check_unitary(U, tol=1e-10, what="matrix"):
+def _check_unitary(U, tol=1e-10, what="matrix"):
     """U as a complex array; NotUnitary unless it passes `_as_matrix`, is
     finite and ||U* U - I||_2 <= tol."""
     U = _as_matrix(U, NotUnitary, what)
@@ -97,8 +95,8 @@ class LagrangianProjection:
 
 def make_projection_from_unitary(T, policy: TolerancePolicy = DEFAULT) -> LagrangianProjection:
     """Build the Lagrangian projection associated to an n x n unitary T
-    (NotUnitary by `check_unitary` at max(100 eig_tol, 1e-10))."""
-    return _projection(check_unitary(T, max(policy.eig_tol * 100, 1e-10), "T"))
+    (NotUnitary by `_check_unitary` at max(100 eig_tol, 1e-10))."""
+    return _projection(_check_unitary(T, max(policy.eig_tol * 100, 1e-10), "T"))
 
 
 def _projection(T):
@@ -112,20 +110,14 @@ def _projection(T):
     return LagrangianProjection(T=T, P=0.5 * P)
 
 
-def unitary_of_projection(P, policy: TolerancePolicy = DEFAULT):
-    """Recover T from a 2n x 2n Lagrangian projection matrix.
+def _projection_of_matrix(P, policy):
+    """The Lagrangian projection of a 2n x 2n matrix P, with T = 2 P[n:, :n].
 
-    Raises NotLagrangian unless P is finite and an orthogonal projection
-    with gamma P gamma^* = I - P within 1e-10, and NotUnitary unless the
-    recovered T is unitary within 1e-8.
+    NotLagrangian (also from `_as_matrix`) unless P is finite and an
+    orthogonal projection with gamma P gamma^* = I - P within 1e-10, and
+    NotUnitary unless T is unitary within the tighter of 1e-8 and the
+    tolerance of `make_projection_from_unitary`.
     """
-    return check_unitary(_recovered_T(P), 1e-8, "recovered T")
-
-
-def _recovered_T(P):
-    """T = 2 P[n:, :n] of a Lagrangian projection matrix P, with the tests of
-    `unitary_of_projection` on P (NotLagrangian, also from `_as_matrix`)
-    but not yet on T."""
     P = _as_matrix(P, NotLagrangian, "P", even=True)
     m = P.shape[0]
     if not np.isfinite(P).all():
@@ -137,19 +129,13 @@ def _recovered_T(P):
     gamma = SymplecticSpace(n).gamma
     if opnorm(gamma @ P @ gamma.conj().T - (np.eye(m) - P)) > tol:
         raise NotLagrangian("gamma P gamma^* != I - P within 1e-10")
-    return 2.0 * P[n:, :n]
-
-
-def _projection_of_matrix(P, policy):
-    """The Lagrangian projection of a matrix P: T recovered as in
-    `unitary_of_projection` and checked once, at the tighter of its 1e-8 and
-    the tolerance of `make_projection_from_unitary`."""
-    tol = min(1e-8, max(policy.eig_tol * 100, 1e-10))
-    return _projection(check_unitary(_recovered_T(P), tol, "recovered T"))
+    T_tol = min(1e-8, max(policy.eig_tol * 100, 1e-10))
+    return _projection(_check_unitary(2.0 * P[n:, :n], T_tol, "recovered T"))
 
 
 def as_projection(P, policy: TolerancePolicy = DEFAULT) -> LagrangianProjection:
-    """Coerce a matrix or LagrangianProjection into a LagrangianProjection."""
+    """Coerce a matrix or LagrangianProjection into a LagrangianProjection;
+    a matrix is checked and its unitary T recovered by `_projection_of_matrix`."""
     if isinstance(P, LagrangianProjection):
         return P
     return _projection_of_matrix(P, policy)

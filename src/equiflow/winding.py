@@ -58,7 +58,6 @@ __all__ = [
     "CanonicalContraction",
     "double_index",
     "relative_double_index",
-    "pick_offset",
 ]
 
 _OFFSET_CEILING = 1e-3
@@ -126,7 +125,7 @@ def _unitary_blocks(f, a, policy):
     return checked
 
 
-def pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT) -> float:
+def _pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT) -> float:
     """Deterministic offset theta >= 0 so that no endpoint phase sits on the
     wall at pi + theta.
 
@@ -169,7 +168,7 @@ def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33):
     1e-7 in time), summed over blocks.
     """
     chars, sets = track_blocks(f, a, "unitary", NotCommuting, K, policy)
-    theta = pick_offset(np.concatenate([bs.values[[0, -1]].ravel() for bs in sets]), policy)
+    theta = _pick_offset(np.concatenate([bs.values[[0, -1]].ravel() for bs in sets]), policy)
     wall = np.pi + theta
     raw = []  # (time, direction, character) per crossing branch
     for chi, bs in zip(chars, sets):
@@ -192,7 +191,7 @@ def winding_number(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33) ->
     """Equivariant winding number sum_chi chi * n_chi of a unitary path.
 
     n_chi counts the eigenphase crossings of the chi-block through pi + theta
-    (theta from `pick_offset`).  With r_j(t) = (phi_j(t) - pi - theta) mod 2 pi
+    (theta from `_pick_offset`).  With r_j(t) = (phi_j(t) - pi - theta) mod 2 pi
     for the block's endpoint eigenphases phi_j and Delta_chi its unwrapped
     det-phase change,
 
@@ -212,7 +211,7 @@ def _count(chars, deltas, ends, policy):
     """sum_chi chi * n_chi (`winding_number`) from each block's det-phase change
     deltas[i] and endpoint eigenphases ends[i] = (p0, p1); TrackingAmbiguous,
     naming block and character, when an n_chi is more than 1e-9 off an integer."""
-    wall = np.pi + pick_offset(np.concatenate([p for pair in ends for p in pair]), policy)
+    wall = np.pi + _pick_offset(np.concatenate([p for pair in ends for p in pair]), policy)
     total = 0.0 + 0.0j
     for b, (chi, delta, (p0, p1)) in enumerate(zip(chars, deltas, ends)):
         r0 = np.sum(np.mod(p0 - wall, 2 * np.pi))

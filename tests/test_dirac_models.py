@@ -8,17 +8,15 @@ from equiflow.dirac_models import (
     CircleDiracModel,
     IntervalDiracModel,
     SplitScenario,
+    _interval_transfer,
     circle_eta,
     circle_spectrum,
     enumerated_eta,
     interval_calderon,
     interval_eta,
     interval_spectrum,
-    interval_transfer,
-    nonreality_check,
     regularized_signed_sum,
     secular_branches,
-    secular_value,
     splitting_experiment,
     sw_identity_check,
     theta_projection,
@@ -28,7 +26,7 @@ from equiflow.harness import cli, serialize
 from equiflow.harness import generators as gen
 from equiflow.maslov import LagrangianPath, maslov_index
 from equiflow.spectra import opnorm
-from equiflow.specflow import HermitianPath, spectral_flow
+from equiflow.specflow import Path, spectral_flow
 from equiflow.symplectic import SymplecticSpace, make_projection_from_unitary
 from equiflow.winding import winding_number
 
@@ -108,13 +106,13 @@ class TestCircleModel:
 class TestIntervalModel:
     def test_transfer_identity(self):
         mod = IntervalDiracModel(2.0, np.array([[0.0]]))
-        assert opnorm(interval_transfer(mod, pi) - np.eye(1)) < 1e-12
+        assert opnorm(_interval_transfer(mod, pi) - np.eye(1)) < 1e-12
 
     def test_transfer_unitary(self):
         rng = gen.rng_for(51)
         mod = IntervalDiracModel(1.3, gen.rand_hermitian(2, rng, 0.7))
         for lam in (-2.0, 0.3, 5.1):
-            M = interval_transfer(mod, lam)
+            M = _interval_transfer(mod, lam)
             assert opnorm(M.conj().T @ M - np.eye(2)) < 1e-12
 
     def test_theta_model_roots(self):
@@ -122,20 +120,6 @@ class TestIntervalModel:
         th = pi / 2
         roots = [r[0] for r in interval_spectrum(mod, theta_projection(th), (-7, 7))]
         assert np.allclose(roots, [th - 2 * pi, th], atol=1e-10)
-        assert all(abs(secular_value(mod, theta_projection(th), r)) < 1e-9 for r in roots)
-
-    def test_secular_roots_real_for_lagrangian(self):
-        rng = gen.rng_for(52)
-        mod = IntervalDiracModel(1.0, gen.rand_hermitian(2, rng, 0.5))
-        P = make_projection_from_unitary(gen.rand_unitary(2, rng))
-        roots = nonreality_check(mod, P.image_basis())
-        assert np.all(np.abs(np.abs(roots) - 1.0) < 1e-8)
-
-    def test_non_lagrangian_complex_roots_flagged(self):
-        mod = IntervalDiracModel(1.0, np.array([[0.0]]))
-        basis = np.array([[1.0], [0.5]]) / np.sqrt(1.25)  # asymmetric line: not Lagrangian
-        roots = nonreality_check(mod, basis)
-        assert np.any(np.abs(np.abs(roots) - 1.0) > 1e-3)
 
     def test_weyl_count(self):
         rng = gen.rng_for(53)
@@ -231,7 +215,7 @@ class TestIntervalModel:
                     Td[block] = gen.rand_unitary(k, rng)
             mod = IntervalDiracModel(1.0, R @ Vd @ R.conj().T, u)
             T = R @ Td @ R.conj().T
-            G = T.conj().T @ interval_transfer(mod, 0.0)
+            G = T.conj().T @ _interval_transfer(mod, 0.0)
             Ts, Z = scipy.linalg.schur(G, output="complex")
             g = np.diag(Ts)
             for p in range(4):
@@ -299,7 +283,7 @@ class TestClosedFormSums:
             u, V, T = equivariant_model(rng, m, N, 1.5)
             mod = IntervalDiracModel(L, V, u)
             if i % 5 == 0:
-                T = -interval_transfer(mod, 0.0)  # every branch at beta = 0: a zero mode
+                T = -_interval_transfer(mod, 0.0)  # every branch at beta = 0: a zero mode
             P = make_projection_from_unitary(T)
             p = int(rng.integers(0, 3))
             betas, weights, _ = secular_branches(mod, P, p)
@@ -497,8 +481,8 @@ class TestSplitting:
         from equiflow import symplectic
 
         calls = []
-        real = symplectic.check_unitary
-        monkeypatch.setattr(symplectic, "check_unitary",
+        real = symplectic._check_unitary
+        monkeypatch.setattr(symplectic, "_check_unitary",
                             lambda *args: calls.append(1) or real(*args))
         cfg = {"kind": "split", "group": {"u_powers": [0, 1]},
                "generator": {"name": "model", "params": {
@@ -520,7 +504,7 @@ class TestDiracChain:
                             for k in range(-Kwin, Kwin + 1)])
             return np.diag(lam).astype(complex)
 
-        sf = spectral_flow(HermitianPath(2 * Kwin + 1, herm),
+        sf = spectral_flow(Path(2 * Kwin + 1, herm),
                            chi * np.eye(2 * Kwin + 1, dtype=complex)).value
         _, K = interval_calderon(mod)
         a = np.array([[chi]])

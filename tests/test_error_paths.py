@@ -7,10 +7,11 @@ import pytest
 import scipy.linalg
 from scipy.special import erfinv
 
+from equiflow import dirac_models, eta_zeta, spectra, symplectic
 from equiflow.dirac_models import (
     IntervalDiracModel,
     interval_eta,
-    nonreality_check,
+    interval_spectrum,
     theta_projection,
 )
 from equiflow.errors import (
@@ -30,12 +31,13 @@ from equiflow.eta_zeta import eta, eta_log_defect
 from equiflow.harness import generators as gen
 from equiflow.maslov import (
     LagrangianPath,
+    in_maslov_cycle,
     maslov_index,
     triple_index_path,
     triple_index_static,
 )
 from equiflow.specflow import (
-    HermitianPath,
+    Path,
     UnitaryPath,
     crossing_oracle,
     good_partition,
@@ -43,15 +45,16 @@ from equiflow.specflow import (
 )
 from equiflow.spectra import track_blocks
 from equiflow.symplectic import (
+    _check_unitary,
     aps_projection,
     as_projection,
     canonical_determinant,
-    check_unitary,
     make_projection_from_unitary,
     pair_report,
-    unitary_of_projection,
 )
 from equiflow.winding import (
+    canonical_path,
+    double_index,
     fredholm_det_path,
     relative_double_index,
     winding_events,
@@ -83,7 +86,7 @@ def test_partition_failure_on_noise():
         return np.diag([noise(t, 0), noise(t, 1) - 3.0]).astype(complex)
 
     with pytest.raises(PartitionFailure):
-        good_partition(HermitianPath(2, path), max_depth=6)
+        good_partition(Path(2, path), max_depth=6)
 
 
 def _noisy_diag(t):
@@ -119,7 +122,7 @@ def test_partition_failure_names_leftmost_stall():
 
 
 def test_spectral_flow_not_equivariant():
-    path = HermitianPath(2, lambda t: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    path = Path(2, lambda t: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     h = np.diag([1.0, -1.0])
     with pytest.raises(NotEquivariant):
         spectral_flow(path, h)
@@ -134,7 +137,7 @@ def test_equivariant_only_at_probe_points():
     def B(t):
         return np.diag([2 * t - 1, 0.5, -0.3]).astype(complex) + 0.4 * np.sin(4 * np.pi * t) * X
 
-    herm = HermitianPath(3, B)
+    herm = Path(3, B)
     unit = UnitaryPath(3, lambda t: scipy.linalg.expm(1j * np.pi * B(t)))
     routes = [lambda: spectral_flow(herm, h), lambda: crossing_oracle(herm, h),
               lambda: winding_number(unit, h), lambda: winding_events(unit, h),
@@ -201,11 +204,13 @@ def test_interval_not_equivariant_projection():
         interval_eta(mod, make_projection_from_unitary(swap), u_power=1)
 
 
-def test_nonreality_degenerate_polynomial():
+def test_polished_root_off_the_real_axis(monkeypatch):
+    # a secular value whose only root is 1 + 0.1i: Newton polishing lands on
+    # it, and the listing refuses a complex eigenvalue
+    monkeypatch.setattr(dirac_models, "_secular_det", lambda model, B, lam: lam - (1 + 0.1j))
     mod = IntervalDiracModel(1.0, np.array([[0.0]]))
-    basis = np.array([[1.0], [0.0]])  # right-endpoint block vanishes
-    with pytest.raises(RootFindingFailure):
-        nonreality_check(mod, basis)
+    with pytest.raises(RootFindingFailure, match="off the real axis"):
+        interval_spectrum(mod, theta_projection(0.5), (-1.0, 1.0))
 
 
 
@@ -231,10 +236,9 @@ def test_dimension_mismatch_is_typed():
 
 @pytest.mark.parametrize("bad", [1.0, np.zeros(4), np.zeros((2, 3)), np.zeros((3, 3))],
                          ids=["scalar", "vector", "non_square", "odd"])
-@pytest.mark.parametrize("route, error", [(unitary_of_projection, NotLagrangian),
-                                          (as_projection, NotLagrangian),
+@pytest.mark.parametrize("route, error", [(as_projection, NotLagrangian),
                                           (aps_projection, ValueError)],
-                         ids=["unitary_of_projection", "as_projection", "aps_projection"])
+                         ids=["as_projection", "aps_projection"])
 def test_malformed_shape_is_named(route, error, bad):
     # the number of dimensions is tested before any size is read
     with pytest.raises(error, match=re.escape(f"got shape {np.shape(bad)}")):
@@ -267,7 +271,20 @@ def _boundary_operator(B):
 
 
 _H = np.diag([1.0, -1.0]).astype(complex)
+_D2 = np.diag([1.0, 2.0]).astype(complex)
+_U2 = np.diag([1j, -1j])
 _P0 = make_projection_from_unitary(np.eye(2))
+_MODEL = IntervalDiracModel(1.0, np.diag([0.25, 0.5]).astype(complex))
+
+
+def _eye_path(t):
+    return np.eye(2, dtype=complex)
+
+
+def _minus_eye_path(t):
+    return -np.eye(2, dtype=complex)
+
+
 _NONFINITE_ROUTES = {
     "fredholm_det_path": ("unitary", lambda f, t: fredholm_det_path(f)),
     "winding_number": ("unitary", lambda f, t: winding_number(f)),
@@ -275,16 +292,65 @@ _NONFINITE_ROUTES = {
     "crossing_oracle": ("hermitian", lambda f, t: crossing_oracle(f)),
     "spectral_flow": ("hermitian", lambda f, t: spectral_flow(f)),
     "spectral_flow_h": ("hermitian", lambda f, t: spectral_flow(f, _H)),
-    "check_unitary": ("unitary", lambda f, t: check_unitary(f(t))),
+    "check_unitary": ("unitary", lambda f, t: _check_unitary(f(t))),
     "make_projection_from_unitary": ("unitary", lambda f, t: make_projection_from_unitary(f(t))),
-    "unitary_of_projection": ("unitary",
-                              lambda f, t: unitary_of_projection(_lagrangian_matrix(f(t)))),
     "as_projection": ("unitary", lambda f, t: as_projection(_lagrangian_matrix(f(t)))),
     "pair_report": ("unitary", lambda f, t: pair_report(_P0, _lagrangian_matrix(f(t)))),
     "canonical_determinant": ("unitary",
                               lambda f, t: canonical_determinant(_lagrangian_matrix(f(t)), _P0)),
     "aps_projection": ("hermitian", lambda f, t: aps_projection(_boundary_operator(f(t)))),
     "aps_projection_L": ("hermitian", lambda f, t: aps_projection(np.zeros((2, 2)), f(t)[:, :1])),
+    # the other path routes; grid-mode `maslov_index` is not listed, as its
+    # scan samples neither t = 0.5 nor the endpoints
+    "good_partition": ("hermitian", lambda f, t: good_partition(f)),
+    "getzler_spectral_flow": ("hermitian", lambda f, t: eta_zeta.getzler_spectral_flow(f)),
+    "winding_events": ("unitary", lambda f, t: winding_events(f)),
+    "winding_from_logs": ("unitary", lambda f, t: winding_from_logs(f)),
+    "relative_double_index": ("unitary", lambda f, t: relative_double_index(f, _eye_path)),
+    "relative_double_index_V": ("unitary", lambda f, t: relative_double_index(_eye_path, f)),
+    "maslov_index": ("unitary", lambda f, t: maslov_index(f, _eye_path)),
+    "triple_index_path": ("unitary",
+                          lambda f, t: triple_index_path(f, _eye_path, _minus_eye_path)),
+    # the static routes, given the spoiled sample as their matrix
+    "eig_hermitian": ("hermitian", lambda f, t: spectra.eig_hermitian(f(t))),
+    "hermitian_part": ("hermitian", lambda f, t: spectra.hermitian_part(f(t))),
+    "eig_unitary": ("unitary", lambda f, t: spectra.eig_unitary(f(t))),
+    "principal_log_unitary": ("unitary", lambda f, t: spectra.principal_log_unitary(f(t))),
+    "isotypic_split": ("unitary", lambda f, t: spectra.isotypic_split(f(t), 2)),
+    "check_commuting": ("hermitian",
+                        lambda f, t: spectra.check_commuting(_H, f(t), None, NotCommuting)),
+    "SpectralOperator": ("hermitian", lambda f, t: eta_zeta.SpectralOperator(f(t))),
+    "reduced_eta": ("hermitian", lambda f, t: eta_zeta.reduced_eta(f(t))),
+    "truncated_eta": ("hermitian", lambda f, t: eta_zeta.truncated_eta(f(t))),
+    "zeta": ("hermitian", lambda f, t: eta_zeta.zeta(f(t))),
+    "zeta_determinant": ("hermitian", lambda f, t: eta_zeta.zeta_determinant(f(t))),
+    "zeta_determinant_product_route": (
+        "hermitian", lambda f, t: eta_zeta.zeta_determinant_product_route(f(t))),
+    "mellin_eta": ("hermitian", lambda f, t: eta_zeta.mellin_eta(f(t))),
+    "mellin_zeta": ("hermitian", lambda f, t: eta_zeta.mellin_zeta(f(t))),
+    "eta_form": ("hermitian", lambda f, t: eta_zeta.eta_form(f(t), _D2)),
+    "eta_form_X": ("hermitian", lambda f, t: eta_zeta.eta_form(_D2, f(t))),
+    "eta_log_defect": ("hermitian", lambda f, t: eta_log_defect(f(t), _D2)),
+    "eta_log_defect_D1": ("hermitian", lambda f, t: eta_log_defect(_D2, f(t))),
+    "canonical_path": ("unitary", lambda f, t: canonical_path(f(t))),
+    "double_index": ("unitary", lambda f, t: double_index(f(t), _U2)),
+    "double_index_V": ("unitary", lambda f, t: double_index(_U2, f(t))),
+    "flip_orientation": ("unitary",
+                         lambda f, t: symplectic.flip_orientation(_lagrangian_matrix(f(t)))),
+    "in_maslov_cycle": ("unitary", lambda f, t: in_maslov_cycle(_lagrangian_matrix(f(t)), _P0)),
+    "triple_index_static": ("unitary",
+                            lambda f, t: triple_index_static(_lagrangian_matrix(f(t)), _P0, _P0)),
+    "CircleDiracModel": ("hermitian", lambda f, t: dirac_models.CircleDiracModel(f(t))),
+    "IntervalDiracModel": ("hermitian", lambda f, t: IntervalDiracModel(1.0, f(t))),
+    "splitting_experiment": ("hermitian", lambda f, t: dirac_models.splitting_experiment(
+        dirac_models.SplitScenario(f(t), _P0))),
+    "secular_branches": ("unitary", lambda f, t: dirac_models.secular_branches(
+        _MODEL, _lagrangian_matrix(f(t)))),
+    "interval_spectrum": ("unitary", lambda f, t: interval_spectrum(
+        _MODEL, _lagrangian_matrix(f(t)), (-3.0, 3.0))),
+    "interval_eta": ("unitary", lambda f, t: interval_eta(_MODEL, _lagrangian_matrix(f(t)))),
+    "sw_identity_check": ("unitary", lambda f, t: dirac_models.sw_identity_check(
+        _MODEL, _lagrangian_matrix(f(t)), _P0)),
 }
 
 

@@ -7,7 +7,6 @@ from equiflow.errors import (
     KernelPresent,
     NotEquivariant,
     NotHermitian,
-    NotPositive,
     NotUnitary,
 )
 from equiflow import eta_zeta, spectra
@@ -18,19 +17,16 @@ from equiflow.eta_zeta import (
     eta_log_defect,
     fit_character_lattice,
     getzler_spectral_flow,
-    heat_trace,
     mellin_eta,
     mellin_zeta,
     reduced_eta,
     truncated_eta,
-    truncated_eta_quadrature,
     zeta,
     zeta_determinant,
     zeta_determinant_product_route,
-    zeta_prime0,
 )
 from equiflow.harness import generators as gen
-from equiflow.specflow import HermitianPath, spectral_flow
+from equiflow.specflow import Path, spectral_flow
 from equiflow.spectra import path_panel
 from equiflow.tolerances import TolerancePolicy
 
@@ -51,7 +47,7 @@ class TestEta:
         op = SpectralOperator(D, h1)
         assert abs(eta(op) - W3) < 1e-12
         assert abs(eta(D, h2) - (2 - W3)) < 1e-12
-        for route in (eta, reduced_eta, truncated_eta, heat_trace, zeta_determinant):
+        for route in (eta, reduced_eta, truncated_eta, zeta_determinant):
             with pytest.raises(ValueError, match="SpectralOperator"):
                 route(op, h2)
 
@@ -125,13 +121,6 @@ class TestTruncatedEta:
         assert abs(truncated_eta(np.array([[1.0]]), eps=1.0) - 0.1572992071) < 1e-9
         assert np.isclose(erfc(1.0), 0.1572992071, atol=1e-9)
 
-    def test_quadrature_matches_closed_form(self):
-        rng = gen.rng_for(42)
-        D = gen.rand_hermitian(3, rng, 2.0) + 0.4 * np.eye(3)
-        for eps in (0.3, 1.0):
-            q = truncated_eta_quadrature(D, eps=eps)
-            c = truncated_eta(D, eps=eps)
-            assert abs(q - c) <= 1e-8 * max(abs(c), 1.0)
 
 
 def commuting_pair(seed):
@@ -178,11 +167,6 @@ class TestBlockWeights:
             assert abs(eta(D, h) - sum(w * np.sign(lam) for lam, w in spec)) <= 1e-12
             expect = sum(w * np.sign(lam) * erfc(np.sqrt(0.6) * abs(lam)) for lam, w in spec)
             assert abs(truncated_eta(D, h, 0.6) - expect) <= 1e-12
-
-    def test_heat_trace(self):
-        for D, h in PAIRS:
-            expect = sum(w * np.exp(-0.7 * lam) for lam, w in eigenspace_oracle(D, h))
-            assert abs(heat_trace(D, h, 0.7) - expect) <= 1e-12 * abs(expect)
 
     def test_zeta(self):
         for D, h in PAIRS:
@@ -249,28 +233,7 @@ class TestEtaForm:
             eta_form(skew, D, h)
 
 
-class TestHeatTrace:
-    def test_two_modes(self):
-        v = heat_trace(np.diag([1.0, 2.0]).astype(complex), t=1.0)
-        assert abs(v - (np.exp(-1) + np.exp(-2))) < 1e-12
-
-    def test_small_time_dimension(self):
-        assert abs(heat_trace(np.diag([1.0, 2.0, 3.0]).astype(complex), t=1e-9) - 3.0) < 1e-6
-
-    def test_character_weight(self):
-        v = heat_trace(np.diag([3.0]).astype(complex), np.array([[W3]]), t=0.7)
-        assert abs(v - W3 * np.exp(-2.1)) < 1e-12
-
-    def test_monotone_decreasing(self):
-        D = np.diag([0.5, 1.5, 2.5]).astype(complex)
-        vals = [heat_trace(D, t=t).real for t in (0.2, 0.5, 1.0, 2.0)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
 class TestZeta:
-    def test_prime_at_zero(self):
-        assert abs(zeta_prime0(np.diag([2.0, 3.0]).astype(complex)) + np.log(6)) < 1e-12
-
     def test_s_half(self):
         v = zeta(np.diag([4.0]).astype(complex), np.array([[W3]]), 0.5)
         assert abs(v - W3 / 2) < 1e-12
@@ -278,10 +241,6 @@ class TestZeta:
     def test_kernel_rejected(self):
         with pytest.raises(KernelPresent):
             zeta(np.diag([0.0, 1.0]).astype(complex), s=1.0)
-
-    def test_not_positive(self):
-        with pytest.raises(NotPositive):
-            zeta_prime0(np.diag([-1.0, 2.0]).astype(complex))
 
     def test_mellin_cross_check(self):
         rng = gen.rng_for(44)
@@ -338,28 +297,28 @@ class TestZetaDeterminant:
 
 class TestGetzler:
     def test_constant_path(self):
-        path = HermitianPath(2, lambda t: np.diag([1.0, -2.0]).astype(complex))
+        path = Path(2, lambda t: np.diag([1.0, -2.0]).astype(complex))
         assert abs(getzler_spectral_flow(path)) < 1e-10
 
     def test_single_crossing(self):
-        path = HermitianPath(2, lambda t: np.diag([2 * t - 1, 1.0]).astype(complex))
+        path = Path(2, lambda t: np.diag([2 * t - 1, 1.0]).astype(complex))
         h = np.diag([W3, 1.0])
         assert abs(getzler_spectral_flow(path, h) - W3) < 1e-8
 
     def test_kernel_at_endpoint(self):
         # diag(t, -1): the reduced eta jumps at the kernel at t = 0
-        path = HermitianPath(2, lambda t: np.diag([t, -1.0]).astype(complex))
+        path = Path(2, lambda t: np.diag([t, -1.0]).astype(complex))
         with pytest.raises(KernelPresent):
             getzler_spectral_flow(path, np.diag([W3, 1.0]))
 
     def test_fast_oscillation(self):
-        path = HermitianPath(2, lambda t: np.diag(
+        path = Path(2, lambda t: np.diag(
             [np.sin(80 * np.pi * t) + 0.3 * t - 0.01, 1.0]).astype(complex))
         assert abs(getzler_spectral_flow(path) - 1.0) <= 1e-6
 
     @pytest.mark.parametrize("g", [1e-3, 1e-6, 1e-9])
     def test_avoided_crossing(self, g):
-        path = HermitianPath(2, lambda t: np.array([[t - 0.5, g], [g, 0.5 - t]], dtype=complex))
+        path = Path(2, lambda t: np.array([[t - 0.5, g], [g, 0.5 - t]], dtype=complex))
         assert abs(getzler_spectral_flow(path)) <= 1e-10
 
     def test_samples_only_endpoints_and_panel_nodes(self, monkeypatch):
@@ -393,8 +352,8 @@ class TestGetzler:
         monkeypatch.setattr(eta_zeta, "path_panel", counting_panel)
         h = np.diag([W3, 1.0])
         counts = []
-        for path in (HermitianPath(2, lambda t: np.diag([2 * t - 1, 1.0]).astype(complex)),
-                     HermitianPath(2, lambda t: np.diag(
+        for path in (Path(2, lambda t: np.diag([2 * t - 1, 1.0]).astype(complex)),
+                     Path(2, lambda t: np.diag(
                          [np.sin(20 * np.pi * t) + 0.3 * t - 0.01, 1.0]).astype(complex))):
             spectra._split_of.cache_clear()
             panels.clear()

@@ -64,6 +64,128 @@ def test_no_unreferenced_private_definitions():
     assert not dead, f"private definitions nothing references: {dead}"
 
 
+def _module_name(rel):
+    """Dotted name of a package file: "harness/cli.py" -> "equiflow.harness.cli"."""
+    parts = rel[:-len(".py")].split(os.sep)
+    return ".".join(["equiflow"] + [p for p in parts if p != "__init__"])
+
+
+def _import_base(node, name, rel):
+    """The absolute module an `ImportFrom` node of the file rel (module name) imports from."""
+    if not node.level:
+        return node.module
+    pkg = name if rel.endswith("__init__.py") else name.rsplit(".", 1)[0]
+    pkg = pkg.rsplit(".", node.level - 1)[0] if node.level > 1 else pkg
+    return f"{pkg}.{node.module}" if node.module else pkg
+
+
+def _reads(tree, name, rel, modules):
+    """Dotted names of the package a file reads: the names it imports from
+    the package, and the attributes it reads off an imported module."""
+    alias, out = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                top = a.name.split(".")[0]
+                alias[a.asname or top] = a.name if a.asname else top
+                out.add(a.name)
+        elif isinstance(node, ast.ImportFrom):
+            base = _import_base(node, name, rel)
+            out.add(base)
+            for a in node.names:
+                out.add(f"{base}.{a.name}")
+                if f"{base}.{a.name}" in modules:
+                    alias[a.asname or a.name] = f"{base}.{a.name}"
+    for node in ast.walk(tree):
+        chain, base = [], node
+        while isinstance(base, ast.Attribute):
+            chain.append(base.attr)
+            base = base.value
+        if chain and isinstance(base, ast.Name) and base.id in alias:
+            out.add(".".join([alias[base.id]] + chain[::-1]))
+    return out
+
+
+# Exported names that no other module of the package and no benchmark file
+# reads, each with the reason it stays public.
+_UNREACHED_EXPORTS = {
+    # records that public routes return or accept
+    "equiflow.eta_zeta.SpectralOperator": "accepted by every eta_zeta operator route",
+    "equiflow.spectra.BranchSet": "returned by track_blocks and winding_events",
+    "equiflow.specflow.GridPartition": "returned by good_partition, accepted by spectral_flow",
+    "equiflow.specflow.FlowResult": "returned by spectral_flow and crossing_oracle",
+    "equiflow.specflow.Crossing": "listed in the FlowResult of crossing_oracle",
+    "equiflow.specflow.BottLoop": "returned by bott_loop",
+    "equiflow.symplectic.PairReport": "returned by pair_report",
+    "equiflow.winding.CanonicalContraction": "returned by canonical_path",
+    "equiflow.harness.suites.SuiteResult": "returned by run_suite",
+    # paper constructs
+    "equiflow.maslov.in_maslov_cycle": "the Maslov cycle predicate",
+    "equiflow.symplectic.canonical_determinant": "the finite canonical determinant",
+    "equiflow.winding.canonical_path": "the canonical contraction path",
+    "equiflow.winding.relative_double_index": "the relative double index",
+    "equiflow.winding.winding_events": "the tracked wall crossings of a winding number",
+    # references that tests or suites compare against
+    "equiflow.harness.serialize.jsonable": "the reference dump_report is compared with byte "
+                                           "for byte",
+    "equiflow.dirac_models.regularized_signed_sum": "the cutoff sum enumerated_eta runs, named "
+                                                    "by the benchmark's per-layer metrics",
+    # package metadata
+    "equiflow.__version__": "the version string of the package",
+}
+
+
+def test_every_export_is_reached():
+    # each name in a module's __all__ is read by another module of the
+    # package (the CLI and the suites among them) or by the benchmark, or
+    # is listed above with its reason; a listed name that is read is stale
+    files = {_module_name(rel): (rel, tree) for rel, tree in _modules()}
+    bench = os.path.join(os.path.dirname(os.path.dirname(_SRC)), "perfbench")
+    reads = {}
+    for name, (rel, tree) in files.items():
+        reads[name] = _reads(tree, name, rel, files)
+    for fname in sorted(os.listdir(bench)):
+        if fname.endswith(".py"):
+            with open(os.path.join(bench, fname)) as fh:
+                reads[fname] = _reads(ast.parse(fh.read()), fname[:-3], fname, files)
+    unreached = set()
+    for name, (rel, tree) in files.items():
+        # a re-exported name is reached where its origin is read
+        origin = {f"{name}.{a.asname or a.name}": f"{_import_base(stmt, name, rel)}.{a.name}"
+                  for stmt in tree.body if isinstance(stmt, ast.ImportFrom) for a in stmt.names}
+        for export in (f"{name}.{x}" for x in _exported(tree)):
+            keys = {export, origin.get(export)}
+            if not any(keys & r for other, r in reads.items() if other != name):
+                unreached.add(export)
+    assert unreached - set(_UNREACHED_EXPORTS) == set(), "exported, reached by nothing"
+    assert set(_UNREACHED_EXPORTS) - unreached == set(), "listed, but reached or not exported"
+    assert all(_UNREACHED_EXPORTS.values())
+
+
+def test_every_error_is_raised():
+    # each class of errors.py is raised in another module of the package, or
+    # handed to a check that raises it, or is a base of such a class
+    trees = dict(_modules())
+    raised = set()
+    for rel, tree in trees.items():
+        if rel == "errors.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) != "isinstance":
+                raised |= {a.id for a in node.args + [k.value for k in node.keywords]
+                           if isinstance(a, ast.Name)}
+            elif isinstance(node, ast.ClassDef):
+                raised |= {b.id for b in node.bases if isinstance(b, ast.Name)}
+    classes = [c for c in trees["errors.py"].body if isinstance(c, ast.ClassDef)]
+    for c in reversed(classes):  # a base is defined before its subclasses
+        if c.name in raised:
+            raised |= {b.id for b in c.bases if isinstance(b, ast.Name)}
+    unused = [c.name for c in classes if c.name not in raised]
+    assert not unused, f"error classes nothing raises: {unused}"
+
+
 def test_every_export_resolves():
     names = ["equiflow"] + [m.name for m in pkgutil.walk_packages(equiflow.__path__, "equiflow.")]
     for name in names:

@@ -17,7 +17,7 @@ from equiflow.harness.serialize import (
     matrix_from_wire,
     matrix_to_wire,
 )
-from equiflow.harness.suites import ACCEPTANCE_SEED, SUITES, run_suite, suite_names
+from equiflow.harness.suites import _SUITES, ACCEPTANCE_SEED, run_suite, suite_names
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -83,7 +83,7 @@ class TestReportEncoder:
 
     def test_every_verify_suite(self):
         # bodies as `equiflow verify` builds them, on a few cases per suite
-        for name, fn in SUITES.items():
+        for name, fn in _SUITES.items():
             if name == "all":
                 continue
             kw = {"count": 3} if "count" in inspect.signature(fn).parameters else {}

@@ -63,8 +63,8 @@ _MODEL = dirac_models.IntervalDiracModel(1.0, _V)
 # samples: NaN samples are valid, finiteness being left to the routes that
 # compute with them), "matrix" (a static matrix), "stack" (a matrix or a
 # stack of them: the (1, 2, 2) input is valid), "direction" (the X of
-# `eta_form`, a matrix or a stack whose trace against D the form takes: no
-# tolerance test reads it, so a NaN X gives NaN), "L" (the kernel Lagrangian
+# `eta_form`, a matrix or a stack whose trace against D the form takes: it
+# need not be Hermitian, but it must be finite), "L" (the kernel Lagrangian
 # basis of `aps_projection`, a matrix or a vector of 2n rows) or "actor".
 # Names with a bracketed suffix are further calls of one route.
 ROUTES = {
@@ -86,8 +86,6 @@ ROUTES = {
         "actor": lambda a: spectra.check_commuting(a, _D, None, NotCommuting)},
     "symplectic.make_projection_from_unitary": {
         "matrix": symplectic.make_projection_from_unitary},
-    "symplectic.unitary_of_projection": {"matrix": symplectic.unitary_of_projection},
-    "symplectic.check_unitary": {"matrix": symplectic.check_unitary},
     "symplectic.flip_orientation": {"matrix": symplectic.flip_orientation},
     "symplectic.aps_projection": {"matrix": symplectic.aps_projection},
     "symplectic.aps_projection[L]": {"L": lambda L: symplectic.aps_projection(_ZERO, L)},
@@ -164,8 +162,6 @@ ROUTES = {
     "dirac_models.IntervalDiracModel": {
         "matrix": lambda V: dirac_models.IntervalDiracModel(1.0, V),
         "actor": lambda u: dirac_models.IntervalDiracModel(1.0, _V, u)},
-    "dirac_models.secular_value": {
-        "matrix": lambda P: dirac_models.secular_value(_MODEL, P, 0.3)},
     "dirac_models.secular_branches": {
         "matrix": lambda P: dirac_models.secular_branches(_MODEL, P)},
     "dirac_models.interval_spectrum": {
@@ -180,8 +176,7 @@ ROUTES = {
             dirac_models.SplitScenario(_V, _P, u))},
 }
 # the operator routes of eta_zeta: D as a matrix, h as the actor
-for _name in ("SpectralOperator", "eta", "reduced_eta", "truncated_eta",
-              "truncated_eta_quadrature", "heat_trace", "zeta", "zeta_prime0",
+for _name in ("SpectralOperator", "eta", "reduced_eta", "truncated_eta", "zeta",
               "zeta_determinant", "zeta_determinant_product_route", "mellin_eta",
               "mellin_zeta"):
     _route = getattr(eta_zeta, _name)
@@ -199,7 +194,6 @@ NOT_ROUTES = {
     "symplectic.LagrangianProjection": "a record; the routes build it checked",
     "symplectic.PairReport": "a record of pair diagnostics",
     "specflow.Path": "a record of a dimension and a sampler; routes check its samples",
-    "specflow.HermitianPath": "the name Path",
     "specflow.UnitaryPath": "the name Path",
     "specflow.GridPartition": "a record of certified intervals",
     "specflow.FlowResult": "a record of a result",
@@ -207,14 +201,12 @@ NOT_ROUTES = {
     "specflow.BottLoop": "a record of a generator loop",
     "specflow.bott_loop": "takes character values and block sizes",
     "winding.CanonicalContraction": "a record; canonical_path builds it checked",
-    "winding.pick_offset": "takes endpoint phases",
     "maslov.LagrangianPath": "the name Path",
     "eta_zeta.fit_character_lattice": "takes a value and character values",
     "dirac_models.SplitScenario": "a record; splitting_experiment checks its fields",
     "dirac_models.theta_projection": "takes boundary phases",
     "dirac_models.circle_spectrum": "takes a model its constructor checked",
     "dirac_models.circle_eta": "takes a model its constructor checked",
-    "dirac_models.interval_transfer": "takes a model its constructor checked",
     "dirac_models.interval_calderon": "takes a model its constructor checked",
     "dirac_models.regularized_signed_sum": "takes eigenvalue lists",
     "dirac_models.enumerated_eta": "takes arithmetic progressions",
@@ -224,7 +216,7 @@ _INPUTS = {"path": PATHS, "matrix": MATRICES, "actor": ACTORS,
            "samples": {k: v for k, v in PATHS.items() if k != "nan"},
            "L": MATRICES,
            "stack": {k: v for k, v in MATRICES.items() if k != "stack"},
-           "direction": {k: v for k, v in MATRICES.items() if k not in ("stack", "nan")}}
+           "direction": {k: v for k, v in MATRICES.items() if k != "stack"}}
 CASES = [(route, role, bad) for route, roles in ROUTES.items()
          for role in roles for bad in _INPUTS[role]]
 
@@ -258,12 +250,12 @@ def test_path_of_another_size_between_stacks():
 
 @pytest.mark.parametrize("call, shape", [
     # a projection on 3 channels for a model of 2
-    (lambda: dirac_models.secular_value(
-        _MODEL, symplectic.make_projection_from_unitary(np.eye(3)), 0.3), "(6, 6)"),
+    (lambda: dirac_models.secular_branches(
+        _MODEL, symplectic.make_projection_from_unitary(np.eye(3))), "(6, 6)"),
     # L of 3 rows, or of no numbers, for a 4x4 boundary operator
     (lambda: symplectic.aps_projection(np.zeros((4, 4)), np.eye(3)[:, :2]), "(3, 2)"),
     (lambda: symplectic.aps_projection(np.zeros((4, 4)), "abc"), "()"),
-], ids=["secular_value-projection", "aps_projection-L_rows", "aps_projection-L_string"])
+], ids=["secular_branches-projection", "aps_projection-L_rows", "aps_projection-L_string"])
 def test_size_shared_with_another_input(call, shape):
     with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
         call()

@@ -7,8 +7,8 @@ from equiflow.errors import DimensionMismatch, NotEquivariant, PartitionFailure
 from equiflow.harness import generators as gen
 from equiflow.specflow import (
     GridPartition,
-    HermitianPath,
     Interval,
+    Path,
     bott_loop,
     concatenate,
     crossing_oracle,
@@ -26,7 +26,7 @@ W3 = np.exp(2j * np.pi / 3)
 
 def diag_path(*fns):
     d = len(fns)
-    return HermitianPath(d, lambda t: np.diag([f(t) for f in fns]).astype(complex))
+    return Path(d, lambda t: np.diag([f(t) for f in fns]).astype(complex))
 
 
 class TestGoodPartition:
@@ -65,7 +65,7 @@ class TestGoodPartition:
 
     def test_avoided_crossing_margin(self):
         delta = 1e-3
-        path = HermitianPath(2, lambda t: np.array([[t - 0.5, delta],
+        path = Path(2, lambda t: np.array([[t - 0.5, delta],
                                                     [delta, 0.5 - t]], dtype=complex))
         part = good_partition(path)
         assert all(iv.margin > 0 for iv in part.intervals)
@@ -393,7 +393,7 @@ class TestSpectralFlow:
             return path(t) + np.sin(np.pi * t) ** 2 * bump
 
         v0 = spectral_flow(path, h).value
-        v1 = spectral_flow(HermitianPath(4, deformed), h).value
+        v1 = spectral_flow(Path(4, deformed), h).value
         assert abs(v0 - v1) <= 1e-8
 
     def test_reversal_negates(self):
@@ -418,7 +418,7 @@ class TestCrossingOracle:
 
     def test_degenerate_cluster_crossing(self):
         chi1, chi2 = np.exp(2j * np.pi / 3), np.exp(4j * np.pi / 3)
-        path = HermitianPath(2, lambda t: (2 * t - 1) * np.eye(2, dtype=complex))
+        path = Path(2, lambda t: (2 * t - 1) * np.eye(2, dtype=complex))
         res = crossing_oracle(path, np.diag([chi1, chi2]))
         assert abs(res.value - (chi1 + chi2)) < 1e-12
 
@@ -426,7 +426,7 @@ class TestCrossingOracle:
         # the omega- and 1-blocks cross 0 in opposite directions at t = 0.5, a grid point
         R = gen.rand_unitary(2, gen.rng_for(3))
         h = R @ np.diag([W3, 1.0]) @ R.conj().T
-        path = HermitianPath(2, lambda t: R @ np.diag([2 * t - 1, 1 - 2 * t]) @ R.conj().T)
+        path = Path(2, lambda t: R @ np.diag([2 * t - 1, 1 - 2 * t]) @ R.conj().T)
         for value in (spectral_flow(path, h).value, crossing_oracle(path, h).value):
             assert abs(value - (W3 - 1)) <= 1e-12
 

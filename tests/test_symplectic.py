@@ -6,11 +6,11 @@ from equiflow.spectra import opnorm
 from equiflow.symplectic import (
     SymplecticSpace,
     aps_projection,
+    as_projection,
     canonical_determinant,
     flip_orientation,
     make_projection_from_unitary,
     pair_report,
-    unitary_of_projection,
 )
 
 
@@ -50,17 +50,17 @@ class TestProjectionUnitary:
         for _ in range(100):
             n = int(rng.integers(1, 5))
             T = rand_unitary(n, rng)
-            assert opnorm(unitary_of_projection(make_projection_from_unitary(T).P) - T) < 1e-12
+            assert opnorm(as_projection(make_projection_from_unitary(T).P).T - T) < 1e-12
 
     def test_half_block_inverse(self):
         P = make_projection_from_unitary(np.eye(2))
-        assert np.allclose(unitary_of_projection(P.P), np.eye(2))
+        assert np.allclose(as_projection(P.P).T, np.eye(2))
 
     def test_non_lagrangian_rejected(self):
         # orthogonal projection violating gamma P gamma^* = I - P (n = 2)
         P = np.diag([1.0, 1.0, 0.0, 0.0])
         with pytest.raises(NotLagrangian):
-            unitary_of_projection(P)
+            as_projection(P)
 
     def test_not_unitary(self):
         with pytest.raises(NotUnitary):

@@ -6,16 +6,16 @@ import scipy.linalg
 
 from equiflow import winding
 from equiflow.dirac_models import SplitScenario, splitting_experiment, theta_projection
-from equiflow.errors import IncompatibleSplitting, NotCommuting, TrackingAmbiguous
+from equiflow.errors import IncompatibleSplitting, NotCommuting, OffsetExhausted, TrackingAmbiguous
 from equiflow.harness import generators as gen
 from equiflow.maslov import triple_index_static
-from equiflow.specflow import UnitaryPath, concatenate, reverse
+from equiflow.specflow import Path, UnitaryPath, concatenate, reverse
 from equiflow.symplectic import make_projection_from_unitary
+from equiflow.tolerances import TolerancePolicy
 from equiflow.winding import (
     canonical_path,
     double_index,
     fredholm_det_path,
-    pick_offset,
     relative_double_index,
     winding_events,
     winding_from_logs,
@@ -130,11 +130,19 @@ class TestCrossRoutes:
 
 class TestPickOffset:
     def test_zero_when_clear(self):
-        assert pick_offset(np.array([0.3, -2.0])) == 0.0
+        assert winding._pick_offset(np.array([0.3, -2.0])) == 0.0
 
     def test_positive_when_on_wall(self):
-        th = pick_offset(np.array([np.pi, 0.1]))
+        th = winding._pick_offset(np.array([np.pi, 0.1]))
         assert 0 < th < 1e-3
+
+    def test_exhausted(self):
+        # the loop starts on the wall at phase pi; with zero_tol = 1e-2 no
+        # offset under the 1e-3 ceiling moves the wall zero_tol away from it
+        f = Path(1, lambda t: np.array([[np.exp(1j * np.pi * (1 + t))]]))
+        assert winding_number(f) == 1
+        with pytest.raises(OffsetExhausted):
+            winding_number(f, policy=TolerancePolicy(zero_tol=1e-2))
 
 
 class TestFredholmDet:
