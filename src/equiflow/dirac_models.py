@@ -227,11 +227,11 @@ def _branches(model, P, phase_weights):
             np.array([len(idx) for idx in members], dtype=int))
 
 
-def _newton_polish(model, B, lam0, iters=4):
-    """Newton iteration on the secular value for the boundary basis B."""
+def _newton_polish(model, B, lam0):
+    """At most 4 Newton steps on the secular value for the boundary basis B."""
     delta = 1e-7 * max(1.0, abs(lam0))
     lam = complex(lam0)
-    for _ in range(iters):
+    for _ in range(4):
         s = _secular_det(model, B, lam)
         ds = (_secular_det(model, B, lam + delta)
               - _secular_det(model, B, lam - delta)) / (2 * delta)
@@ -246,8 +246,7 @@ def _newton_polish(model, B, lam0, iters=4):
     return float(lam.real)
 
 
-def interval_spectrum(model: IntervalDiracModel, P, window, element_power: int = 0,
-                      polish: bool = True):
+def interval_spectrum(model: IntervalDiracModel, P, window, element_power: int = 0):
     """Eigenvalues of D_P inside [window[0], window[1]] with character weights.
 
     Candidates come from the exact branch structure and are polished by
@@ -256,7 +255,7 @@ def interval_spectrum(model: IntervalDiracModel, P, window, element_power: int =
     """
     lo, hi = window
     betas, weights, dims = secular_branches(model, P, element_power)
-    B = as_projection(P, model.policy).image_basis() if polish else None
+    B = as_projection(P, model.policy).image_basis()
     sp = 2 * pi / model.L
     out = []
     for beta, w, d in zip(betas, weights, dims):
@@ -264,10 +263,7 @@ def interval_spectrum(model: IntervalDiracModel, P, window, element_power: int =
         k_lo = int(np.ceil((lo - base) / sp))
         k_hi = int(np.floor((hi - base) / sp))
         for k in range(k_lo, k_hi + 1):
-            lam = base + sp * k
-            if polish:
-                lam = _newton_polish(model, B, lam)
-            out.append((lam, w, int(d)))
+            out.append((_newton_polish(model, B, base + sp * k), w, int(d)))
     out.sort(key=lambda r: r[0])
     return out
 

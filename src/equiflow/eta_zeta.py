@@ -305,17 +305,17 @@ def eta_log_defect(D0, D1, h=None, policy: TolerancePolicy = DEFAULT):
     for chi, (lam0, U0), (lam1, U1) in zip(chars, op0._eigh, op1._eigh):
         T = (U1 * np.exp(1j * pi * erf(lam1))) @ U1.conj().T
         K = (U0 * np.exp(1j * pi * erf(lam0))) @ U0.conj().T
-        rhs += chi * np.trace(principal_log_unitary(T.conj().T @ K, 0.0, policy))
+        rhs += chi * np.trace(principal_log_unitary(T.conj().T @ K, policy))
     rhs = complex(rhs / (2j * pi))
     return lhs, rhs, complex(lhs - rhs)
 
 
-def fit_character_lattice(value, char_values, max_radius: int = 2):
+def fit_character_lattice(value, char_values):
     """Best integer combination of character values approximating `value`.
 
     Solves min |value - sum n_j chi_j| over integer vectors n by rounding the
-    least-squares solution and searching a small neighbourhood.  Returns
-    (coefficients, residual).
+    least-squares solution and searching the offsets up to 2 per coefficient
+    around it.  Returns (coefficients, residual).
     """
     chars = np.asarray(char_values, dtype=complex)
     d = chars.size
@@ -326,7 +326,7 @@ def fit_character_lattice(value, char_values, max_radius: int = 2):
     n0, *_ = np.linalg.lstsq(A, b, rcond=None)
     base = np.round(n0).astype(int)
     best = None
-    offsets = np.arange(-max_radius, max_radius + 1)
+    offsets = np.arange(-2, 3)
     grids = np.meshgrid(*([offsets] * d), indexing="ij")
     cand = np.stack([g.ravel() for g in grids], axis=1)
     for off in cand:

@@ -132,15 +132,13 @@ def _group_elements(cfg, dim):
     return out
 
 
-def _param_matrix(params, key, default=None, what=None):
+def _param_matrix(params, key, default):
     if key not in params:
-        if default is not None:
-            return np.asarray(default, dtype=complex)
-        _fail_config(f"missing generator parameter '{key}'")
+        return np.asarray(default, dtype=complex)
     val = params[key]
     if isinstance(val, list) and val and not isinstance(val[0], list):
         return np.diag(np.asarray(val, dtype=float)).astype(complex)
-    return matrix_from_wire(val, what or key)
+    return matrix_from_wire(val, key)
 
 
 # --- scenario runners --------------------------------------------------------

@@ -104,22 +104,22 @@ def blockwise_unitary_path(Q, blocks, factors):
     return _from_stack(stack)
 
 
-def commuting_hermitian_path(dim, order, rng, scale=1.5):
+def commuting_hermitian_path(dim, order, rng):
     """Smooth Hermitian path commuting with a random Z_order action.
 
     Built blockwise in the action's eigenbasis:
-    B(t) = R [C0 + t C1 + sin(pi t) C2 + cos(2 pi t) C3] R^*, batched as one
-    product of the (K, 4) basis values and the four embedded coefficients.
+    B(t) = R [C0 + t C1 + sin(pi t) C2 + cos(2 pi t) C3] R^*, the C drawn at
+    scales 1.5, 1.5, 0.7 * 1.5 and 0.4 * 1.5, batched as one product of the
+    (K, 4) basis values and the four embedded coefficients.
     Returns (Path, h).
     """
     h, _, blocks, R = zn_action(dim, order, rng)
     C = np.zeros((4, dim, dim), dtype=complex)
     for idx in blocks:
         b = len(idx)
-        C[:, idx[:, None], idx] = [rand_hermitian(b, rng, scale),
-                                   rand_hermitian(b, rng, scale),
-                                   rand_hermitian(b, rng, 0.7 * scale),
-                                   rand_hermitian(b, rng, 0.4 * scale)]
+        C[:, idx[:, None], idx] = [rand_hermitian(b, rng, 1.5), rand_hermitian(b, rng, 1.5),
+                                   rand_hermitian(b, rng, 0.7 * 1.5),
+                                   rand_hermitian(b, rng, 0.4 * 1.5)]
     C = R @ C @ R.conj().T
 
     def stack(ts):
@@ -151,10 +151,10 @@ def commuting_unitary_path(dim, order, rng, windings=1, amp=1.0, loop=False):
     return Path(dim, blockwise_unitary_path(R, blocks, factors)), a
 
 
-def commuting_static_unitary(dim, order, rng, amp=1.0):
+def commuting_static_unitary(dim, order, rng):
     """A unitary matrix commuting with a random Z_order action: (U, a)."""
     a, _, blocks, R = zn_action(dim, order, rng)
-    pieces = [sl.expm(1j * rand_hermitian(len(idx), rng, amp)) for idx in blocks]
+    pieces = [sl.expm(1j * rand_hermitian(len(idx), rng)) for idx in blocks]
     return R @ _block_embed(blocks, dim, pieces) @ R.conj().T, a
 
 

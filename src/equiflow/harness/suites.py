@@ -590,7 +590,7 @@ def structural(seed=ACCEPTANCE_SEED):
         except BranchCut:
             continue
         chars = np.unique(np.round(np.exp(2j * pi * np.arange(order) / order), 12))
-        _, resid = fit_character_lattice(defect, chars, max_radius=2)
+        _, resid = fit_character_lattice(defect, chars)
         res.check(f"lattice{done}", resid, 1e-6)
         if j % 2 == 0:
             # commuting pair with trivial action: exponentiated equality

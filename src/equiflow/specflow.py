@@ -25,7 +25,8 @@ commuting with h never mixes them, so every window count and every crossing
 weighs chi * (number of the chi-block's eigenvalues counted), and the flow
 is sum_chi chi * n_chi with integers n_chi.  The spectral window is closed
 at 0; an eigenvalue within zero_tol of 0 at an endpoint of [0, 1] counts as
-nonnegative.
+nonnegative.  A partition is seeded with `_INITIAL_NODES` nodes and bisected
+to depth `_PARTITION_DEPTH` at most.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ from .tolerances import DEFAULT, TolerancePolicy
 __all__ = [
     "Path",
     "UnitaryPath",
+    "Interval",
     "GridPartition",
     "FlowResult",
     "Crossing",
@@ -129,6 +131,8 @@ def product(f, g):
 
 @dataclass
 class Interval:
+    """[t0, t1] of a certified partition with its level, margin and Lipschitz bound."""
+
     t0: float
     t1: float
     level: float
@@ -214,9 +218,12 @@ def _pick_levels(pools, floor):
     return tried[first], margins[first], ok.any(axis=1)
 
 
-def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int = 9,
-                   max_depth: int = 22) -> GridPartition:
-    """Uniform seeding then bisection until every interval certifies.
+_INITIAL_NODES = 9  # nodes of the uniform seed grid of a partition
+_PARTITION_DEPTH = 22  # deepest bisection level of a partition interval
+
+
+def good_partition(path, policy: TolerancePolicy = DEFAULT) -> GridPartition:
+    """_INITIAL_NODES uniform seeds, then bisection until every interval certifies.
 
     An interval [t0, t1] certifies with level a when the spectra at its 5
     probes stay farther from a than the local Lipschitz bound allows them to
@@ -227,23 +234,21 @@ def good_partition(path, policy: TolerancePolicy = DEFAULT, initial_nodes: int =
     leftmost `_ROUND_MAX` pending intervals on one stack of their new probe
     times (each time is sampled once), takes the new probes' spectra and the
     steps' norms from one `eigvalsh` call, and picks all their levels in one
-    array pass; PartitionFailure names the leftmost one at `max_depth`.  Every probe
-    passes the test of `spectra.hermitian_part` (NotHermitian, also for a
-    non-finite sample).  ValueError when initial_nodes < 2.
+    array pass; PartitionFailure names the leftmost one still failing at depth
+    _PARTITION_DEPTH.  Every probe passes the test of `spectra.hermitian_part`
+    (NotHermitian, also for a non-finite sample).
     """
-    return _certify(path, None, policy, initial_nodes, max_depth)[0]
+    return _certify(path, None, policy)[0]
 
 
-def _certify(path, h, policy, initial_nodes=9, max_depth=22):
+def _certify(path, h, policy):
     """(partition, node samples, node spectra) as in `good_partition`; probes
     checked to commute with h and to be Hermitian (`hermitian_part`,
     NotHermitian).  The node spectra are the eigenvalues of the samples'
     Hermitian parts, ascending (`np.linalg.eigvalsh`, in the round's one call,
     bit for bit those of a call on the nodes alone)."""
-    if initial_nodes < 2:
-        raise ValueError("initial_nodes must be >= 2")
     n_probe = 5
-    seeds = np.linspace(0.0, 1.0, initial_nodes)
+    seeds = np.linspace(0.0, 1.0, _INITIAL_NODES)
     pending = np.stack([seeds[:-1], seeds[1:], 0 * seeds[1:]], 1)  # (t0, t1, depth), ascending
     ts, intervals, n = np.empty(0), [], None  # ts: the times sampled so far, ascending
     while pending.size:
@@ -273,7 +278,7 @@ def _certify(path, h, policy, initial_nodes=9, max_depth=22):
         travel = lips * (b - a) / (n_probe - 1) / 2.0
         level, margin, passed = _pick_levels(spec[k].reshape(len(a), -1),
                                              travel * 1.2 + policy.zero_tol)
-        stuck = ~passed & (d >= max_depth)
+        stuck = ~passed & (d >= _PARTITION_DEPTH)
         if stuck.any():  # the leftmost: depth never rises along the pending
             j = np.argmax(stuck)
             raise PartitionFailure(f"no certified level found on [{a[j]:.6g}, "
@@ -352,7 +357,7 @@ def spectral_flow(path, h=None, partition: GridPartition = None,
                       diagnostics={"n_intervals": len(partition.intervals)})
 
 
-def crossing_oracle(path, h=None, K: int = 33, policy: TolerancePolicy = DEFAULT) -> FlowResult:
+def crossing_oracle(path, h=None, policy: TolerancePolicy = DEFAULT) -> FlowResult:
     """Independent spectral-flow oracle: track the branches of each isotypic
     block of h and count their sign changes through the zero band.
 
@@ -364,7 +369,7 @@ def crossing_oracle(path, h=None, K: int = 33, policy: TolerancePolicy = DEFAULT
     sample lies in the zero band; the path is sampled only at the tracked
     times.  Every sample is checked to commute with h (NotEquivariant
     otherwise)."""
-    chars, sets = track_blocks(path, h, "hermitian", NotEquivariant, K, policy)
+    chars, sets = track_blocks(path, h, "hermitian", NotEquivariant, policy)
     band = policy.zero_tol
     events = []  # (time, direction, character) per crossing branch
     for chi, bs in zip(chars, sets):

@@ -1,6 +1,6 @@
 """Numerical kernel: eigendecompositions, the isotypic split of an actor,
-clustering, branch tracking, the principal logarithm and deterministic
-adaptive quadrature.
+clustering, branch tracking, the principal logarithm (cut at -1) and
+deterministic adaptive quadrature.
 
 Every route reads a path's isotypic blocks from `isotypic_blocks`, and
 `_block_eigh` (eigenpairs) and `_block_eigvalsh` (eigenvalues alone, for
@@ -10,7 +10,8 @@ call together, and without an actor the samples are the one block, uncut.
 
 All values are pure functions of the inputs, but the Schur splits a call
 makes depend on earlier calls (`isotypic_split` keeps recent ones); sums
-and quadrature reductions run in a fixed sequential order.
+and quadrature reductions run in a fixed sequential order.  Tracking grid
+and caps and quadrature depth are module constants (`_GRID` to `_QUAD_DEPTH`).
 
 `scipy.optimize` (about 0.25 s and 20 MB to import) serves only the
 assignment solve of `_match`, so it is imported by the first track of a
@@ -108,12 +109,12 @@ def _as_matrix(M, error=DimensionMismatch, what="matrix", even=False, stack=Fals
     return M.astype(complex, copy=False)
 
 
-def _fix_phases(V, tol=1e-8):
-    """Make the first non-negligible component of each column real positive."""
+def _fix_phases(V):
+    """Make the first component of modulus above 1e-8 of each column real positive."""
     V = V.copy()
     for j in range(V.shape[1]):
         col = V[:, j]
-        idx = np.nonzero(np.abs(col) > tol)[0]
+        idx = np.nonzero(np.abs(col) > 1e-8)[0]
         i = idx[0] if idx.size else int(np.argmax(np.abs(col)))
         z = col[i]
         if abs(z) > 0:
@@ -333,32 +334,29 @@ def _block_eigvalsh(blocks, policy):
     return _block_eigh(blocks, policy, vectors=False)
 
 
-def principal_log_unitary(U, offset: float = 0.0, policy: TolerancePolicy = DEFAULT):
-    """Skew-Hermitian logarithm of a unitary with branch cut rotated by `offset`.
+def principal_log_unitary(U, policy: TolerancePolicy = DEFAULT):
+    """Skew-Hermitian principal logarithm of a unitary, cut at -1.
 
-    The eigenvalues of -i*log lie in (-pi + offset, pi + offset).  Raises
-    BranchCut when spec(U * e^{-i*offset}) touches -1 within zero_tol.
+    The eigenvalues of -i*log lie in (-pi, pi).  Raises BranchCut when the
+    spectrum of U touches -1 within zero_tol.
     """
     es = eig_unitary(U, policy)
-    # distance of each phase to the cut at pi + offset (mod 2*pi)
-    rel = np.mod(es.values - offset + np.pi, 2 * np.pi) - np.pi  # in (-pi, pi]
-    if np.any(np.pi - np.abs(rel) <= policy.zero_tol) or np.any(rel == np.pi):
-        if offset == 0.0:
-            raise BranchCut("spectrum touches -1; supply a nonzero branch offset")
-        raise BranchCut(f"spectrum touches the rotated branch cut at offset {offset}")
-    shifted = offset + rel
-    L = es.vectors @ np.diag(1j * shifted) @ es.vectors.conj().T
+    # the phases taken into [-pi, pi] mod 2*pi; a zero is +0.0, as x - x is
+    rel = np.mod(es.values + np.pi, 2 * np.pi) - np.pi
+    if np.any(np.pi - np.abs(rel) <= policy.zero_tol):
+        raise BranchCut("spectrum touches the branch cut at -1")
+    L = es.vectors @ np.diag(1j * rel) @ es.vectors.conj().T
     return (L - L.conj().T) / 2.0
 
 
 @lru_cache(maxsize=None)
-def _gl_nodes(order=15):
-    """Gauss-Legendre nodes x, weights w and barycentric differentiation matrix
-    Dm on [-1, 1] (row i: derivative at x[i] of the interpolant at the nodes)."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    gaps = x[:, None] - x + np.eye(order)
+def _gl_nodes():
+    """The 15 Gauss-Legendre nodes x, weights w and barycentric differentiation
+    matrix Dm on [-1, 1] (row i: derivative at x[i] of the interpolant at the nodes)."""
+    x, w = np.polynomial.legendre.leggauss(15)
+    gaps = x[:, None] - x + np.eye(x.size)
     c = 1.0 / np.prod(gaps, axis=1)  # barycentric weights
-    Dm = (1.0 - np.eye(order)) * c / c[:, None] / gaps
+    Dm = (1.0 - np.eye(x.size)) * c / c[:, None] / gaps
     return x, w, Dm - np.diag(Dm.sum(axis=1))
 
 
@@ -426,7 +424,7 @@ def path_panel(path, ts, n: int = None):
     return F, (Dm @ (P - P[:, x.size // 2, None]) / half[:, None, None]).reshape(F.shape)
 
 
-def integrate(f, a: float, b: float, policy: TolerancePolicy = DEFAULT, max_depth: int = 20):
+def integrate(f, a: float, b: float, policy: TolerancePolicy = DEFAULT):
     """Adaptive composite Gauss-Legendre quadrature of a complex integrand.
 
     f takes the 15 nodes of each of m panels, shape (15m,), and returns its
@@ -438,7 +436,7 @@ def integrate(f, a: float, b: float, policy: TolerancePolicy = DEFAULT, max_dept
     share of quad_rel_tol; the sum runs in tree order.  A `path_panel`
     derivative is exact for degree 14, and halves differentiate again, so
     the estimate covers its error.  NoConvergence names the leftmost panel
-    at `max_depth`.
+    still failing at depth _QUAD_DEPTH.
     """
     x, w, _ = _gl_nodes()
 
@@ -471,7 +469,7 @@ def integrate(f, a: float, b: float, policy: TolerancePolicy = DEFAULT, max_dept
             err = abs(approx - left - right)
             if err <= policy.quad_rel_tol * scale * (hi - lo) / span or err == 0.0:
                 sums[k] = left + right
-            elif k.bit_length() > max_depth:  # depth k.bit_length() - 1, never rising rightwards
+            elif k.bit_length() > _QUAD_DEPTH:  # depth k.bit_length() - 1, never rising rightwards
                 raise NoConvergence(f"quadrature stalled on [{lo}, {hi}] with error {err:.2e}")
             else:
                 halved += [(2 * k, lo, mid, left), (2 * k + 1, mid, hi, right)]
@@ -502,10 +500,12 @@ _OVERLAP_MIN = 1.0 / np.sqrt(2.0) - 1e-9
 # that true against the rounding of the eigenvectors' orthonormality (about
 # 1e-15), and keeps the entries above _OVERLAP_MIN.
 _IDENTITY_MIN = 1.0 / np.sqrt(2.0) + 1e-6
-STEP_MAX = 0.75  # rad: largest eigenphase step of a certified link (and det-phase step)
-MAX_SAMPLES = 6000  # samples per tracking pass
-MIN_DT = 1e-11  # shortest interval a tracking pass bisects
+_GRID = 33  # points of the uniform grid a tracking pass starts from
+_STEP_MAX = 0.75  # rad: largest eigenphase step of a certified link (and det-phase step)
+_MAX_SAMPLES = 6000  # samples per tracking pass
+_MIN_DT = 1e-11  # shortest interval a tracking pass bisects
 _ROUND_MAX = 8  # most pending intervals (panels) a bisection round takes, the leftmost
+_QUAD_DEPTH = 20  # deepest bisection level of a quadrature panel
 
 
 def _lift(raw, ref):
@@ -526,7 +526,7 @@ def _match(vals1, vecs1, vals2, vecs2, policy, kind):
 
     Returns perm (the i-th eigenpair of the first sample continues as the
     perm[i]-th of the second), or None when the link does not certify: an
-    eigenphase step above STEP_MAX (unitary), or a cluster of the first
+    eigenphase step above _STEP_MAX (unitary), or a cluster of the first
     sample whose overlap block has smallest singular value (its one entry's
     modulus for a single eigenpair, no SVD) below 1/sqrt(2).  A block with
     one eigenpair matches as perm [0], without an assignment solve or
@@ -541,7 +541,7 @@ def _match(vals1, vecs1, vals2, vecs2, policy, kind):
         perm[row] = col
         # cluster-blocked overlap certificate (vals1 ascend)
         clusters = cluster_indices(vals1, policy.cluster_tol * 10 + 1e-12)
-    if kind == "unitary" and np.max(np.abs(_lift(vals2[perm], vals1) - vals1)) > STEP_MAX:
+    if kind == "unitary" and np.max(np.abs(_lift(vals2[perm], vals1) - vals1)) > _STEP_MAX:
         return None
     for a, b in clusters:
         block = O[a:b, perm[a:b]]
@@ -563,14 +563,13 @@ def _identity_links(vals1, vecs1, vecs2, policy):
     return (np.diff(vals1, axis=1) > gap).all(axis=1) & (diag > _IDENTITY_MIN).all(axis=1)
 
 
-def track_blocks(path, a, kind: str, error, K: int = 17, policy: TolerancePolicy = DEFAULT,
-                 max_samples: int = MAX_SAMPLES, min_dt: float = MIN_DT):
+def track_blocks(path, a, kind: str, error, policy: TolerancePolicy = DEFAULT):
     """Track the eigenvalue (kind "hermitian") or eigenphase ("unitary")
     branches of every isotypic block of the actor a (None: one block) along
     a path on [0, 1].
 
-    Returns (chars, [BranchSet per block]).  The K-point grid and each
-    bisection level are one stack of `isotypic_blocks` (a sample not
+    Returns (chars, [BranchSet per block]).  The uniform _GRID-point grid and
+    each bisection level are one stack of `isotypic_blocks` (a sample not
     commuting with a raises `error`), eigendecomposed by `_block_eigh`
     (Hermitian) or per sample by `eig_unitary`.  Consecutive samples are
     matched per block, and every link that does not certify is bisected,
@@ -579,13 +578,11 @@ def track_blocks(path, a, kind: str, error, K: int = 17, policy: TolerancePolicy
     block it passes takes the identity, which is what `_match` returns, and
     every other block goes through `_match`, at most once per block and
     link, stopping at the link's first uncertified block.
-    TrackingAmbiguous past max_samples samples, or when a link to bisect is
-    at most min_dt long.  The branches follow the certified permutations,
+    TrackingAmbiguous past _MAX_SAMPLES samples, or when a link to bisect is
+    at most _MIN_DT long.  The branches follow the certified permutations,
     and unitary phases are lifted against the branch values at the
     previous sample.
     """
-    if K < 2:
-        raise ValueError("K must be >= 2")
     if kind not in ("hermitian", "unitary"):
         raise ValueError("kind must be 'hermitian' or 'unitary'")
     blocks_at = isotypic_blocks(path, a, error, policy)
@@ -620,12 +617,12 @@ def track_blocks(path, a, kind: str, error, K: int = 17, policy: TolerancePolicy
             perms.append(perm)
         return perms
 
-    ts = np.linspace(0.0, 1.0, K)
+    ts = np.linspace(0.0, 1.0, _GRID)
     chars, blocks = blocks_at(ts)
     eig = eigen(blocks)
     if any(vals.shape[1] > 1 for vals, _ in eig):
         _assignment()  # loaded whether or not a link needs it: see the module docstring
-    links = [None] * (K - 1)  # links[i] certifies (ts[i], ts[i + 1]); None: not yet checked
+    links = [None] * (_GRID - 1)  # links[i] certifies (ts[i], ts[i + 1]); None: not yet checked
     while True:
         todo = np.array([i for i, perms in enumerate(links) if perms is None], dtype=int)
         for i, identity in zip(todo, by_identity(todo)):
@@ -633,8 +630,8 @@ def track_blocks(path, a, kind: str, error, K: int = 17, policy: TolerancePolicy
         bad = np.array([i for i in todo if links[i] is None], dtype=int)
         if not bad.size:
             break
-        short = ts[bad + 1] - ts[bad] <= min_dt
-        if len(ts) + bad.size > max_samples or short.any():
+        short = ts[bad + 1] - ts[bad] <= _MIN_DT
+        if len(ts) + bad.size > _MAX_SAMPLES or short.any():
             raise TrackingAmbiguous("branch matching uncertified near "
                                     f"t={ts[bad[np.argmax(short)]]:.6g} at depth cap")
         mids = (ts[bad] + ts[bad + 1]) / 2.0

@@ -29,6 +29,7 @@ __all__ = [
     "LagrangianProjection",
     "PairReport",
     "make_projection_from_unitary",
+    "as_projection",
     "pair_report",
     "aps_projection",
     "canonical_determinant",
@@ -165,7 +166,6 @@ class PairReport:
 
     invertible          PQ: im(Q) -> im(P) invertible (finite model: the
                         Fredholm criterion is vacuously true)
-    fredholm            always True at matrix scale (empty essential spectrum)
     intersection_dim    dim ker(I + T*S) = dim (ker P & im Q)
     intersection_trace  Tr(a | ker(I + T*S)) = Tr(h | ker P & im Q)
     witness_basis       orthonormal 2n-dim basis of ker P & im Q
@@ -175,7 +175,6 @@ class PairReport:
     intersection_dim: int
     intersection_trace: complex
     witness_basis: np.ndarray
-    fredholm: bool = True
     sigma_min: float = 0.0
 
 

@@ -10,9 +10,9 @@ from `spectra.isotypic_blocks`.  The primary route reads n_chi off the unwrapped
 det phase of each block; `winding_events` (branch tracking per block,
 crossings located between samples, each weighing chi times the number of the
 chi-block's branches crossing together) and `winding_from_logs` (trace-log
-quadrature) are independent cross-checks.  `double_index` samples no path: a
-contraction flow's block det phase is linear, a trace.  Paths are any
-callables t -> unitary (see `specflow`).
+quadrature; principal logarithms, cut at -1) are independent cross-checks.
+`double_index` samples no path: a contraction flow's block det phase is
+linear, a trace.  Paths are any callables t -> unitary (see `specflow`).
 """
 
 from dataclasses import dataclass
@@ -28,9 +28,10 @@ from .errors import (
     TrackingAmbiguous,
 )
 from .spectra import (
-    MAX_SAMPLES,
-    MIN_DT,
-    STEP_MAX,
+    _GRID,
+    _MAX_SAMPLES,
+    _MIN_DT,
+    _STEP_MAX,
     EigenSystem,
     _as_matrix,
     _sampled_once,
@@ -64,36 +65,34 @@ _OFFSET_CEILING = 1e-3
 _ROUNDING_TOL = 1e-9  # largest rounding error allowed in a block count n_chi
 
 
-def _det_phases(f, a, policy, K=33):
+def _det_phases(f, a, policy):
     """One isotypic det-phase pass over a unitary path on [0, 1].
 
-    Samples the isotypic blocks of f on a uniform K-point grid, every sample
-    checked (`_unitary_blocks`), and takes the determinant of each block.
-    Intervals where some block's det phase steps by more than STEP_MAX are
-    bisected; TrackingAmbiguous is raised at MAX_SAMPLES samples or when an
-    interval to bisect is at most MIN_DT long.  The grid and each bisection
-    level are one stack.  This step bound is what certifies the unwrapping.
+    Samples the isotypic blocks of f on a uniform _GRID-point grid, every
+    sample checked (`_unitary_blocks`), and takes the determinant of each
+    block.  Intervals where some block's det phase steps by more than
+    _STEP_MAX are bisected; TrackingAmbiguous is raised at _MAX_SAMPLES
+    samples or when an interval to bisect is at most _MIN_DT long.  The grid
+    and each bisection level are one stack.  This step bound is what certifies the unwrapping.
     Returns (chars, deltas, ends): deltas are the unwrapped det-phase changes
     per block, ends[i] the (2, k, k) samples of block i at t = 0 and t = 1.
     """
-    if K < 2:
-        raise ValueError("K must be >= 2")
     blocks_at = _unitary_blocks(f, a, policy)
 
     def block_dets(ts):
         chars, blocks = blocks_at(ts)
         return chars, blocks, np.stack([np.linalg.det(B) for B in blocks], axis=1)
 
-    ts = np.linspace(0.0, 1.0, K)
+    ts = np.linspace(0.0, 1.0, _GRID)
     chars, blocks, dets = block_dets(ts)
     ends = [B[[0, -1]] for B in blocks]
     while True:
         steps = np.angle(dets[1:] * dets[:-1].conj())
-        big = np.max(np.abs(steps), axis=1) > STEP_MAX
+        big = np.max(np.abs(steps), axis=1) > _STEP_MAX
         if not np.any(big):
             break
         lo = np.nonzero(big)[0]
-        if len(ts) + lo.size > MAX_SAMPLES or np.min(ts[lo + 1] - ts[lo]) <= MIN_DT:
+        if len(ts) + lo.size > _MAX_SAMPLES or np.min(ts[lo + 1] - ts[lo]) <= _MIN_DT:
             k = lo[0]
             b = int(np.argmax(np.abs(steps[k])))
             raise TrackingAmbiguous(
@@ -158,7 +157,7 @@ def _pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT) -> float:
     raise OffsetExhausted("no admissible endpoint phase offset below the ceiling")
 
 
-def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33):
+def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT):
     """Branch-track each isotypic block of a unitary path and list its
     wall-crossing events: (offset, events, [BranchSet per block]).
 
@@ -167,7 +166,7 @@ def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33):
     times the number of the chi-block's branches crossing together (within
     1e-7 in time), summed over blocks.
     """
-    chars, sets = track_blocks(f, a, "unitary", NotCommuting, K, policy)
+    chars, sets = track_blocks(f, a, "unitary", NotCommuting, policy)
     theta = _pick_offset(np.concatenate([bs.values[[0, -1]].ravel() for bs in sets]), policy)
     wall = np.pi + theta
     raw = []  # (time, direction, character) per crossing branch
@@ -187,7 +186,7 @@ def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33):
     return theta, [(t, d, w) for t, d, _, w in group_events(raw, 1e-7)], sets
 
 
-def winding_number(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33) -> complex:
+def winding_number(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     """Equivariant winding number sum_chi chi * n_chi of a unitary path.
 
     n_chi counts the eigenphase crossings of the chi-block through pi + theta
@@ -203,7 +202,7 @@ def winding_number(f, a=None, policy: TolerancePolicy = DEFAULT, K: int = 33) ->
     check only.  Mis-tracking is caught by the det-phase step bound in the
     sampling pass.  With trivial actor the value is an integer.
     """
-    chars, deltas, ends = _det_phases(f, a, policy, K)
+    chars, deltas, ends = _det_phases(f, a, policy)
     return _count(chars, deltas, [np.angle(np.linalg.eigvals(E)) for E in ends], policy)
 
 
@@ -263,7 +262,7 @@ def winding_from_logs(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     def log_trace(t):
         U = sample_stack(f, [t], n)
         check_commuting(a, U, t, NotCommuting, policy)
-        return complex(np.trace(weighted(principal_log_unitary(U[0], 0.0, policy))))
+        return complex(np.trace(weighted(principal_log_unitary(U[0], policy))))
 
     total = integrate(integrand, 0.0, 1.0, policy) - log_trace(1.0) + log_trace(0.0)
     return complex(total / (2j * np.pi))
@@ -323,8 +322,8 @@ def canonical_path(U, a=None, policy: TolerancePolicy = DEFAULT) -> CanonicalCon
     a0 = B0.conj().T @ a @ B0
     a1 = B1.conj().T @ a @ B1
     U1 = B1.conj().T @ U @ B1
-    La = principal_log_unitary(a1, 0.0, policy) if B1.shape[1] else a1
-    LU = principal_log_unitary(U1, 0.0, policy) if B1.shape[1] else U1
+    La = principal_log_unitary(a1, policy) if B1.shape[1] else a1
+    LU = principal_log_unitary(U1, policy) if B1.shape[1] else U1
     return CanonicalContraction(U=U, a=a, h0_basis=B0, comp_basis=B1,
                                 path=Path(n, _frozen_flow(B0, a0, B1, [La, LU])))
 

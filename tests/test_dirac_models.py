@@ -127,7 +127,7 @@ class TestIntervalModel:
             mod = IntervalDiracModel(L, gen.rand_hermitian(m, rng, 0.4))
             P = make_projection_from_unitary(gen.rand_unitary(m, rng))
             lam = 40.0
-            count = len(interval_spectrum(mod, P, (-lam, lam), polish=False))
+            count = len(interval_spectrum(mod, P, (-lam, lam)))
             expect = m * 2 * lam * L / (2 * pi)
             assert abs(count - expect) <= 2 * m
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from scipy.special import erfinv
 
-from equiflow import dirac_models, eta_zeta, spectra, symplectic
+from equiflow import dirac_models, eta_zeta, specflow, spectra, symplectic
 from equiflow.dirac_models import (
     IntervalDiracModel,
     interval_eta,
@@ -63,7 +63,9 @@ from equiflow.winding import (
 )
 
 
-def test_tracking_ambiguous_on_discontinuity():
+def test_tracking_ambiguous_on_discontinuity(monkeypatch):
+    monkeypatch.setattr(spectra, "_GRID", 9)
+    monkeypatch.setattr(spectra, "_MAX_SAMPLES", 60)
     rng = gen.rng_for(71)
     A = gen.rand_hermitian(3, rng, 1.0)
     B = gen.rand_unitary(3, rng) @ A @ gen.rand_unitary(3, rng).conj().T
@@ -73,10 +75,11 @@ def test_tracking_ambiguous_on_discontinuity():
         return A if t < 0.5 else B
 
     with pytest.raises(TrackingAmbiguous):
-        track_blocks(path, None, "hermitian", None, K=9, max_samples=60)
+        track_blocks(path, None, "hermitian", None)
 
 
-def test_partition_failure_on_noise():
+def test_partition_failure_on_noise(monkeypatch):
+    monkeypatch.setattr(specflow, "_PARTITION_DEPTH", 6)
     # pseudo-random jumps at every sampled scale: no level can be certified
     def noise(t, k):
         x = np.sin(12345.678 * (t + k)) * 1e6
@@ -86,7 +89,7 @@ def test_partition_failure_on_noise():
         return np.diag([noise(t, 0), noise(t, 1) - 3.0]).astype(complex)
 
     with pytest.raises(PartitionFailure):
-        good_partition(Path(2, path), max_depth=6)
+        good_partition(Path(2, path))
 
 
 def _noisy_diag(t):
@@ -96,8 +99,8 @@ def _noisy_diag(t):
 
 
 def test_partition_failure_cost_is_bounded():
-    # failing everywhere at the default max_depth: one round per depth on the
-    # leftmost intervals, and the error names the leftmost interval at max_depth
+    # failing everywhere at depth _PARTITION_DEPTH: one round per depth on the
+    # leftmost intervals, and the error names the leftmost interval at that depth
     seen = []
 
     def path(t):
@@ -109,16 +112,17 @@ def test_partition_failure_cost_is_bounded():
     assert len(seen) < 500
 
 
-def test_partition_failure_names_leftmost_stall():
+def test_partition_failure_names_leftmost_stall(monkeypatch):
     # smooth (and bisected) left of 0.55, noise right of it: the error names
-    # the leftmost interval failing at max_depth, as a depth-first search does
+    # the leftmost interval failing at the depth cap, as a depth-first search does
+    monkeypatch.setattr(specflow, "_PARTITION_DEPTH", 6)
     def path(t):
         if t < 0.55:
             return np.diag([np.sin(40 * t), np.cos(37 * t) - 0.2]).astype(complex)
         return _noisy_diag(t)
 
     with pytest.raises(PartitionFailure, match=r"on \[0\.548828, 0\.550781\] at depth 6"):
-        good_partition(path, max_depth=6)
+        good_partition(path)
 
 
 def test_spectral_flow_not_equivariant():

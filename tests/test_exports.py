@@ -1,5 +1,6 @@
 import ast
 import importlib
+import itertools
 import json
 import os
 import pkgutil
@@ -79,31 +80,67 @@ def _import_base(node, name, rel):
     return f"{pkg}.{node.module}" if node.module else pkg
 
 
-def _reads(tree, name, rel, modules):
-    """Dotted names of the package a file reads: the names it imports from
-    the package, and the attributes it reads off an imported module."""
-    alias, out = {}, set()
+def _aliases(tree, name, rel):
+    """The dotted names a file's local names stand for: its top-level
+    definitions, the modules it imports and the names it imports."""
+    alias = {stmt.name: f"{name}.{stmt.name}" for stmt in tree.body
+             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
                 top = a.name.split(".")[0]
                 alias[a.asname or top] = a.name if a.asname else top
-                out.add(a.name)
         elif isinstance(node, ast.ImportFrom):
             base = _import_base(node, name, rel)
-            out.add(base)
             for a in node.names:
-                out.add(f"{base}.{a.name}")
-                if f"{base}.{a.name}" in modules:
-                    alias[a.asname or a.name] = f"{base}.{a.name}"
+                alias[a.asname or a.name] = f"{base}.{a.name}"
+    return alias
+
+
+def _dotted(node, alias):
+    """The dotted name an expression reads, a local name or an attribute chain
+    on one resolved through alias (None for any other expression)."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in alias:
+        return ".".join([alias[node.id]] + chain[::-1])
+    return None
+
+
+def _reads(tree, name, rel):
+    """Dotted names of the package a file reads: the modules and names it
+    imports, and the names and attributes it reads through them."""
+    alias, out = _aliases(tree, name, rel), set()
     for node in ast.walk(tree):
-        chain, base = [], node
-        while isinstance(base, ast.Attribute):
-            chain.append(base.attr)
-            base = base.value
-        if chain and isinstance(base, ast.Name) and base.id in alias:
-            out.add(".".join([alias[base.id]] + chain[::-1]))
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = _import_base(node, name, rel)
+            out |= {base} | {f"{base}.{a.name}" for a in node.names}
+        elif isinstance(node, (ast.Name, ast.Attribute)) and _dotted(node, alias):
+            out.add(_dotted(node, alias))
     return out
+
+
+def _sources():
+    """(module name, path relative to the package, parsed file) of every
+    package module, then of every benchmark file."""
+    out = [(_module_name(rel), rel, tree) for rel, tree in _modules()]
+    bench = os.path.join(os.path.dirname(os.path.dirname(_SRC)), "perfbench")
+    for fname in sorted(os.listdir(bench)):
+        if fname.endswith(".py"):
+            with open(os.path.join(bench, fname)) as fh:
+                out.append((fname[:-3], fname, ast.parse(fh.read())))
+    return out
+
+
+def _origins(files):
+    """Re-exported dotted name -> the dotted name of its origin."""
+    return {f"{name}.{a.asname or a.name}": f"{_import_base(stmt, name, rel)}.{a.name}"
+            for name, (rel, tree) in files.items()
+            for stmt in tree.body if isinstance(stmt, ast.ImportFrom) for a in stmt.names}
 
 
 # Exported names that no other module of the package and no benchmark file
@@ -113,6 +150,7 @@ _UNREACHED_EXPORTS = {
     "equiflow.eta_zeta.SpectralOperator": "accepted by every eta_zeta operator route",
     "equiflow.spectra.BranchSet": "returned by track_blocks and winding_events",
     "equiflow.specflow.GridPartition": "returned by good_partition, accepted by spectral_flow",
+    "equiflow.specflow.Interval": "the record GridPartition holds",
     "equiflow.specflow.FlowResult": "returned by spectral_flow and crossing_oracle",
     "equiflow.specflow.Crossing": "listed in the FlowResult of crossing_oracle",
     "equiflow.specflow.BottLoop": "returned by bott_loop",
@@ -140,19 +178,11 @@ def test_every_export_is_reached():
     # package (the CLI and the suites among them) or by the benchmark, or
     # is listed above with its reason; a listed name that is read is stale
     files = {_module_name(rel): (rel, tree) for rel, tree in _modules()}
-    bench = os.path.join(os.path.dirname(os.path.dirname(_SRC)), "perfbench")
-    reads = {}
-    for name, (rel, tree) in files.items():
-        reads[name] = _reads(tree, name, rel, files)
-    for fname in sorted(os.listdir(bench)):
-        if fname.endswith(".py"):
-            with open(os.path.join(bench, fname)) as fh:
-                reads[fname] = _reads(ast.parse(fh.read()), fname[:-3], fname, files)
+    reads = {name: _reads(tree, name, rel) for name, rel, tree in _sources()}
+    origin = _origins(files)
     unreached = set()
     for name, (rel, tree) in files.items():
         # a re-exported name is reached where its origin is read
-        origin = {f"{name}.{a.asname or a.name}": f"{_import_base(stmt, name, rel)}.{a.name}"
-                  for stmt in tree.body if isinstance(stmt, ast.ImportFrom) for a in stmt.names}
         for export in (f"{name}.{x}" for x in _exported(tree)):
             keys = {export, origin.get(export)}
             if not any(keys & r for other, r in reads.items() if other != name):
@@ -160,6 +190,84 @@ def test_every_export_is_reached():
     assert unreached - set(_UNREACHED_EXPORTS) == set(), "exported, reached by nothing"
     assert set(_UNREACHED_EXPORTS) - unreached == set(), "listed, but reached or not exported"
     assert all(_UNREACHED_EXPORTS.values())
+    # in a module with __all__, each top-level name without a leading
+    # underscore is in it; the suite functions registered by `_register` are
+    # reached through `run_suite`, and their module does not export them
+    unlisted = []
+    for name, (rel, tree) in files.items():
+        exported = _exported(tree)
+        for stmt in tree.body if exported else ():
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if any(getattr(getattr(d, "func", None), "id", None) == "_register"
+                       for d in stmt.decorator_list):
+                    continue
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unlisted += [f"{name}.{x}" for x in names
+                         if not x.startswith("_") and x not in exported]
+    assert not unlisted, f"public by name, not in __all__: {unlisted}"
+
+
+# Defaulted parameters of exported functions that no call in the package or
+# the benchmark sets, each with the reason it stays a parameter.
+_UNSET_OPTIONS = {
+    # the actor of the paper constructs that stay public
+    "equiflow.symplectic.pair_report.h": "the actor of the pair diagnostics",
+    "equiflow.symplectic.canonical_determinant.h": "the actor of the canonical determinant",
+    "equiflow.winding.canonical_path.a": "the actor of the canonical contraction",
+    "equiflow.winding.relative_double_index.a": "the actor of the relative double index",
+    "equiflow.winding.winding_events.a": "the actor of the tracked wall crossings",
+    # inputs of a case the routes of the package never build
+    "equiflow.symplectic.aps_projection.L": "the kernel Lagrangian of a boundary operator "
+                                            "with a kernel",
+    # references that tests compare against
+    "equiflow.dirac_models.enumerated_eta.reduced": "the reference tests compare "
+                                                    "_exact_eta(reduced=True) against",
+}
+
+
+def test_every_option_is_set():
+    # each defaulted parameter of an exported function is passed a value
+    # other than its default (by source text, by keyword or by position) by
+    # some call in the package or the benchmark, or is listed above with its
+    # reason; a listed parameter that is set is stale.  Callees resolve as in
+    # `_reads`, so a method of the same name is no caller.
+    files = {_module_name(rel): (rel, tree) for rel, tree in _modules()}
+    functions = {f"{name}.{stmt.name}": stmt for name, (rel, tree) in files.items()
+                 for stmt in tree.body
+                 if isinstance(stmt, ast.FunctionDef) and stmt.name in _exported(tree)}
+    defaults = {}
+    for key, fn in functions.items():
+        args = fn.args.posonlyargs + fn.args.args
+        pairs = list(zip(args[len(args) - len(fn.args.defaults):], fn.args.defaults))
+        pairs += [(a, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+        # a TolerancePolicy is no option of one route: every route takes the
+        # one source of thresholds, which a config's `tolerances` sets
+        defaults.update({f"{key}.{a.arg}": ast.unparse(d) for a, d in pairs
+                         if getattr(a.annotation, "id", None) != "TolerancePolicy"})
+    origin = _origins(files)
+    given = set()
+    for name, rel, tree in _sources():
+        alias = _aliases(tree, name, rel)
+        for node in ast.walk(tree):
+            callee = _dotted(node.func, alias) if isinstance(node, ast.Call) else None
+            callee = origin.get(callee, callee)
+            if callee not in functions:
+                continue
+            fn = functions[callee]
+            positional = itertools.takewhile(lambda a: not isinstance(a, ast.Starred), node.args)
+            passed = dict(zip([a.arg for a in fn.args.posonlyargs + fn.args.args], positional))
+            passed.update({k.arg: k.value for k in node.keywords if k.arg})
+            given |= {f"{callee}.{p}" for p, value in passed.items()
+                      if ast.unparse(value) != defaults.get(f"{callee}.{p}", ast.unparse(value))}
+    unset = set(defaults) - given
+    assert not unset - set(_UNSET_OPTIONS), f"options no caller sets: {unset - set(_UNSET_OPTIONS)}"
+    assert not set(_UNSET_OPTIONS) - unset, "listed, but set or not an option"
+    assert all(_UNSET_OPTIONS.values())
 
 
 def test_every_error_is_raised():

@@ -87,6 +87,7 @@ ROUTES = {
     "symplectic.make_projection_from_unitary": {
         "matrix": symplectic.make_projection_from_unitary},
     "symplectic.flip_orientation": {"matrix": symplectic.flip_orientation},
+    "symplectic.as_projection": {"matrix": symplectic.as_projection},
     "symplectic.aps_projection": {"matrix": symplectic.aps_projection},
     "symplectic.aps_projection[L]": {"L": lambda L: symplectic.aps_projection(_ZERO, L)},
     "symplectic.pair_report": {
@@ -195,6 +196,7 @@ NOT_ROUTES = {
     "symplectic.PairReport": "a record of pair diagnostics",
     "specflow.Path": "a record of a dimension and a sampler; routes check its samples",
     "specflow.UnitaryPath": "the name Path",
+    "specflow.Interval": "a record of a certified interval",
     "specflow.GridPartition": "a record of certified intervals",
     "specflow.FlowResult": "a record of a result",
     "specflow.Crossing": "a record of a crossing",

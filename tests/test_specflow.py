@@ -58,11 +58,6 @@ class TestGoodPartition:
         assert set(part.nodes) <= set(seen)
         assert len(part.intervals) > 8  # bisected below the seed level
 
-    @pytest.mark.parametrize("nodes", [0, 1])
-    def test_too_few_initial_nodes(self, nodes):
-        with pytest.raises(ValueError, match="initial_nodes must be >= 2"):
-            good_partition(diag_path(lambda t: 1.0), initial_nodes=nodes)
-
     def test_avoided_crossing_margin(self):
         delta = 1e-3
         path = Path(2, lambda t: np.array([[t - 0.5, delta],
@@ -223,10 +218,11 @@ class TestPartitionMatchesReference:
         assert np.array_equal(F, F_ref) and np.array_equal(spec, spec_ref)
 
     @pytest.mark.parametrize("initial_nodes", [4, 7, 12])
-    def test_seeds_off_the_dyadic_grid(self, initial_nodes):
+    def test_seeds_off_the_dyadic_grid(self, initial_nodes, monkeypatch):
         # intervals with non-dyadic ends probe the times np.linspace gives
+        monkeypatch.setattr(specflow, "_INITIAL_NODES", initial_nodes)
         path, h = gen.commuting_hermitian_path(5, 3, gen.rng_for(430 + initial_nodes))
-        part, F, spec = specflow._certify(path, h, DEFAULT, initial_nodes)
+        part, F, spec = specflow._certify(path, h, DEFAULT)
         ref, F_ref, spec_ref = _reference_certify(path, h, initial_nodes=initial_nodes)
         assert_partitions_equal(part, ref)
         assert np.array_equal(F, F_ref) and np.array_equal(spec, spec_ref)
@@ -438,7 +434,7 @@ class TestCrossingOracle:
 
     def test_samples_only_tracked_times(self):
         path, h = gen.commuting_hermitian_path(4, 3, gen.rng_for(113))
-        _, (bs, *_) = track_blocks(path, h, "hermitian", NotEquivariant, 33)
+        _, (bs, *_) = track_blocks(path, h, "hermitian", NotEquivariant)
         seen = []
 
         def recording(t):

@@ -354,14 +354,6 @@ class TestPrincipalLog:
         with pytest.raises(BranchCut):
             principal_log_unitary(np.diag([-1.0 + 0j, 1.0 + 0j]))
 
-    def test_offset_moves_cut(self):
-        U = np.diag([-1.0 + 0j, 1j])
-        L = principal_log_unitary(U, offset=0.3)
-        assert opnorm(scipy.linalg.expm(L) - U) < 1e-10
-        phases = np.linalg.eigvalsh(-1j * L)
-        assert np.all(phases > -np.pi + 0.3 - 1e-12)
-        assert np.all(phases < np.pi + 0.3 + 1e-12)
-
 
 class TestIntegrate:
     def test_constant(self):
@@ -374,15 +366,16 @@ class TestIntegrate:
     def test_antiderivative(self):
         assert abs(integrate(lambda t: t ** 2, 0.0, 1.0) - 1.0 / 3.0) < 1e-10
 
-    def test_no_convergence(self):
-        # the error names the leftmost panel still failing at max_depth
+    def test_no_convergence(self, monkeypatch):
+        # the error names the leftmost panel still failing at the depth cap
+        monkeypatch.setattr(spectra, "_QUAD_DEPTH", 3)
         with pytest.raises(NoConvergence, match=r"on \[0\.0, 0\.125\]"):
-            integrate(lambda t: np.sign(np.sin(1.0 / (t + 1e-9))), 0.0, 1.0, max_depth=3)
+            integrate(lambda t: np.sign(np.sin(1.0 / (t + 1e-9))), 0.0, 1.0)
         with pytest.raises(NoConvergence, match=r"on \[0\.625, 0\.75\]"):
-            integrate(lambda t: np.sign(np.sin(1.0 / (1 + 1e-9 - t))), 0.0, 1.0, max_depth=3)
+            integrate(lambda t: np.sign(np.sin(1.0 / (1 + 1e-9 - t))), 0.0, 1.0)
 
     def test_no_convergence_cost_is_bounded(self):
-        # failing on every panel at the default max_depth: each call holds both
+        # failing on every panel at depth _QUAD_DEPTH: each call holds both
         # halves of at most _ROUND_MAX panels, one call per depth
         calls = []
 
@@ -544,36 +537,41 @@ class TestPathPanel:
 
 
 class TestTrackBranches:
-    def test_diag_crossing(self):
+    def test_diag_crossing(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_GRID", 9)
         path = lambda t: np.diag([2 * t - 1, 1.0]).astype(complex)
-        _, (bs,) = track_blocks(path, None, "hermitian", None, K=9)
+        _, (bs,) = track_blocks(path, None, "hermitian", None)
         assert np.allclose(bs.values[:, 1], 1.0)
         assert np.allclose(bs.values[:, 0], 2 * bs.times - 1)
 
-    def test_isospectral_rotation(self):
+    def test_isospectral_rotation(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_GRID", 9)
+
         def path(t):
             c, s = np.cos(t), np.sin(t)
             R = np.array([[c, -s], [s, c]])
             return R @ np.diag([1.0, -1.0]) @ R.T
-        _, (bs,) = track_blocks(path, None, "hermitian", None, K=9)
+        _, (bs,) = track_blocks(path, None, "hermitian", None)
         assert np.allclose(np.sort(bs.values, axis=1), [[-1.0, 1.0]] * len(bs.times))
 
-    def test_avoided_crossing_gap(self):
+    def test_avoided_crossing_gap(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_GRID", 17)
         delta = 1e-3
         path = lambda t: np.array([[t - 0.5, delta], [delta, 0.5 - t]], dtype=complex)
-        _, (bs,) = track_blocks(path, None, "hermitian", None, K=17)
+        _, (bs,) = track_blocks(path, None, "hermitian", None)
         lo, hi = bs.values[:, 0], bs.values[:, 1]
         expect_hi = np.sqrt((bs.times - 0.5) ** 2 + delta ** 2)
         assert np.allclose(hi, expect_hi, atol=1e-10)
         assert np.min(hi - lo) >= 2 * delta - 1e-12
 
-    def test_bisection_times_fixture(self):
+    def test_bisection_times_fixture(self, monkeypatch):
         # three levels avoiding each other at t = 0.5: the links next to it
         # bisect down to 1/2048; the times were recorded with the one-link-
         # at-a-time tracker, and bisecting a level's links together keeps them
         g = 3e-4
         path = lambda t: np.array([[t - 0.5, g, g], [g, 0.0, g], [g, g, 0.5 - t]], dtype=complex)
-        _, (bs,) = track_blocks(path, None, "hermitian", None, K=17)
+        monkeypatch.setattr(spectra, "_GRID", 17)
+        _, (bs,) = track_blocks(path, None, "hermitian", None)
         recorded = [0, 128, 256, 384, 512, 640, 768, 896, 960, 992, 1008, 1016, 1020, 1024,
                     1028, 1032, 1040, 1056, 1088, 1152, 1280, 1408, 1536, 1664, 1792, 1920, 2048]
         assert bs.times.tolist() == [k / 2048 for k in recorded]
@@ -588,9 +586,10 @@ class TestTrackBranches:
             return match(vals1, vecs1, vals2, *rest)
 
         monkeypatch.setattr(spectra, "_match", counted)
+        monkeypatch.setattr(spectra, "_GRID", 9)
         path = lambda t: np.diag([f(t) for f in diagonal]).astype(complex)
-        chars, sets = track_blocks(path, np.diag(actor), "hermitian", NotEquivariant, K=9)
-        # diagonal paths certify every link of the K-grid without bisection
+        chars, sets = track_blocks(path, np.diag(actor), "hermitian", NotEquivariant)
+        # diagonal paths certify every link of the grid without bisection
         assert len(chars) == 2 and all(len(bs.times) == 9 for bs in sets)
         return calls
 
@@ -609,11 +608,12 @@ class TestTrackBranches:
                                     [1j, 1j, 1j, -1.0])
         assert len(calls) == len(set(calls)) == 8
 
-    def test_simple_spectrum_reproduction(self):
+    def test_simple_spectrum_reproduction(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_GRID", 11)
         rng = np.random.default_rng(9)
         A, B = rand_hermitian(4, rng), rand_hermitian(4, rng, 0.5)
         path = lambda t: A + t * B
-        _, (bs,) = track_blocks(path, None, "hermitian", None, K=11)
+        _, (bs,) = track_blocks(path, None, "hermitian", None)
         for k, t in enumerate(bs.times):
             assert np.allclose(np.sort(bs.values[k]), np.linalg.eigvalsh(path(t)),
                                atol=1e-9)
@@ -659,9 +659,10 @@ def test_identity_links_agree_with_match(seed):
 def test_screened_track_equals_matched_track(monkeypatch, seed):
     # the same branches and times when every link goes through `_match`
     path = _link_corpus(seed)
-    _, (screened,) = track_blocks(path, None, "hermitian", None, K=17)
+    monkeypatch.setattr(spectra, "_GRID", 17)
+    _, (screened,) = track_blocks(path, None, "hermitian", None)
     monkeypatch.setattr(spectra, "_IDENTITY_MIN", np.inf)
-    _, (matched,) = track_blocks(path, None, "hermitian", None, K=17)
+    _, (matched,) = track_blocks(path, None, "hermitian", None)
     assert np.array_equal(screened.times, matched.times)
     assert np.array_equal(screened.values, matched.values)
 
@@ -676,7 +677,7 @@ class TestMatchOneEigenpair:
         assert perm.tolist() == [0] and perm.dtype == np.intp
 
     def test_unitary_step_above_step_max(self):
-        step = spectra.STEP_MAX + 1e-3
+        step = spectra._STEP_MAX + 1e-3
         assert match(np.array([0.1]), self.one, np.array([0.1 + step]), self.one, DEFAULT,
                      "unitary") is None
 
