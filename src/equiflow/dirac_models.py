@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     KernelPresent,
     NotEquivariant,
-    RootFindingFailure,
 )
 from .spectra import (_as_matrix, check_commuting, cluster_indices, eig_hermitian, eig_unitary,
                       isotypic_split)
@@ -147,14 +146,6 @@ def _interval_transfer(model: IntervalDiracModel, lam) -> np.ndarray:
     return C @ np.diag(phase) @ C.conj().T
 
 
-def _secular_det(model, B, lam) -> complex:
-    """The secular value det(B* J(lambda)), B an orthonormal basis of ran(P)
-    and J(lambda) v = (v, M(lambda) v); eigenvalues of D_P are its real roots."""
-    M = _interval_transfer(model, lam)
-    J = np.vstack([np.eye(model.m), M])
-    return complex(np.linalg.det(B.conj().T @ J))
-
-
 def _branch_clusters(model: IntervalDiracModel, P):
     """(order, betas, members) of the eigenphases of G = T* M(0) for the
     boundary unitary T of P: `order` sorts the phases pooled over the
@@ -227,35 +218,14 @@ def _branches(model, P, phase_weights):
             np.array([len(idx) for idx in members], dtype=int))
 
 
-def _newton_polish(model, B, lam0):
-    """At most 4 Newton steps on the secular value for the boundary basis B."""
-    delta = 1e-7 * max(1.0, abs(lam0))
-    lam = complex(lam0)
-    for _ in range(4):
-        s = _secular_det(model, B, lam)
-        ds = (_secular_det(model, B, lam + delta)
-              - _secular_det(model, B, lam - delta)) / (2 * delta)
-        if abs(ds) < 1e-14:
-            break
-        step = s / ds
-        lam = lam - step
-        if abs(step) < 1e-12:
-            break
-    if abs(lam.imag) > 1e-8:
-        raise RootFindingFailure(f"secular root drifted off the real axis: {lam}")
-    return float(lam.real)
-
-
 def interval_spectrum(model: IntervalDiracModel, P, window, element_power: int = 0):
     """Eigenvalues of D_P inside [window[0], window[1]] with character weights.
 
-    Candidates come from the exact branch structure and are polished by
-    Newton iteration on the secular value (to 1e-10); multiplicity is the
-    branch cluster dimension.
+    The eigenvalues are the exact branch values (beta + 2 pi k)/L of
+    `secular_branches`; multiplicity is the branch cluster dimension.
     """
     lo, hi = window
     betas, weights, dims = secular_branches(model, P, element_power)
-    B = as_projection(P, model.policy).image_basis()
     sp = 2 * pi / model.L
     out = []
     for beta, w, d in zip(betas, weights, dims):
@@ -263,7 +233,7 @@ def interval_spectrum(model: IntervalDiracModel, P, window, element_power: int =
         k_lo = int(np.ceil((lo - base) / sp))
         k_hi = int(np.floor((hi - base) / sp))
         for k in range(k_lo, k_hi + 1):
-            out.append((_newton_polish(model, B, base + sp * k), w, int(d)))
+            out.append((float(base + sp * k), w, int(d)))
     out.sort(key=lambda r: r[0])
     return out
 

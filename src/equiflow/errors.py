@@ -63,10 +63,6 @@ class KernelPresent(EquiflowError):
     """Operator has spectrum at zero where an invertible one is required."""
 
 
-class RootFindingFailure(EquiflowError):
-    pass
-
-
 class ConfigInvalid(EquiflowError):
     """Malformed harness configuration (exit code 2)."""
 

@@ -37,12 +37,6 @@ from . import generators as gen
 from .serialize import dump_report, matrix_from_wire, write_spectrum_csv
 from .suites import ACCEPTANCE_SEED, run_suite, suite_names
 
-KINDS = (
-    "sf", "winding", "maslov", "double_index", "triple_index", "eta",
-    "zeta_det", "getzler", "circle_eta", "interval_eta", "sw_check",
-    "split", "verify",
-)
-
 _TOP_KEYS = {"kind", "seed", "generator", "group", "tolerances", "output"}
 
 
@@ -176,7 +170,7 @@ def _run_sf(cfg, policy):
         w = np.exp(2j * pi / order)
         weights = [w ** p for p in powers]
         bl = bott_loop(weights, (int(params.get("n_plus", 2)),
-                                 int(params.get("n_minus", len(weights) + 1))), policy)
+                                 int(params.get("n_minus", len(weights) + 1))))
         from ..winding import winding_number
         results["sf"] = spectral_flow(bl.hermitian_path, bl.h, policy=policy).value
         results["winding"] = winding_number(bl.unitary_path, bl.h, policy)
@@ -471,6 +465,7 @@ _RUNNERS = {
     "split": _run_split,
     "verify": _run_verify_kind,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_config(cfg):

@@ -1,9 +1,12 @@
 """Verification suites: every module property and acceptance criterion as a
 named, seeded, deterministic check.
 
-Each suite returns a SuiteResult with per-case failures; `run_suite` is the
-single entry point used by both the CLI (`equiflow verify`) and the pytest
-acceptance module, so the tolerances below are pinned in exactly one place.
+A suite is a registered function `fn(res, seed)` that calls
+`res.check(label, err, tol)` where it computes each error.  `run_suite` owns
+the result: it builds the one SuiteResult, runs the suite into it and returns
+it.  It is the single entry point used by both the CLI (`equiflow verify`)
+and the pytest acceptance module, so the tolerances below are pinned in
+exactly one place.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +18,7 @@ import scipy.linalg as sl
 from .. import dirac_models as dm
 from ..errors import BranchCut, KernelPresent, UnknownSuite
 from ..eta_zeta import (
+    eta,
     eta_form,
     eta_log_defect,
     fit_character_lattice,
@@ -46,6 +50,7 @@ from ..symplectic import (
 )
 from ..tolerances import DEFAULT
 from ..winding import (
+    double_index,
     fredholm_det_path,
     winding_from_logs,
     winding_number,
@@ -89,6 +94,22 @@ def _sf_case(seed, i):
     return gen.commuting_hermitian_path(dim, order, rng)
 
 
+def _equivariant_hermitian(dim, order, rng, scale):
+    """(h, D): a random Z_order action h (`gen.zn_action`) and a Hermitian D
+    commuting with it, drawn block by block in the action's basis."""
+    h, _, blocks, R = gen.zn_action(dim, order, rng)
+    D = np.zeros((dim, dim), dtype=complex)
+    for idx in blocks:
+        D[np.ix_(idx, idx)] = gen.rand_hermitian(len(idx), rng, scale)
+    return h, R @ D @ R.conj().T
+
+
+def _end_correction(X, Y, a):
+    """tau(U, U*) of the end correction U = X(1)* Y(1) of two Lagrangian loops."""
+    U = np.asarray(X(1.0)).conj().T @ np.asarray(Y(1.0))
+    return double_index(U, U.conj().T, a)
+
+
 _SUITES = {}
 
 
@@ -104,49 +125,39 @@ def suite_names():
 
 
 def run_suite(name, seed=ACCEPTANCE_SEED) -> SuiteResult:
+    """Run the suite `name` at `seed` into one fresh SuiteResult and return it."""
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite '{name}'; available: {', '.join(suite_names())}")
-    return _SUITES[name](seed)
+    res = SuiteResult(name, 0)
+    _SUITES[name](res, seed)
+    return res
 
 
 # --- criterion 1 + 2: grid-partition flow vs crossing oracle, refinement ----
 
 @_register("sf_oracle")
-def sf_oracle(seed=ACCEPTANCE_SEED, count=200):
-    res = SuiteResult("sf_oracle", 0)
-
-    def case(i):
+def sf_oracle(res, seed, count=200):
+    for i in range(count):
         path, h = _sf_case(seed, i)
         v1 = spectral_flow(path, h).value
         v2 = crossing_oracle(path, h).value
-        return abs(v1 - v2)
-
-    for i in range(count):
-        res.check(f"path{i}", case(i), 1e-8)
-    return res
+        res.check(f"path{i}", abs(v1 - v2), 1e-8)
 
 
 @_register("sf_refinement")
-def sf_refinement(seed=ACCEPTANCE_SEED, count=200):
-    res = SuiteResult("sf_refinement", 0)
-
-    def case(i):
+def sf_refinement(res, seed, count=200):
+    for i in range(count):
         path, h = _sf_case(seed, i)
         part = good_partition(path)
         v1 = spectral_flow(path, h, part).value
         v2 = spectral_flow(path, h, part.refine()).value
-        return abs(v1 - v2)
-
-    for i in range(count):
-        res.check(f"path{i}", case(i), 1e-9)
-    return res
+        res.check(f"path{i}", abs(v1 - v2), 1e-9)
 
 
 # --- criterion 3: Bott-loop correspondence --------------------------------
 
 @_register("bott_loops")
-def bott_loops(seed=ACCEPTANCE_SEED):
-    res = SuiteResult("bott_loops", 0)
+def bott_loops(res, seed):
     for order in (3, 5):
         w = np.exp(2j * pi / order)
         for k in (1, 2, 3):
@@ -159,24 +170,21 @@ def bott_loops(seed=ACCEPTANCE_SEED):
         bl1 = bott_loop([w], (2, 2))
         sf1 = spectral_flow(bl1.hermitian_path, bl1.h).value
         res.check(f"Z{order}_rank1_generator", abs(sf1 - w), 1e-12)
-    return res
 
 
 # --- criterion 4: winding properties ---------------------------------------
 
 @_register("winding_props")
-def winding_props(seed=ACCEPTANCE_SEED, count=100):
-    res = SuiteResult("winding_props", 0)
-
-    def case(i):
+def winding_props(res, seed, count=100):
+    for i in range(count):
         rng = gen.rng_for(seed * 9176 + i)
         dim = 2 + i % 3
         order = 2 + i % 5
         f, a = gen.commuting_unitary_path(dim, order, rng, windings=1)
-        out = {}
         wf = winding_number(f, a)
-        out["reversal"] = abs(winding_number(reverse(f), a) + wf)
-        out["constant"] = abs(winding_number(lambda t, M=np.asarray(f(0.37)): M, a))
+        res.check(f"path{i}_reversal", abs(winding_number(reverse(f), a) + wf), 1e-6)
+        res.check(f"path{i}_constant",
+                  abs(winding_number(lambda t, M=np.asarray(f(0.37)): M, a)), 1e-6)
         g0, _ = gen.commuting_unitary_path(dim, order, gen.rng_for(seed * 9176 + i + 501),
                                            windings=1)
         # reuse f's actor: rebuild g in the same commutant by conjugating into it
@@ -184,27 +192,20 @@ def winding_props(seed=ACCEPTANCE_SEED, count=100):
         g = Path(dim, lambda t: np.asarray(g0(t), dtype=complex) @ glue)
         ok_comm = opnorm(a @ g(0.5) - g(0.5) @ a) < 1e-9
         if ok_comm:
-            out["additivity"] = abs(winding_number(concatenate(f, g), a)
-                                    - wf - winding_number(g, a))
+            res.check(f"path{i}_additivity", abs(winding_number(concatenate(f, g), a)
+                                                  - wf - winding_number(g, a)), 1e-6)
         try:
-            out["tracelog"] = abs(winding_from_logs(f, a) - wf)
+            err = abs(winding_from_logs(f, a) - wf)
         except BranchCut:
-            out["tracelog"] = 0.0  # endpoint on the cut: excluded by convention
-        return out
-
-    for i in range(count):
-        for k, err in case(i).items():
-            res.check(f"path{i}_{k}", err, 1e-6)
-    return res
+            err = 0.0  # endpoint on the cut: excluded by convention
+        res.check(f"path{i}_tracelog", err, 1e-6)
 
 
 # --- criterion 5: Fredholm determinant multiplicativity --------------------
 
 @_register("det_multiplicativity")
-def det_multiplicativity(seed=ACCEPTANCE_SEED, count=50):
-    res = SuiteResult("det_multiplicativity", 0)
-
-    def case(i):
+def det_multiplicativity(res, seed, count=50):
+    for i in range(count):
         rng = gen.rng_for(seed * 5113 + i)
         dim = 2 + i % 3
         order = 2 + i % 5
@@ -221,46 +222,32 @@ def det_multiplicativity(seed=ACCEPTANCE_SEED, count=50):
 
         d1 = fredholm_det_path(product(f, g), a)
         d2 = fredholm_det_path(f, a) * fredholm_det_path(g, a)
-        return abs(d1 - d2) / max(abs(d2), 1e-12)
-
-    for i in range(count):
-        res.check(f"pair{i}", case(i), 1e-6)
-    return res
+        res.check(f"pair{i}", abs(d1 - d2) / max(abs(d2), 1e-12), 1e-6)
 
 
 # --- criterion 6: Maslov grid mode vs winding mode --------------------------
 
 @_register("maslov_winding")
-def maslov_winding(seed=ACCEPTANCE_SEED, count=100):
-    res = SuiteResult("maslov_winding", 0)
-
-    def case(i):
+def maslov_winding(res, seed, count=100):
+    for i in range(count):
         rng = gen.rng_for(seed * 7717 + i)
         n = 1 + i % 3
         order = 2 + i % 5
         T, S, a = gen.lagrangian_loop_pair(n, order, rng, windings=1)
         mw = maslov_index(T, S, a, mode="winding")
         mg = maslov_index(T, S, a, mode="grid", grid=256)
-        out = {"modes": abs(mw - mg)}
+        res.check(f"pair{i}_modes", abs(mw - mg), 1e-8)
         # on loops, the a-weighted winding of the twisted path a T*(t)S(t)
         # reproduces w_h(T* S)
         tw = winding_number(lambda t: a @ np.asarray(T(t)).conj().T @ np.asarray(S(t)), a)
-        out["twisted"] = abs(tw - mw)
-        return out
-
-    for i in range(count):
-        for k, err in case(i).items():
-            res.check(f"pair{i}_{k}", err, 1e-8)
-    return res
+        res.check(f"pair{i}_twisted", abs(tw - mw), 1e-8)
 
 
 # --- criterion 7: triple-index algebra --------------------------------------
 
 @_register("triple_symmetry")
-def triple_symmetry(seed=ACCEPTANCE_SEED, count=50):
-    res = SuiteResult("triple_symmetry", 0)
-
-    def case(i):
+def triple_symmetry(res, seed, count=50):
+    for i in range(count):
         rng = gen.rng_for(seed * 3391 + i)
         n = 1 + i % 3
         order = 2 + i % 5
@@ -277,44 +264,33 @@ def triple_symmetry(seed=ACCEPTANCE_SEED, count=50):
             factors.append((sl.expm(1j * H0), k, H2, None))
         Rp = gen.blockwise_unitary_path(V, blocks, factors)
 
-        out = {}
         t_pqn = triple_index_path(T, S, Rp, a)
         # decomposition into three Maslov indices (grid mode on a subset)
         mode = "grid" if i % 5 == 0 else "winding"
         m12 = maslov_index(T, S, a, mode=mode, grid=512)
         m23 = maslov_index(S, Rp, a, mode=mode, grid=512)
         m13 = maslov_index(T, Rp, a, mode=mode, grid=512)
-        out["decomposition"] = abs(t_pqn - (m12 + m23 - m13))
-
-        from ..winding import double_index
-        def corr(X, Y):
-            U = np.asarray(X(1.0)).conj().T @ np.asarray(Y(1.0))
-            return double_index(U, U.conj().T, a)
+        res.check(f"triple{i}_decomposition", abs(t_pqn - (m12 + m23 - m13)), 1e-8)
 
         t_qpn = triple_index_path(S, T, Rp, a)
         t_pnq = triple_index_path(T, Rp, S, a)
         t_nqp = triple_index_path(Rp, S, T, a)
-        out["relation1"] = abs(t_qpn - (-t_pqn + corr(T, S)))
-        out["relation2"] = abs(t_pnq - (-t_pqn + corr(S, Rp)))
-        out["relation3"] = abs(t_nqp - (-t_pqn + corr(T, S) + corr(S, Rp) - corr(T, Rp)))
+        c_ts, c_sr = _end_correction(T, S, a), _end_correction(S, Rp, a)
+        res.check(f"triple{i}_relation1", abs(t_qpn - (-t_pqn + c_ts)), 1e-8)
+        res.check(f"triple{i}_relation2", abs(t_pnq - (-t_pqn + c_sr)), 1e-8)
+        res.check(f"triple{i}_relation3",
+                  abs(t_nqp - (-t_pqn + c_ts + c_sr - _end_correction(T, Rp, a))), 1e-8)
         # corollary special cases vanish identically
-        out["corollary_pq"] = abs(triple_index_path(T, T, Rp, a))
-        out["corollary_qn"] = abs(triple_index_path(T, S, S, a))
+        res.check(f"triple{i}_corollary_pq", abs(triple_index_path(T, T, Rp, a)), 1e-8)
+        res.check(f"triple{i}_corollary_qn", abs(triple_index_path(T, S, S, a)), 1e-8)
         P1 = make_projection_from_unitary(np.asarray(T(0.3)))
-        out["corollary_static"] = abs(triple_index_static(P1, P1, P1, a))
-        return out
-
-    for i in range(count):
-        for k, err in case(i).items():
-            res.check(f"triple{i}_{k}", err, 1e-8)
-    return res
+        res.check(f"triple{i}_corollary_static", abs(triple_index_static(P1, P1, P1, a)), 1e-8)
 
 
 # --- criterion 8: zeta determinant ------------------------------------------
 
 @_register("zeta_det")
-def zeta_det(seed=ACCEPTANCE_SEED, count=50):
-    res = SuiteResult("zeta_det", 0)
+def zeta_det(res, seed, count=50):
     for i in range(count):
         rng = gen.rng_for(seed * 4731 + i)
         dim = 2 + i % 5
@@ -326,26 +302,19 @@ def zeta_det(seed=ACCEPTANCE_SEED, count=50):
         zd = zeta_determinant(D)
         det = np.linalg.det(D)
         res.check(f"det{i}", abs(zd - det) / max(abs(det), 1e-12), 1e-10)
-        h, _, blocks, R = gen.zn_action(dim, order, rng)
-        Dh = np.zeros((dim, dim), dtype=complex)
-        for idx in blocks:
-            Dh[np.ix_(idx, idx)] = gen.rand_hermitian(len(idx), rng, 2.0)
-        Dh = R @ Dh @ R.conj().T
+        h, Dh = _equivariant_hermitian(dim, order, rng, 2.0)
         if np.min(np.abs(np.linalg.eigvalsh(Dh))) < 1e-2:
             Dh = Dh + 0.2 * np.eye(dim)
         r1 = zeta_determinant(Dh, h)
         r2 = zeta_determinant_product_route(Dh, h)
         res.check(f"routes{i}", abs(r1 - r2) / max(abs(r1), 1e-12), 1e-10)
-    return res
 
 
 # --- criterion 9: Getzler formula -------------------------------------------
 
 @_register("getzler")
-def getzler(seed=ACCEPTANCE_SEED, count=50, grad_count=20):
-    res = SuiteResult("getzler", 0)
-
-    def case(i):
+def getzler(res, seed, count=50):
+    for i in range(count):
         j = i
         while True:
             path, h = _sf_case(seed + 31, j)
@@ -356,16 +325,13 @@ def getzler(seed=ACCEPTANCE_SEED, count=50, grad_count=20):
             j += 1000
         g = getzler_spectral_flow(path, h, eps=1.0)
         s = spectral_flow(path, h).value
-        return abs(g - s)
-
-    for i in range(count):
-        res.check(f"path{i}", case(i), 1e-6)
+        res.check(f"path{i}", abs(g - s), 1e-6)
 
     # gradient check: d/dt truncated_eta = -2 * eta_form(dD/dt), dD/dt at a panel's middle node t
     nodes = np.polynomial.legendre.leggauss(15)[0]
     done = 0
     j = 0
-    while done < grad_count and j < grad_count * 50:
+    while done < 20 and j < 20 * 50:
         rng = gen.rng_for(seed * 881 + j)
         j += 1
         path, h = _sf_case(seed + 57, j)
@@ -381,17 +347,15 @@ def getzler(seed=ACCEPTANCE_SEED, count=50, grad_count=20):
         res.check(f"grad{done}", abs(fd - target) / abs(target), 1e-5)
         done += 1
     res.details["gradient_points"] = done
-    return res
 
 
 # --- criterion 10: circle / interval closed forms ---------------------------
 
 @_register("dirac_closed_forms")
-def dirac_closed_forms(seed=ACCEPTANCE_SEED):
+def dirac_closed_forms(res, seed):
     """Exact circle and interval eta against their closed forms, and the
     regularized (Abel or averaged) sum over the enumerated spectrum
     (`dm.enumerated_eta`) at the cutoffs below against the same targets."""
-    res = SuiteResult("dirac_closed_forms", 0)
     target = 2.0 / (1.0 - np.exp(2j * pi / 3))
     circle = [  # (label, beta, rotation power, accel, target)
         ("circle_beta_quarter", 0.25, 0, "average", 0.5),
@@ -412,14 +376,12 @@ def dirac_closed_forms(seed=ACCEPTANCE_SEED):
         progs = [(b / mod.L, 2 * pi / mod.L, w) for b, w in zip(betas, weights)]
         v, _ = dm.enumerated_eta(progs, (0, 0), 10 * mod.policy.zero_tol, 4e3)
         res.check(f"interval_theta_{th:.3f}_enumerated", abs(v - (1 - th / pi)), 1e-3)
-    return res
 
 
 # --- criterion 11: exponentiated eta identity -------------------------------
 
 @_register("sw_identity")
-def sw_identity(seed=ACCEPTANCE_SEED, count=10):
-    res = SuiteResult("sw_identity", 0)
+def sw_identity(res, seed, count=10):
     mod = dm.IntervalDiracModel(1.0, np.array([[0.3]]))
     _, _, defect = dm.sw_identity_check(mod, dm.theta_projection(pi / 2),
                                         dm.theta_projection(pi))
@@ -440,14 +402,12 @@ def sw_identity(seed=ACCEPTANCE_SEED, count=10):
         res.check(f"m2_pair{done}", abs(defect), 1e-3)
         done += 1
     res.details["pairs"] = done
-    return res
 
 
 # --- criterion 12: splitting formula ----------------------------------------
 
 @_register("split")
-def split(seed=ACCEPTANCE_SEED):
-    res = SuiteResult("split", 0)
+def split(res, seed):
     half = dm.IntervalDiracModel(pi, np.array([[0.25]]))
     P_cal, _ = dm.interval_calderon(half)
     rep = dm.splitting_experiment(dm.SplitScenario(V=np.array([[0.25]]), P=P_cal))
@@ -478,14 +438,12 @@ def split(seed=ACCEPTANCE_SEED):
             res.check(f"scenario{i}", abs(rep["residual"]), 5e-3)
         except KernelPresent:
             res.check(f"scenario{i}_kernel", 1.0, 5e-3)
-    return res
 
 
 # --- criterion 13: sf = Mas = w chain at Dirac scale -------------------------
 
 @_register("dirac_chain")
-def dirac_chain(seed=ACCEPTANCE_SEED):
-    res = SuiteResult("dirac_chain", 0)
+def dirac_chain(res, seed):
     cases = [(0.25, np.exp(2j * pi / 3)), (0.4, np.exp(4j * pi / 5))]
     for beta, chi in cases:
         L = 1.0
@@ -511,14 +469,12 @@ def dirac_chain(seed=ACCEPTANCE_SEED):
         # pinned orientation: the opposite operand order flips the sign
         wopp = winding_number(lambda t, K=K: (-np.exp(2j * pi * t) * np.eye(1)).conj().T @ K, a)
         res.check(f"{label}_orientation_flip", abs(wopp + sf), 1e-6)
-    return res
 
 
 # --- criterion 14: structural invariants -------------------------------------
 
 @_register("structural")
-def structural(seed=ACCEPTANCE_SEED):
-    res = SuiteResult("structural", 0)
+def structural(res, seed):
     rng = gen.rng_for(seed * 10009)
 
     def lagr_err(P):
@@ -549,19 +505,14 @@ def structural(seed=ACCEPTANCE_SEED):
     for i in range(5):
         dim = 2 + i % 3
         order = 2 + i % 4
-        h, _, blocks, R = gen.zn_action(dim, order, rng)
-        Dd = np.zeros((dim, dim), dtype=complex)
-        for idx in blocks:
-            Dd[np.ix_(idx, idx)] = gen.rand_hermitian(len(idx), rng, 1.5)
-        D = R @ Dd @ R.conj().T
+        h, D = _equivariant_hermitian(dim, order, rng, 1.5)
         if np.min(np.abs(np.linalg.eigvalsh(D))) < 5e-2:
             D = D + 0.3 * np.eye(dim)
         Dpos = D @ D.conj().T + 0.2 * np.eye(dim)
         for s in (1.0, 2.0):
             ez = abs(mellin_zeta(Dpos, h, s) - zeta(Dpos, h, s)) / max(abs(zeta(Dpos, h, s)), 1e-9)
             res.check(f"mellin_zeta{i}_s{int(s)}", ez, 1e-6)
-            from ..eta_zeta import eta as eta_fn
-            target = eta_fn(D, h, s)
+            target = eta(D, h, s)
             ee = abs(mellin_eta(D, h, s) - target) / max(abs(target), 1e-3)
             res.check(f"mellin_eta{i}_s{int(s)}", ee, 1e-6)
 
@@ -599,14 +550,12 @@ def structural(seed=ACCEPTANCE_SEED):
             res.check(f"exp_contract{done}", ee, 1e-8)
         done += 1
     res.details["lattice_pairs"] = done
-    return res
 
 
 # --- umbrella ----------------------------------------------------------------
 
 @_register("all")
-def run_all(seed=ACCEPTANCE_SEED):
-    res = SuiteResult("all", 0)
+def run_all(res, seed):
     for name in suite_names():
         if name == "all":
             continue
@@ -615,4 +564,3 @@ def run_all(seed=ACCEPTANCE_SEED):
         res.max_err = max(res.max_err, sub.max_err)
         res.failures.extend({"suite": name, **f} for f in sub.failures)
         res.details[name] = sub.summary()
-    return res

@@ -412,7 +412,7 @@ class BottLoop:
     expected: complex
 
 
-def bott_loop(rank_k_weights, ambient, policy: TolerancePolicy = DEFAULT) -> BottLoop:
+def bott_loop(rank_k_weights, ambient) -> BottLoop:
     """Generator loops of the flow group.
 
     rank_k_weights: character values of h on the k-dimensional perturbation

@@ -63,10 +63,6 @@ class SymplecticSpace:
         n = self.n
         return np.diag(np.concatenate([1j * np.ones(n), -1j * np.ones(n)]))
 
-    def form(self, x, y):
-        """Symplectic form omega(x, y) = <x, gamma y>."""
-        return complex(np.vdot(x, self.gamma @ y))
-
 
 @dataclass
 class LagrangianProjection:
@@ -79,19 +75,10 @@ class LagrangianProjection:
     def n(self):
         return self.T.shape[0]
 
-    @property
-    def space(self):
-        return SymplecticSpace(self.n)
-
     def image_basis(self):
         """Orthonormal columns spanning im(P) = {(v, Tv)}: (I; T)/sqrt(2)."""
         n = self.n
         return np.vstack([np.eye(n), self.T]) / np.sqrt(2.0)
-
-    def kernel_basis(self):
-        """Orthonormal columns spanning ker(P) = {(v, -Tv)}."""
-        n = self.n
-        return np.vstack([np.eye(n), -self.T]) / np.sqrt(2.0)
 
 
 def make_projection_from_unitary(T, policy: TolerancePolicy = DEFAULT) -> LagrangianProjection:

@@ -276,9 +276,7 @@ class CanonicalContraction:
     exp(t Log a~) exp(t Log U~), ending at (-a|H0) + a~ U~.
     """
 
-    U: np.ndarray
     a: np.ndarray
-    h0_basis: np.ndarray
     comp_basis: np.ndarray
     path: Path
 
@@ -324,7 +322,7 @@ def canonical_path(U, a=None, policy: TolerancePolicy = DEFAULT) -> CanonicalCon
     U1 = B1.conj().T @ U @ B1
     La = principal_log_unitary(a1, policy) if B1.shape[1] else a1
     LU = principal_log_unitary(U1, policy) if B1.shape[1] else U1
-    return CanonicalContraction(U=U, a=a, h0_basis=B0, comp_basis=B1,
+    return CanonicalContraction(a=a, comp_basis=B1,
                                 path=Path(n, _frozen_flow(B0, a0, B1, [La, LU])))
 
 

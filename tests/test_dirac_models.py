@@ -131,6 +131,28 @@ class TestIntervalModel:
             expect = m * 2 * lam * L / (2 * pi)
             assert abs(count - expect) <= 2 * m
 
+    def test_listed_eigenvalues_solve_the_secular_equation(self):
+        # each listed eigenvalue lam makes B* J(lam) singular, B an orthonormal
+        # basis of ran(P) = {(v, Tv)} and J(lam) v = (v, exp(i L (lam - V)) v)
+        rng = gen.rng_for(59)
+        u, V3, T3 = equivariant_model(rng, 3, 3)
+        cases = [(IntervalDiracModel(1.0, gen.rand_hermitian(1, rng, 0.4)),
+                  gen.rand_unitary(1, rng)),
+                 (IntervalDiracModel(1.7, gen.rand_hermitian(2, rng, 0.4)),
+                  gen.rand_unitary(2, rng)),
+                 (IntervalDiracModel(0.8, V3, u), T3),
+                 (IntervalDiracModel(1.2, 0.3 * np.eye(2)), np.eye(2))]  # doubled branches
+        for mod, T in cases:
+            m = len(T)
+            B = np.vstack([np.eye(m), T]) / np.sqrt(2.0)
+            vals, W = np.linalg.eigh(mod.V)
+            listing = interval_spectrum(mod, make_projection_from_unitary(T), (-40, 40))
+            assert len(listing) > 10
+            for lam, _, _ in listing:
+                M = (W * np.exp(1j * mod.L * (lam - vals))) @ W.conj().T
+                J = np.vstack([np.eye(m), M])
+                assert np.linalg.svd(B.conj().T @ J, compute_uv=False)[-1] <= 1e-12
+
     def test_calderon(self):
         mod = IntervalDiracModel(1.3, np.array([[0.4]]))
         PM, K = interval_calderon(mod)

@@ -24,7 +24,6 @@ from equiflow.errors import (
     NotEquivariant,
     NotLagrangian,
     PartitionFailure,
-    RootFindingFailure,
     TrackingAmbiguous,
 )
 from equiflow.eta_zeta import eta, eta_log_defect
@@ -206,16 +205,6 @@ def test_interval_not_equivariant_projection():
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(NotEquivariant):
         interval_eta(mod, make_projection_from_unitary(swap), u_power=1)
-
-
-def test_polished_root_off_the_real_axis(monkeypatch):
-    # a secular value whose only root is 1 + 0.1i: Newton polishing lands on
-    # it, and the listing refuses a complex eigenvalue
-    monkeypatch.setattr(dirac_models, "_secular_det", lambda model, B, lam: lam - (1 + 0.1j))
-    mod = IntervalDiracModel(1.0, np.array([[0.0]]))
-    with pytest.raises(RootFindingFailure, match="off the real axis"):
-        interval_spectrum(mod, theta_projection(0.5), (-1.0, 1.0))
-
 
 
 def test_dimension_mismatch_is_typed():

@@ -270,6 +270,68 @@ def test_every_option_is_set():
     assert all(_UNSET_OPTIONS.values())
 
 
+def _checkout_trees():
+    """(path relative to the checkout, parsed file) of every file under
+    src/, tests/ and perfbench/."""
+    root = os.path.dirname(os.path.dirname(_SRC))
+    out = []
+    for top in ("src", "tests", "perfbench"):
+        for base, _, files in os.walk(os.path.join(root, top)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(base, name)
+                    with open(path) as fh:
+                        out.append((os.path.relpath(path, root), ast.parse(fh.read())))
+    return out
+
+
+def test_every_member_is_read():
+    """Each method, property and dataclass field of a class of the package
+    (dunders excluded) is read somewhere in src/, tests/ or perfbench/.  A read
+    is an attribute in load context (`x.name`) or the string a `getattr` or
+    `hasattr` call names.  The match is by name only: a read of the same name
+    on any object counts, so a member that shares its name with a read one
+    passes unread."""
+    read = set()
+    for _, tree in _checkout_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                  in ("getattr", "hasattr") and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    unread = []
+    for rel, tree in _modules():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            is_dataclass = any(ast.unparse(d).startswith("dataclass")
+                               for d in cls.decorator_list)
+            names = [s.name for s in cls.body if isinstance(s, ast.FunctionDef)]
+            names += [s.target.id for s in cls.body if is_dataclass
+                      and isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            unread += [f"{rel}: {cls.name}.{x}" for x in names
+                       if not (x.startswith("__") and x.endswith("__")) and x not in read]
+    assert not unread, f"members nothing reads: {unread}"
+
+
+def test_every_parameter_is_read():
+    # each parameter of an exported function is read in its body (nested
+    # functions and lambdas included)
+    unread = []
+    for rel, tree in _modules():
+        exported = _exported(tree)
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in exported):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{_module_name(rel)}.{fn.name}.{p.arg}" for p in params
+                       if p.arg not in read]
+    assert not unread, f"parameters never read: {unread}"
+
+
 def test_every_error_is_raised():
     # each class of errors.py is raised in another module of the package, or
     # handed to a check that raises it, or is a base of such a class

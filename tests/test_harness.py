@@ -17,7 +17,13 @@ from equiflow.harness.serialize import (
     matrix_from_wire,
     matrix_to_wire,
 )
-from equiflow.harness.suites import _SUITES, ACCEPTANCE_SEED, run_suite, suite_names
+from equiflow.harness.suites import (
+    _SUITES,
+    ACCEPTANCE_SEED,
+    SuiteResult,
+    run_suite,
+    suite_names,
+)
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -81,13 +87,25 @@ class TestReportEncoder:
             for wall in (None, 0.1234567):
                 assert dump_report(body, wall) == reference_dump(body, wall), cfg["kind"]
 
+    # checks per suite at count=3 (suites without a count run in full); a
+    # suite that drops or repeats a check changes its total
+    SUITE_TOTALS = {
+        "sf_oracle": 3, "sf_refinement": 3, "bott_loops": 14, "winding_props": 11,
+        "det_multiplicativity": 3, "maslov_winding": 6, "triple_symmetry": 21, "zeta_det": 6,
+        "getzler": 23, "dirac_closed_forms": 14, "sw_identity": 4, "split": 6,
+        "dirac_chain": 8, "structural": 145,
+    }
+
     def test_every_verify_suite(self):
         # bodies as `equiflow verify` builds them, on a few cases per suite
+        assert set(self.SUITE_TOTALS) == set(_SUITES) - {"all"}
         for name, fn in _SUITES.items():
             if name == "all":
                 continue
             kw = {"count": 3} if "count" in inspect.signature(fn).parameters else {}
-            res = fn(ACCEPTANCE_SEED, **kw)
+            res = SuiteResult(name, 0)
+            fn(res, ACCEPTANCE_SEED, **kw)
+            assert res.total == self.SUITE_TOTALS[name], name
             body = {"suite": res.name, "seed": ACCEPTANCE_SEED, "passed": res.passed,
                     "total": res.total, "failures": res.failures + ["x: d 1e-3 > tol"],
                     "max_err": res.max_err, "details": res.details}
