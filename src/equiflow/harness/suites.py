@@ -170,6 +170,31 @@ def bott_loops(res, seed):
         bl1 = bott_loop([w], (2, 2))
         sf1 = spectral_flow(bl1.hermitian_path, bl1.h).value
         res.check(f"Z{order}_rank1_generator", abs(sf1 - w), 1e-12)
+    for label, weights, ambient in _seeded_bott_loops(seed):
+        bl = bott_loop(weights, ambient)
+        res.check(f"{label}_sf", abs(spectral_flow(bl.hermitian_path, bl.h).value - bl.expected),
+                  1e-8)
+        res.check(f"{label}_w", abs(winding_number(bl.unitary_path, bl.h) - bl.expected), 1e-8)
+        res.check(f"{label}_oracle",
+                  abs(crossing_oracle(bl.hermitian_path, bl.h).value - bl.expected), 1e-8)
+
+
+def _seeded_bott_loops(seed):
+    """(label, rank_k_weights, ambient) of four Bott loops drawn from the
+    seed: Z_N characters, N in 2..6, on a rank k = 1..3 perturbation space
+    whose first two characters agree, with two positive directions, so each
+    loop has a block with a doubled eigenvalue (the trivial one at +1, and
+    the repeated character's at -1 for k >= 2)."""
+    rng = gen.rng_for(seed * 1723)
+    out = []
+    for j in range(4):
+        N, k = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        powers = rng.integers(0, N, size=k)
+        powers[1:2] = powers[0]
+        weights = [complex(np.exp(2j * pi * int(p) / N)) for p in powers]
+        out.append((f"seeded{j}_Z{N}_" + "".join(map(str, powers)), weights,
+                    (2, k + int(rng.integers(0, 2)))))
+    return out
 
 
 # --- criterion 4: winding properties ---------------------------------------

@@ -13,14 +13,12 @@ makes depend on earlier calls (`isotypic_split` keeps recent ones); sums
 and quadrature reductions run in a fixed sequential order.  Tracking grid
 and caps and quadrature depth are module constants (`_GRID` to `_QUAD_DEPTH`).
 
-`scipy.optimize` (about 0.25 s and 20 MB to import) serves only the
-assignment solve of `_match`, so it is imported by the first track of a
-block with two or more eigenpairs (`_assignment`): the routes that never
-track such branches (det-phase windings, Maslov, Fredholm and double
-indices, the Dirac models) never load it.  A Hermitian track loads it even
-when the identity screen of `track_blocks` leaves no link for the solve,
-so the memory a process holds does not depend on which links the screen
-settles.
+`_match` finds its optimal assignment with `_assign`, the shortest
+augmenting path solve of D. F. Crouse ("On implementing 2D rectangular
+assignment algorithms", IEEE Trans. AES 52(4), 2016) that
+`scipy.optimize.linear_sum_assignment` implements, with the same tie rule:
+of the columns of equal reduced cost, an unassigned one wins.  So the
+library never imports `scipy.optimize`.
 """
 
 from dataclasses import dataclass
@@ -513,11 +511,64 @@ def _lift(raw, ref):
     return raw + 2 * np.pi * np.round((ref - raw) / (2 * np.pi))
 
 
-def _assignment():
-    """`scipy.optimize.linear_sum_assignment`, imported on first use."""
-    from scipy.optimize import linear_sum_assignment
+def _assign(C):
+    """The column assigned to each row by a minimum-cost assignment of the
+    square float matrix C: the shortest augmenting path solve of Crouse
+    (2016), step for step the one of `scipy.optimize.linear_sum_assignment`,
+    so both give the same columns, ties included.
 
-    return linear_sum_assignment
+    Row by row, a Dijkstra search from the new row reaches one column per
+    scan until it reaches an unassigned one, then augments along the path.
+    A scan goes over the columns not yet reached in the order n - 1, ..., 0,
+    each reached column's slot taken by the last one.  It reaches the column
+    of least reduced path cost and, of equal ones, the last unassigned one
+    in scan order if any, else the first.  Each scan is one array pass over
+    all columns.  While the duals are 0, a row's first scan reaches its
+    least entry of lowest index when that column is unassigned; so when
+    those columns are distinct, they are the answer, read off in one pass.
+    """
+    n = C.shape[0]
+    first = C.argmin(axis=1)
+    if len(set(first.tolist())) == n:
+        return first
+    u, v = np.zeros(n), np.zeros(n)
+    col4row = np.full(n, -1, dtype=np.intp)
+    row4col = np.full(n, -1, dtype=np.intp)
+    path = np.empty(n, dtype=np.intp)
+    for cur in range(n):
+        cost = np.full(n, np.inf)  # shortest path cost to each column
+        todo = np.ones(n, dtype=bool)  # columns not yet reached
+        order = list(range(n - 1, -1, -1))  # their scan order
+        rows = []  # rows scanned from
+        i, low = cur, 0.0
+        while True:
+            rows.append(i)
+            r = low + C[i] - u[i] - v
+            shorter = todo & (r < cost)
+            path[shorter] = i
+            cost[shorter] = r[shorter]
+            low = cost[todo].min()
+            at = [j for j in order if cost[j] == low]
+            free = [j for j in at if row4col[j] < 0]
+            j = free[-1] if free else at[0]
+            index = order.index(j)
+            order[index] = order[-1]
+            order.pop()
+            todo[j] = False
+            if row4col[j] < 0:
+                break
+            i = int(row4col[j])
+        u[cur] += low
+        for i in rows[1:]:
+            u[i] += low - cost[col4row[i]]
+        v[~todo] -= low - cost[~todo]
+        while True:  # augment along the path back to row cur
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, int(col4row[i])
+            if i == cur:
+                break
+    return col4row
 
 
 def _match(vals1, vecs1, vals2, vecs2, policy, kind):
@@ -536,9 +587,7 @@ def _match(vals1, vecs1, vals2, vecs2, policy, kind):
     if len(vals1) == 1:
         perm, clusters = np.zeros(1, dtype=np.intp), [(0, 1)]
     else:
-        row, col = _assignment()(-np.abs(O))
-        perm = np.empty_like(col)
-        perm[row] = col
+        perm = _assign(-np.abs(O))
         # cluster-blocked overlap certificate (vals1 ascend)
         clusters = cluster_indices(vals1, policy.cluster_tol * 10 + 1e-12)
     if kind == "unitary" and np.max(np.abs(_lift(vals2[perm], vals1) - vals1)) > _STEP_MAX:
@@ -620,8 +669,6 @@ def track_blocks(path, a, kind: str, error, policy: TolerancePolicy = DEFAULT):
     ts = np.linspace(0.0, 1.0, _GRID)
     chars, blocks = blocks_at(ts)
     eig = eigen(blocks)
-    if any(vals.shape[1] > 1 for vals, _ in eig):
-        _assignment()  # loaded whether or not a link needs it: see the module docstring
     links = [None] * (_GRID - 1)  # links[i] certifies (ts[i], ts[i + 1]); None: not yet checked
     while True:
         todo = np.array([i for i, perms in enumerate(links) if perms is None], dtype=int)

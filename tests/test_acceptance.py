@@ -5,7 +5,7 @@ one pass/fail line.  The checks live in equiflow.harness.suites so the CLI
 Tolerances (pinned):
   1  sf grid partition vs crossing oracle, 200 paths ........ |d| <= 1e-8
   2  refinement invariance on the same corpus ............... |d| <= 1e-9
-  3  Bott loop correspondence (Z_3, Z_5; k = 1..3) .......... |d| <= 1e-8
+  3  Bott loop correspondence (Z_3, Z_5; k = 1..3; 4 seeded) |d| <= 1e-8
   4  winding properties, 100 paths .......................... |d| <= 1e-6
   5  Fredholm determinant multiplicativity, 50 pairs ........ rel <= 1e-6
   6  Maslov grid mode vs winding mode, 100 pairs ............ |d| <= 1e-8

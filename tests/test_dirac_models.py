@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from equiflow import dirac_models as dm
 from equiflow.dirac_models import (
     CircleDiracModel,
     IntervalDiracModel,
@@ -325,6 +326,19 @@ class TestClosedFormSums:
                     regularized_signed_sum([0.25, -0.75], [1.0, 1.0], cutoff, accel)
                 with pytest.raises(ValueError):
                     enumerated_eta([(0.25, 1.0, 1.0)], (0, 0), TOL, cutoff, accel)
+
+    def test_chunks_cover_the_spectrum(self, monkeypatch):
+        # summed 7 eigenvalues at a time, the enumerated eta is the one of a
+        # single chunk per progression: a dropped or repeated eigenvalue, or
+        # a kernel term counted twice, would move it by about its weight
+        progs = [(0.3, 1.0, 1.0), (-0.45, 2.0, 0.5 - 1j), (0.0, 1.5, 2.0)]
+        for rot in ((0, 0), (1, 3)):
+            for accel in ("average", "abel"):
+                got = []
+                for chunk in (7, 10 ** 6):
+                    monkeypatch.setattr(dm, "_CHUNK", chunk)
+                    got.append(enumerated_eta(progs, rot, TOL, 20.0, accel, reduced=True))
+                assert abs(got[0][0] - got[1][0]) < 1e-12 and abs(got[0][1] - got[1][1]) < 1e-12
 
     def test_large_cutoff(self):
         # the closed forms, and the enumerated route at cutoff 1e4 on both accelerations

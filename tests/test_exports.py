@@ -166,8 +166,8 @@ _UNREACHED_EXPORTS = {
     # references that tests or suites compare against
     "equiflow.harness.serialize.jsonable": "the reference dump_report is compared with byte "
                                            "for byte",
-    "equiflow.dirac_models.regularized_signed_sum": "the cutoff sum enumerated_eta runs, named "
-                                                    "by the benchmark's per-layer metrics",
+    "equiflow.dirac_models.regularized_signed_sum": "the cutoff sum over an eigenvalue list, "
+                                                    "named by the benchmark's per-layer metrics",
     # package metadata
     "equiflow.__version__": "the version string of the package",
 }
@@ -372,11 +372,16 @@ import equiflow
 for m in pkgutil.walk_packages(equiflow.__path__, "equiflow."):
     importlib.import_module(m.name)
 import equiflow.harness.cli
+from equiflow import spectra
 from equiflow.eta_zeta import truncated_eta
 from equiflow.harness import generators as gen
 from equiflow.maslov import LagrangianPath, maslov_index
 from equiflow.specflow import bott_loop, crossing_oracle, spectral_flow
-from equiflow.winding import winding_number
+from equiflow.winding import winding_events, winding_number
+
+solves = []
+assign = spectra._assign
+spectra._assign = lambda C: solves.append(C.shape[0]) or assign(C)
 
 
 def loaded():
@@ -392,16 +397,19 @@ out["winding"] = winding_number(f, a)
 T, S, b = gen.lagrangian_loop_pair(2, 3, gen.rng_for(7))
 out["maslov"] = maslov_index(LagrangianPath(2, T), LagrangianPath(2, S), b, mode="grid")
 out["ran"] = loaded()
-# every link of this path matches by the identity screen, and tracking it
-# still loads the assignment solve, so a process's memory does not depend
-# on the path
+# every link of this path matches by the identity screen
 path, h = gen.commuting_hermitian_path(4, 3, gen.rng_for(9))
 out["screened"] = crossing_oracle(path, h).value
-out["tracked"] = loaded()
-# each block's eigenvalues are doubled, so tracking them needs the assignment solve
+out["screened_solves"] = len(solves)
+# each block's eigenvalues are doubled, so tracking them needs the assignment
+# solve, on the Hermitian loop and on its unitary image
 loop = bott_loop([np.exp(2j * np.pi / 3)] * 2, (2, 2))
 path, h = loop.hermitian_path, loop.h
 out["oracle"], out["sf"] = crossing_oracle(path, h).value, spectral_flow(path, h).value
+out["oracle_solves"] = len(solves)
+out["events"] = len(winding_events(loop.unitary_path, h)[1])
+out["tracked"] = loaded()
+out["event_solves"] = len(solves)
 lam = [-1.3, 0.2, 0.7, 2.5]
 out["eta"] = truncated_eta(np.diag(lam), eps=0.8)
 out["eta_ref"] = sum(math.copysign(math.erfc(math.sqrt(0.8) * abs(x)), x) for x in lam)
@@ -411,25 +419,44 @@ print(json.dumps({k: [v.real, v.imag] if isinstance(v, complex) else v for k, v 
 
 
 def test_import_footprint():
-    # scipy.optimize and scipy.special are imported where they are used: a
-    # fresh process that imports the whole library and runs the Dirac,
-    # winding and grid-Maslov routes never loads them, and the routes that
-    # use them (branch tracking of blocks with two or more eigenpairs, a
-    # truncated eta) load them and still give their values
+    # no route loads scipy.optimize: a fresh process that imports the whole
+    # library and runs the Dirac, winding, grid-Maslov and branch-tracking
+    # routes never loads it, also where tracking solves assignments (the
+    # doubled-eigenvalue Bott loop, Hermitian and unitary); scipy.special is
+    # imported where it is used (a truncated eta), which still gives its value
     src = os.path.dirname(os.path.dirname(equiflow.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["imported"] == [] and out["ran"] == []
+    assert out["imported"] == [] and out["ran"] == [] and out["tracked"] == []
     assert out["split"]
     w3 = complex(-0.5, 3 ** 0.5 / 2)
     assert abs(complex(*out["winding"]) - (2 + 3 * w3)) < 1e-9
     assert abs(complex(*out["maslov"]) - w3) < 1e-9
-    assert "scipy.optimize" in out["tracked"]
     assert abs(complex(*out["screened"]) + w3) < 1e-9
-    assert out["used"] == ["scipy.optimize", "scipy.special"]
+    assert out["screened_solves"] == 0 < out["oracle_solves"] < out["event_solves"]
+    assert out["events"] > 0
+    assert out["used"] == ["scipy.special"]
     assert abs(complex(*out["oracle"]) - 2 * w3) < 1e-9
     assert abs(complex(*out["oracle"]) - complex(*out["sf"])) < 1e-9
     assert abs(complex(*out["eta"]) - out["eta_ref"]) < 1e-14
+
+
+def test_no_module_imports_scipy_optimize():
+    # the assignment solve of branch matching is the library's own
+    # (`spectra._assign`); no package module imports scipy.optimize, at top
+    # level or inside a function
+    found = []
+    for rel, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{a.name}" for a in node.names] + [node.module]
+            else:
+                continue
+            found += [f"{rel}:{node.lineno}" for name in names
+                      if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
+    assert not found, f"scipy.optimize imported at {found}"

@@ -19,6 +19,7 @@ from equiflow.harness.serialize import (
 )
 from equiflow.harness.suites import (
     _SUITES,
+    _seeded_bott_loops,
     ACCEPTANCE_SEED,
     SuiteResult,
     run_suite,
@@ -90,7 +91,7 @@ class TestReportEncoder:
     # checks per suite at count=3 (suites without a count run in full); a
     # suite that drops or repeats a check changes its total
     SUITE_TOTALS = {
-        "sf_oracle": 3, "sf_refinement": 3, "bott_loops": 14, "winding_props": 11,
+        "sf_oracle": 3, "sf_refinement": 3, "bott_loops": 26, "winding_props": 11,
         "det_multiplicativity": 3, "maslov_winding": 6, "triple_symmetry": 21, "zeta_det": 6,
         "getzler": 23, "dirac_closed_forms": 14, "sw_identity": 4, "split": 6,
         "dirac_chain": 8, "structural": 145,
@@ -351,6 +352,15 @@ class TestSuitesRegistry:
         names = suite_names()
         for expected in ("sf_oracle", "split", "structural", "all"):
             assert expected in names
+
+    def test_bott_loops_follow_the_seed(self):
+        # the seeded loops of `bott_loops` differ between seeds, and each
+        # repeats a character on rank 2 or more
+        loops = {seed: _seeded_bott_loops(seed) for seed in (1, 2)}
+        assert [x[0] for x in loops[1]] != [x[0] for x in loops[2]]
+        for label, weights, (n_plus, n_minus) in loops[1] + loops[2]:
+            assert n_plus == 2 and 1 <= len(weights) <= min(n_minus, 3)
+            assert len(weights) == 1 or weights[0] == weights[1]
 
 
 class TestTripleIndexScenario:

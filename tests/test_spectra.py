@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +16,7 @@ from equiflow.errors import (
     NotUnitary,
 )
 from equiflow.harness.generators import commuting_hermitian_path, rng_for, zn_action
+from equiflow.specflow import bott_loop, crossing_oracle
 from equiflow.tolerances import DEFAULT, TolerancePolicy
 from equiflow.spectra import (
     _match as match,
@@ -665,6 +669,75 @@ def test_screened_track_equals_matched_track(monkeypatch, seed):
     _, (matched,) = track_blocks(path, None, "hermitian", None)
     assert np.array_equal(screened.times, matched.times)
     assert np.array_equal(screened.values, matched.values)
+
+
+def _scipy_assign(C):
+    """The columns `scipy.optimize.linear_sum_assignment` assigns to the rows of C."""
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(C)[1]
+
+
+def _assignment_corpus(seed):
+    """Square cost matrices, k = 1..13: -|U| of random and of near-identity
+    unitaries (columns permuted), the same rounded to one digit and plain
+    rounded entries (many ties), small integers, negated permutation
+    matrices with a zero row, and constant matrices."""
+    rng = np.random.default_rng(seed)
+    for k in range(1, 14):
+        U = scipy.linalg.expm(1j * rand_hermitian(k, rng))
+        near = scipy.linalg.expm(0.1j * rand_hermitian(k, rng))[:, rng.permutation(k)]
+        P = -np.eye(k)[rng.permutation(k)]
+        P[rng.integers(k)] = 0.0
+        yield from (-np.abs(U), -np.abs(near), -np.abs(np.round(U, 1)),
+                    np.round(rng.normal(size=(k, k)), 1),
+                    rng.integers(0, 3, size=(k, k)).astype(float), P,
+                    np.full((k, k), float(rng.choice([0.0, -1.0, 2.5]))))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_assign_equals_scipy(seed):
+    # the in-library solve assigns the columns scipy's does, ties included
+    for C in _assignment_corpus(seed):
+        assert spectra._assign(C).tolist() == _scipy_assign(C).tolist(), C
+
+
+def _crossing_lists(monkeypatch, assign, cases):
+    """The `crossing_oracle` crossings of each (path, h) with `_assign` replaced
+    by assign, and the number of solves; each crossing's floats as hex."""
+    solves = []
+
+    def counted(C):
+        solves.append(C.shape[0])
+        return assign(C)
+
+    monkeypatch.setattr(spectra, "_assign", counted)
+    lists = [[(c.time.hex(), c.direction, c.dim, c.weight.real.hex(), c.weight.imag.hex())
+              for c in crossing_oracle(path, h).crossings] for path, h in cases]
+    return lists, len(solves)
+
+
+def _oracle_cases():
+    """(path, h) of the crossing-oracle cases of the seed 1-3 `hermitian` pools
+    of perfbench/cases.py, and of the doubled-character Bott loop."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "cases.py")
+    spec = importlib.util.spec_from_file_location("perfbench_cases", bench)
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    pool = [(c.inputs["path"], c.inputs["h"]) for seed in (1, 2, 3)
+            for c in cases.generate("hermitian", seed) if c.kind == "sf_oracle"]
+    bl = bott_loop([complex(-0.5, 3 ** 0.5 / 2)] * 2, (2, 2))
+    return pool + [(bl.hermitian_path, bl.h)]
+
+
+def test_crossings_equal_scipy_solve(monkeypatch):
+    # the crossing lists are bitwise those of the same tracking on scipy's
+    # solve, and the pools reach the solve
+    cases = _oracle_cases()
+    ours, n = _crossing_lists(monkeypatch, spectra._assign, cases)
+    theirs, m = _crossing_lists(monkeypatch, _scipy_assign, cases)
+    assert ours == theirs and n == m > 0
 
 
 class TestMatchOneEigenpair:
