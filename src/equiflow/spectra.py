@@ -523,14 +523,9 @@ def _assign(C):
     each reached column's slot taken by the last one.  It reaches the column
     of least reduced path cost and, of equal ones, the last unassigned one
     in scan order if any, else the first.  Each scan is one array pass over
-    all columns.  While the duals are 0, a row's first scan reaches its
-    least entry of lowest index when that column is unassigned; so when
-    those columns are distinct, they are the answer, read off in one pass.
+    all columns.
     """
     n = C.shape[0]
-    first = C.argmin(axis=1)
-    if len(set(first.tolist())) == n:
-        return first
     u, v = np.zeros(n), np.zeros(n)
     col4row = np.full(n, -1, dtype=np.intp)
     row4col = np.full(n, -1, dtype=np.intp)

@@ -328,17 +328,28 @@ class TestClosedFormSums:
                     enumerated_eta([(0.25, 1.0, 1.0)], (0, 0), TOL, cutoff, accel)
 
     def test_chunks_cover_the_spectrum(self, monkeypatch):
-        # summed 7 eigenvalues at a time, the enumerated eta is the one of a
-        # single chunk per progression: a dropped or repeated eigenvalue, or
-        # a kernel term counted twice, would move it by about its weight
+        # summed 7 eigenvalues at a time, the enumerated eta is the regularized
+        # sum over the explicit list of the progressions' eigenvalues, with the
+        # zero band's weights as the kernel trace: a dropped or repeated
+        # eigenvalue, or a kernel term counted twice, would move it by about
+        # its weight
+        monkeypatch.setattr(dm, "_CHUNK", 7)
         progs = [(0.3, 1.0, 1.0), (-0.45, 2.0, 0.5 - 1j), (0.0, 1.5, 2.0)]
-        for rot in ((0, 0), (1, 3)):
-            for accel in ("average", "abel"):
-                got = []
-                for chunk in (7, 10 ** 6):
-                    monkeypatch.setattr(dm, "_CHUNK", chunk)
-                    got.append(enumerated_eta(progs, rot, TOL, 20.0, accel, reduced=True))
-                assert abs(got[0][0] - got[1][0]) < 1e-12 and abs(got[0][1] - got[1][1]) < 1e-12
+        cutoff = 20.0
+        for r, N in ((0, 0), (1, 3)):
+            for accel, bound in (("average", 2 * cutoff + 2), ("abel", 90 * cutoff)):
+                vals, wts, ker = [], [], 0j
+                for b, s, c in progs:
+                    for k in range(int(np.ceil((-bound - b) / s)), int(np.floor((bound - b) / s)) + 1):
+                        w = c * np.exp(2j * pi * r * k / N) if N else c
+                        if abs(b + s * k) <= TOL:
+                            ker += w
+                        else:
+                            vals.append(b + s * k)
+                            wts.append(w)
+                value, err = regularized_signed_sum(vals, wts, cutoff, accel)
+                got = enumerated_eta(progs, (r, N), TOL, cutoff, accel, reduced=True)
+                assert abs(got[0] - (value + ker) / 2) < 1e-12 and abs(got[1] - err / 2) < 1e-12
 
     def test_large_cutoff(self):
         # the closed forms, and the enumerated route at cutoff 1e4 on both accelerations
