@@ -77,8 +77,13 @@ def blockwise_unitary_path(Q, blocks, factors):
     stack is one formula, Q U(t) Q* with U(t) block-diagonal on the blocks'
     index sets, with constants built here.  When every block is a loop,
     exp(i sin(pi t) H2) = W exp(i sin(pi t) diag(lam)) W* from the blockwise
-    eigendecomposition of H2; else one batched eigh per stack of the block
-    diagonal of t H1 + sin(pi t) H2.  The pointwise call is stack([t])[0]."""
+    eigendecomposition of H2, so with A = Q E0 and B = (Q W)* the sample is
+    A D1(t) W D2(t) B for the diagonals D1 = exp(2 pi i t k) and
+    D2 = exp(i sin(pi t) lam): the stack is one product (D1 (x) D2)(t) @ M of
+    the (K, n^2) outer products with the n^2 rank-one terms
+    M[(i, j)] = A[:, i] W[i, j] B[j, :], flattened.  Else one batched eigh
+    per stack of the block diagonal of t H1 + sin(pi t) H2.  The pointwise
+    call is stack([t])[0]."""
     dim = Q.shape[1]
     E0, k, H2, H1 = zip(*factors)
     order = np.argsort(np.concatenate(blocks))  # concatenated block entries -> index order
@@ -88,10 +93,13 @@ def blockwise_unitary_path(Q, blocks, factors):
         lam, W = zip(*map(np.linalg.eigh, H2))
         lam, W = np.concatenate(lam)[order], _block_embed(blocks, dim, W)
         B = (Q @ W).conj().T
+        M = np.einsum("pi,ij,jq->ijpq", A, W, B).reshape(dim * dim, -1)
+        shape = (A.shape[0], B.shape[1])
 
         def stack(ts):
-            DW = np.exp(2j * pi * np.outer(ts, k))[:, :, None] * W
-            return A @ (DW * np.exp(1j * np.outer(np.sin(pi * ts), lam))[:, None, :]) @ B
+            d = (np.exp(2j * pi * np.outer(ts, k))[:, :, None]
+                 * np.exp(1j * np.outer(np.sin(pi * ts), lam))[:, None, :])
+            return (d.reshape(len(ts), -1) @ M).reshape((len(ts),) + shape)
     else:
         H1 = _block_embed(blocks, dim, [np.zeros_like(h2) if h1 is None else h1
                                         for h1, h2 in zip(H1, H2)])

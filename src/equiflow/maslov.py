@@ -67,22 +67,36 @@ def _phase_near_pi(M):
 
 def _singular_values(B):
     """Singular values of I + B, descending, for every matrix of a stack: the
-    last is sigma_min(I + B)."""
+    last is sigma_min(I + B).  A 1x1 block takes |1 + b| without an SVD."""
+    if B.shape[-1] == 1:
+        return np.abs(1.0 + B[..., 0])
     return np.linalg.svd(np.eye(B.shape[-1]) + B, compute_uv=False)
+
+
+def _brackets(sig):
+    """The scan indices (k - 1, k, k + 1), clipped to the scan, of each local
+    minimum k of the scan sig below 0.2: sig[k] is at most each neighbour's
+    (ties included; an end has one neighbour).  One array pass."""
+    left = np.concatenate([[True], sig[1:] <= sig[:-1]])
+    right = np.concatenate([sig[:-1] <= sig[1:], [True]])
+    k = np.flatnonzero((sig < 0.2) & left & right)
+    return np.clip(k[:, None] + np.arange(-1, 2), 0, len(sig) - 1)
 
 
 def _maslov_grid(pair, a, policy, grid):
     """Scan sigma_min(I + block of T*S) per isotypic block of the actor; each
     intersection event in the chi-block counts chi * dim ker, signed by the
     direction of the block eigenphase through pi.  Each local minimum of the
-    scan below 0.2 opens a window, a bracket of the scan's three samples
-    around it that `_min_search` narrows to 1e-10; its smallest sample is an
+    scan below 0.2 (`_brackets`, one array pass per block) opens a window, a
+    bracket of the scan's three samples around it (two at an end) that
+    `_min_search` narrows to 1e-10; its smallest sample is an
     event when sigma_min < 1e-6 there, and that sample also gives dim ker.
     The scan, each round of the search (all open windows at once) and the
     events' orientation samples are one stack each, all taken through
     `winding._unitary_blocks`, as in winding mode, so every sample is
     checked to commute with the actor (NotCommuting) and to be unitary
-    (NotUnitary) before any SVD reads it."""
+    (NotUnitary) before any SVD reads it; a 1x1 block's sigma is |1 + b|
+    (`_singular_values`)."""
     eps_t = 10 * policy.zero_tol  # endpoint evaluation rule: step inside by eps
     ts = np.linspace(eps_t, 1.0 - eps_t, grid)
     blocks_at = _unitary_blocks(pair, a, policy)
@@ -91,12 +105,7 @@ def _maslov_grid(pair, a, policy, grid):
     windows = []
     for b, B in enumerate(scan):
         sv = _singular_values(B)
-        sig = sv[:, -1]
-        for k in range(grid):
-            if sig[k] < 0.2 and (k == 0 or sig[k] <= sig[k - 1]) and \
-                    (k == grid - 1 or sig[k] <= sig[k + 1]):
-                near = [max(k - 1, 0), k, min(k + 1, grid - 1)]
-                windows.append(_Window(b, ts[near], sv[near]))
+        windows += [_Window(b, ts[near], sv[near]) for near in _brackets(sv[:, -1])]
     _min_search(blocks_at, windows)
     events = [[] for _ in scan]  # per block: (time, dim ker)
     for w in windows:

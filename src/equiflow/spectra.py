@@ -71,23 +71,15 @@ def check_commuting(h, M, ts, error, policy: TolerancePolicy = DEFAULT):
 
     Since ||X||_2 <= ||X||_F and ||M||_F / sqrt(n) <= ||M||_2, this is never
     looser than the same test in spectral norms with scale max(||M||_2, 1).
+    The commutator is bounded in the split of h (`_rotated`), from the
+    X = V* M V that `isotypic_blocks` cuts, never below ||[h, M]||_F.
     M passes `_as_matrix` and h `isotypic_split` first.  Returns h as a
     complex array; without an actor (h = None) there is nothing to check.
     """
     if h is None:
         return None
-    M = _as_matrix(M, stack=True)
-    isotypic_split(h, M.shape[-1], policy)
-    h = np.asarray(h, dtype=complex)
-    M = M.reshape((-1,) + M.shape[-2:])
-    excess = np.linalg.norm(h @ M - M @ h, axis=(1, 2))
-    scale = np.maximum(np.linalg.norm(M, axis=(1, 2)) / np.sqrt(M.shape[-1]), 1.0)
-    bad = ~(excess <= 10 * max(policy.commute_tol, 1e-9) * scale)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        where = "" if ts is None else f" at t={float(np.atleast_1d(ts)[k]):.6g}"
-        raise error(f"commutator with the actor is {excess[k]:.2e}{where}")
-    return h
+    _rotated(_as_matrix(M, stack=True), h, policy, ts, error)
+    return np.asarray(h, dtype=complex)
 
 
 _NUMERIC = "biufc"  # the numpy dtype kinds of numbers
@@ -241,6 +233,12 @@ def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
     are kept by value (bytes of a, dim, policy), read-only with blocks a
     tuple, so routes on one actor split it once; failures are not.
     """
+    return _split(a, dim, policy)[:3]
+
+
+def _split(a, dim, policy):
+    """`isotypic_split` of a, with the weights and ||E||_F of its commutator
+    bound (`_rotated`), kept with the split."""
     if a is not None:
         a = _as_matrix(a, what="actor")
         if len(a) != dim:
@@ -251,18 +249,58 @@ def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
 
 @lru_cache(maxsize=32)
 def _split_of(a, dim, policy):
-    """`isotypic_split` of the actor with the bytes a (None: no actor)."""
+    """`_split` of the actor with the bytes a (None: no actor): (V, blocks,
+    chars, weights, e), where Lambda + E = V* a V with Lambda its diagonal,
+    e = ||E||_F (at least ||E||_2, without an SVD) and weights (2 n^2, 2)
+    holds |Lambda_i - Lambda_j|^2 at the real and the imaginary part of
+    entry (i, j) and 1 throughout, so that the squared parts of X times
+    weights are ||[Lambda, X]||_F^2 and ||X||_F^2."""
     if a is None:
         V, blocks, chars = np.eye(dim, dtype=complex), [np.arange(dim)], np.ones(1, dtype=complex)
+        gaps, e = np.zeros((dim, dim)), 0.0
     else:
         a = np.frombuffer(a, dtype=complex).reshape(dim, dim)
         es = eig_unitary(a, policy)
         V, blocks = es.vectors, es.cluster_slices()
         chars = np.array([np.trace(V[:, idx].conj().T @ a @ V[:, idx]) / len(idx)
                           for idx in blocks])
-    for arr in (V, chars, *blocks):
+        L = V.conj().T @ a @ V
+        lam = np.diagonal(L)
+        gaps, e = np.abs(lam[:, None] - lam) ** 2, float(np.linalg.norm(L - np.diag(lam)))
+    weights = np.ones((dim * dim, 2, 2))
+    weights[..., 0] = gaps.reshape(-1, 1)
+    weights = weights.reshape(-1, 2)
+    for arr in (V, chars, weights, *blocks):
         arr.flags.writeable = False
-    return V, tuple(blocks), chars
+    return V, tuple(blocks), chars, weights, e
+
+
+def _rotated(M, a, policy, ts=None, error=None):
+    """(chars, blocks, X) of a matrix or (K, n, n) stack M and an actor a:
+    X = V* M V in the eigenbasis V of the split of a, with its characters
+    and block index sets.  With `error`, raise it, naming t (ts None: no t),
+    unless every sample commutes with a by the test of `check_commuting`,
+    decided on X: with Lambda + E = V* a V, Lambda diagonal,
+
+        ||[a, M]||_F = ||[Lambda + E, X]||_F <= ||[Lambda, X]||_F + 2 ||E||_F ||X||_F,
+
+    where ||[Lambda, X]||_F^2 = sum_ij |Lambda_i - Lambda_j|^2 |X_ij|^2 and
+    ||X||_F = ||M||_F gives the scale.  E is the rounding of the Schur
+    vectors, so the bound is ||[a, M]||_F to rounding; a non-finite sample
+    fails."""
+    V, blocks, chars, weights, e = _split(a, M.shape[-1], policy)
+    X = V.conj().T @ M @ V
+    if error is not None:
+        parts = X.reshape(-1, X.shape[-1] ** 2).view(float)  # real and imaginary parts
+        comm, fro = np.sqrt((parts * parts) @ weights).T
+        excess = comm + 2 * e * fro
+        scale = np.maximum(fro / np.sqrt(X.shape[-1]), 1.0)
+        bad = ~((excess <= 10 * max(policy.commute_tol, 1e-9) * scale) & np.isfinite(fro))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            where = "" if ts is None else f" at t={float(np.atleast_1d(ts)[k]):.6g}"
+            raise error(f"commutator with the actor is up to {excess[k]:.2e}{where}")
+    return chars, blocks, X
 
 
 def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT, n: int = None):
@@ -270,36 +308,37 @@ def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT, n: int = 
 
     This is the one place where a path's samples are sliced by its actor.  A
     call samples the path at the times ts with one `sample_stack` and checks
-    every sample to commute with a (`check_commuting`, raising `error` and
-    naming t), unless the caller passes the samples F at ts that it took and
-    checked itself.  Every sample has the size n of the route's other
-    samples (by default that of the first call's).  Every call reads the
-    split of a from `isotypic_split`, which keeps it, so a route on one
-    actor splits it once.  blocks[i] is the (K, k, k) stack of Q* F Q,
-    Q = V[:, i-th block], and chars[i] the character of a on it; without an
-    actor the one block is F itself, chi = 1.
+    every sample to commute with a (the test of `check_commuting`, raising
+    `error` and naming t), unless the caller passes the samples F at ts that
+    it took and checked itself.  The test reads X = V* F V, which is then
+    cut.  Every sample has the size n of the route's other samples (by
+    default that of the first call's).  Every call reads the split of a
+    from `isotypic_split`, which keeps it, so a route on one actor splits it
+    once.  blocks[i] is the (K, k, k) stack of Q* F Q, Q = V[:, i-th block],
+    and chars[i] the character of a on it; without an actor the one block is
+    F itself, chi = 1.
     """
 
     def blocks_at(ts, F=None):
         nonlocal n
         ts = np.asarray(ts, dtype=float)
-        if F is None:
+        checked = F is None
+        if checked:
             F = sample_stack(path, ts, n)
-            check_commuting(a, F, ts, error, policy)
         n = F.shape[-1]
-        return _isotypic_cut(F, a, policy)
+        return _isotypic_cut(F, a, policy, ts, error if checked else None)
 
     return blocks_at
 
 
-def _isotypic_cut(F, a, policy):
-    """(chars, blocks) of matrices F, as in `isotypic_blocks` but unchecked;
-    without an actor F itself is the one block, chi = 1."""
+def _isotypic_cut(F, a, policy, ts=None, error=None):
+    """(chars, blocks) of matrices F, as in `isotypic_blocks`, checked to
+    commute with a only with `error` (`_rotated`); without an actor F itself
+    is the one block, chi = 1."""
     if a is None:
         return np.ones(1, dtype=complex), [F]
-    V, blocks, chars = isotypic_split(a, F.shape[-1], policy)
-    F = V.conj().T @ F @ V
-    return chars, [F[..., idx[:, None], idx] for idx in blocks]
+    chars, blocks, X = _rotated(F, a, policy, ts, error)
+    return chars, [X[..., idx[:, None], idx] for idx in blocks]
 
 
 def _block_eigh(blocks, policy, vectors=True):

@@ -70,10 +70,11 @@ def _det_phases(f, a, policy):
 
     Samples the isotypic blocks of f on a uniform _GRID-point grid, every
     sample checked (`_unitary_blocks`), and takes the determinant of each
-    block.  Intervals where some block's det phase steps by more than
-    _STEP_MAX are bisected; TrackingAmbiguous is raised at _MAX_SAMPLES
-    samples or when an interval to bisect is at most _MIN_DT long.  The grid
-    and each bisection level are one stack.  This step bound is what certifies the unwrapping.
+    block (`_block_det`: a 1x1 block's is its entry).  Intervals where some
+    block's det phase steps by more than _STEP_MAX are bisected;
+    TrackingAmbiguous is raised at _MAX_SAMPLES samples or when an interval
+    to bisect is at most _MIN_DT long.  The grid and each bisection level
+    are one stack.  This step bound is what certifies the unwrapping.
     Returns (chars, deltas, ends): deltas are the unwrapped det-phase changes
     per block, ends[i] the (2, k, k) samples of block i at t = 0 and t = 1.
     """
@@ -81,7 +82,7 @@ def _det_phases(f, a, policy):
 
     def block_dets(ts):
         chars, blocks = blocks_at(ts)
-        return chars, blocks, np.stack([np.linalg.det(B) for B in blocks], axis=1)
+        return chars, blocks, np.stack([_block_det(B) for B in blocks], axis=1)
 
     ts = np.linspace(0.0, 1.0, _GRID)
     chars, blocks, dets = block_dets(ts)
@@ -105,9 +106,15 @@ def _det_phases(f, a, policy):
     return chars, steps.sum(axis=0), ends
 
 
+def _block_det(B):
+    """det of every matrix of a stack: a 1x1 block's is its entry, without LAPACK."""
+    return B[:, 0, 0] if B.shape[-1] == 1 else np.linalg.det(B)
+
+
 def _unitary_blocks(f, a, policy):
-    """`isotypic_blocks` of a unitary path f (NotCommuting), every sample also
-    checked for unitarity: NotUnitary, naming t, unless the Frobenius norm of
+    """`isotypic_blocks` of a unitary path f (NotCommuting, by the commutator
+    bound read from the X = V* f V it cuts), every sample also checked for
+    unitarity: NotUnitary, naming t, unless the Frobenius norm of
     Q* f* f Q - I over the blocks is at most max(eig_tol, 1e-10) (a
     non-finite sample fails)."""
     blocks_at = isotypic_blocks(f, a, NotCommuting, policy)
@@ -242,10 +249,11 @@ def winding_from_logs(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
                          - Tr(a Log f(1)) + Tr(a Log f(0)) )
 
     with principal matrix logarithms; valid when neither endpoint has
-    spectrum at -1.  Every sample, the endpoints' too, passes `sample_stack`
-    and is checked to commute with a (`check_commuting`).  The integral
-    runs on whole panels with f' from `path_panel`: exact for degree-14
-    polynomials on each panel, and covered by the bisection error estimate.
+    spectrum at -1.  Every sample passes `sample_stack` and is checked to
+    commute with a (`check_commuting`); the two endpoints are one stack, at
+    t = 1 first.  The integral runs on whole panels with f' from
+    `path_panel`: exact for degree-14 polynomials on each panel, and
+    covered by the bisection error estimate.
     """
     n = None  # the size of the first panels' samples, which every later sample has
 
@@ -259,13 +267,12 @@ def winding_from_logs(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
         check_commuting(a, U, ts, NotCommuting, policy)
         return np.einsum("kij,kji->k", weighted(np.swapaxes(U.conj(), 1, 2)), dU)
 
-    def log_trace(t):
-        U = sample_stack(f, [t], n)
-        check_commuting(a, U, t, NotCommuting, policy)
-        return complex(np.trace(weighted(principal_log_unitary(U[0], policy))))
-
-    total = integrate(integrand, 0.0, 1.0, policy) - log_trace(1.0) + log_trace(0.0)
-    return complex(total / (2j * np.pi))
+    total = integrate(integrand, 0.0, 1.0, policy)
+    ends = np.array([1.0, 0.0])
+    U = sample_stack(f, ends, n)
+    check_commuting(a, U, ends, NotCommuting, policy)
+    log1, log0 = (complex(np.trace(weighted(principal_log_unitary(E, policy)))) for E in U)
+    return complex((total - log1 + log0) / (2j * np.pi))
 
 
 @dataclass

@@ -276,8 +276,12 @@ class TestCLI:
     def test_console_entrypoint(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",
                         {"kind": "sf", "generator": {"name": "diag_crossing"}})
+        # the child imports the package from its `src`, whatever PYTHONPATH holds
+        src = os.path.dirname(os.path.dirname(os.path.dirname(inspect.getfile(cli))))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run([sys.executable, "-m", "equiflow.harness.cli", "run", cfg],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert "report" in doc and "wall_time_s" in doc
