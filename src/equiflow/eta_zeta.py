@@ -23,7 +23,6 @@ from .spectra import (
     _as_matrix,
     _block_eigh,
     _isotypic_cut,
-    check_commuting,
     integrate,
     isotypic_split,
     path_panel,
@@ -68,8 +67,8 @@ class SpectralOperator:
 
     def __post_init__(self):
         self.D = _as_matrix(self.D)
-        self.h = check_commuting(self.h, self.D, None, NotEquivariant, self.policy)
-        chars, blocks = _isotypic_cut(self.D, self.h, self.policy)
+        chars, blocks = _isotypic_cut(self.D, self.h, self.policy, None, NotEquivariant)
+        self.h = None if self.h is None else np.asarray(self.h, dtype=complex)
         self._eigh = _block_eigh(blocks, self.policy)  # (lam, U) per block
         values = np.concatenate([lam for lam, _ in self._eigh])
         weights = np.concatenate([np.full(lam.size, chi) for chi, (lam, _) in
@@ -134,13 +133,14 @@ def eta_form(D, X, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT):
     """One-form sqrt(eps/pi) * Tr(h X e^{-eps D^2}) of a Hermitian D commuting
     with the actor h: a complex for matrices D, X, a (K,) array for (K, n, n)
     stacks.  h acts as chi * I on its chi-block (`spectra.isotypic_split`), so
-    this is sum_chi chi Tr(X_chi e^{-eps D_chi^2}): D and X are cut in one
-    call on their stack, and the blocks of D take one eigh per block size
-    (`spectra._block_eigh`).
+    this is sum_chi chi Tr(X_chi e^{-eps D_chi^2}), and the blocks of D take
+    one eigh per block size (`spectra._block_eigh`).
     D and X pass `_as_matrix` with one shape (DimensionMismatch).  Every
-    sample of D is checked to commute with h (NotEquivariant), and each of
-    its blocks by the Frobenius test of `hermitian_part` (NotHermitian).  X
-    need not be Hermitian, but a non-finite X raises NotHermitian naming X.
+    sample of D is checked to commute with h (NotEquivariant) in the
+    rotation that cuts it, and each of its blocks by the Frobenius test of
+    `hermitian_part` (NotHermitian).  X is cut unchecked: it need not
+    commute with h nor be Hermitian, but a non-finite X raises NotHermitian
+    naming X.
     """
     F, X = _as_matrix(D, stack=True), _as_matrix(X, what="X", stack=True)
     if X.shape != F.shape:
@@ -148,13 +148,11 @@ def eta_form(D, X, h=None, eps: float = 1.0, policy: TolerancePolicy = DEFAULT):
     if not np.isfinite(X).all():
         raise NotHermitian("X has non-finite entries")
     D = F.reshape((-1,) + F.shape[-2:])
-    check_commuting(h, D, None, NotEquivariant, policy)
-    # one cut of D and X; X need not commute with h: only its diagonal
-    # blocks enter the trace
-    chars, blocks = _isotypic_cut(np.stack([D, X.reshape(D.shape)]), h, policy)
+    chars, blocks = _isotypic_cut(D, h, policy, None, NotEquivariant)
+    # X need not commute with h: only its diagonal blocks enter the trace
+    _, X_blocks = _isotypic_cut(X.reshape(D.shape), h, policy)
     total = 0.0
-    for chi, (lam, U), (_, Xc) in zip(chars, _block_eigh([B[0] for B in blocks], policy),
-                                      blocks):
+    for chi, (lam, U), Xc in zip(chars, _block_eigh(blocks, policy), X_blocks):
         Xd = np.sum(U.conj() * (Xc @ U), axis=1)  # diagonal of U* X_chi U
         total += chi * np.sum(Xd * np.exp(-eps * lam ** 2), axis=1)
     out = sqrt(eps / pi) * total

@@ -226,7 +226,7 @@ def _run_maslov(cfg, policy):
                                        windings=int(params.get("windings", 1)))
     res = {}
     for mode in ("winding", "grid"):
-        res[f"maslov_{mode}"] = maslov_index(T, S, a, mode=mode, policy=policy, grid=256)
+        res[f"maslov_{mode}"] = maslov_index(T, S, a, mode=mode, policy=policy)
     return res, {}
 
 

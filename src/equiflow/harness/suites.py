@@ -260,7 +260,7 @@ def maslov_winding(res, seed, count=100):
         order = 2 + i % 5
         T, S, a = gen.lagrangian_loop_pair(n, order, rng, windings=1)
         mw = maslov_index(T, S, a, mode="winding")
-        mg = maslov_index(T, S, a, mode="grid", grid=256)
+        mg = maslov_index(T, S, a, mode="grid")
         res.check(f"pair{i}_modes", abs(mw - mg), 1e-8)
         # on loops, the a-weighted winding of the twisted path a T*(t)S(t)
         # reproduces w_h(T* S)
@@ -292,9 +292,9 @@ def triple_symmetry(res, seed, count=50):
         t_pqn = triple_index_path(T, S, Rp, a)
         # decomposition into three Maslov indices (grid mode on a subset)
         mode = "grid" if i % 5 == 0 else "winding"
-        m12 = maslov_index(T, S, a, mode=mode, grid=512)
-        m23 = maslov_index(S, Rp, a, mode=mode, grid=512)
-        m13 = maslov_index(T, Rp, a, mode=mode, grid=512)
+        m12 = maslov_index(T, S, a, mode=mode)
+        m23 = maslov_index(S, Rp, a, mode=mode)
+        m13 = maslov_index(T, Rp, a, mode=mode)
         res.check(f"triple{i}_decomposition", abs(t_pqn - (m12 + m23 - m13)), 1e-8)
 
         t_qpn = triple_index_path(S, T, Rp, a)

@@ -217,6 +217,28 @@ def eig_unitary(U, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
     return EigenSystem(values=phases, vectors=vecs, clusters=clusters)
 
 
+def _eig_unitary_1x1(B, policy):
+    """(phases (K, 1), vectors (K, 1, 1)): `eig_unitary` of every sample of a
+    (K, 1, 1) stack in one array pass.  The Schur form of a 1x1 matrix is
+    the matrix with the vector 1, so the phase is np.angle(b), snapped to pi
+    within zero_tol of -1; the unitarity and residual tests are the same
+    forms, and the first sample failing either raises its NotUnitary."""
+    unitary = (np.linalg.norm(np.swapaxes(B.conj(), -1, -2) @ B - np.eye(1), axis=(-2, -1))
+               <= max(policy.eig_tol, 1e-10))
+    lam = B[..., 0]
+    phases = np.where(np.abs(lam + 1.0) <= policy.zero_tol, np.pi, np.angle(lam))
+    vecs = np.ones_like(B)
+    resid = np.linalg.norm(B @ vecs - vecs * np.exp(1j * phases)[:, None], axis=(-2, -1))
+    bad = ~unitary | (resid > 1e3 * policy.eig_tol * np.maximum(
+        np.linalg.norm(B, axis=(-2, -1)), 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not unitary[k]:
+            raise NotUnitary("matrix is not unitary within tolerance")
+        raise NotUnitary(f"eigen-residual {resid[k]:.2e} too large; matrix not normal enough")
+    return phases, vecs
+
+
 def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
     """Eigenspaces of a unitary actor on C^dim: (V, blocks, chars).
 
@@ -634,16 +656,20 @@ def _match(vals1, vecs1, vals2, vecs2, policy, kind):
     return perm
 
 
-def _identity_links(vals1, vecs1, vecs2, policy):
-    """Per link of a stack of Hermitian eigendata (vals1 (m, d) ascending,
-    vecs1 and vecs2 (m, d, d)): True when `_match` certifies it with the
-    identity permutation, decided in one array pass without an assignment
-    solve.  That holds when vals1 has no cluster (the gap of `_match`), so
-    the certificate is the diagonal overlaps alone, and every diagonal
-    overlap exceeds _IDENTITY_MIN.  False says nothing: `_match` decides."""
+def _identity_links(vals1, vals2, vecs1, vecs2, policy, kind):
+    """Per link of a stack of eigendata (vals (m, d) ascending, vecs
+    (m, d, d)): True when `_match` certifies it with the identity
+    permutation, decided in one array pass without an assignment solve.
+    That holds when vals1 has no cluster (the gap of `_match`), so the
+    certificate is the diagonal overlaps alone, every diagonal overlap
+    exceeds _IDENTITY_MIN and, for the unitary kind, no eigenphase steps by
+    more than _STEP_MAX.  False says nothing: `_match` decides."""
     gap = policy.cluster_tol * 10 + 1e-12
     diag = np.abs(np.einsum("kji,kji->ki", vecs1.conj(), vecs2))
-    return (np.diff(vals1, axis=1) > gap).all(axis=1) & (diag > _IDENTITY_MIN).all(axis=1)
+    same = (np.diff(vals1, axis=1) > gap).all(axis=1) & (diag > _IDENTITY_MIN).all(axis=1)
+    if kind == "unitary":
+        same &= (np.abs(_lift(vals2, vals1) - vals1) <= _STEP_MAX).all(axis=1)
+    return same
 
 
 def track_blocks(path, a, kind: str, error, policy: TolerancePolicy = DEFAULT):
@@ -654,13 +680,14 @@ def track_blocks(path, a, kind: str, error, policy: TolerancePolicy = DEFAULT):
     Returns (chars, [BranchSet per block]).  The uniform _GRID-point grid and
     each bisection level are one stack of `isotypic_blocks` (a sample not
     commuting with a raises `error`), eigendecomposed by `_block_eigh`
-    (Hermitian) or per sample by `eig_unitary`.  Consecutive samples are
-    matched per block, and every link that does not certify is bisected,
-    all links of a level together.  The unchecked Hermitian links of a
-    level are screened in one array pass per block (`_identity_links`): a
-    block it passes takes the identity, which is what `_match` returns, and
-    every other block goes through `_match`, at most once per block and
-    link, stopping at the link's first uncertified block.
+    (Hermitian) or by `eig_unitary`, per sample, or in one array pass for a
+    1x1 block (`_eig_unitary_1x1`).  Consecutive samples are matched per
+    block, and every link that does not certify is bisected, all links of a
+    level together.  The unchecked links of a level are screened in one
+    array pass per block (`_identity_links`): a block it passes takes the
+    identity, which is what `_match` returns, and every other block goes
+    through `_match`, at most once per block and link, stopping at the
+    link's first uncertified block.
     TrackingAmbiguous past _MAX_SAMPLES samples, or when a link to bisect is
     at most _MIN_DT long.  The branches follow the certified permutations,
     and unitary phases are lifted against the branch values at the
@@ -676,6 +703,9 @@ def track_blocks(path, a, kind: str, error, policy: TolerancePolicy = DEFAULT):
             return _block_eigh(blocks, policy)
         out = []
         for B in blocks:
+            if B.shape[-1] == 1:
+                out.append(_eig_unitary_1x1(B, policy))
+                continue
             systems = [eig_unitary(X, policy) for X in B]
             out.append((np.array([es.values for es in systems]),
                         np.array([es.vectors for es in systems])))
@@ -683,11 +713,9 @@ def track_blocks(path, a, kind: str, error, policy: TolerancePolicy = DEFAULT):
 
     def by_identity(todo):
         """(len(todo), blocks) mask of the links todo: True where the block
-        matches by the identity (`_identity_links`; Hermitian kind only)."""
-        if kind == "unitary":
-            return np.zeros((len(todo), len(eig)), dtype=bool)
-        return np.stack([_identity_links(vals[todo], vecs[todo], vecs[todo + 1], policy)
-                         for vals, vecs in eig], axis=1)
+        matches by the identity (`_identity_links`)."""
+        return np.stack([_identity_links(vals[todo], vals[todo + 1], vecs[todo], vecs[todo + 1],
+                                         policy, kind) for vals, vecs in eig], axis=1)
 
     def certify(i, identity):
         """Per-block permutations of link i; None at its first uncertified block."""

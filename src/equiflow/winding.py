@@ -9,8 +9,9 @@ endpoint has spectrum at -1) of the path's chi-block; the block samples come
 from `spectra.isotypic_blocks`.  The primary route reads n_chi off the unwrapped
 det phase of each block; `winding_events` (branch tracking per block,
 crossings located between samples, each weighing chi times the number of the
-chi-block's branches crossing together) and `winding_from_logs` (trace-log
-quadrature; principal logarithms, cut at -1) are independent cross-checks.
+chi-block's branches crossing together; grid-mode Maslov sums them) and
+`winding_from_logs` (trace-log quadrature; principal logarithms, cut at -1)
+are independent cross-checks.
 `double_index` samples no path: a contraction flow's block det phase is
 linear, a trace.  Paths are any callables t -> unitary (see `specflow`).
 """

@@ -293,8 +293,7 @@ _NONFINITE_ROUTES = {
                               lambda f, t: canonical_determinant(_lagrangian_matrix(f(t)), _P0)),
     "aps_projection": ("hermitian", lambda f, t: aps_projection(_boundary_operator(f(t)))),
     "aps_projection_L": ("hermitian", lambda f, t: aps_projection(np.zeros((2, 2)), f(t)[:, :1])),
-    # the other path routes; grid-mode `maslov_index` is not listed, as its
-    # scan samples neither t = 0.5 nor the endpoints
+    # the other path routes
     "good_partition": ("hermitian", lambda f, t: good_partition(f)),
     "getzler_spectral_flow": ("hermitian", lambda f, t: eta_zeta.getzler_spectral_flow(f)),
     "winding_events": ("unitary", lambda f, t: winding_events(f)),
@@ -302,6 +301,7 @@ _NONFINITE_ROUTES = {
     "relative_double_index": ("unitary", lambda f, t: relative_double_index(f, _eye_path)),
     "relative_double_index_V": ("unitary", lambda f, t: relative_double_index(_eye_path, f)),
     "maslov_index": ("unitary", lambda f, t: maslov_index(f, _eye_path)),
+    "maslov_index_grid": ("unitary", lambda f, t: maslov_index(f, _eye_path, mode="grid")),
     "triple_index_path": ("unitary",
                           lambda f, t: triple_index_path(f, _eye_path, _minus_eye_path)),
     # the static routes, given the spoiled sample as their matrix

@@ -162,7 +162,6 @@ _UNREACHED_EXPORTS = {
     "equiflow.symplectic.canonical_determinant": "the finite canonical determinant",
     "equiflow.winding.canonical_path": "the canonical contraction path",
     "equiflow.winding.relative_double_index": "the relative double index",
-    "equiflow.winding.winding_events": "the tracked wall crossings of a winding number",
     # references that tests or suites compare against
     "equiflow.harness.serialize.jsonable": "the reference dump_report is compared with byte "
                                            "for byte",
@@ -220,7 +219,6 @@ _UNSET_OPTIONS = {
     "equiflow.symplectic.canonical_determinant.h": "the actor of the canonical determinant",
     "equiflow.winding.canonical_path.a": "the actor of the canonical contraction",
     "equiflow.winding.relative_double_index.a": "the actor of the relative double index",
-    "equiflow.winding.winding_events.a": "the actor of the tracked wall crossings",
     # inputs of a case the routes of the package never build
     "equiflow.symplectic.aps_projection.L": "the kernel Lagrangian of a boundary operator "
                                             "with a kernel",

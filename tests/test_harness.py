@@ -81,6 +81,8 @@ def reference_dump(body, wall_time=None):
 class TestReportEncoder:
     """`dump_report` writes the bytes of json.dumps(sort_keys=True, indent=2)."""
 
+    # the CLI passes no deprecated option (maslov_index's grid among them)
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
     def test_every_run_kind(self):
         assert {cfg["kind"] for cfg in KIND_CONFIGS} == set(cli.KINDS)
         for cfg in KIND_CONFIGS:
@@ -97,8 +99,10 @@ class TestReportEncoder:
         "dirac_chain": 8, "structural": 145,
     }
 
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
     def test_every_verify_suite(self):
-        # bodies as `equiflow verify` builds them, on a few cases per suite
+        # bodies as `equiflow verify` builds them, on a few cases per suite;
+        # no suite passes a deprecated option
         assert set(self.SUITE_TOTALS) == set(_SUITES) - {"all"}
         for name, fn in _SUITES.items():
             if name == "all":

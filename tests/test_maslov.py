@@ -52,42 +52,41 @@ class TestMaslovIndex:
             n = 1 + i % 2
             T, S, a = gen.lagrangian_loop_pair(n, 2 + i % 4, rng)
             mw = maslov_index(LagrangianPath(n, T), LagrangianPath(n, S), a, mode="winding")
-            mg = maslov_index(LagrangianPath(n, T), LagrangianPath(n, S), a,
-                              mode="grid", grid=256)
+            mg = maslov_index(LagrangianPath(n, T), LagrangianPath(n, S), a, mode="grid")
             assert abs(mw - mg) < 1e-8
 
     def test_grid_resolves_crossings_in_one_cell(self):
-        # two eigenphases of T*S cross -1 inside one grid cell, in different
-        # isotypic blocks: each block's scan must find its own crossing
+        # two eigenphases of T*S cross -1 close together, in different
+        # isotypic blocks: each block's tracking must find its own crossing
         T, S, a = gen.lagrangian_loop_pair(2, 4, gen.rng_for(5_000_044), windings=1)
         L1, L2 = LagrangianPath(2, T), LagrangianPath(2, S)
         mw = maslov_index(L1, L2, a, mode="winding")
-        mg = maslov_index(L1, L2, a, mode="grid", grid=256)
+        mg = maslov_index(L1, L2, a, mode="grid")
         assert abs(mw - (2 + 2j)) < 1e-9
         assert abs(mg - mw) < 1e-8
 
     def test_grid_mode_checks_every_sample(self):
-        # the X term of S vanishes at every scan node, so only the bracket and
-        # event samples of the grid mode see that S leaves a's blocks
-        eps = 1e-8  # the scan steps 10 * zero_tol inside [0, 1]
+        # the X term of S vanishes (to rounding) at every node t = k/32 of
+        # the first tracking grid; the first eigenphase steps by pi/2 there,
+        # so each mode bisects, and only its bisection samples see that S
+        # leaves a's blocks
         a = np.diag([1.0, -1.0]).astype(complex)
         X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-        def s(t):
-            return 4 * t * (1 - t) * np.sin(63 * np.pi * (t - eps) / (1 - 2 * eps))
-
         def S(t, x=1.0):
-            return scipy.linalg.expm(1j * (np.diag([2 * np.pi * t, 0.3]) + 0.2 * x * s(t) * X))
+            return scipy.linalg.expm(1j * (np.diag([16 * np.pi * t, 0.3])
+                                           + 0.2 * x * np.sin(32 * np.pi * t) * X))
 
         T = lambda t: np.eye(2, dtype=complex)
-        assert abs(maslov_index(T, lambda t: S(t, 0.0), a, mode="grid", grid=64) - 1) < 1e-9
+        for mode in ("winding", "grid"):
+            assert abs(maslov_index(T, lambda t: S(t, 0.0), a, mode=mode) - 8) < 1e-9
         for mode in ("winding", "grid"):
             with pytest.raises(NotCommuting):
-                maslov_index(T, S, a, mode=mode, grid=64)
+                maslov_index(T, S, a, mode=mode)
 
     def test_grid_mode_checks_unitarity(self):
         # T*S = 2I, 0.5 I or NaN: grid mode refuses every sample before its
-        # first SVD, as winding mode does
+        # first eigensolve reads it, as winding mode does
         S = lambda t: np.diag(np.exp([2j * np.pi * t, 0.3j]))
         for c in (2.0, 0.5, np.nan):
             T = lambda t, c=c: c * np.eye(2, dtype=complex)
@@ -102,14 +101,28 @@ class TestMaslovIndex:
     ], ids=["flat", "curved", "sloped"])
     def test_grid_finds_a_dip_below_a_branch(self, near_pi, crossing):
         # one eigenphase stays about 0.003 from pi while the other crosses it
-        # near t = 1/2 so fast that every scan node sees the first branch as
-        # sigma_min: the crossing shows only inside the window's bracket.  A
-        # curved or sloped first branch gives the window a V whose vertex
-        # lies off the crossing.
+        # near t = 1/2, fast, passing within 0.01 of the first: the tracked
+        # branches count the fast one's crossing alone, whether the near
+        # branch is flat, curved or sloped there
         T = lambda t: np.eye(2, dtype=complex)
         S = lambda t: np.diag(np.exp(1j * (np.pi + np.array([near_pi(t), crossing(t)]))))
         assert abs(maslov_index(T, S, mode="winding") - 1) < 1e-12
-        assert abs(maslov_index(T, S, mode="grid", grid=256) - 1) < 1e-12
+        assert abs(maslov_index(T, S, mode="grid") - 1) < 1e-12
+
+    def test_endpoint_on_the_wall(self):
+        # T*S = -exp(i pi t) starts on -1: both modes move the wall to
+        # pi + theta (`winding._pick_offset`), so the phase leaving pi
+        # upwards crosses it once (grid mode gave 0 while it scanned only
+        # the inside of [0, 1])
+        T = lambda t: np.eye(1, dtype=complex)
+        S = lambda t: -np.exp(1j * np.pi * t) * np.eye(1)
+        assert maslov_index(T, S, mode="grid") == maslov_index(T, S, mode="winding") == 1
+
+    def test_grid_option_is_ignored(self):
+        T, S, a = gen.lagrangian_loop_pair(2, 3, gen.rng_for(64), windings=1)
+        with pytest.warns(DeprecationWarning, match="grid is ignored"):
+            old = maslov_index(T, S, a, mode="grid", grid=256)
+        assert old == maslov_index(T, S, a, mode="grid") != 0
 
     def test_trivial_action_integer(self):
         rng = gen.rng_for(62)

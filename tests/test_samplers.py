@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sl
 
-from equiflow import maslov, winding
+from equiflow import maslov, spectra, winding
 from equiflow.harness import generators as gen
 from equiflow.spectra import sample_stack
 from equiflow.specflow import Path, _from_stack, adjoint, bott_loop, concatenate, product, reverse
@@ -159,7 +159,7 @@ def counted(f, log, times=None):
 
 def invariants(T, S, f, a):
     return (winding.winding_number(f, a), maslov.maslov_index(T, S, a, mode="winding"),
-            maslov.maslov_index(T, S, a, mode="grid", grid=256),
+            maslov.maslov_index(T, S, a, mode="grid"),
             winding.fredholm_det_path(f, a))
 
 
@@ -198,15 +198,16 @@ class TestConsumers:
         assert abs(grid - maslov.maslov_index(self.T, self.S, self.a, mode="winding")) < 1e-12
         assert abs(grid) > 1
 
-    def test_grid_search_samples_few_times_per_crossing(self):
-        # one simple crossing of -1 at t = (pi - 0.3) / (2 pi): the window's
-        # search and the event's orientation take at most 40 samples
+    def test_grid_tracks_a_slow_crossing_on_its_first_grid(self):
+        # one simple crossing of -1 at t = (pi - 0.3) / (2 pi): the phase
+        # steps by 2 pi / 32 between the nodes of the tracking grid, so every
+        # link certifies and grid mode takes that one stack of 33 samples
         T = Path(1, _from_stack(lambda ts: np.ones((len(ts), 1, 1), dtype=complex)))
         S = Path(1, _from_stack(lambda ts: np.exp(1j * (2 * pi * ts + 0.3))[:, None, None]))
         log = []
-        grid = maslov.maslov_index(T, counted(S, log), mode="grid", grid=256)
+        grid = maslov.maslov_index(T, counted(S, log), mode="grid")
         assert grid == 1
-        assert log[0] == 256 and sum(log[1:]) <= 40
+        assert log == [spectra._GRID] == [33]
 
 
 class TestSharedSamples:

@@ -653,10 +653,44 @@ def test_identity_links_agree_with_match(seed):
     t1, t2 = np.tile(ts[:-1], 3), np.concatenate([ts[1:], ts[:-1] + 0.1, ts[:-1] + 1e-6])
     (vals1, vecs1), = spectra._block_eigh([np.stack([path(t) for t in t1])], DEFAULT)
     (vals2, vecs2), = spectra._block_eigh([np.stack([path(t) for t in t2])], DEFAULT)
-    plain = spectra._identity_links(vals1, vecs1, vecs2, DEFAULT)
+    plain = spectra._identity_links(vals1, vals2, vecs1, vecs2, DEFAULT, "hermitian")
     for k in np.flatnonzero(plain):
         perm = match(vals1[k], vecs1[k], vals2[k], vecs2[k], DEFAULT, "hermitian")
         assert perm is not None and perm.tolist() == list(range(vals1.shape[1]))
+
+
+def _unitary_link_corpus(seed):
+    """exp(i s H(t)) of the paths of `_link_corpus`, s = 1, 4 or 9: the
+    larger s, the more links step by more than _STEP_MAX."""
+    path, s = _link_corpus(seed), (1.0, 4.0, 9.0)[seed % 3]
+    return lambda t: scipy.linalg.expm(1j * s * path(t))
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_unitary_identity_links_agree_with_match(seed):
+    # the same for eigenphases, where `_match` also refuses a link on which
+    # a phase steps by more than _STEP_MAX
+    path = _unitary_link_corpus(seed)
+    ts = np.concatenate([np.linspace(0, 1, 17), np.linspace(0.5, 0.5 + 1e-4, 9)])
+    t1, t2 = np.tile(ts[:-1], 3), np.concatenate([ts[1:], ts[:-1] + 0.1, ts[:-1] + 1e-6])
+    (vals1, vecs1), (vals2, vecs2) = [
+        (np.array([es.values for es in eig]), np.array([es.vectors for es in eig]))
+        for eig in ([spectra.eig_unitary(path(t)) for t in tt] for tt in (t1, t2))]
+    plain = spectra._identity_links(vals1, vals2, vecs1, vecs2, DEFAULT, "unitary")
+    for k in np.flatnonzero(plain):
+        perm = match(vals1[k], vecs1[k], vals2[k], vecs2[k], DEFAULT, "unitary")
+        assert perm is not None and perm.tolist() == list(range(vals1.shape[1]))
+
+
+@pytest.mark.parametrize("seed", range(0, 36, 5))
+def test_screened_unitary_track_equals_matched_track(monkeypatch, seed):
+    path = _unitary_link_corpus(seed)
+    monkeypatch.setattr(spectra, "_GRID", 17)
+    _, (screened,) = track_blocks(path, None, "unitary", None)
+    monkeypatch.setattr(spectra, "_IDENTITY_MIN", np.inf)
+    _, (matched,) = track_blocks(path, None, "unitary", None)
+    assert np.array_equal(screened.times, matched.times)
+    assert np.array_equal(screened.values, matched.values)
 
 
 @pytest.mark.parametrize("seed", range(0, 36, 5))
