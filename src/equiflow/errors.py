@@ -47,10 +47,6 @@ class DimensionMismatch(EquiflowError, ValueError):
     that are not numbers."""
 
 
-class OffsetExhausted(EquiflowError):
-    """No admissible endpoint phase offset below the ceiling."""
-
-
 class IncompatibleSplitting(EquiflowError):
     """Unitaries do not share the canonical -1 eigenspace splitting."""
 

@@ -378,9 +378,9 @@ def getzler(res, seed, count=50):
 
 @_register("dirac_closed_forms")
 def dirac_closed_forms(res, seed):
-    """Exact circle and interval eta against their closed forms, and the
-    regularized (Abel or averaged) sum over the enumerated spectrum
-    (`dm.enumerated_eta`) at the cutoffs below against the same targets."""
+    """Exact circle and interval eta against their closed forms, at fixed and
+    at two seeded parameters each, and the regularized (Abel or averaged) sum
+    over the enumerated spectrum (`dm.enumerated_eta`) of the fixed cases."""
     target = 2.0 / (1.0 - np.exp(2j * pi / 3))
     circle = [  # (label, beta, rotation power, accel, target)
         ("circle_beta_quarter", 0.25, 0, "average", 0.5),
@@ -401,6 +401,13 @@ def dirac_closed_forms(res, seed):
         progs = [(b / mod.L, 2 * pi / mod.L, w) for b, w in zip(betas, weights)]
         v, _ = dm.enumerated_eta(progs, (0, 0), 10 * mod.policy.zero_tol, 4e3)
         res.check(f"interval_theta_{th:.3f}_enumerated", abs(v - (1 - th / pi)), 1e-3)
+    rng = gen.rng_for(seed * 419)
+    for k in range(2):
+        beta, th, L = rng.uniform(0.05, 0.95), rng.uniform(0.3, 2 * pi - 0.3), rng.uniform(0.5, 2)
+        eta_c = dm.circle_eta(dm.CircleDiracModel(np.array([[beta]])))
+        eta_i = dm.interval_eta(dm.IntervalDiracModel(L, np.zeros((1, 1))), dm.theta_projection(th))
+        res.check(f"circle_seeded_{k}", abs(eta_c - (1 - 2 * beta)), 1e-12)
+        res.check(f"interval_seeded_{k}", abs(eta_i - (1 - th / pi)), 1e-12)
 
 
 # --- criterion 11: exponentiated eta identity -------------------------------

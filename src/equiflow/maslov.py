@@ -10,8 +10,9 @@ direction (J. Robbin and D. Salamon, "The Maslov index for paths", Topology
 m branches of the chi-block weighs chi * m.  Winding mode unwraps each
 block's det phase (`winding.winding_number`); grid mode tracks each block's
 eigenphase branches and sums the signed crossings of the wall
-(`winding.winding_events`).  Both modes place the wall at pi + theta, theta
-from `winding._pick_offset`, so they share one endpoint rule, and every
+(`winding.winding_events`).  Both modes place the wall at pi and read its
+copies through `winding._wall_copy`, so they share one endpoint rule (an
+endpoint phase within zero_tol of pi counts as past the wall), and every
 sample either mode takes is checked to commute with the actor
 (NotCommuting) and to be unitary (NotUnitary).  The triple index samples
 each of its three paths once per distinct time across its three winding
@@ -62,7 +63,7 @@ def maslov_index(L1, L2, a=None, mode: str = "winding",
     pair = product(adjoint(L1), L2)
     if mode == "winding":
         return winding_number(pair, a, policy)
-    _, events, _ = winding_events(pair, a, policy)
+    events = winding_events(pair, a, policy)
     return complex(sum(direction * weight for _, direction, weight in events))
 
 

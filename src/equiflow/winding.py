@@ -4,16 +4,17 @@ determinant, canonical contraction paths, and double indices.
 A path commuting with a unitary actor a preserves each eigenspace of a, and
 a acts on the chi-eigenspace as chi * I.  The winding number is therefore
 sum_chi chi * n_chi, with n_chi the integer count of eigenphase crossings
-through the wall at angle pi (shifted by a deterministic offset when an
-endpoint has spectrum at -1) of the path's chi-block; the block samples come
-from `spectra.isotypic_blocks`.  The primary route reads n_chi off the unwrapped
-det phase of each block; `winding_events` (branch tracking per block,
-crossings located between samples, each weighing chi times the number of the
-chi-block's branches crossing together; grid-mode Maslov sums them) and
-`winding_from_logs` (trace-log quadrature; principal logarithms, cut at -1)
-are independent cross-checks.
-`double_index` samples no path: a contraction flow's block det phase is
-linear, a trace.  Paths are any callables t -> unitary (see `specflow`).
+through the wall at angle pi of the path's chi-block; an endpoint eigenphase
+within zero_tol of the wall is on it and counts as past it (`_wall_copy`,
+the n>=0 rule of spectral flow under U = -exp(i pi B)).  The block samples
+come from `spectra.isotypic_blocks`.  The primary route reads n_chi off the
+unwrapped det phase of each block; `winding_events` (branch tracking per
+block, crossings located between samples, each weighing chi times the number
+of the chi-block's branches crossing together; grid-mode Maslov sums them)
+and `winding_from_logs` (trace-log quadrature; principal logarithms, cut at
+-1) are independent cross-checks.  `double_index` samples no path: a
+contraction flow's block det phase is linear, a trace.  Paths are any
+callables t -> unitary (see `specflow`).
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from .errors import (
     IncompatibleSplitting,
     NotCommuting,
     NotUnitary,
-    OffsetExhausted,
     TrackingAmbiguous,
 )
 from .spectra import (
@@ -62,7 +62,6 @@ __all__ = [
     "relative_double_index",
 ]
 
-_OFFSET_CEILING = 1e-3
 _ROUNDING_TOL = 1e-9  # largest rounding error allowed in a block count n_chi
 
 
@@ -132,42 +131,17 @@ def _unitary_blocks(f, a, policy):
     return checked
 
 
-def _pick_offset(endpoint_phases, policy: TolerancePolicy = DEFAULT) -> float:
-    """Deterministic offset theta >= 0 so that no endpoint phase sits on the
-    wall at pi + theta.
-
-    theta = 0 when all endpoint phases are clear of pi; otherwise
-    min(_OFFSET_CEILING/2, half the minimal endpoint phase-distance to pi),
-    halved until admissible.  Raises OffsetExhausted when no theta below
-    _OFFSET_CEILING works.
-    """
-    phases = np.asarray(endpoint_phases, dtype=float)
-    if phases.size == 0:
-        return 0.0
-
-    def dist_to_wall(theta):
-        d = np.abs(np.mod(phases - (np.pi + theta) + np.pi, 2 * np.pi) - np.pi)
-        return float(np.min(d))
-
-    if dist_to_wall(0.0) > policy.zero_tol * 10:
-        return 0.0
-    d = np.abs(np.mod(phases - np.pi + np.pi, 2 * np.pi) - np.pi)
-    d_pos = d[d > policy.zero_tol * 10]
-    theta = _OFFSET_CEILING / 2
-    if d_pos.size:
-        theta = min(theta, float(np.min(d_pos)) / 2)
-    for _ in range(60):
-        if theta < 1e-15:
-            break
-        if dist_to_wall(theta) > policy.zero_tol:
-            return theta
-        theta /= 2.0
-    raise OffsetExhausted("no admissible endpoint phase offset below the ceiling")
+def _wall_copy(phases, policy):
+    """Index m of the wall copy pi + 2 pi m at or below each phase.  A phase
+    within zero_tol of a copy is on that copy: it counts as already past it,
+    as spectral flow counts a kernel eigenvalue at an endpoint as nonnegative
+    (U = -exp(i pi B) puts B's eigenvalue 0 on the wall)."""
+    return np.floor((phases - np.pi + policy.zero_tol) / (2 * np.pi))
 
 
 def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT):
     """Branch-track each isotypic block of a unitary path and list its
-    wall-crossing events: (offset, events, [BranchSet per block]).
+    crossing events through the wall at pi (copies by `_wall_copy`).
 
     Each event is (time, direction, weight): the time is interpolated
     linearly between the samples around the crossing, and the weight is chi
@@ -175,32 +149,31 @@ def winding_events(f, a=None, policy: TolerancePolicy = DEFAULT):
     1e-7 in time), summed over blocks.
     """
     chars, sets = track_blocks(f, a, "unitary", NotCommuting, policy)
-    theta = _pick_offset(np.concatenate([bs.values[[0, -1]].ravel() for bs in sets]), policy)
-    wall = np.pi + theta
     raw = []  # (time, direction, character) per crossing branch
     for chi, bs in zip(chars, sets):
         times = bs.times
         for phi in bs.values.T:
-            floors = np.floor((phi - wall) / (2 * np.pi))
+            floors = _wall_copy(phi, policy)
             for k in range(1, len(times)):
                 if floors[k] == floors[k - 1]:
                     continue
                 direction = 1 if floors[k] > floors[k - 1] else -1
-                target = wall + 2 * np.pi * (floors[k] if direction > 0 else floors[k - 1])
+                target = np.pi + 2 * np.pi * (floors[k] if direction > 0 else floors[k - 1])
                 t0, t1 = times[k - 1], times[k]
                 p0, p1 = phi[k - 1], phi[k]
                 t_star = t0 + (target - p0) / (p1 - p0) * (t1 - t0) if p1 != p0 else t0
                 raw.append((float(t_star), direction, chi))
-    return theta, [(t, d, w) for t, d, _, w in group_events(raw, 1e-7)], sets
+    return [(t, d, w) for t, d, _, w in group_events(raw, 1e-7)]
 
 
 def winding_number(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
     """Equivariant winding number sum_chi chi * n_chi of a unitary path.
 
-    n_chi counts the eigenphase crossings of the chi-block through pi + theta
-    (theta from `_pick_offset`).  With r_j(t) = (phi_j(t) - pi - theta) mod 2 pi
-    for the block's endpoint eigenphases phi_j and Delta_chi its unwrapped
-    det-phase change,
+    n_chi counts the eigenphase crossings of the chi-block through the wall
+    at pi; an endpoint phase within zero_tol of the wall counts as past it.
+    With r_j(t) = phi_j(t) - pi - 2 pi m_j(t) for the block's endpoint
+    eigenphases phi_j, m_j the wall copy at or below phi_j (`_wall_copy`),
+    and Delta_chi the block's unwrapped det-phase change,
 
         n_chi = (Delta_chi + sum_j r_j(0) - sum_j r_j(1)) / 2 pi.
 
@@ -218,11 +191,9 @@ def _count(chars, deltas, ends, policy):
     """sum_chi chi * n_chi (`winding_number`) from each block's det-phase change
     deltas[i] and endpoint eigenphases ends[i] = (p0, p1); TrackingAmbiguous,
     naming block and character, when an n_chi is more than 1e-9 off an integer."""
-    wall = np.pi + _pick_offset(np.concatenate([p for pair in ends for p in pair]), policy)
     total = 0.0 + 0.0j
     for b, (chi, delta, (p0, p1)) in enumerate(zip(chars, deltas, ends)):
-        r0 = np.sum(np.mod(p0 - wall, 2 * np.pi))
-        r1 = np.sum(np.mod(p1 - wall, 2 * np.pi))
+        r0, r1 = (np.sum(p - np.pi - 2 * np.pi * _wall_copy(p, policy)) for p in (p0, p1))
         n_chi = (delta + r0 - r1) / (2 * np.pi)
         if abs(n_chi - round(n_chi)) > _ROUNDING_TOL:
             raise TrackingAmbiguous(

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -148,7 +149,7 @@ def _origins(files):
 _UNREACHED_EXPORTS = {
     # records that public routes return or accept
     "equiflow.eta_zeta.SpectralOperator": "accepted by every eta_zeta operator route",
-    "equiflow.spectra.BranchSet": "returned by track_blocks and winding_events",
+    "equiflow.spectra.BranchSet": "returned by track_blocks",
     "equiflow.specflow.GridPartition": "returned by good_partition, accepted by spectral_flow",
     "equiflow.specflow.Interval": "the record GridPartition holds",
     "equiflow.specflow.FlowResult": "returned by spectral_flow and crossing_oracle",
@@ -362,6 +363,29 @@ def test_every_export_resolves():
         assert not missing, f"{name}.__all__ names {missing}"
 
 
+def test_every_documented_name_resolves():
+    # a backticked `module.name` in the README or the conventions, its module
+    # a package module by its last dotted part, names an existing attribute
+    names = ["equiflow"] + [m.name for m in pkgutil.walk_packages(equiflow.__path__, "equiflow.")]
+    modules = {name.rsplit(".", 1)[-1]: importlib.import_module(name) for name in names}
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    missing = []
+    for doc in ("README.md", os.path.join("docs", "conventions.md")):
+        with open(os.path.join(root, doc)) as fh:
+            refs = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", fh.read())
+        for ref in refs:
+            head, *attrs = ref.split(".")
+            if head not in modules:
+                continue
+            obj = modules[head]
+            try:
+                for attr in attrs:
+                    obj = getattr(obj, attr)
+            except AttributeError:
+                missing.append(f"{doc}: {ref}")
+    assert not missing, f"documented names that do not exist: {missing}"
+
+
 _FOOTPRINT = """
 import importlib, json, math, pkgutil, sys
 import numpy as np
@@ -405,7 +429,7 @@ loop = bott_loop([np.exp(2j * np.pi / 3)] * 2, (2, 2))
 path, h = loop.hermitian_path, loop.h
 out["oracle"], out["sf"] = crossing_oracle(path, h).value, spectral_flow(path, h).value
 out["oracle_solves"] = len(solves)
-out["events"] = len(winding_events(loop.unitary_path, h)[1])
+out["events"] = len(winding_events(loop.unitary_path, h))
 out["tracked"] = loaded()
 out["event_solves"] = len(solves)
 lam = [-1.3, 0.2, 0.7, 2.5]

@@ -95,7 +95,7 @@ class TestReportEncoder:
     SUITE_TOTALS = {
         "sf_oracle": 3, "sf_refinement": 3, "bott_loops": 26, "winding_props": 11,
         "det_multiplicativity": 3, "maslov_winding": 6, "triple_symmetry": 21, "zeta_det": 6,
-        "getzler": 23, "dirac_closed_forms": 14, "sw_identity": 4, "split": 6,
+        "getzler": 23, "dirac_closed_forms": 18, "sw_identity": 4, "split": 6,
         "dirac_chain": 8, "structural": 145,
     }
 

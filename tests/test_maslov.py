@@ -110,13 +110,12 @@ class TestMaslovIndex:
         assert abs(maslov_index(T, S, mode="grid") - 1) < 1e-12
 
     def test_endpoint_on_the_wall(self):
-        # T*S = -exp(i pi t) starts on -1: both modes move the wall to
-        # pi + theta (`winding._pick_offset`), so the phase leaving pi
-        # upwards crosses it once (grid mode gave 0 while it scanned only
-        # the inside of [0, 1])
+        # T*S = -exp(i pi t) = -exp(i pi B), B = t, starts on -1: in both
+        # modes the phase on the wall at t = 0 is already past it, as the
+        # spectral flow of B counts its kernel at t = 0 as nonnegative
         T = lambda t: np.eye(1, dtype=complex)
         S = lambda t: -np.exp(1j * np.pi * t) * np.eye(1)
-        assert maslov_index(T, S, mode="grid") == maslov_index(T, S, mode="winding") == 1
+        assert maslov_index(T, S, mode="grid") == maslov_index(T, S, mode="winding") == 0
 
     def test_grid_option_is_ignored(self):
         T, S, a = gen.lagrangian_loop_pair(2, 3, gen.rng_for(64), windings=1)

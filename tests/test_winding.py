@@ -3,13 +3,26 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from equiflow import winding
 from equiflow.dirac_models import SplitScenario, splitting_experiment, theta_projection
-from equiflow.errors import IncompatibleSplitting, NotCommuting, OffsetExhausted, TrackingAmbiguous
+from equiflow.errors import (
+    EquiflowError,
+    IncompatibleSplitting,
+    NotCommuting,
+    TrackingAmbiguous,
+)
 from equiflow.harness import generators as gen
-from equiflow.maslov import triple_index_static
-from equiflow.specflow import Path, UnitaryPath, concatenate, reverse
+from equiflow.maslov import maslov_index, triple_index_static
+from equiflow.specflow import (
+    Path,
+    UnitaryPath,
+    concatenate,
+    crossing_oracle,
+    reverse,
+    spectral_flow,
+)
 from equiflow.symplectic import make_projection_from_unitary
 from equiflow.tolerances import TolerancePolicy
 from equiflow.winding import (
@@ -55,10 +68,18 @@ class TestWindingNumber:
         v = winding_number(f)
         assert abs(v.imag) < 1e-9 and abs(v.real - round(v.real)) < 1e-9
 
-    def test_endpoint_at_minus_one_offset(self):
-        # phase reaches pi exactly at t=1: the offset pushes the wall above it
+    def test_endpoint_at_minus_one(self):
+        # phase reaches pi exactly at t=1: on the wall, it counts as past it
         f = scalar_path(lambda t: np.exp(1j * np.pi * t))
-        assert winding_number(f, CHI) == 0
+        assert abs(winding_number(f, CHI) - W3) < 1e-12
+
+    @pytest.mark.parametrize("policy", [TolerancePolicy(), TolerancePolicy(zero_tol=1e-2)],
+                             ids=["default", "wide_zero_tol"])
+    def test_loop_leaving_the_wall(self, policy):
+        # the loop starts on the wall at phase pi, already past it, and ends
+        # at 2 pi, below the next copy: no crossing
+        f = Path(1, lambda t: np.array([[np.exp(1j * np.pi * (1 + t))]]))
+        assert winding_number(f, policy=policy) == 0
 
     def test_homotopy_invariance(self):
         rng = gen.rng_for(22)
@@ -90,7 +111,7 @@ class TestCrossRoutes:
 
     def test_matches_tracked_events(self):
         for f, a in self.seeded_paths():
-            _, events, _ = winding_events(f, a)
+            events = winding_events(f, a)
             tracked = sum(d * w for _, d, w in events)
             assert abs(winding_number(f, a) - tracked) <= 1e-9
 
@@ -100,7 +121,7 @@ class TestCrossRoutes:
         a = R @ np.diag([W3, 1.0]) @ R.conj().T
         f = UnitaryPath(2, lambda t: R @ np.diag([np.exp(2j * np.pi * t),
                                                   np.exp(-2j * np.pi * t)]) @ R.conj().T)
-        _, events, _ = winding_events(f, a)
+        events = winding_events(f, a)
         for value in (winding_number(f, a), sum(d * w for _, d, w in events)):
             assert abs(value - (W3 - 1)) <= 1e-12
 
@@ -128,21 +149,71 @@ class TestCrossRoutes:
         fredholm_det_path(f, a)
 
 
-class TestPickOffset:
-    def test_zero_when_clear(self):
-        assert winding._pick_offset(np.array([0.3, -2.0])) == 0.0
+def diagonal_routes(R, chi, b):
+    """Every counting route on B(t) = R diag(b(t)) R* (Hermitian routes) and
+    on U = -exp(i pi B) (unitary routes, Maslov with T = I, S = U), actor
+    R diag(chi) R*."""
+    n = len(chi)
+    h = (R * chi) @ R.conj().T
+    B = Path(n, lambda t: (R * b(t)) @ R.conj().T)
+    U = Path(n, lambda t: (R * -np.exp(1j * np.pi * b(t))) @ R.conj().T)
+    T = Path(n, lambda t: np.eye(n, dtype=complex))
+    return {
+        "spectral_flow": lambda: spectral_flow(B, h).value,
+        "crossing_oracle": lambda: crossing_oracle(B, h).value,
+        "winding_number": lambda: winding_number(U, h),
+        "winding_events": lambda: sum(d * w for _, d, w in winding_events(U, h)),
+        "maslov_winding": lambda: maslov_index(T, U, h, mode="winding"),
+        "maslov_grid": lambda: maslov_index(T, U, h, mode="grid"),
+    }
 
-    def test_positive_when_on_wall(self):
-        th = winding._pick_offset(np.array([np.pi, 0.1]))
-        assert 0 < th < 1e-3
 
-    def test_exhausted(self):
-        # the loop starts on the wall at phase pi; with zero_tol = 1e-2 no
-        # offset under the 1e-3 ceiling moves the wall zero_tol away from it
-        f = Path(1, lambda t: np.array([[np.exp(1j * np.pi * (1 + t))]]))
-        assert winding_number(f) == 1
-        with pytest.raises(OffsetExhausted):
-            winding_number(f, policy=TolerancePolicy(zero_tol=1e-2))
+def n_nonnegative_change(chi, b0, b1):
+    """sum_chi chi (n>=0(B(1)) - n>=0(B(0))): the exact count of every route."""
+    return complex(np.sum(chi * (np.asarray(b1) >= 0)) - np.sum(chi * (np.asarray(b0) >= 0)))
+
+
+class TestEndpointRule:
+    """One endpoint rule for every counting route: a kernel eigenvalue of B
+    at t = 0 or 1 counts as nonnegative, and an eigenphase of U within
+    zero_tol of pi counts as past the wall."""
+
+    @pytest.mark.parametrize("chi, b", [
+        ([W3, 1.0], lambda t: np.array([t, -1.0])),  # was w = omega
+        ([1.0, 1.0], lambda t: np.array([t - 1.0, 1.0])),  # was w = 0
+        ([1.0], lambda t: np.array([t])),  # was Maslov = 1 in both modes
+    ], ids=["kernel_at_start_with_actor", "kernel_at_end", "maslov_pair_leaving_the_wall"])
+    def test_repros_agree(self, chi, b):
+        chi = np.array(chi, dtype=complex)
+        exact = n_nonnegative_change(chi, b(0.0), b(1.0))
+        for name, route in diagonal_routes(np.eye(len(chi)), chi, b).items():
+            assert abs(route() - exact) < 1e-12, name
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        *[st.lists(st.one_of(st.just(0.0), st.floats(0.05, 0.6), st.floats(-0.6, -0.05)),
+                   min_size=n, max_size=n)] * 2,
+        st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))))
+    @example((7, [1, 1, 0], [0.0, 0.0, 0.0], [0.4, -0.3, 0.0], [0.0, 0.2, -0.1]))
+    @example((8, [2, 1, 1, 0], [0.3, 0.0, -0.2, 0.0], [0.0, 0.0, 0.0, 0.5], [0.0] * 4))
+    def test_corpus(self, case):
+        # B(t) diagonal in a random basis, b_j(t) = (1 - t) x_j + t y_j
+        # + c_j sin(pi t) with |b_j| < 1, so U crosses only the wall at pi;
+        # endpoints x_j, y_j often exactly 0, characters powers of i
+        seed, powers, x, y, c = case
+        chi = 1j ** np.array(powers)
+        R = gen.rand_unitary(len(chi), gen.rng_for(seed))
+        x, y, c = np.array(x), np.array(y), np.array(c)
+        exact = n_nonnegative_change(chi, x, y)
+        routes = diagonal_routes(R, chi, lambda t: (1 - t) * x + t * y + c * np.sin(np.pi * t))
+        for name, route in routes.items():
+            try:
+                value = route()
+            except EquiflowError:
+                continue
+            assert abs(value - exact) < 1e-9, name
 
 
 class TestFredholmDet:
@@ -345,8 +416,9 @@ class TestRelativeDoubleIndex:
         assert relative_double_index(f, g) == 0
 
     def test_half_turn_pair(self):
+        # w(f) = 1 (f ends on the wall), w(f f) = 1 (one crossing at t = 1/2)
         f = scalar_path(lambda t: np.exp(1j * np.pi * t))
-        assert abs(relative_double_index(f, f) + 1.0) < 1e-12
+        assert abs(relative_double_index(f, f) - 1.0) < 1e-12
 
     def test_matches_double_index_on_canonical_paths(self):
         rng = gen.rng_for(30)
