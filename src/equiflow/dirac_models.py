@@ -30,8 +30,8 @@ from .errors import (
     KernelPresent,
     NotEquivariant,
 )
-from .spectra import (_as_matrix, check_commuting, cluster_indices, eig_hermitian, eig_unitary,
-                      isotypic_split)
+from .spectra import (_as_matrix, _block_eig_unitary, check_commuting, cluster_indices,
+                      eig_hermitian, isotypic_split)
 from .symplectic import (
     LagrangianProjection,
     _projection,
@@ -149,11 +149,12 @@ def _interval_transfer(model: IntervalDiracModel, lam) -> np.ndarray:
 def _branch_clusters(model: IntervalDiracModel, P):
     """(order, betas, members) of the eigenphases of G = T* M(0) for the
     boundary unitary T of P: `order` sorts the phases pooled over the
-    isotypic blocks of u (`isotypic_split`), and each branch cluster has its
-    beta and the positions of its phases in that order.  None of it depends
-    on the power of u, so it is computed once per model and T and kept on
-    the model.  P is taken by `as_projection`; DimensionMismatch, naming its
-    shape, unless it acts on the model's m channels.
+    isotypic blocks of u (`isotypic_split`), taken by one `_block_eig_unitary`
+    call, and each branch cluster has its beta and the positions of its
+    phases in that order.  None of it depends on the power of u, so it is
+    computed once per model and T and kept on the model.  P is taken by
+    `as_projection`; DimensionMismatch, naming its shape, unless it acts on
+    the model's m channels.
     """
     P = as_projection(P, model.policy)
     if P.n != model.m:
@@ -165,8 +166,9 @@ def _branch_clusters(model: IntervalDiracModel, P):
         check_commuting(model.u, T, None, NotEquivariant, model.policy)
         G = T.conj().T @ _interval_transfer(model, 0.0)
         W, blocks, _ = isotypic_split(model.u, model.m, model.policy)
-        phases = np.concatenate([eig_unitary(W[:, idx].conj().T @ G @ W[:, idx],
-                                             model.policy).values for idx in blocks])
+        eig = _block_eig_unitary([(W[:, idx].conj().T @ G @ W[:, idx])[None] for idx in blocks],
+                                 model.policy)
+        phases = np.concatenate([p[0] for p, _ in eig])
         order = np.argsort(phases, kind="stable")
         phases = phases[order]
         betas, members = [], []

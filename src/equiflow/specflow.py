@@ -305,48 +305,25 @@ def spectral_flow(path, h=None, partition: GridPartition = None,
     commute with h (NotEquivariant, naming t), and its node samples are
     counted once each (with h = None from the spectra the certification
     holds); a given partition costs one checked node stack.  The counts read
-    eigenvalues alone (`spectra._block_eigvalsh`).  An interior node with an
-    eigenvalue within zero_tol of 0 is nudged: it takes the eigenvalues at
-    the first of t + s, t - s, t + 10 s, t - 10 s (s = 10 zero_tol, inside
-    (0, 1)) that has none, the nodes still on a kernel trying each candidate
-    together, and keeps its own when none does.
+    eigenvalues alone (`spectra._block_eigvalsh`).  An eigenvalue within
+    zero_tol of 0 at an interior node counts in both intervals at the node,
+    so it cancels: a certified level clears the node spectra by more than
+    zero_tol.
     """
     if partition is not None and not partition.intervals:
         raise ValueError("partition has no intervals")
     partition, F, spec = ((partition, None, None) if partition is not None
                           else _certify(path, h, policy))
-    zero = policy.zero_tol
     ends = np.array([(iv.t0, iv.t1) for iv in partition.intervals])
     ts, node = np.unique(ends, return_inverse=True)
     node = node.reshape(ends.shape)
-    n = None if F is None else F.shape[-1]  # every later sample has the nodes' size
-    blocks_at = isotypic_blocks(path, h, NotEquivariant, policy, n)
-
-    def values(ts, F=None):
-        chars, blocks = blocks_at(ts, F)
-        return chars, _block_eigvalsh(blocks, policy)
-
-    def gap(vals):
-        return np.min([np.min(np.abs(v), axis=1) for v in vals], axis=0)
-
     if h is None and spec is not None:  # the one block is the whole sample, already solved
         chars, vals = np.ones(1, dtype=complex), [spec]
     else:
-        chars, vals = values(ts, F)
-    stuck = np.nonzero((ts > 0) & (ts < 1) & (gap(vals) <= zero))[0]
-    shift = 10 * zero
-    for step in (shift, -shift, 10 * shift, -10 * shift):
-        moved = ts[stuck] + step
-        inside = (moved > 0) & (moved < 1)
-        if not inside.any():
-            continue
-        _, new = values(moved[inside])
-        clear = gap(new) > zero
-        for v, w in zip(vals, new):
-            v[stuck[inside][clear]] = w[clear]
-        stuck = np.setdiff1d(stuck, stuck[inside][clear])
-
+        chars, blocks = isotypic_blocks(path, h, NotEquivariant, policy)(ts, F)
+        vals = _block_eigvalsh(blocks, policy)
     levels = np.array([iv.level for iv in partition.intervals])[:, None]
+    zero = policy.zero_tol
 
     def count(k):
         return sum(chi * np.count_nonzero((v[k] >= -zero) & (v[k] <= levels), axis=1)

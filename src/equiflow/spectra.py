@@ -7,6 +7,8 @@ Every route reads a path's isotypic blocks from `isotypic_blocks`, and
 the counts that read no vectors) are the one source of Hermitian block
 eigendata: the blocks of one size take one `hermitian_part` and one LAPACK
 call together, and without an actor the samples are the one block, uncut.
+`_block_eig_unitary` is the one source of unitary eigendata, `eig_unitary`
+included, and `_not_unitary` the one unitarity test of the unitary routes.
 
 All values are pure functions of the inputs, but the Schur splits a call
 makes depend on earlier calls (`isotypic_split` keeps recent ones); sums
@@ -188,55 +190,64 @@ def eig_hermitian(M, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
 
 
 def eig_unitary(U, policy: TolerancePolicy = DEFAULT) -> EigenSystem:
-    """Eigendecomposition of a unitary matrix, phases ascending in (-pi, pi].
+    """Eigendecomposition of a unitary matrix, phases ascending in (-pi, pi]:
+    `_block_eig_unitary` of the one matrix, its vectors phase-fixed and its
+    phases clustered (circularly, by cluster_tol)."""
+    (phases, Q), = _block_eig_unitary([_as_matrix(U)[None]], policy)
+    clusters = cluster_indices(phases[0], policy.cluster_tol, circular=True)
+    return EigenSystem(values=phases[0], vectors=_fix_phases(Q[0]), clusters=clusters)
 
-    A phase equals pi only when the eigenvalue is within zero_tol of -1.
-    The unitarity and eigen-residual tests use Frobenius norms, as in
-    `hermitian_part`; a non-finite U fails the unitarity test.
+
+def _not_unitary(blocks, policy):
+    """Per sample of the (K, k, k) stacks `blocks` (the isotypic blocks of K
+    samples, or one stack): True unless the Frobenius norm of X* X - I over
+    the blocks is at most max(eig_tol, 1e-10); a non-finite sample fails.
+    The one unitarity test of the unitary routes."""
+    gram = sum((abs(np.swapaxes(B.conj(), -1, -2) @ B - np.eye(B.shape[-1])) ** 2).sum((-2, -1))
+               for B in blocks)
+    return ~(np.sqrt(gram) <= max(policy.eig_tol, 1e-10))
+
+
+def _block_eig_unitary(blocks, policy):
+    """[(phases (K, k), Q (K, k, k))] of each (K, k, k) stack of unitaries
+    in `blocks`: the one source of unitary eigendata.  Per sample: the
+    angles of the Schur eigenvalues lam, snapped to pi within zero_tol of
+    -1 and sorted (stable), and the Schur vectors (eigenvectors, a unitary
+    being normal) in their order, with LAPACK's column phases.  A 1x1
+    sample b is its own Schur form, vector 1, so its stack is one array
+    pass; a larger sample takes one `zgees`.  Per block, NotUnitary at the
+    first sample failing the unitarity test (`_not_unitary`) or the
+    eigen-residual test, read against lam (0 for 1x1),
+
+        ||X Q - Q diag(lam)||_F <= 1e3 eig_tol max(||X||_F / sqrt(k), 1) k,
+
+    and at once where a Schur solve fails.
     """
-    U = _as_matrix(U)
-    n = U.shape[0]
-    if not np.linalg.norm(U.conj().T @ U - np.eye(n)) <= max(policy.eig_tol, 1e-10):
-        raise NotUnitary("matrix is not unitary within tolerance")
-    T, _, _, Q, _, info = zgees(lambda x: None, U, compute_v=1, sort_t=0, overwrite_a=0)
-    if info != 0:
-        raise NotUnitary(f"Schur decomposition failed (zgees info {info})")
-    lam = np.diag(T)
-    # unitary matrices are normal: Schur vectors are eigenvectors
-    phases = np.angle(lam)
-    # snap genuine -1 eigenvalues to phase exactly pi, keep others off the cut
-    at_minus_one = np.abs(lam + 1.0) <= policy.zero_tol
-    phases = np.where(at_minus_one, np.pi, phases)
-    order = np.argsort(phases, kind="stable")
-    phases = phases[order]
-    vecs = _fix_phases(Q[:, order])
-    resid = np.linalg.norm(U @ vecs - vecs * np.exp(1j * phases))
-    if resid > 1e3 * policy.eig_tol * max(np.linalg.norm(U) / np.sqrt(n), 1.0) * n:
-        raise NotUnitary(f"eigen-residual {resid:.2e} too large; matrix not normal enough")
-    clusters = cluster_indices(phases, policy.cluster_tol, circular=True)
-    return EigenSystem(values=phases, vectors=vecs, clusters=clusters)
-
-
-def _eig_unitary_1x1(B, policy):
-    """(phases (K, 1), vectors (K, 1, 1)): `eig_unitary` of every sample of a
-    (K, 1, 1) stack in one array pass.  The Schur form of a 1x1 matrix is
-    the matrix with the vector 1, so the phase is np.angle(b), snapped to pi
-    within zero_tol of -1; the unitarity and residual tests are the same
-    forms, and the first sample failing either raises its NotUnitary."""
-    unitary = (np.linalg.norm(np.swapaxes(B.conj(), -1, -2) @ B - np.eye(1), axis=(-2, -1))
-               <= max(policy.eig_tol, 1e-10))
-    lam = B[..., 0]
-    phases = np.where(np.abs(lam + 1.0) <= policy.zero_tol, np.pi, np.angle(lam))
-    vecs = np.ones_like(B)
-    resid = np.linalg.norm(B @ vecs - vecs * np.exp(1j * phases)[:, None], axis=(-2, -1))
-    bad = ~unitary | (resid > 1e3 * policy.eig_tol * np.maximum(
-        np.linalg.norm(B, axis=(-2, -1)), 1.0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        if not unitary[k]:
+    out = []
+    for X in blocks:
+        k, off = X.shape[-1], _not_unitary([X], policy)
+        X = X[:np.argmax(off)] if off.any() else X  # the samples before the first not unitary
+        if k == 1:
+            lam, Q = X[..., 0], np.ones_like(X)
+        else:
+            lam, Q = np.empty(X.shape[:-1], dtype=complex), np.empty_like(X)
+            for j, x in enumerate(X):
+                _, _, lam[j], Q[j], _, info = zgees(lambda w: None, x, compute_v=1, sort_t=0,
+                                                    overwrite_a=0)
+                if info:
+                    raise NotUnitary(f"Schur decomposition failed (zgees info {info})")
+            resid = np.sqrt((abs(X @ Q - Q * lam[:, None, :]) ** 2).sum((-2, -1)))
+            scale = np.maximum(np.sqrt((abs(X) ** 2).sum((-2, -1)) / k), 1.0)
+            bad = ~(resid <= 1e3 * policy.eig_tol * scale * k)
+            if bad.any():
+                raise NotUnitary(f"eigen-residual {resid[np.argmax(bad)]:.2e} too large; "
+                                 "matrix not normal enough")
+        if len(X) < len(off):
             raise NotUnitary("matrix is not unitary within tolerance")
-        raise NotUnitary(f"eigen-residual {resid[k]:.2e} too large; matrix not normal enough")
-    return phases, vecs
+        phases = np.where(abs(lam + 1.0) <= policy.zero_tol, np.pi, np.angle(lam))
+        rows, order = np.arange(len(X))[:, None], np.argsort(phases, axis=-1, kind="stable")
+        out.append((phases[rows, order], Q[rows[:, None], np.arange(k)[:, None], order[:, None]]))
+    return out
 
 
 def isotypic_split(a, dim, policy: TolerancePolicy = DEFAULT):
@@ -325,7 +336,7 @@ def _rotated(M, a, policy, ts=None, error=None):
     return chars, blocks, X
 
 
-def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT, n: int = None):
+def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT):
     """Block sampler of a path for the actor a: (ts, F=None) -> (chars, blocks).
 
     This is the one place where a path's samples are sliced by its actor.  A
@@ -333,13 +344,13 @@ def isotypic_blocks(path, a, error, policy: TolerancePolicy = DEFAULT, n: int = 
     every sample to commute with a (the test of `check_commuting`, raising
     `error` and naming t), unless the caller passes the samples F at ts that
     it took and checked itself.  The test reads X = V* F V, which is then
-    cut.  Every sample has the size n of the route's other samples (by
-    default that of the first call's).  Every call reads the split of a
-    from `isotypic_split`, which keeps it, so a route on one actor splits it
-    once.  blocks[i] is the (K, k, k) stack of Q* F Q, Q = V[:, i-th block],
-    and chars[i] the character of a on it; without an actor the one block is
-    F itself, chi = 1.
+    cut.  Every sample has the size of the first call's.  Every call reads
+    the split of a from `isotypic_split`, which keeps it, so a route on one
+    actor splits it once.  blocks[i] is the (K, k, k) stack of Q* F Q,
+    Q = V[:, i-th block], and chars[i] the character of a on it; without an
+    actor the one block is F itself, chi = 1.
     """
+    n = None
 
     def blocks_at(ts, F=None):
         nonlocal n
@@ -679,11 +690,11 @@ def track_blocks(path, a, kind: str, error, policy: TolerancePolicy = DEFAULT):
 
     Returns (chars, [BranchSet per block]).  The uniform _GRID-point grid and
     each bisection level are one stack of `isotypic_blocks` (a sample not
-    commuting with a raises `error`), eigendecomposed by `_block_eigh`
-    (Hermitian) or by `eig_unitary`, per sample, or in one array pass for a
-    1x1 block (`_eig_unitary_1x1`).  Consecutive samples are matched per
-    block, and every link that does not certify is bisected, all links of a
-    level together.  The unchecked links of a level are screened in one
+    commuting with a raises `error`), eigendecomposed by `_block_eigh` or
+    `_block_eig_unitary`.  Matching reads overlap moduli and singular values
+    only, never the vectors' column phases.  Consecutive samples are matched
+    per block, and every link that does not certify is bisected, all links
+    of a level together.  The unchecked links of a level are screened in one
     array pass per block (`_identity_links`): a block it passes takes the
     identity, which is what `_match` returns, and every other block goes
     through `_match`, at most once per block and link, stopping at the
@@ -696,20 +707,7 @@ def track_blocks(path, a, kind: str, error, policy: TolerancePolicy = DEFAULT):
     if kind not in ("hermitian", "unitary"):
         raise ValueError("kind must be 'hermitian' or 'unitary'")
     blocks_at = isotypic_blocks(path, a, error, policy)
-
-    def eigen(blocks):
-        """Per block: eigenvalues (N, k) and eigenvectors (N, k, k) of its samples."""
-        if kind == "hermitian":
-            return _block_eigh(blocks, policy)
-        out = []
-        for B in blocks:
-            if B.shape[-1] == 1:
-                out.append(_eig_unitary_1x1(B, policy))
-                continue
-            systems = [eig_unitary(X, policy) for X in B]
-            out.append((np.array([es.values for es in systems]),
-                        np.array([es.vectors for es in systems])))
-        return out
+    eigen = _block_eigh if kind == "hermitian" else _block_eig_unitary
 
     def by_identity(todo):
         """(len(todo), blocks) mask of the links todo: True where the block
@@ -730,7 +728,7 @@ def track_blocks(path, a, kind: str, error, policy: TolerancePolicy = DEFAULT):
 
     ts = np.linspace(0.0, 1.0, _GRID)
     chars, blocks = blocks_at(ts)
-    eig = eigen(blocks)
+    eig = eigen(blocks, policy)
     links = [None] * (_GRID - 1)  # links[i] certifies (ts[i], ts[i + 1]); None: not yet checked
     while True:
         todo = np.array([i for i, perms in enumerate(links) if perms is None], dtype=int)
@@ -745,7 +743,7 @@ def track_blocks(path, a, kind: str, error, policy: TolerancePolicy = DEFAULT):
                                     f"t={ts[bad[np.argmax(short)]]:.6g} at depth cap")
         mids = (ts[bad] + ts[bad + 1]) / 2.0
         eig = [(np.insert(vals, bad + 1, v, axis=0), np.insert(vecs, bad + 1, u, axis=0))
-               for (vals, vecs), (v, u) in zip(eig, eigen(blocks_at(mids)[1]))]
+               for (vals, vecs), (v, u) in zip(eig, eigen(blocks_at(mids)[1], policy))]
         ts = np.insert(ts, bad + 1, mids)
         for i in bad[::-1]:
             links[i:i + 1] = [None, None]

@@ -35,6 +35,7 @@ from .spectra import (
     _STEP_MAX,
     EigenSystem,
     _as_matrix,
+    _not_unitary,
     _sampled_once,
     check_commuting,
     eig_unitary,
@@ -69,19 +70,22 @@ def _det_phases(f, a, policy):
     """One isotypic det-phase pass over a unitary path on [0, 1].
 
     Samples the isotypic blocks of f on a uniform _GRID-point grid, every
-    sample checked (`_unitary_blocks`), and takes the determinant of each
-    block (`_block_det`: a 1x1 block's is its entry).  Intervals where some
-    block's det phase steps by more than _STEP_MAX are bisected;
-    TrackingAmbiguous is raised at _MAX_SAMPLES samples or when an interval
-    to bisect is at most _MIN_DT long.  The grid and each bisection level
-    are one stack.  This step bound is what certifies the unwrapping.
+    sample checked to commute with a (NotCommuting, by the commutator bound
+    read from the X = V* f V it cuts) and to be unitary over its blocks
+    (`_require_unitary`), and takes the determinant of each block
+    (`_block_det`: a 1x1 block's is its entry).  Intervals where some block's
+    det phase steps by more than _STEP_MAX are bisected; TrackingAmbiguous
+    is raised at _MAX_SAMPLES samples or when an interval to bisect is at
+    most _MIN_DT long.  The grid and each bisection level are one stack.
+    This step bound is what certifies the unwrapping.
     Returns (chars, deltas, ends): deltas are the unwrapped det-phase changes
     per block, ends[i] the (2, k, k) samples of block i at t = 0 and t = 1.
     """
-    blocks_at = _unitary_blocks(f, a, policy)
+    blocks_at = isotypic_blocks(f, a, NotCommuting, policy)
 
     def block_dets(ts):
         chars, blocks = blocks_at(ts)
+        _require_unitary(blocks, ts, policy)
         return chars, blocks, np.stack([_block_det(B) for B in blocks], axis=1)
 
     ts = np.linspace(0.0, 1.0, _GRID)
@@ -111,24 +115,12 @@ def _block_det(B):
     return B[:, 0, 0] if B.shape[-1] == 1 else np.linalg.det(B)
 
 
-def _unitary_blocks(f, a, policy):
-    """`isotypic_blocks` of a unitary path f (NotCommuting, by the commutator
-    bound read from the X = V* f V it cuts), every sample also checked for
-    unitarity: NotUnitary, naming t, unless the Frobenius norm of
-    Q* f* f Q - I over the blocks is at most max(eig_tol, 1e-10) (a
-    non-finite sample fails)."""
-    blocks_at = isotypic_blocks(f, a, NotCommuting, policy)
-
-    def checked(ts):
-        chars, blocks = blocks_at(ts)
-        gram = sum(np.linalg.norm(np.swapaxes(B.conj(), -1, -2) @ B - np.eye(B.shape[-1]),
-                                  axis=(-2, -1)) ** 2 for B in blocks)
-        off = ~(np.sqrt(gram) <= max(policy.eig_tol, 1e-10))
-        if np.any(off):
-            raise NotUnitary(f"f({ts[np.argmax(off)]:.6g}) is not unitary within tolerance")
-        return chars, blocks
-
-    return checked
+def _require_unitary(blocks, ts, policy):
+    """NotUnitary, naming the first of the times ts whose samples, given as
+    their stacks of blocks, fail the unitarity test (`spectra._not_unitary`)."""
+    off = _not_unitary(blocks, policy)
+    if np.any(off):
+        raise NotUnitary(f"f({ts[np.argmax(off)]:.6g}) is not unitary within tolerance")
 
 
 def _wall_copy(phases, policy):
@@ -222,10 +214,11 @@ def winding_from_logs(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
 
     with principal matrix logarithms; valid when neither endpoint has
     spectrum at -1.  Every sample passes `sample_stack` and is checked to
-    commute with a (`check_commuting`); the two endpoints are one stack, at
-    t = 1 first.  The integral runs on whole panels with f' from
-    `path_panel`: exact for degree-14 polynomials on each panel, and
-    covered by the bisection error estimate.
+    commute with a (`check_commuting`), then to be unitary (`_require_unitary`,
+    NotUnitary naming t); the two endpoints are one stack, at t = 1 first.
+    The integral runs on whole panels with f' from `path_panel`: exact for
+    degree-14 polynomials on each panel, and covered by the bisection error
+    estimate.
     """
     n = None  # the size of the first panels' samples, which every later sample has
 
@@ -237,12 +230,14 @@ def winding_from_logs(f, a=None, policy: TolerancePolicy = DEFAULT) -> complex:
         U, dU = path_panel(f, ts, n)
         n = U.shape[-1]
         check_commuting(a, U, ts, NotCommuting, policy)
+        _require_unitary([U], ts, policy)
         return np.einsum("kij,kji->k", weighted(np.swapaxes(U.conj(), 1, 2)), dU)
 
     total = integrate(integrand, 0.0, 1.0, policy)
     ends = np.array([1.0, 0.0])
     U = sample_stack(f, ends, n)
     check_commuting(a, U, ends, NotCommuting, policy)
+    _require_unitary([U], ends, policy)
     log1, log0 = (complex(np.trace(weighted(principal_log_unitary(E, policy)))) for E in U)
     return complex((total - log1 + log0) / (2j * np.pi))
 

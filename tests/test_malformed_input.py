@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from equiflow import dirac_models, eta_zeta, maslov, specflow, spectra, symplectic, winding
-from equiflow.errors import DimensionMismatch, EquiflowError, NotCommuting, NotEquivariant
+from equiflow.errors import (DimensionMismatch, EquiflowError, NotCommuting, NotEquivariant,
+                             NotUnitary)
 from equiflow.specflow import Path
 
 MODULES = (spectra, symplectic, specflow, winding, maslov, eta_zeta, dirac_models)
@@ -236,18 +237,50 @@ def test_malformed_input_is_refused(route, role, bad):
 
 
 def test_path_of_another_size_between_stacks():
-    # the nodes of a given partition are 2x2, but the nudge samples taken
-    # off the kernel at t = 0.5 are 3x3: a later stack of one route call
-    # must have the size of its first
+    # the det-phase grid samples are 2x2 and step by pi/4 > _STEP_MAX, so
+    # every link is bisected, but the midpoint samples are 3x3: a later
+    # stack of one route call must have the size of its first
+    grid = set(np.linspace(0.0, 1.0, spectra._GRID).tolist())
+
     def path(t):
-        if t in (0.0, 0.5, 1.0):
-            return np.diag([t - 0.5, 1.0]).astype(complex)
+        if t in grid:
+            return np.diag([np.exp(8j * np.pi * t), 1.0])
         return np.eye(3, dtype=complex)
 
-    partition = specflow.GridPartition([specflow.Interval(0.0, 0.5, 0.5, 0.1, 1.0),
-                                        specflow.Interval(0.5, 1.0, 0.5, 0.1, 1.0)])
-    with pytest.raises(DimensionMismatch, match=r"t=0\.5.*\(3, 3\)"):
-        specflow.spectral_flow(path, partition=partition)
+    with pytest.raises(DimensionMismatch, match=r"t=0\.015625.*\(3, 3\)"):
+        winding.winding_number(path)
+
+
+def _ident(n):
+    return lambda t: np.eye(n, dtype=complex)
+
+
+# name -> call on a unitary path f of size n: every route that reads a
+# unitary path, the other paths of a call the identity
+UNITARY_ROUTES = {
+    "winding_number": lambda f, n: winding.winding_number(f),
+    "winding_events": lambda f, n: winding.winding_events(f),
+    "winding_from_logs": lambda f, n: winding.winding_from_logs(f),
+    "fredholm_det_path": lambda f, n: winding.fredholm_det_path(f),
+    "relative_double_index": lambda f, n: winding.relative_double_index(f, _ident(n)),
+    "maslov_index": lambda f, n: maslov.maslov_index(_ident(n), f),
+    "maslov_index[grid]": lambda f, n: maslov.maslov_index(_ident(n), f, mode="grid"),
+    "triple_index_path": lambda f, n: maslov.triple_index_path(f, _ident(n), _ident(n)),
+    "track_blocks": lambda f, n: spectra.track_blocks(f, None, "unitary", NotCommuting),
+}
+# unitary at t = 0 and t = 1 only; winding_from_logs returned 1.7616 and 0
+# for them while it tested no sample for unitarity
+UNITARY_AT_ENDS = {
+    "scalar": (lambda t: np.array([[np.exp(2j * np.pi * t) * (1 + 0.5 * np.sin(np.pi * t))]]), 1),
+    "identity": (lambda t: (1 + t * (1 - t)) * np.exp(0.3j) * np.eye(2), 2),
+}
+
+
+@pytest.mark.parametrize("path", UNITARY_AT_ENDS)
+@pytest.mark.parametrize("route", UNITARY_ROUTES)
+def test_path_unitary_only_at_its_endpoints(route, path):
+    with pytest.raises(NotUnitary, match="not unitary"):
+        UNITARY_ROUTES[route](*UNITARY_AT_ENDS[path])
 
 
 @pytest.mark.parametrize("call, shape", [

@@ -1,6 +1,7 @@
 """The closed forms of the unitary kernel against the LAPACK and matmul forms
-they replace: 1x1 determinants and eigendata, the identity screen of
-unitary tracking links, the one-product loop stack of
+they replace: the stacked unitary eigendata of `_block_eig_unitary` against
+the per-sample `eig_unitary` it replaced, 1x1 determinants, the identity
+screen of unitary tracking links, the one-product loop stack of
 `blockwise_unitary_path`, and the commutation test read from the isotypic
 cut.  With every reference put back, the seed 1-3 `unitary` pools of
 perfbench/cases.py give bitwise the same values."""
@@ -12,6 +13,8 @@ from math import pi
 import numpy as np
 import pytest
 import scipy.linalg as sl
+from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import zgees
 
 from equiflow import spectra, winding
 from equiflow.errors import NotCommuting, NotUnitary
@@ -24,6 +27,7 @@ EPS = np.finfo(float).eps
 TS = np.concatenate([[0.0, 1.0], np.random.default_rng(31).uniform(0.0, 1.0, 60)])
 # the library's own forms, held before a test monkeypatches the references in
 blockwise_unitary_path = gen.blockwise_unitary_path
+fix_phases = spectra._fix_phases
 
 
 def two_matmul_path(Q, blocks, factors):
@@ -47,10 +51,35 @@ def two_matmul_path(Q, blocks, factors):
     return _from_stack(stack)
 
 
-def per_sample_eig_unitary(B, policy):
-    """Eigendata of a stack of unitary blocks from `eig_unitary`, sample by sample."""
-    systems = [spectra.eig_unitary(X, policy) for X in B]
-    return np.array([es.values for es in systems]), np.array([es.vectors for es in systems])
+def reference_eig_unitary(U, policy):
+    """(phases, vectors) of one unitary by `eig_unitary` as it stood before
+    it read `_block_eig_unitary`: one `zgees`, phases snapped and sorted,
+    vectors phase-fixed, and the residual read against the snapped phases."""
+    n = U.shape[0]
+    if not np.linalg.norm(U.conj().T @ U - np.eye(n)) <= max(policy.eig_tol, 1e-10):
+        raise NotUnitary("matrix is not unitary within tolerance")
+    T, _, _, Q, _, info = zgees(lambda x: None, U, compute_v=1, sort_t=0, overwrite_a=0)
+    if info != 0:
+        raise NotUnitary(f"Schur decomposition failed (zgees info {info})")
+    lam = np.diag(T)
+    phases = np.where(np.abs(lam + 1.0) <= policy.zero_tol, np.pi, np.angle(lam))
+    order = np.argsort(phases, kind="stable")
+    phases = phases[order]
+    vecs = fix_phases(Q[:, order])
+    resid = np.linalg.norm(U @ vecs - vecs * np.exp(1j * phases))
+    if resid > 1e3 * policy.eig_tol * max(np.linalg.norm(U) / np.sqrt(n), 1.0) * n:
+        raise NotUnitary(f"eigen-residual {resid:.2e} too large; matrix not normal enough")
+    return phases, vecs
+
+
+def reference_block_eig_unitary(blocks, policy):
+    """`_block_eig_unitary` by `reference_eig_unitary`, block by block and
+    sample by sample: the eigendata unitary tracking took before."""
+    out = []
+    for B in blocks:
+        systems = [reference_eig_unitary(X, policy) for X in B]
+        out.append((np.array([p for p, _ in systems]), np.array([v for _, v in systems])))
+    return out
 
 
 def no_identity_links(vals1, vals2, vecs1, vecs2, policy, kind):
@@ -86,55 +115,139 @@ def unitary_blocks(n):
     return z[:, None, None]
 
 
-def near_thresholds(policy):
-    """1x1 blocks for `eig_unitary`'s tests: those of `unitary_blocks`; at each
-    ratio of RATIOS, blocks with |b|^2 - 1 at that ratio of the unitarity
-    bound and blocks -exp(i d) whose residual |b + 1|, once the phase snaps
-    to pi (d within zero_tol), is at that ratio of the residual bound; and
-    non-finite blocks."""
-    rng = np.random.default_rng(3)
-    z = unitary_blocks(100)[:, 0, 0]
-    out = [z]
+RATIOS = (0.5, 0.9, 1.1, 2.0)
+POLICIES = {"default": DEFAULT, "wide_snap": TolerancePolicy(zero_tol=1e-8),
+            "tight": TolerancePolicy(eig_tol=1e-15)}
+
+
+def near_thresholds(k, policy):
+    """(group, ratio, sample) of k x k samples V T V* for the eigendata
+    tests, V a random unitary, T upper triangular: "plain" unitaries with
+    phases over the circle, near and at -1 and repeated; at each ratio of
+    RATIOS, "unitarity" samples U S with ||S^2 - I||_F at that ratio of the
+    unitarity bound, "snap" samples with an eigenvalue -exp(i d), |d| at
+    that ratio of the residual bound (so the phase snaps to pi when d is
+    within zero_tol), and (k >= 2) "normality" samples whose T has the
+    entry e above its diagonal, at that ratio of the residual bound; and
+    "non-finite" samples."""
+    rng = np.random.default_rng(10 * k + 3)
+    V = gen.rand_unitary(k, rng) if k > 1 else np.eye(1)
+    unitarity, residual = max(policy.eig_tol, 1e-10), 1e3 * policy.eig_tol * k
+
+    def of(phases, upper=0.0):
+        T = np.diag(np.exp(1j * np.asarray(phases, dtype=float)))
+        T[0, -1] += upper
+        return V @ T @ V.conj().T
+
+    def phases():
+        return rng.uniform(-pi, pi, k)
+
+    out = [("plain", 0.0, of(phases())) for _ in range(12)]
+    for d in (0.0, 1e-12, -1e-12, 1e-6, -1e-6):
+        out += [("plain", 0.0, of(np.r_[pi - d, pi - d, phases()][:k])),
+                ("plain", 0.0, of(np.r_[phases()[:max(k - 2, 1)], pi - d, pi + d][-k:]))]
     for r in RATIOS:
-        sign = rng.choice([-1, 1], len(z))
-        out.append(z * np.sqrt(1 + r * sign * max(policy.eig_tol, 1e-10)))
-        out.append(-np.exp(1j * r * sign * 1e3 * policy.eig_tol * rng.uniform(0.99, 1.01, len(z))))
-    out.append([np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0, np.inf)])
-    return np.concatenate(out)[:, None, None]
+        for sign in (1, -1) * 4:
+            weights = np.sqrt(rng.dirichlet(np.ones(k)))  # a unit vector
+            out.append(("unitarity", r, of(phases()) * np.sqrt(1 + r * sign * unitarity * weights)))
+            d = r * sign * residual * rng.uniform(0.99, 1.01)
+            out.append(("snap", r, of(np.r_[pi - d, phases()][:k])))
+            if k > 1:
+                out.append(("normality", r, of(phases(), r * residual * rng.uniform(0.99, 1.01))))
+    for bad in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0, np.inf)):
+        X = of(phases())
+        X[rng.integers(k), rng.integers(k)] = bad
+        out.append(("non-finite", 0.0, X))
+    return out
 
 
-def eigendata(eig, B, policy):
-    """The bytes of the phases and vectors `eig` gives for the stack B, or
+def outcome(eig, B, policy):
+    """(phases, vectors) that `eig` gives for the stack B, the vectors
+    phase-fixed (`_fix_phases`; `reference_eig_unitary`'s already are), or
     the message of its NotUnitary."""
     try:
         with np.errstate(invalid="ignore", over="ignore"):
-            phases, vectors = eig(B, policy)
+            (phases, vectors), = eig([B], policy)
     except NotUnitary as exc:
         return str(exc)
-    return phases.tobytes() + vectors.tobytes()
+    if eig is not reference_block_eig_unitary:
+        vectors = np.array([fix_phases(Q) for Q in vectors])
+    return phases, vectors
+
+
+def same(a, b):
+    """The outcomes a and b are one message, or bitwise one eigendata."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+class TestUnitaryEigendata:
+    @pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES.keys())
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_eigendata_is_the_references(self, k, policy):
+        # sample by sample: the phases of the reference bitwise, its vectors
+        # up to column phase, and its NotUnitary.  The one exception: the
+        # reference read its residual against the phases, which also sees a
+        # phase snapped to pi, or an eigenvalue off the circle within the
+        # unitarity bound, so a sample failing it may pass; the residual
+        # against the Schur eigenvalues sees non-normality alone
+        samples = near_thresholds(k, policy)
+        ours, lost = [], {}
+        for group, r, X in samples:
+            o = outcome(spectra._block_eig_unitary, X[None], policy)
+            ref = outcome(reference_block_eig_unitary, X[None], policy)
+            if isinstance(o, str) and o.startswith("eigen-residual"):
+                assert isinstance(ref, str) and ref.startswith("eigen-residual"), (group, r)
+            elif isinstance(ref, str) and ref.startswith("eigen-residual"):
+                assert not isinstance(o, str), (group, r)
+                lost[group] = lost.get(group, 0) + 1
+            else:
+                assert same(o, ref), (group, r)
+                if not isinstance(ref, str):
+                    es = spectra.eig_unitary(X, policy)
+                    assert same((es.values, es.vectors), (ref[0][0], ref[1][0]))
+            # the decisions at each ratio of the two bounds
+            if group == "unitarity":
+                assert (isinstance(o, str) and o.startswith("matrix")) == (r > 1), (group, r)
+            if group == "normality" and policy is POLICIES["tight"]:
+                assert isinstance(o, str) == (r > 1), (group, r)
+            ours.append(o)
+        failed = {o.split()[0] for o in ours if isinstance(o, str)}
+        assert failed == ({"matrix", "eigen-residual"} if policy is POLICIES["tight"] and k > 1
+                          else {"matrix"})
+        assert not lost if policy is DEFAULT else "snap" in lost and "normality" not in lost
+        # whole stacks: each sample's eigendata, or the first failing sample's error
+        B = np.stack([X for *_, X in samples])
+        passing = B[[not isinstance(o, str) for o in ours]]
+        orders = [np.arange(len(passing))] + [
+            np.random.default_rng(seed).permutation(len(B))[:20 + 5 * seed] for seed in range(12)]
+        for j, order in enumerate(orders):
+            stack, each = (passing, None) if j == 0 else (B[order], [ours[i] for i in order])
+            if each is None:
+                each = [outcome(spectra._block_eig_unitary, X[None], policy) for X in stack]
+            first = next((o for o in each if isinstance(o, str)), None)
+            expected = first if first is not None else tuple(
+                np.concatenate(part) for part in zip(*each))
+            assert same(outcome(spectra._block_eig_unitary, stack, policy), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.lists(st.sampled_from([pi, -pi + 1e-12, pi - 1e-12, pi - 1e-3, 0.0, 1.0,
+                                           -2.0, 2.5]), min_size=k, max_size=k),
+                 min_size=1, max_size=5))))
+    def test_stacks_with_repeated_phases_and_minus_one(self, case):
+        seed, rows = case
+        V = gen.rand_unitary(len(rows[0]), gen.rng_for(seed))
+        B = np.stack([V @ np.diag(np.exp(1j * np.array(p))) @ V.conj().T for p in rows])
+        ref = [outcome(reference_block_eig_unitary, X[None], DEFAULT) for X in B]
+        assert not any(isinstance(o, str) for o in ref)
+        assert same(outcome(spectra._block_eig_unitary, B, DEFAULT),
+                    tuple(np.concatenate(part) for part in zip(*ref)))
 
 
 class TestOneByOne:
-    @pytest.mark.parametrize("policy", [DEFAULT, TolerancePolicy(zero_tol=1e-8)],
-                             ids=["default", "wide_snap"])
-    def test_eigendata_is_eig_unitarys(self, policy):
-        # bitwise the eigendata of `eig_unitary`, and its NotUnitary where it
-        # raises one, sample by sample and for whole stacks (the first
-        # failing sample's)
-        B = near_thresholds(policy)
-        ours = [eigendata(spectra._eig_unitary_1x1, X[None], policy) for X in B]
-        assert ours == [eigendata(per_sample_eig_unitary, X[None], policy) for X in B]
-        failed = {o.split()[0] for o in ours if isinstance(o, str)}
-        # residual failures need a phase snapped from beyond the residual bound
-        assert failed == ({"matrix", "eigen-residual"} if policy.zero_tol > 2e-9 else {"matrix"})
-        assert sum(isinstance(o, str) for o in ours) < len(B) / 2
-        passing = B[[not isinstance(o, str) for o in ours]]
-        shuffled = [B[np.random.default_rng(seed).permutation(len(B))[:40 + 10 * seed]]
-                    for seed in range(20)]
-        for X in [passing] + shuffled:
-            assert (eigendata(spectra._eig_unitary_1x1, X, policy)
-                    == eigendata(per_sample_eig_unitary, X, policy))
-
     def test_det_is_lapacks(self):
         B = unitary_blocks(5000)
         ours, ref = winding._block_det(B), np.linalg.det(B)
@@ -183,8 +296,8 @@ def _pool_values(cases):
 @pytest.mark.filterwarnings("ignore:maslov_index. grid is ignored:DeprecationWarning")
 def test_unitary_pool_values_equal_the_references(monkeypatch):
     # the Maslov (both modes), triple, winding, trace-log and Fredholm values
-    # are bitwise those of the LAPACK, matmul and per-link `_match` forms,
-    # and the pools reach every closed form
+    # are bitwise those of the LAPACK, matmul, per-sample eigensolve and
+    # per-link `_match` forms, and the pools reach every closed form
     cases = _perfbench_cases()
     ours = _pool_values(cases)
     reached = []
@@ -203,14 +316,17 @@ def test_unitary_pool_values_equal_the_references(monkeypatch):
         "loop", two_matmul_path, lambda Q, blocks, factors: factors[0][3] is None))
     monkeypatch.setattr(spectra, "_rotated", counted(
         "commutation", matmul_rotated, lambda M, a, policy, ts=None, error=None: error))
-    monkeypatch.setattr(spectra, "_eig_unitary_1x1", counted("eig", per_sample_eig_unitary,
-                                                             lambda B, policy: True))
+    monkeypatch.setattr(spectra, "_block_eig_unitary", counted(
+        "eig", reference_block_eig_unitary, lambda blocks, policy: True))
+    # the reference's vectors are phase-fixed already: `eig_unitary` returns them
+    monkeypatch.setattr(spectra, "_fix_phases", counted(
+        "fix", lambda V: V, lambda V: True))
     monkeypatch.setattr(spectra, "_identity_links", counted(
         "links", no_identity_links, lambda *args: args[5] == "unitary"))
     monkeypatch.setattr(winding, "_block_det", counted("det", np.linalg.det, one_by_one))
     theirs = _pool_values(cases)
     assert ours == theirs
-    assert {"loop", "commutation", "eig", "links", "det"} <= set(reached)
+    assert {"loop", "commutation", "eig", "fix", "links", "det"} <= set(reached)
 
 
 def commutant_draws(seed, n):
@@ -236,9 +352,6 @@ def at_ratio(a, C, P, ratio):
         limit = 10 * max(DEFAULT.commute_tol, 1e-9) * max(np.linalg.norm(M) / np.sqrt(len(M)), 1)
         s = ratio * limit
     return C + s * P
-
-
-RATIOS = (0.5, 0.9, 1.1, 2.0)
 
 
 def raises(M, a, ts=None):

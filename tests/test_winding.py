@@ -189,6 +189,19 @@ class TestEndpointRule:
         for name, route in diagonal_routes(np.eye(len(chi)), chi, b).items():
             assert abs(route() - exact) < 1e-12, name
 
+    def test_end_near_the_wall_under_wide_zero_tol(self):
+        # e^{i(pi - 0.005) t} ends within zero_tol = 1e-2 of the wall, so it
+        # counts as past it, and every unitary route gives 1 (B = (pi - 0.005)
+        # t / pi - 1 ends within zero_tol of 0); tracking takes its residual
+        # against the Schur eigenvalue, not against the phase snapped to pi
+        policy = TolerancePolicy(zero_tol=1e-2)
+        f = Path(1, lambda t: np.array([[np.exp(1j * (np.pi - 0.005) * t)]]))
+        T = Path(1, lambda t: np.eye(1, dtype=complex))
+        assert winding_number(f, policy=policy) == 1
+        assert sum(d * w for _, d, w in winding_events(f, policy=policy)) == 1
+        assert maslov_index(T, f, policy=policy, mode="grid") == 1
+        assert maslov_index(T, f, policy=policy, mode="winding") == 1
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
         st.integers(0, 2**32 - 1),
